@@ -32,6 +32,7 @@ from .poles import (
     load_catalog,
     save_catalog,
     sweep_poles,
+    write_text_atomic,
 )
 from .potential import PotentialProfile, transmission_coefficient
 from .presets import PRESET_NAMES, default_n_seed, default_packet_energy, preset_profile
@@ -130,10 +131,18 @@ def _catalog_cache_path(cfg):
 
 
 def obtain_catalog(cfg, quiet=False):
-    """Load the cached catalog when the fingerprint matches, else sweep."""
+    """Load the cached catalog when the fingerprint matches, else sweep.
+
+    A cache that cannot be read (truncated or corrupt) counts as a miss and
+    is rebuilt.  A swept catalog carries its ``stats``; a loaded one
+    has none.
+    """
     path, fp = _catalog_cache_path(cfg)
-    if path.exists():
+    try:
         catalog, extras = load_catalog(path)
+    except (ValueError, KeyError, IndexError, OSError):
+        pass  # missing or unreadable: rebuild below
+    else:
         if catalog.profile_fingerprint == fp and extras is not None:
             rset = ResidueSet(
                 residues=extras["residues"], u0=extras["u0"], u_l=extras["u_l"]
@@ -178,7 +187,7 @@ def _csv_header(cfg, columns, extra=None):
 def _write_csv(path, header_lines, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     body = [",".join(format(v, ".17e") for v in row) for row in rows]
-    path.write_text("\n".join(header_lines + body) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(header_lines + body) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +198,8 @@ def _write_csv(path, header_lines, rows):
 def cmd_poles(args):
     cfg = _resolve_config(args)
     catalog, _ = obtain_catalog(cfg)
+    if catalog.stats is not None:
+        print(catalog.stats.summary())
     units = cfg.profile.units
     pos = catalog.positions(units)
     wid = catalog.widths(units)
@@ -222,17 +233,18 @@ def cmd_spectrum(args):
     )
     columns = ["E_over_V", "E_eV", "T_exact", "re_t_exact", "im_t_exact"]
     data = [energies / v_top, energies, t_exact, amp_exact.real, amp_exact.imag]
+    devs = []
     for n in n_list:
         amp = expansion_t(profile, k, catalog, rset, n)
+        t_n = np.abs(amp) ** 2
         columns += [f"T_expansion_N{n}", f"re_t_N{n}", f"im_t_N{n}"]
-        data += [np.abs(amp) ** 2, amp.real, amp.imag]
+        data += [t_n, amp.real, amp.imag]
+        devs.append(np.max(np.abs(t_n - t_exact)))
     name = cfg.preset or "custom"
     out = cfg.out_dir / f"spectrum_{name}.csv"
     _write_csv(out, _csv_header(cfg, columns, {"pole_counts": args.poles}),
                zip(*data))
-    for n in n_list:
-        amp = expansion_t(profile, k, catalog, rset, n)
-        dev = np.max(np.abs(np.abs(amp) ** 2 - t_exact))
+    for n, dev in zip(n_list, devs):
         print(f"N={n:5d}: max |T_expansion - T_exact| = {dev:.3e}")
     print(f"wrote {out}")
     return 0
@@ -348,30 +360,13 @@ def cmd_reconstruct(args):
 
 
 def cmd_validate(args):
-    import time
-
-    from .poles import sweep_poles as _sweep
-    from .resonances import residues as _residues
     from .validation import run_validation
 
     cfg = _resolve_config(args)
 
     def provider():
-        path, fp = _catalog_cache_path(cfg)
-        if path.exists():
-            catalog, extras = load_catalog(path)
-            if catalog.profile_fingerprint == fp and extras is not None:
-                rset = ResidueSet(
-                    residues=extras["residues"], u0=extras["u0"], u_l=extras["u_l"]
-                )
-                return catalog, rset, None
-        t0 = time.time()
-        catalog = _sweep(cfg.profile, cfg.search)
-        elapsed = time.time() - t0
-        rset = _residues(cfg.profile, catalog)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_catalog(catalog, path, residues=rset.residues, u0=rset.u0, u_l=rset.u_l)
-        return catalog, rset, elapsed
+        catalog, rset = obtain_catalog(cfg, quiet=True)
+        return catalog, rset, None if catalog.stats is None else catalog.stats.seconds
 
     records = run_validation(cfg, oracle=not args.skip_oracle, provider=provider)
     n_fail = 0

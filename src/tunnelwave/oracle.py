@@ -29,6 +29,7 @@ __all__ = [
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _NODE_BUDGET = 10**8
+_CHUNK_NODES = 2**16  # integrand nodes evaluated at once, bounding the temporaries
 
 
 class NodeBudgetExceededError(RuntimeError):
@@ -112,8 +113,11 @@ def _momentum_integral(packet, x, t, tfun, config):
     ks, ws = _panel_nodes(packet, x, t, config)
     c = packet.units.inv_mass_coeff
     hbar = packet.units.hbar
-    phase = ks * x - c * ks * ks * t / hbar
-    integrand = phi0(packet, ks) * tfun(ks) * np.exp(1j * phase)
+    integrand = np.empty(ks.size, dtype=complex)
+    for lo in range(0, ks.size, _CHUNK_NODES):
+        k = ks[lo : lo + _CHUNK_NODES]
+        phase = k * x - c * k * k * t / hbar
+        integrand[lo : lo + _CHUNK_NODES] = phi0(packet, k) * tfun(k) * np.exp(1j * phase)
     return complex(np.sum(ws * integrand)) / math.sqrt(2.0 * math.pi)
 
 

@@ -1,24 +1,44 @@
 """Catalog of fourth-quadrant transmission poles of a layered potential.
 
 The sweep anchors on the large-index asymptotic seed, Newton-converges it,
-then walks inward one pole spacing (pi/L) at a time.  When a walk step fails,
-gated random restarts are drawn inside a confinement rectangle around the
-predicted location; after ``max_random_attempts`` consecutive failures the
-walk switches permanently to thin rectangles (pi / (subdivision L) wide, twice
-as tall) that are allowed to be empty, which is what resolves sharp and
-overlapping resonances near and below the barrier top.
+then walks inward one pole spacing (pi/L) at a time, looking for each pole
+inside a confinement rectangle around its predicted location.  When the
+deterministic Newton seed of a rectangle misses, the zeros of t22 inside the
+rectangle are counted by the argument principle: the winding number of t22
+around the counter-clockwise boundary, sampled with the vector kernel and
+refined until every phase step is below pi/4 (t22 is analytic there, since it
+does not depend on the branch chosen for each layer wavevector).  A count of
+zero proves the rectangle empty without any random draw.  Gated random
+restarts run only where the count is nonzero or the certificate is
+inconclusive (branch point on the boundary, overflow, a zero of t22 on the
+boundary, or the refinement cap reached).  After the first rectangle that
+yields no pole the walk switches permanently to thin rectangles
+(pi / (subdivision L) wide, twice as tall) that are allowed to be empty, which
+is what resolves sharp and overlapping resonances near and below the barrier
+top.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass
+import os
+import time
+from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .potential import t22, t22_with_prime, transmission_coefficient
+from .potential import (
+    BranchPointProximityError,
+    ZeroWavenumberError,
+    t22,
+    t22_with_prime,
+    transmission_coefficient,
+)
 
 __all__ = [
     "AnchorFailureError",
@@ -26,6 +46,7 @@ __all__ = [
     "IndexTooSmallError",
     "PoleCatalog",
     "PoleSearchConfig",
+    "SweepStats",
     "asymptotic_seed",
     "breit_wigner_seeds",
     "catalog_fingerprint",
@@ -51,6 +72,13 @@ class IndexTooSmallError(ValueError):
 
 
 _EPS = np.finfo(float).eps
+
+# argument-principle certificate: samples per rectangle edge and the largest
+# phase step between neighbouring samples
+_ARG_START_POINTS = 64
+_ARG_REFINE = 4
+_ARG_MAX_POINTS = 2**16
+_ARG_MAX_STEP = math.pi / 4.0
 
 
 def residual_gate(config, length, kappa):
@@ -104,14 +132,48 @@ def catalog_fingerprint(profile, config):
 
 
 @dataclass(frozen=True)
+class SweepStats:
+    """What one :func:`sweep_poles` call did, rectangle by rectangle.
+
+    Every rectangle either yields a pole to its deterministic Newton seed, is
+    certified empty by its winding number, or is sent to the gated random
+    draws because its zero count is nonzero or the certificate inconclusive.
+    """
+
+    rectangles: int
+    seed_hits: int
+    certified_empty: int
+    drawn_nonzero: int
+    drawn_inconclusive: int
+    random_draws: int
+    seconds: float
+
+    @property
+    def sent_to_draws(self):
+        return self.drawn_nonzero + self.drawn_inconclusive
+
+    def summary(self):
+        return (
+            f"sweep: {self.rectangles} rectangles, {self.seed_hits} seed hits, "
+            f"{self.certified_empty} certified empty, {self.sent_to_draws} sent to "
+            f"draws ({self.drawn_nonzero} count>0, {self.drawn_inconclusive} "
+            f"inconclusive), {self.random_draws} random draws, {self.seconds:.2f} s"
+        )
+
+
+@dataclass(frozen=True)
 class PoleCatalog:
-    """Validated, ordered fourth-quadrant poles with per-pole |t22| residuals."""
+    """Validated, ordered fourth-quadrant poles with per-pole |t22| residuals.
+
+    ``stats`` is set by :func:`sweep_poles` and None for a loaded catalog.
+    """
 
     poles: np.ndarray
     residuals: np.ndarray
     profile_fingerprint: str
     length: float
     config: PoleSearchConfig
+    stats: SweepStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
         poles = np.asarray(self.poles, dtype=complex)
@@ -179,8 +241,53 @@ def newton_step_sequence(seed, profile, config=PoleSearchConfig()):
     raise DivergenceError("newton iteration budget exhausted")
 
 
+def _zero_count(profile, re_c, half_re, im_c, half_im):
+    """Zeros of t22 inside the rectangle by the argument principle.
+
+    Sums the phase steps of t22 around the counter-clockwise boundary; each
+    edge is resampled (``_ARG_REFINE`` times denser) until every step is below
+    ``_ARG_MAX_STEP``.  Returns None when the count is inconclusive: a sample
+    at a layer branch point or at k = 0, overflow, a non-finite or zero value,
+    or an edge still under-resolved at ``_ARG_MAX_POINTS`` samples.
+    """
+    re_lo, re_hi = re_c - half_re, re_c + half_re
+    im_lo, im_hi = im_c - half_im, im_c + half_im
+    corners = [
+        complex(re_lo, im_lo),
+        complex(re_hi, im_lo),
+        complex(re_hi, im_hi),
+        complex(re_lo, im_hi),
+    ]
+    winding = 0.0
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        n = _ARG_START_POINTS
+        while True:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals = t22(profile, np.linspace(a, b, n))
+            except (BranchPointProximityError, OverflowError, ZeroWavenumberError):
+                return None
+            if not np.all(np.isfinite(vals)) or np.any(vals == 0):
+                return None
+            steps = np.angle(vals[1:] / vals[:-1])
+            if np.max(np.abs(steps)) < _ARG_MAX_STEP:
+                break
+            n *= _ARG_REFINE
+            if n > _ARG_MAX_POINTS:
+                return None
+        winding += float(np.sum(steps))
+    return round(winding / (2.0 * math.pi))
+
+
 def _try_rectangle(profile, config, rng, re_c, half_re, im_c, half_im, first_seed):
-    """Deterministic seed, then gated random restarts; None when empty."""
+    """Find a pole inside the rectangle; ``(pole or None, outcome, draws)``.
+
+    ``outcome`` is ``"seed"`` (the deterministic Newton seed landed inside),
+    ``"empty"`` (certified by a zero count of 0), ``"nonzero"`` or
+    ``"inconclusive"`` (the gated random restarts ran, ``draws`` of them).  A
+    certified rectangle advances ``rng`` exactly as the skipped draws would
+    have, so later rectangles see the same random stream.
+    """
 
     def inside(k):
         return (
@@ -191,10 +298,15 @@ def _try_rectangle(profile, config, rng, re_c, half_re, im_c, half_im, first_see
     try:
         k = newton_step_sequence(first_seed, profile, config)
         if inside(k):
-            return k
+            return k, "seed", 0
     except DivergenceError:
         pass
-    for _ in range(config.max_random_attempts):
+    count = _zero_count(profile, re_c, half_re, im_c, half_im)
+    if count == 0:
+        rng.uniform(-0.5, 0.5, size=2 * config.max_random_attempts)
+        return None, "empty", 0
+    outcome = "inconclusive" if count is None else "nonzero"
+    for draw in range(1, config.max_random_attempts + 1):
         gr = rng.uniform(-0.5, 0.5)
         gi = rng.uniform(-0.5, 0.5)
         s = complex(re_c + 2.0 * gr * half_re, im_c + 2.0 * gi * half_im)
@@ -205,18 +317,22 @@ def _try_rectangle(profile, config, rng, re_c, half_re, im_c, half_im, first_see
         except (DivergenceError, ArithmeticError, OverflowError, ValueError):
             continue
         if inside(k):
-            return k
-    return None
+            return k, outcome, draw
+    return None, outcome, config.max_random_attempts
 
 
 def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
     """Full inward pole sweep; returns a validated :class:`PoleCatalog`.
 
     ``n_above`` optionally extends the walk outward past the anchor index.
+    The catalog's ``stats`` record what the sweep did.
     """
     if not profile.has_barrier:
         raise ValueError("profile has no barrier; t22 has no zeros")
+    started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
+    outcomes = Counter()
+    draws = 0
     length = profile.length
     dr = math.pi / length
     dr_thin = dr / config.regime2_subdivision
@@ -241,7 +357,7 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
         beta = -ref.imag
         height = 2.0 * beta if regime2 else beta
         im_c = ref.imag
-        pole = _try_rectangle(
+        pole, outcome, spent = _try_rectangle(
             profile,
             config,
             rng,
@@ -251,6 +367,8 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
             half_im=0.5 * height,
             first_seed=complex(re_next, im_c),
         )
+        outcomes[outcome] += 1
+        draws += spent
         if pole is not None and pole.real > 0.0 and pole.imag < 0.0:
             found.append(pole)
             ref = pole
@@ -264,7 +382,7 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
     ref = anchor
     for _ in range(n_above):
         beta = -ref.imag
-        pole = _try_rectangle(
+        pole, outcome, spent = _try_rectangle(
             profile,
             config,
             rng,
@@ -274,12 +392,24 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
             half_im=0.5 * beta,
             first_seed=ref + dr,
         )
+        outcomes[outcome] += 1
+        draws += spent
         if pole is None:
             break
         found.append(pole)
         ref = pole
 
-    return _build_catalog(profile, config, found)
+    catalog = _build_catalog(profile, config, found)
+    stats = SweepStats(
+        rectangles=sum(outcomes.values()),
+        seed_hits=outcomes["seed"],
+        certified_empty=outcomes["empty"],
+        drawn_nonzero=outcomes["nonzero"],
+        drawn_inconclusive=outcomes["inconclusive"],
+        random_draws=draws,
+        seconds=time.perf_counter() - started,
+    )
+    return dataclasses.replace(catalog, stats=stats)
 
 
 def _build_catalog(profile, config, found):
@@ -397,8 +527,21 @@ def save_catalog(catalog, path, *, residues=None, u0=None, u_l=None):
                 _fmt(ul_i.real), _fmt(ul_i.imag),
             ]
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path, text):
+    """Write ``text`` to ``path`` through a temporary file in the same
+    directory and ``os.replace``, so no reader ever sees a partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(x):

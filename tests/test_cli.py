@@ -80,6 +80,19 @@ class TestPolesCommand:
         ]) == 0
         assert len(list((out / "cache").glob("poles_*.csv"))) == 2
 
+    def test_truncated_cache_rebuilt(self, tmp_path, capsys):
+        out = tmp_path / "cut"
+        args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]
+        assert run(args) == 0
+        (cache,) = (out / "cache").glob("poles_*.csv")
+        fresh = cache.read_bytes()
+        text = fresh.decode()
+        cache.write_text(text[: text.index("\n", len(text) // 2) + 16])
+        capsys.readouterr()
+        assert run(args) == 0
+        assert "certified empty" in capsys.readouterr().out
+        assert cache.read_bytes() == fresh
+
     def test_preset_definitions_match_reference_systems(self):
         from tunnelwave.presets import preset_profile
 

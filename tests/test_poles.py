@@ -20,6 +20,7 @@ from tunnelwave.poles import (
     save_catalog,
     sweep_poles,
 )
+from tunnelwave.poles import _try_rectangle, _zero_count
 from tunnelwave.potential import PotentialProfile, t22
 from tunnelwave.presets import preset_profile
 
@@ -151,6 +152,61 @@ class TestSweep:
         assert np.allclose(extended.poles[: len(base)], base.poles)
 
 
+class TestZeroCountCertificate:
+    SB_FIRST = 0.7151328825520719 - 0.06423768440198004j
+
+    def thin_rectangle(self):
+        # the first regime-2 rectangle the sb sweep tries, just below its
+        # lowest pole: pi / (20 L) wide, from the real axis down to 2 beta
+        width = math.pi / SB.length / PoleSearchConfig().regime2_subdivision
+        k = self.SB_FIRST
+        return dict(re_c=k.real - width, half_re=0.5 * width, im_c=k.imag, half_im=-k.imag)
+
+    def test_one_zero_around_first_sb_pole(self):
+        k = self.SB_FIRST
+        assert _zero_count(SB, k.real, 0.05, k.imag, 0.03) == 1
+
+    def test_three_zeros_around_qb_triplet(self):
+        # the 0.1199 / 0.1309 / 0.1450 eV triplet sits at Re k 0.459-0.505
+        assert _zero_count(QB, 0.482, 0.032, -0.01, 0.01) == 3
+
+    def test_thin_regime2_rectangle_certified_empty(self):
+        assert _zero_count(SB, **self.thin_rectangle()) == 0
+
+    def test_branch_point_on_boundary_is_inconclusive(self):
+        config = PoleSearchConfig(max_random_attempts=20)
+        k_branch = math.sqrt(0.23 / SB.units.inv_mass_coeff)
+        # top-left corner at the branch point k = sqrt(V/c)
+        rect = dict(re_c=k_branch + 0.01, half_re=0.01, im_c=-0.01, half_im=0.01)
+        assert _zero_count(SB, **rect) is None
+        rng = np.random.default_rng(0)
+        seed = complex(rect["re_c"], rect["im_c"])
+        assert _try_rectangle(SB, config, rng, **rect, first_seed=seed) == (
+            None, "inconclusive", 20
+        )
+
+    def test_certified_rectangle_advances_rng_like_the_draws(self):
+        config = PoleSearchConfig(max_random_attempts=50)
+        rect = self.thin_rectangle()
+        rng = np.random.default_rng(11)
+        seed = complex(rect["re_c"], rect["im_c"])
+        assert _try_rectangle(SB, config, rng, **rect, first_seed=seed) == (
+            None, "empty", 0
+        )
+        reference = np.random.default_rng(11)
+        for _ in range(2 * config.max_random_attempts):
+            reference.uniform(-0.5, 0.5)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_default_sweeps_need_no_random_draws(self, preset_data):
+        for name, empty in (("sb", 47), ("db", 78), ("qb", 127)):
+            stats = preset_data[name].catalog.stats
+            assert stats.certified_empty == empty
+            assert stats.sent_to_draws == 0
+            assert stats.random_draws == 0
+            assert stats.rectangles == stats.seed_hits + stats.certified_empty
+
+
 class TestMirrorPoles:
     def test_definition(self, sb_data):
         mirrors = mirror_poles(sb_data.catalog)
@@ -203,6 +259,7 @@ class TestSerialization:
         assert loaded.profile_fingerprint == db_data.catalog.profile_fingerprint
         assert loaded.config == db_data.catalog.config
         assert loaded.length == db_data.catalog.length
+        assert loaded.stats is None and db_data.catalog.stats is not None
 
     def test_round_trip_with_residues(self, tmp_path, sb_data):
         path = tmp_path / "cat.csv"
