@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _QUARTER_LOG_2PI = 0.25 * math.log(2.0 * math.pi)
+# (points x poles) elements per bracket chunk: larger chunks gain little time
+# and raise the peak memory of long point lists
+_CHUNK = 2**13
 
 
 class UnreliableRegimeError(ValueError):
@@ -200,86 +203,87 @@ class _BracketEvaluator:
             )
         kap, z = _pair_arrays(profile, catalog, residue_set, n_poles)
         self.packet = packet
-        self.length = profile.length
         self.c_const = coefficient_C(profile, catalog, residue_set, n_poles)
         # coefficient of w(i y'_n); the mirror partner carries the conjugate
         self.coef = z * kap
-        self.log_coef = np.log(self.coef)
+        log_coef = np.log(self.coef)
+        self.log_coefs = np.concatenate([log_coef, np.conj(log_coef)])
         self.log_c_const = np.log(complex(self.c_const))
-        self.kappa = kap
+        # shifted wavenumbers kappa' of the poles, then of their mirrors
+        self.kp = np.concatenate([kap, -np.conj(kap)]) - packet.k0
         self.hbar = packet.units.hbar
         self.mass = packet.units.mass
 
-    def _y_args(self, xp, tp):
-        """y' arguments for the (+n, -n) pole sets at one space-time point."""
-        root = cmath.exp(-0.25j * math.pi) * cmath.sqrt(
-            self.mass / (2.0 * self.hbar * tp)
-        )
-        vel = self.hbar * tp / self.mass
-        kp_pos = self.kappa - self.packet.k0
-        kp_neg = -np.conj(self.kappa) - self.packet.k0
-        y_pos = root * (xp - vel * kp_pos)
-        y_neg = root * (xp - vel * kp_neg)
-        return y_pos, y_neg
+    def _y_args(self, x, t):
+        """y' of the poles, then of their mirrors: shape ``x.shape + (2N,)``."""
+        packet = self.packet
+        tp = t - 1j * packet.tau
+        xp = (x - packet.x_c - packet.velocity * t)[..., None]
+        rot = cmath.exp(-0.25j * math.pi)
+        root = (rot * np.sqrt(self.mass / (2.0 * self.hbar * tp)))[..., None]
+        vel = (self.hbar * tp / self.mass)[..., None]
+        return root * (xp - vel * self.kp)
 
     def log_bracket(self, x, t):
-        """Complex log of the bracket at scalar (x, t), overflow-safe."""
-        packet = self.packet
-        tau = packet.tau
-        tp = t - 1j * tau
-        xp = x - packet.x_c - packet.velocity * t
-        y_pos, y_neg = self._y_args(xp, tp)
-        lw_pos = _logw(1j * y_pos)
-        lw_neg = _logw(1j * y_neg)
-        prefac = (
-            0.5 * math.log(math.pi)
-            + math.log(packet.sigma)
-            + 0.5 * cmath.log(1.0 + 1j * t / tau)
-        )
-        terms = np.concatenate(
-            [prefac + self.log_coef + lw_pos, prefac + np.conj(self.log_coef) + lw_neg]
-        )
-        contributions = np.concatenate(([self.log_c_const], terms))
-        scale = float(np.max(contributions.real))
-        with np.errstate(under="ignore"):
-            mantissas = np.exp(contributions - scale)
-        total = complex(np.sum(mantissas))
-        if total == 0:
-            return complex(-math.inf, 0.0)
-        tail = abs(mantissas[len(mantissas) // 2]) + abs(mantissas[-1])
-        if tail > 1e-8 * abs(total):
+        """Complex log of the bracket at the points ``(x[i], t[i])`` of two
+        equal-length 1-d arrays; overflow-safe.
+
+        Works in chunks of about ``_CHUNK`` (points x poles) elements with one
+        Faddeeva call per chunk, and warns once per call when the last pole
+        pair still contributes more than 1e-8 of the bracket somewhere.
+        """
+        n_terms = len(self.log_coefs)
+        rows = max(1, _CHUNK // n_terms)
+        out = np.empty(len(x), dtype=complex)
+        tail = np.empty(len(x))
+        for s in range(0, len(x), rows):
+            part = slice(s, s + rows)
+            out[part], tail[part] = self._log_bracket_chunk(x[part], t[part])
+        worst = float(np.max(tail, initial=0.0))
+        if worst > 1e-8:
             warnings.warn(
-                "last pole pair contributes more than 1e-8 of the bracket; "
-                "the catalog may be too short for this point",
+                f"last pole pair contributes up to {worst:.3g} of the bracket "
+                f"(above 1e-8 at {int(np.sum(tail > 1e-8))} of {len(x)} points); "
+                "the catalog may be too short for these points",
                 TruncationWarning,
                 stacklevel=3,
             )
-        return scale + cmath.log(total)
+        return out
 
-
-def _logw(z):
-    log_mag, phase = faddeeva_log_scaled(z)
-    return log_mag + 1j * phase
-
-
-def _evaluate_log(packet, profile, catalog, residue_set, xs, ts, n_poles):
-    ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
-    xs_b, ts_b = np.broadcast_arrays(np.asarray(xs, float), np.asarray(ts, float))
-    flat_x = np.atleast_1d(xs_b).ravel()
-    flat_t = np.atleast_1d(ts_b).ravel()
-    out = np.empty(flat_x.shape, dtype=complex)
-    for i, (x, t) in enumerate(zip(flat_x, flat_t)):
-        out[i] = ev.log_bracket(float(x), float(t)) + complex(
-            free_packet_log(packet, float(x), float(t))
+    def _log_bracket_chunk(self, x, t):
+        """Log bracket and tail-pair fraction for one chunk of points."""
+        tau = self.packet.tau
+        log_mag, phase = faddeeva_log_scaled(1j * self._y_args(x, t))
+        prefac = (
+            0.5 * math.log(math.pi)
+            + math.log(self.packet.sigma)
+            + 0.5 * np.log(1.0 + 1j * t / tau)
         )
-    return out.reshape(xs_b.shape) if xs_b.ndim else complex(out[0]), ev
+        contributions = np.empty((len(x), len(self.log_coefs) + 1), dtype=complex)
+        contributions[:, 0] = self.log_c_const
+        contributions[:, 1:] = (prefac[:, None] + self.log_coefs) + (log_mag + 1j * phase)
+        scale = np.max(contributions.real, axis=1)
+        with np.errstate(under="ignore"):
+            mantissas = np.exp(contributions - scale[:, None])
+        total = np.sum(mantissas, axis=1)
+        empty = total == 0
+        tail = np.abs(mantissas[:, len(self.coef)]) + np.abs(mantissas[:, -1])
+        with np.errstate(divide="ignore"):
+            log_total = np.log(total)
+        log_total[empty] = -math.inf
+        tail[empty] = 0.0
+        tail[~empty] /= np.abs(total[~empty])
+        return scale + log_total, tail
 
 
 def transmitted_packet_log(packet, profile, catalog, residue_set, x, t, n_poles=None):
     """Complex log of the transmitted amplitude; never overflows."""
     _check_transmitted_domain(packet, profile, x, t)
-    out, _ = _evaluate_log(packet, profile, catalog, residue_set, x, t, n_poles)
-    return out
+    ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
+    xs, ts = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
+    flat_x, flat_t = xs.ravel(), ts.ravel()
+    out = ev.log_bracket(flat_x, flat_t) + free_packet_log(packet, flat_x, flat_t)
+    return out.reshape(xs.shape) if xs.ndim else complex(out[0])
 
 
 def transmitted_packet(packet, profile, catalog, residue_set, x, t, n_poles=None):
@@ -318,10 +322,8 @@ def zeta(packet, profile, catalog, residue_set, x, t0, n_poles=None):
     if np.any(2.0 * np.asarray(free_log).real < math.log(1e-300)):
         raise FreeDensityUnderflowError("free density below 1e-300")
     ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
-    flat = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(flat.shape, dtype=float)
-    for i, xi in enumerate(flat):
-        out[i] = math.exp(2.0 * ev.log_bracket(float(xi), float(t0)).real)
+    flat = np.asarray(x, dtype=float).ravel()
+    out = np.exp(2.0 * ev.log_bracket(flat, np.full(flat.shape, float(t0))).real)
     if np.ndim(x) == 0:
         return float(out[0])
     return out.reshape(np.shape(x))
@@ -336,11 +338,8 @@ def eta(x, x0, length):
 
 def fit_loglog_slope(ts, rhos):
     """Least-squares slope of log(rho) against log(t)."""
-    lt = np.log(np.asarray(ts, dtype=float))
-    lr = np.log(np.asarray(rhos, dtype=float))
-    design = np.stack([lt, np.ones_like(lt)], axis=1)
-    (slope, _), *_ = np.linalg.lstsq(design, lr, rcond=None)
-    return float(slope)
+    return _plain_slope(np.log(np.asarray(ts, dtype=float)),
+                        np.log(np.asarray(rhos, dtype=float)))
 
 
 def longtime_exponent(
@@ -390,13 +389,12 @@ def asymptotic_cancellation(packet, profile, catalog, residue_set, x_d, t, n_pol
     """
     ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
     tau = packet.tau
-    tp = t - 1j * tau
-    xp = x_d - packet.x_c - packet.velocity * t
-    y_pos, y_neg = ev._y_args(xp, tp)
+    y = ev._y_args(np.asarray(x_d, float), np.asarray(t, float))
+    n = len(ev.coef)
     prefac = math.sqrt(math.pi) * packet.sigma * cmath.sqrt(1.0 + 1j * t / tau)
     total = 0j
     scale = 0.0
-    for coefs, ys in ((ev.coef, y_pos), (np.conj(ev.coef), y_neg)):
+    for coefs, ys in ((ev.coef, y[:n]), (np.conj(ev.coef), y[n:])):
         lead = 1.0 / (math.sqrt(math.pi) * ys)
         exp_part = np.zeros_like(ys)
         lhp = ys.real < 0.0

@@ -516,6 +516,7 @@ def save_catalog(catalog, path, *, residues=None, u0=None, u_l=None):
         f"# length_nm: {catalog.length!r}",
         f"# config: {cfg.fingerprint_key()}",
         f"# columns: {','.join(cols)}",
+        f"# rows: {len(catalog)}",
     ]
     for i, (kappa, res) in enumerate(zip(catalog.poles, catalog.residuals), start=1):
         row = [str(i), _fmt(kappa.real), _fmt(kappa.imag), _fmt(res)]
@@ -564,7 +565,9 @@ def load_catalog(path):
     """Read a catalog written by :func:`save_catalog`.
 
     Returns ``(catalog, extras)`` where ``extras`` is None or a dict with
-    ``residues``, ``u0`` and ``u_l`` complex arrays.
+    ``residues``, ``u0`` and ``u_l`` complex arrays.  Raises ``ValueError``
+    when the ``rows`` header is missing or disagrees with the rows read, as
+    in a file cut at a row boundary.
     """
     header = {}
     rows = []
@@ -581,6 +584,10 @@ def load_catalog(path):
                 header[key.strip()] = val.strip()
             else:
                 rows.append([float(x) for x in line.split(",")])
+    if header.get("rows") != str(len(rows)):
+        raise ValueError(
+            f"{path}: {len(rows)} rows read, header says {header.get('rows')}"
+        )
     cols = header["columns"].split(",")
     data = np.asarray(rows, dtype=float)
     if data.size == 0:

@@ -3,8 +3,12 @@
 The central object is the Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``.
 Evaluation is split by region: a Maclaurin series near the origin, a rational
 approximation (Weideman-style, coefficients fitted at import time) on a middle
-annulus, and the Laplace continued fraction far out.  The lower half-plane is
-always reached through a single application of the reflection identity
+annulus, and the Laplace continued fraction far out.  The continued fraction
+takes only as many levels as each argument's own ``|z|`` needs (16 at
+``|z| = 7`` down to 1 beyond ``|z| = 1e4``), the tiered depth of Poppe &
+Wijers (ACM TOMS 16, 1990) and Zaghloul & Ali (ACM TOMS 38, 2011), so a vector
+call and scalar calls give the same values.  The lower half-plane is always
+reached through a single application of the reflection identity
 ``w(z) = 2 exp(-z^2) - w(-z)``.
 """
 
@@ -40,10 +44,23 @@ _INV_GAMMA = np.array([1.0 / math.gamma(0.5 * n + 1.0) for n in range(_N_SERIES)
 
 # Radii of the three evaluation regions.  Chosen so the relative error against
 # a 50-digit reference stays below 1e-13 on the whole upper half-plane; see
-# tests for the measured profile.
+# tests for the measured profile.  Beyond _R_CONTFRAC the continued fraction's
+# depth falls with |z| by the tiers below.
 _R_SERIES = 2.0
 _R_CONTFRAC = 7.0
-_CF_DEPTH = 40
+
+# Continued-fraction depth by radius tier: from |z| = radius outward, `depth`
+# levels keep the relative error at or below 2e-16 for every arg z in
+# [0, pi] against a 40-digit reference (12 levels give 9e-16 at |z| = 7).
+_CF_TIERS = ((1e4, 1), (1e3, 2), (150.0, 3), (40.0, 5), (15.0, 8), (_R_CONTFRAC, 16))
+# |z|^2 below which an element needs level m, at index m - 1
+_CF_LEVEL_R2 = tuple(
+    min((r for r, d in _CF_TIERS if d < m), default=math.inf) ** 2
+    for m in range(1, max(d for _, d in _CF_TIERS) + 1)
+)
+# levels 1.._CF_SHALLOW run in place over the whole array; deeper levels run
+# only on the gathered elements that need them (|z| < 150, rare far out)
+_CF_SHALLOW = 3
 
 
 def _w_series(z):
@@ -89,11 +106,23 @@ def _w_weideman(z):
     return 2.0 * p / (denom * denom) + (1.0 / _SQRT_PI) / denom
 
 
-def _w_contfrac(z):
-    """Laplace continued fraction, accurate for |z| >= _R_CONTFRAC, Im z >= 0."""
+def _w_contfrac(z, r2):
+    """Laplace continued fraction for |z| >= _R_CONTFRAC, Im z >= 0.
+
+    ``r2 = |z|^2``.  Level m of the backward recurrence updates only the
+    elements whose radius tier needs it, so each element's value depends on
+    its own ``|z|`` alone.
+    """
     g = np.zeros_like(z)
-    for m in range(_CF_DEPTH, 0, -1):
-        g = (0.5 * m) / (z - g)
+    deep = r2 < _CF_LEVEL_R2[_CF_SHALLOW]
+    if deep.any():
+        zd, rd = z[deep], r2[deep]
+        gd = np.zeros_like(zd)
+        for m in range(len(_CF_LEVEL_R2), _CF_SHALLOW, -1):
+            np.divide(0.5 * m, zd - gd, out=gd, where=rd < _CF_LEVEL_R2[m - 1])
+        g[deep] = gd
+    for m in range(_CF_SHALLOW, 0, -1):
+        np.divide(0.5 * m, z - g, out=g, where=r2 < _CF_LEVEL_R2[m - 1])
     return (1j / _SQRT_PI) / (z - g)
 
 
@@ -109,7 +138,7 @@ def _w_upper(z):
     if mid.any():
         out[mid] = _w_weideman(z[mid])
     if big.any():
-        out[big] = _w_contfrac(z[big])
+        out[big] = _w_contfrac(z[big], r2[big])
     return out
 
 
@@ -162,26 +191,24 @@ def faddeeva_log_scaled(z):
     if not np.all(np.isfinite(z_in)):
         raise ValueError("faddeeva_log_scaled requires finite arguments")
     zf = np.atleast_1d(z_in)
-    logw = np.empty_like(zf)
     lower = zf.imag < 0.0
-    upper = ~lower
-    if upper.any():
-        logw[upper] = np.log(_w_upper(zf[upper]))
-    if lower.any():
-        zl = zf[lower]
+    # w(-z) for Im z < 0, w(z) elsewhere: one upper-half-plane evaluation
+    w = _w_upper(np.where(lower, -zf, zf))
+    # below exp's subnormal floor the reflection term 2 exp(-z^2) is exactly
+    # zero, so log(-w(-z)) is bit-identical there and skips a cos/sin of a
+    # huge Im(z^2)
+    logw = np.log(np.where(lower, -w, w))
+    refl = lower & ((-(zf * zf)).real >= -746.0)
+    if refl.any():
+        zl, wref = zf[refl], w[refl]
         a = -(zl * zl)
-        wref = _w_upper(-zl)
         big = a.real > 650.0
         res = np.empty_like(zl)
-        if big.any():
+        with np.errstate(under="ignore"):
             # log w = a + log(2 - exp(-a) w(-z)); exp(-a) underflows harmlessly
-            with np.errstate(under="ignore"):
-                res[big] = a[big] + np.log(2.0 - np.exp(-a[big]) * wref[big])
-        mod = ~big
-        if mod.any():
-            with np.errstate(under="ignore"):
-                res[mod] = np.log(2.0 * np.exp(a[mod]) - wref[mod])
-        logw[lower] = res
+            res[big] = a[big] + np.log(2.0 - np.exp(-a[big]) * wref[big])
+            res[~big] = np.log(2.0 * np.exp(a[~big]) - wref[~big])
+        logw[refl] = res
     if z_in.ndim == 0:
         val = complex(logw[0])
         return val.real, val.imag

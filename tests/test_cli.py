@@ -93,6 +93,20 @@ class TestPolesCommand:
         assert "certified empty" in capsys.readouterr().out
         assert cache.read_bytes() == fresh
 
+    def test_cache_cut_at_row_boundary_rebuilt(self, tmp_path, capsys):
+        out = tmp_path / "rowcut"
+        args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]
+        assert run(args) == 0
+        (cache,) = (out / "cache").glob("poles_*.csv")
+        fresh = cache.read_bytes()
+        lines = fresh.decode().splitlines(keepends=True)
+        n_header = sum(line.startswith("#") for line in lines)
+        cache.write_text("".join(lines[: n_header + 30]))
+        capsys.readouterr()
+        assert run(args) == 0
+        assert "certified empty" in capsys.readouterr().out
+        assert cache.read_bytes() == fresh
+
     def test_preset_definitions_match_reference_systems(self):
         from tunnelwave.presets import preset_profile
 

@@ -129,6 +129,34 @@ class TestTransmittedPacket:
                 2 * SB.length, 50.0, n_poles=4,
             )
 
+    def test_one_truncation_warning_per_call(self, sb_data):
+        from tunnelwave.evolution import TruncationWarning
+
+        ts = np.linspace(20.0, 80.0, 30)
+        with pytest.warns(TruncationWarning) as record:
+            transmitted_packet(
+                sb_data.packet, SB, sb_data.catalog, sb_data.residues,
+                2 * SB.length, ts, n_poles=4,
+            )
+        caught = [w for w in record if issubclass(w.category, TruncationWarning)]
+        assert len(caught) == 1
+        assert "above 1e-8 at 30 of 30 points" in str(caught[0].message)
+
+    def test_chunked_points_equal_one_point_calls(self, preset_data):
+        # one call over many times chunks (points x poles); every point must
+        # come out bit for bit as when it is evaluated alone
+        for data in preset_data.values():
+            pk, profile = data.packet, data.profile
+            tau_sys = tau_system(profile, data.catalog)
+            ts = np.geomspace(1e-2 * tau_sys, 30.0 * tau_sys, 40)
+            x_d = 2 * profile.length
+            bulk = transmitted_packet_log(pk, profile, data.catalog, data.residues, x_d, ts)
+            single = np.array([
+                transmitted_packet_log(pk, profile, data.catalog, data.residues, x_d, t)
+                for t in ts
+            ])
+            assert np.array_equal(bulk, single)
+
     def test_early_time_residual_bounded(self, preset_data):
         # t -> 0+ leaves |psi| <= 2|C| |psi_free| (measured factor <= ~0.95)
         for data in preset_data.values():

@@ -273,6 +273,17 @@ class TestSerialization:
         assert np.array_equal(extras["u0"], rset.u0)
         assert np.array_equal(extras["u_l"], rset.u_l)
 
+    def test_rejects_row_count_mismatch(self, tmp_path, sb_data):
+        path = tmp_path / "cat.csv"
+        save_catalog(sb_data.catalog, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(ValueError, match="rows"):
+            load_catalog(path)
+        path.write_text("".join(line for line in lines if not line.startswith("# rows")))
+        with pytest.raises(ValueError, match="rows"):
+            load_catalog(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("# not a catalog\n1,2,3\n")

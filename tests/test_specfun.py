@@ -55,6 +55,26 @@ def test_accuracy_against_reference_upper_half_plane(radius):
         assert abs(faddeeva(z) - ref) <= tol * abs(ref)
 
 
+# lower radius of each continued-fraction depth tier, |z| = 7 to 1e4
+_CF_TIER_RADII = [7.0, 15.0, 40.0, 150.0, 1e3, 1e4]
+
+
+@pytest.mark.parametrize(
+    "radius",
+    [r for r0 in _CF_TIER_RADII for r in (r0, np.nextafter(r0, 0.0), r0 * (1.0 - 1e-9))],
+)
+def test_continued_fraction_tiers_at_full_precision(radius):
+    # each tier's depth holds 1e-14 from its lower radius outward, and the
+    # next deeper tier (or the rational region below 7) just inside it
+    thetas = np.concatenate([[1e-9, math.pi - 1e-9], np.linspace(0.0, math.pi, 25)])
+    for theta in thetas:
+        z = radius * cmath.exp(1j * theta)
+        if z.imag < 0.0:
+            z = complex(z.real, 0.0)
+        ref = w_reference(z)
+        assert abs(faddeeva(z) - ref) <= 1e-14 * abs(ref)
+
+
 def test_accuracy_lower_half_plane_where_representable():
     rng = np.random.default_rng(11)
     for _ in range(150):
@@ -132,6 +152,22 @@ class TestLogScaled:
         assert math.isfinite(mag)
         assert abs(mag - (800.0 + math.log(2.0))) <= 1e-9
         assert abs(phase) <= 1e-12
+
+    def test_underflowed_reflection_term_bit_equal(self):
+        # where Re(-z^2) < -746, 2 exp(-z^2) is exactly zero in double
+        # precision and the shortcut must not change a single bit
+        rng = np.random.default_rng(12)
+        mag = 10.0 ** rng.uniform(1.0, 6.0, 20_000)
+        z = mag * np.exp(-1j * rng.uniform(0.0, math.pi, 20_000))
+        a = -(z * z)
+        keep = (a.real < -746.0) & (z.imag < 0.0)
+        z, a = z[keep], a[keep]
+        assert len(z) > 5_000
+        with np.errstate(under="ignore"):
+            want = np.log(2.0 * np.exp(a) - faddeeva(-z))
+        log_mag, phase = faddeeva_log_scaled(z)
+        assert np.array_equal(log_mag, want.real)
+        assert np.array_equal(phase, want.imag)
 
     def test_vectorized(self):
         z = np.array([0.0, 1j, 2.0 - 30.0j])
