@@ -89,8 +89,16 @@ def residual_gate(config, length, kappa):
     of O(1) contributions scaled back by exp(ikL)).  For shallow poles the
     gate is exactly ``config.residual_tol``.
     """
+    return _residual_gate(config.residual_tol, length, kappa)
+
+
+def _residual_gate(residual_tol, length, kappa):
+    """:func:`residual_gate` for a complex ``kappa`` or an array of them."""
+    if isinstance(kappa, np.ndarray):
+        growth = np.exp(np.clip(-kappa.imag * length, 0.0, 690.0))
+        return np.maximum(residual_tol, 64.0 * _EPS * growth)
     growth = math.exp(min(-kappa.imag * length, 690.0)) if kappa.imag < 0.0 else 1.0
-    return max(config.residual_tol, 64.0 * _EPS * growth)
+    return max(residual_tol, 64.0 * _EPS * growth)
 
 
 @dataclass(frozen=True)
@@ -138,6 +146,8 @@ class SweepStats:
     Every rectangle either yields a pole to its deterministic Newton seed, is
     certified empty by its winding number, or is sent to the gated random
     draws because its zero count is nonzero or the certificate inconclusive.
+    ``newton_iterations`` counts the Newton steps of the whole sweep, anchor
+    and draws included: one scalar ``t22_with_prime`` evaluation each.
     """
 
     rectangles: int
@@ -146,6 +156,7 @@ class SweepStats:
     drawn_nonzero: int
     drawn_inconclusive: int
     random_draws: int
+    newton_iterations: int
     seconds: float
 
     @property
@@ -157,7 +168,8 @@ class SweepStats:
             f"sweep: {self.rectangles} rectangles, {self.seed_hits} seed hits, "
             f"{self.certified_empty} certified empty, {self.sent_to_draws} sent to "
             f"draws ({self.drawn_nonzero} count>0, {self.drawn_inconclusive} "
-            f"inconclusive), {self.random_draws} random draws, {self.seconds:.2f} s"
+            f"inconclusive), {self.random_draws} random draws, "
+            f"{self.newton_iterations} Newton iterations, {self.seconds:.2f} s"
         )
 
 
@@ -213,11 +225,17 @@ def newton_step_sequence(seed, profile, config=PoleSearchConfig()):
     iterate leaves the lower half-plane, stops being finite, or the budget is
     exhausted.
     """
+    return _newton(seed, profile, config, Counter())
+
+
+def _newton(seed, profile, config, counts):
+    """:func:`newton_step_sequence`, adding its iterations to ``counts["newton"]``."""
     k = complex(seed)
     if k == 0:
         raise ValueError("seed must be nonzero")
     length = profile.length
     for _ in range(config.max_newton_iters):
+        counts["newton"] += 1
         try:
             val, der = t22_with_prime(profile, k)
         except (ArithmeticError, OverflowError, ValueError):
@@ -279,15 +297,19 @@ def _zero_count(profile, re_c, half_re, im_c, half_im):
     return round(winding / (2.0 * math.pi))
 
 
-def _try_rectangle(profile, config, rng, re_c, half_re, im_c, half_im, first_seed):
+def _try_rectangle(
+    profile, config, rng, re_c, half_re, im_c, half_im, first_seed, counts=None
+):
     """Find a pole inside the rectangle; ``(pole or None, outcome, draws)``.
 
     ``outcome`` is ``"seed"`` (the deterministic Newton seed landed inside),
     ``"empty"`` (certified by a zero count of 0), ``"nonzero"`` or
     ``"inconclusive"`` (the gated random restarts ran, ``draws`` of them).  A
     certified rectangle advances ``rng`` exactly as the skipped draws would
-    have, so later rectangles see the same random stream.
+    have, so later rectangles see the same random stream.  Newton iterations
+    are added to ``counts["newton"]`` when a counter is given.
     """
+    counts = Counter() if counts is None else counts
 
     def inside(k):
         return (
@@ -296,7 +318,7 @@ def _try_rectangle(profile, config, rng, re_c, half_re, im_c, half_im, first_see
         )
 
     try:
-        k = newton_step_sequence(first_seed, profile, config)
+        k = _newton(first_seed, profile, config, counts)
         if inside(k):
             return k, "seed", 0
     except DivergenceError:
@@ -313,7 +335,7 @@ def _try_rectangle(profile, config, rng, re_c, half_re, im_c, half_im, first_see
         try:
             if abs(t22(profile, s)) >= 1.0:
                 continue
-            k = newton_step_sequence(s, profile, config)
+            k = _newton(s, profile, config, counts)
         except (DivergenceError, ArithmeticError, OverflowError, ValueError):
             continue
         if inside(k):
@@ -332,14 +354,15 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     outcomes = Counter()
+    iterations = Counter()
     draws = 0
     length = profile.length
     dr = math.pi / length
     dr_thin = dr / config.regime2_subdivision
 
     try:
-        anchor = newton_step_sequence(
-            asymptotic_seed(config.n_seed, length), profile, config
+        anchor = _newton(
+            asymptotic_seed(config.n_seed, length), profile, config, iterations
         )
     except DivergenceError as exc:
         raise AnchorFailureError(f"asymptotic anchor did not converge: {exc}")
@@ -366,6 +389,7 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
             im_c=im_c,
             half_im=0.5 * height,
             first_seed=complex(re_next, im_c),
+            counts=iterations,
         )
         outcomes[outcome] += 1
         draws += spent
@@ -391,6 +415,7 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
             im_c=ref.imag,
             half_im=0.5 * beta,
             first_seed=ref + dr,
+            counts=iterations,
         )
         outcomes[outcome] += 1
         draws += spent
@@ -407,6 +432,7 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
         drawn_nonzero=outcomes["nonzero"],
         drawn_inconclusive=outcomes["inconclusive"],
         random_draws=draws,
+        newton_iterations=iterations["newton"],
         seconds=time.perf_counter() - started,
     )
     return dataclasses.replace(catalog, stats=stats)

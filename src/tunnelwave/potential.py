@@ -12,6 +12,12 @@ relatively accurate deep in the lower half k-plane where the resonance poles
 sit (the (u, u') similarity-transform construction loses exp(2|Im k|L) digits
 there).  The composed ``t22`` is independent of the branch chosen for each
 layer wavevector; the principal branch is used throughout.
+
+One kernel, ``_second_column``, runs the layer recursion for a single
+complex k (cmath) and for arrays of k (numpy).  It propagates only the
+second column ``(m12, m22)``, which is all that ``t22``, its derivative and
+the resonance states read; the derivative is carried only when asked for.
+``transfer_matrix`` takes the first column from the second one at -k.
 """
 
 from __future__ import annotations
@@ -128,11 +134,11 @@ class PotentialProfile:
     def units(self):
         return UnitSystem(self.mass_ratio)
 
-    @property
+    @cached_property
     def length(self):
         return sum(w for w, _ in self.layers)
 
-    @property
+    @cached_property
     def barrier_height(self):
         return max(h for _, h in self.layers)
 
@@ -159,157 +165,133 @@ class TransferMatrix:
 
 
 # ---------------------------------------------------------------------------
-# scalar path (cmath): used by the Newton iteration, returns the derivative too
+# the layer recursion: one kernel for a Python complex k and for arrays of k
 # ---------------------------------------------------------------------------
 
+# (sqrt, exp, reduction of a per-point test to one bool) for each kind of k
+_SCALAR = (cmath.sqrt, cmath.exp, bool)
+_VECTOR = (np.sqrt, np.exp, np.any)
 
-def _compose_scalar(profile, k, with_prime):
-    """Local-basis transfer matrix (and d/dk) as tuples of four entries."""
+
+def _second_column(profile, k, ops, with_prime=False, entries=None):
+    """Second column ``(m12, m22)`` of the local-basis matrix and its d/dk.
+
+    ``ops`` is ``_SCALAR`` for a Python complex ``k`` and ``_VECTOR`` for an
+    array.  The first column never feeds back into the second, so it is not
+    composed.  The derivative ``(d12, d22)`` is carried only with
+    ``with_prime`` and is ``(0j, 0j)`` otherwise.  The column is the state
+    grown from ``(a, b) = (0, 1)``, so when ``entries`` is a list the entry
+    amplitudes, wavevector and propagation factor ``(a, b, q, exp(iqw))`` of
+    every layer are appended to it.
+    """
+    sqrt, exp, any_ = ops
+    if any_(abs(k) < _K_MIN):
+        raise ZeroWavenumberError("transfer matrix undefined at k = 0")
     c = profile.units.inv_mass_coeff
     k2 = k * k
     qs = [k]
     for _, h in profile.layers:
-        q = cmath.sqrt(k2 - h / c)
-        if abs(q) < _Q_MIN:
+        q = sqrt(k2 - h / c)
+        if any_(abs(q) < _Q_MIN):
             raise BranchPointProximityError(
-                f"layer wavevector ~ 0 at k={k!r}; perturb the evaluation point"
+                "layer wavevector ~ 0 (E at a layer height); perturb the evaluation point"
             )
         qs.append(q)
     qs.append(k)
 
-    m11, m12, m21, m22 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    d11 = d12 = d21 = d22 = 0j
-
-    def apply(f11, f12, f21, f22, g11, g12, g21, g22):
-        nonlocal m11, m12, m21, m22, d11, d12, d21, d22
-        if with_prime:
-            d11, d12, d21, d22 = (
-                g11 * m11 + g12 * m21 + f11 * d11 + f12 * d21,
-                g11 * m12 + g12 * m22 + f11 * d12 + f12 * d22,
-                g21 * m11 + g22 * m21 + f21 * d11 + f22 * d21,
-                g21 * m12 + g22 * m22 + f21 * d12 + f22 * d22,
-            )
-        m11, m12, m21, m22 = (
-            f11 * m11 + f12 * m21,
-            f11 * m12 + f12 * m22,
-            f21 * m11 + f22 * m21,
-            f21 * m12 + f22 * m22,
-        )
-
+    m12, m22 = 0j, 1.0 + 0j
+    d12 = d22 = 0j
     n_layers = len(profile.layers)
     for j in range(n_layers + 1):
         qa, qb = qs[j], qs[j + 1]
         r = qa / qb
-        jp = 0j
+        h = 0.5 * (1.0 + r)
+        g = 0.5 * (1.0 - r)
         if with_prime:
             qa_p = 1.0 if j == 0 else k / qa
             qb_p = 1.0 if j == n_layers else k / qb
             jp = 0.5 * (qa_p * qb - qa * qb_p) / (qb * qb)
-        h = 0.5 * (1.0 + r)
-        g = 0.5 * (1.0 - r)
-        apply(h, g, g, h, jp, -jp, -jp, jp)
-        if j < n_layers:
-            w = profile.layers[j][0]
-            arg = 1j * qb * w
-            if abs(arg.real) > _EXP_MAX:
-                raise OverflowError("propagation factor exceeds the floating range")
-            ep = cmath.exp(arg)
-            em = 1.0 / ep
-            dp = dm = 0j
-            if with_prime:
-                qb_p = k / qb
-                dp = 1j * w * qb_p * ep
-                dm = -1j * w * qb_p * em
-            apply(ep, 0j, 0j, em, dp, 0j, 0j, dm)
+            jm = -jp
+            d12, d22 = (
+                jp * m12 + jm * m22 + h * d12 + g * d22,
+                jm * m12 + jp * m22 + g * d12 + h * d22,
+            )
+        m12, m22 = h * m12 + g * m22, g * m12 + h * m22
+        if j == n_layers:
+            break
+        w = profile.layers[j][0]
+        arg = 1j * qb * w
+        if any_(abs(arg.real) > _EXP_MAX):
+            raise OverflowError("propagation factor exceeds the floating range")
+        ep = exp(arg)
+        em = 1.0 / ep
+        if entries is not None:
+            entries.append((m12, m22, qb, ep))
+        if with_prime:
+            d12, d22 = (
+                1j * w * qb_p * ep * m12 + ep * d12,
+                -1j * w * qb_p * em * m22 + em * d22,
+            )
+        m12, m22 = ep * m12, em * m22
+    return m12, m22, d12, d22
 
-    return (m11, m12, m21, m22), (d11, d12, d21, d22)
+
+def _phase(profile, k, ops):
+    """exp(ikL), the factor between the local and the global basis."""
+    _, exp, any_ = ops
+    arg = 1j * k * profile.length
+    if any_(abs(arg.real) > _EXP_MAX):
+        raise OverflowError("exp(ikL) exceeds the floating range")
+    return exp(arg)
+
+
+def _ops(k):
+    """(k as a Python complex or a complex array, the kernel ops for it)."""
+    if np.ndim(k) == 0:
+        return complex(k), _SCALAR
+    return np.asarray(k, dtype=complex), _VECTOR
+
+
+def t22(profile, k):
+    """Denominator element of the transmission amplitude, t(k) = 1/t22(k)."""
+    k, ops = _ops(k)
+    _, m22, _, _ = _second_column(profile, k, ops)
+    return _phase(profile, k, ops) * m22
 
 
 def t22_with_prime(profile, k):
     """(t22, dt22/dk) at scalar complex k, analytic derivative."""
     kc = complex(k)
-    if abs(kc) < _K_MIN:
-        raise ZeroWavenumberError("transfer matrix undefined at k = 0")
-    (m11, m12, m21, m22), (d11, d12, d21, d22) = _compose_scalar(profile, kc, True)
+    _, m22, _, d22 = _second_column(profile, kc, _SCALAR, with_prime=True)
     length = profile.length
-    arg = 1j * kc * length
-    if abs(arg.real) > _EXP_MAX:
-        raise OverflowError("exp(ikL) exceeds the floating range")
-    phase = cmath.exp(arg)
+    phase = _phase(profile, kc, _SCALAR)
     t = phase * m22
     tp = 1j * length * phase * m22 + phase * d22
     return t, tp
 
 
-def transfer_matrix(profile, k):
-    """Full global-basis transfer matrix at scalar complex k."""
-    kc = complex(k)
-    if abs(kc) < _K_MIN:
-        raise ZeroWavenumberError("transfer matrix undefined at k = 0")
-    (m11, m12, m21, m22), _ = _compose_scalar(profile, kc, False)
-    length = profile.length
-    phase = cmath.exp(1j * kc * length)
-    return TransferMatrix(m11 / phase, m12 / phase, m21 * phase, m22 * phase)
-
-
-# ---------------------------------------------------------------------------
-# vectorized path (numpy arrays of k)
-# ---------------------------------------------------------------------------
-
-
-def _t22_vector(profile, k):
-    c = profile.units.inv_mass_coeff
-    k = np.asarray(k, dtype=complex)
-    if np.any(np.abs(k) < _K_MIN):
-        raise ZeroWavenumberError("transfer matrix undefined at k = 0")
-    k2 = k * k
-    qs = [k]
-    for _, h in profile.layers:
-        q = np.sqrt(k2 - h / c)
-        if np.any(np.abs(q) < _Q_MIN):
-            raise BranchPointProximityError(
-                "layer wavevector ~ 0 somewhere on the grid; perturb those points"
-            )
-        qs.append(q)
-    qs.append(k)
-
-    m11 = np.ones_like(k)
-    m12 = np.zeros_like(k)
-    m21 = np.zeros_like(k)
-    m22 = np.ones_like(k)
-    n_layers = len(profile.layers)
-    for j in range(n_layers + 1):
-        r = qs[j] / qs[j + 1]
-        h = 0.5 * (1.0 + r)
-        g = 0.5 * (1.0 - r)
-        m11, m12, m21, m22 = (
-            h * m11 + g * m21,
-            h * m12 + g * m22,
-            g * m11 + h * m21,
-            g * m12 + h * m22,
-        )
-        if j < n_layers:
-            w = profile.layers[j][0]
-            arg = 1j * qs[j + 1] * w
-            if np.any(np.abs(arg.real) > _EXP_MAX):
-                raise OverflowError("propagation factor exceeds the floating range")
-            ep = np.exp(arg)
-            em = 1.0 / ep
-            m11, m12 = ep * m11, ep * m12
-            m21, m22 = em * m21, em * m22
-    return np.exp(1j * k * profile.length) * m22
-
-
-def t22(profile, k):
-    """Denominator element of the transmission amplitude, t(k) = 1/t22(k)."""
-    if np.ndim(k) == 0:
-        return t22_with_prime(profile, k)[0]
-    return _t22_vector(profile, k)
-
-
 def t22_prime(profile, k):
     """Analytic dt22/dk at scalar complex k."""
     return t22_with_prime(profile, k)[1]
+
+
+def _global_column(profile, k):
+    m12, m22, _, _ = _second_column(profile, k, _SCALAR)
+    phase = _phase(profile, k, _SCALAR)
+    return m12 / phase, m22 * phase
+
+
+def transfer_matrix(profile, k):
+    """Full global-basis transfer matrix at scalar complex k.
+
+    Flipping k maps the local-basis matrix to ``sx M sx`` (sx the Pauli
+    swap; the interior wavevectors depend only on k^2), so the first column is
+    the second one at -k: ``t11(k) = t22(-k)``, ``t21(k) = t12(-k)``.
+    """
+    kc = complex(k)
+    t12, t22_k = _global_column(profile, kc)
+    t21, t11 = _global_column(profile, -kc)
+    return TransferMatrix(t11, t12, t21, t22_k)
 
 
 def transmission_amplitude(profile, k):

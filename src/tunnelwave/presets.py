@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from .potential import PotentialProfile
 
-__all__ = ["PRESET_NAMES", "default_n_seed", "preset_profile"]
+__all__ = [
+    "PRESET_NAMES",
+    "default_n_seed",
+    "default_packet_energy",
+    "preset_profile",
+]
 
 _PRESETS = {
     "sb": ((8.0, 0.23),),
@@ -50,5 +55,3 @@ def default_packet_energy(name, profile, catalog):
     positions = catalog.positions(profile.units)
     return float(positions[0] if name == "db" else positions[1])
 
-
-__all__.append("default_packet_energy")

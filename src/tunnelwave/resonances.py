@@ -6,20 +6,22 @@ square root of the non-Hermitian norm
 
     integral_0^L u^2 dx + i (u(0)^2 + u(L)^2) / (2 kappa) = 1.
 
-The layer integrals of u^2 are evaluated in closed form through functions that
-are entire in q^2, so layers at their branch point cost no accuracy.
+In the local plane-wave basis that start is ``(a, b) = (0, 1)``, so the
+state's layer amplitudes are the second column of the partial transfer
+matrices: the same kernel that gives t22 grows every state.  One vector pass
+over the layers builds the states at all catalog poles at once, with the
+|t22| gate, the right-boundary check, the closed-form layer integrals of u^2
+and the scaling; :func:`resonance_state` is that pass for one pole.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poles import residual_gate
-from .potential import PoleProximityError, t22
+from .poles import _residual_gate
+from .potential import _VECTOR, PoleProximityError, _second_column
 
 __all__ = [
     "NormalizationDegenerateError",
@@ -45,22 +47,6 @@ class NormalizationDegenerateError(ArithmeticError):
     """The non-Hermitian norm is numerically zero; state cannot be scaled."""
 
 
-def _sinc_c(z):
-    """sin(z)/z, entire, complex argument."""
-    if abs(z) < 1e-8:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return cmath.sin(z) / z
-
-
-def _one_minus_sinc_over_sq(z):
-    """(1 - sin(z)/z)/z^2, entire; series used where the subtraction cancels."""
-    if abs(z) < 0.1:
-        z2 = z * z
-        return 1.0 / 6.0 - z2 / 120.0 + z2 * z2 / 5040.0 - z2 * z2 * z2 / 362880.0
-    return (1.0 - _sinc_c(z)) / (z * z)
-
-
 @dataclass(frozen=True)
 class ResonanceState:
     """Normalized outgoing state: boundary values and per-layer coefficients."""
@@ -70,6 +56,62 @@ class ResonanceState:
     u_l: complex
     coefficients: tuple  # (A_j, B_j) for u = A e^{i q xi} + B e^{-i q xi} per layer
     norm_residual: float
+
+
+def _states(profile, kappa, residual_tol, initial_scale=1.0):
+    """Normalized outgoing states at every pole of the 1-d array ``kappa``.
+
+    Returns ``(u0, u_l, coefficients, norm_residual)``: arrays over the poles,
+    ``coefficients`` a list of per-layer ``(A_j, B_j)`` array pairs.  Raises
+    for the first pole, in array order, that fails a check, with the error
+    of the first check it fails.
+    """
+    length = profile.length
+    entries = []
+    m12, m22, _, _ = _second_column(profile, kappa, _VECTOR, entries=entries)
+    t_abs = np.abs(np.exp(1j * kappa * length) * m22)
+    gate = _residual_gate(residual_tol, length, kappa)
+    # u'(L) - i kappa u(L) = -2 i kappa b, so b is the incoming contamination
+    b_end = initial_scale * m22
+    u_end = initial_scale * m12 + b_end
+    bc_gate = np.maximum(
+        _BC_RTOL, 32.0 * _EPS * np.exp(np.minimum(-kappa.imag * length, 690.0))
+    )
+    coeffs = []
+    norm = 0j
+    for (a, b, q, ep), (width, _) in zip(entries, profile.layers):
+        a, b = initial_scale * a, initial_scale * b
+        coeffs.append((a, b))
+        a_out, b_out = a * ep, b / ep
+        norm = norm + (
+            (a_out * a_out - a * a) / (2j * q)
+            + 2.0 * a * b * width
+            + (b * b - b_out * b_out) / (2j * q)
+        )
+    u_start = initial_scale
+    norm = norm + 1j * (u_start * u_start + u_end * u_end) / (2.0 * kappa)
+
+    bad_gate = t_abs > gate
+    bad_bc = 2.0 * np.abs(b_end) > bc_gate * np.abs(u_end)
+    bad_norm = np.abs(norm) < _NORM_MIN
+    bad = bad_gate | bad_bc | bad_norm
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        kap = complex(kappa[i])
+        if bad_gate[i]:
+            raise NotAPoleError(
+                f"|t22| = {t_abs[i]:.3e} exceeds gate {gate[i]:.3e} at {kap!r}"
+            )
+        if bad_bc[i]:
+            raise NotAPoleError(
+                f"right-boundary incoming amplitude {abs(b_end[i]):.3e} vs |u(L)| "
+                f"{abs(u_end[i]):.3e} at {kap!r}"
+            )
+        raise NormalizationDegenerateError(f"|norm| = {abs(norm[i]):.3e} at {kap!r}")
+    scale = 1.0 / np.sqrt(norm)
+    norm_residual = np.abs(norm * scale * scale - 1.0)
+    coeffs = [(a * scale, b * scale) for a, b in coeffs]
+    return u_start * scale, u_end * scale, coeffs, norm_residual
 
 
 def resonance_state(profile, kappa, residual_tol=1e-10, initial_scale=1.0):
@@ -88,63 +130,16 @@ def resonance_state(profile, kappa, residual_tol=1e-10, initial_scale=1.0):
     kap = complex(kappa)
     if initial_scale == 0:
         raise ValueError("initial_scale must be nonzero")
-    gate = residual_gate(_GateCfg(residual_tol), profile.length, kap)
-    t_val = abs(t22(profile, kap))
-    if t_val > gate:
-        raise NotAPoleError(f"|t22| = {t_val:.3e} exceeds gate {gate:.3e} at {kap!r}")
-
-    c = profile.units.inv_mass_coeff
-    k2 = kap * kap
-    qs = [kap] + [cmath.sqrt(k2 - h / c) for _, h in profile.layers] + [kap]
-    # purely left-outgoing start: u(0) = scale, u'(0) = -i kappa scale
-    a, b = 0j, complex(initial_scale)
-    u_start = a + b
-    coeffs = []
-    norm_int = 0j
-    for j, (width, _) in enumerate(profile.layers):
-        r = qs[j] / qs[j + 1]
-        a, b = 0.5 * ((1.0 + r) * a + (1.0 - r) * b), 0.5 * ((1.0 - r) * a + (1.0 + r) * b)
-        coeffs.append((a, b))
-        q = qs[j + 1]
-        arg = 1j * q * width
-        if abs(arg.real) > 700.0:
-            raise OverflowError("propagation factor exceeds the floating range")
-        ep = cmath.exp(arg)
-        a_out, b_out = a * ep, b / ep
-        norm_int += (
-            (a_out * a_out - a * a) / (2j * q)
-            + 2.0 * a * b * width
-            + (b * b - b_out * b_out) / (2j * q)
-        )
-        a, b = a_out, b_out
-    r = qs[-2] / qs[-1]
-    a, b = 0.5 * ((1.0 + r) * a + (1.0 - r) * b), 0.5 * ((1.0 - r) * a + (1.0 + r) * b)
-    u_end = a + b
-    # u'(L) - i kappa u(L) = -2 i kappa b, so b is the incoming contamination
-    bc_gate = max(_BC_RTOL, 32.0 * _EPS * math.exp(min(-kap.imag * profile.length, 690.0)))
-    if 2.0 * abs(b) > bc_gate * abs(u_end):
-        raise NotAPoleError(
-            f"right-boundary incoming amplitude {abs(b):.3e} vs |u(L)| "
-            f"{abs(u_end):.3e} at {kap!r}"
-        )
-    norm = norm_int + 1j * (u_start * u_start + u_end * u_end) / (2.0 * kap)
-    if abs(norm) < _NORM_MIN:
-        raise NormalizationDegenerateError(f"|norm| = {abs(norm):.3e} at {kap!r}")
-    scale = 1.0 / cmath.sqrt(norm)
-    norm_residual = abs(norm * scale * scale - 1.0)
+    u0, u_l, coeffs, norm_residual = _states(
+        profile, np.array([kap]), residual_tol, complex(initial_scale)
+    )
     return ResonanceState(
         kappa=kap,
-        u0=u_start * scale,
-        u_l=u_end * scale,
-        coefficients=tuple((ai * scale, bi * scale) for ai, bi in coeffs),
-        norm_residual=norm_residual,
+        u0=complex(u0[0]),
+        u_l=complex(u_l[0]),
+        coefficients=tuple((complex(a[0]), complex(b[0])) for a, b in coeffs),
+        norm_residual=float(norm_residual[0]),
     )
-
-
-class _GateCfg:
-    # minimal stand-in with the single attribute residual_gate() reads
-    def __init__(self, residual_tol):
-        self.residual_tol = residual_tol
 
 
 @dataclass(frozen=True)
@@ -167,16 +162,9 @@ class ResidueSet:
 
 def residues(profile, catalog):
     """Residue set for every catalog pole, from normalized resonance states."""
-    r_list, u0_list, ul_list = [], [], []
-    tol = catalog.config.residual_tol
-    for kap in catalog.poles:
-        st = resonance_state(profile, kap, residual_tol=tol)
-        r_list.append(st.u0 * st.u_l / st.kappa)
-        u0_list.append(st.u0)
-        ul_list.append(st.u_l)
-    return ResidueSet(
-        residues=np.array(r_list), u0=np.array(u0_list), u_l=np.array(ul_list)
-    )
+    kappa = catalog.poles
+    u0, u_l, _, _ = _states(profile, kappa, catalog.config.residual_tol)
+    return ResidueSet(residues=u0 * u_l / kappa, u0=u0, u_l=u_l)
 
 
 def _pair_arrays(profile, catalog, residue_set, n_poles):

@@ -206,6 +206,12 @@ class TestZeroCountCertificate:
             assert stats.random_draws == 0
             assert stats.rectangles == stats.seed_hits + stats.certified_empty
 
+    def test_default_sweep_newton_iterations(self, preset_data):
+        for name, iterations in (("sb", 3712), ("db", 3791), ("qb", 16920)):
+            stats = preset_data[name].catalog.stats
+            assert stats.newton_iterations == iterations
+            assert f"{iterations} Newton iterations" in stats.summary()
+
 
 class TestMirrorPoles:
     def test_definition(self, sb_data):

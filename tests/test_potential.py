@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,76 @@ SB = preset_profile("sb")
 DB = preset_profile("db")
 QB = preset_profile("qb")
 FREE = PotentialProfile(((8.0, 0.0),))
+_RNG = np.random.default_rng(7)
+RANDOM = PotentialProfile(tuple(zip(_RNG.uniform(0.5, 6.0, 4), _RNG.uniform(0.0, 0.4, 4))))
+
+
+def reference_t22(profile, k, sqrt, exp):
+    """(t22, dt22/dk) from the full 4-entry local-basis product and its
+    derivative, M <- F M and M' <- G M + F M' per factor; ``sqrt``/``exp``
+    from cmath for a complex k, from numpy for an array."""
+    c = profile.units.inv_mass_coeff
+    qs = [k] + [sqrt(k * k - h / c) for _, h in profile.layers] + [k]
+    dqs = [1.0] + [k / q for q in qs[1:-1]] + [1.0]
+    m = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+    d = (0j, 0j, 0j, 0j)
+
+    def apply(f, g):
+        (f11, f12, f21, f22), (g11, g12, g21, g22) = f, g
+        (m11, m12, m21, m22), (d11, d12, d21, d22) = m, d
+        return (
+            (
+                f11 * m11 + f12 * m21,
+                f11 * m12 + f12 * m22,
+                f21 * m11 + f22 * m21,
+                f21 * m12 + f22 * m22,
+            ),
+            (
+                g11 * m11 + g12 * m21 + f11 * d11 + f12 * d21,
+                g11 * m12 + g12 * m22 + f11 * d12 + f12 * d22,
+                g21 * m11 + g22 * m21 + f21 * d11 + f22 * d21,
+                g21 * m12 + g22 * m22 + f21 * d12 + f22 * d22,
+            ),
+        )
+
+    for j in range(len(profile.layers) + 1):
+        qa, qb = qs[j], qs[j + 1]
+        r = qa / qb
+        h, g = 0.5 * (1.0 + r), 0.5 * (1.0 - r)
+        jp = 0.5 * (dqs[j] * qb - qa * dqs[j + 1]) / (qb * qb)
+        m, d = apply((h, g, g, h), (jp, -jp, -jp, jp))
+        if j < len(profile.layers):
+            w = profile.layers[j][0]
+            ep = exp(1j * qb * w)
+            em = 1.0 / ep
+            dp = 1j * w * dqs[j + 1] * ep
+            dm = -1j * w * dqs[j + 1] * em
+            m, d = apply((ep, 0j, 0j, em), (dp, 0j, 0j, dm))
+    length = profile.length
+    phase = exp(1j * k * length)
+    return phase * m[3], 1j * length * phase * m[3] + phase * d[3]
+
+
+def mp_transfer_matrix(profile, k):
+    """(t11, t12, t21, t22) at 50 digits by matching psi and psi' at every
+    interface in global coordinates, one left unit state per column."""
+    with mp.workdps(50):
+        k = mp.mpc(k)
+        c = mp.mpf(profile.units.inv_mass_coeff)
+        qs = [k] + [mp.sqrt(k * k - mp.mpf(h) / c) for _, h in profile.layers] + [k]
+        xs = [mp.mpf(0)]
+        for w, _ in profile.layers:
+            xs.append(xs[-1] + mp.mpf(w))
+        cols = []
+        for a, b in ((mp.mpc(1), mp.mpc(0)), (mp.mpc(0), mp.mpc(1))):
+            for j, x in enumerate(xs):
+                ql, qr = qs[j], qs[j + 1]
+                p, m = a * mp.exp(1j * ql * x), b * mp.exp(-1j * ql * x)
+                s, d = p + m, (ql / qr) * (p - m)
+                a = (s + d) / 2 * mp.exp(-1j * qr * x)
+                b = (s - d) / 2 * mp.exp(1j * qr * x)
+            cols.append((complex(a), complex(b)))
+        return cols[0][0], cols[1][0], cols[0][1], cols[1][1]
 
 
 class TestUnits:
@@ -104,6 +176,16 @@ class TestTransferMatrix:
                 r_amp = -m.t21 / m.t22
                 assert abs(abs(t_amp) ** 2 + abs(r_amp) ** 2 - 1.0) <= 1e-10
 
+    def test_entries_against_mpmath_product(self):
+        rng = np.random.default_rng(9)
+        for profile in (SB, DB, QB, RANDOM):
+            for _ in range(25):
+                k = complex(rng.uniform(0.05, 3.0), rng.uniform(-0.6, 0.3))
+                m = transfer_matrix(profile, k)
+                got = (m.t11, m.t12, m.t21, m.t22)
+                for g, want in zip(got, mp_transfer_matrix(profile, k)):
+                    assert abs(g - want) <= 1e-12 * abs(want)
+
     def test_time_reversal_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -141,6 +223,17 @@ class TestT22:
         bulk = t22(QB, ks)
         single = np.array([t22(QB, complex(v)) for v in ks])
         assert np.max(np.abs(bulk - single) / np.abs(single)) <= 1e-13
+
+    @pytest.mark.parametrize("profile", [SB, DB, QB, RANDOM], ids=["sb", "db", "qb", "random"])
+    def test_bit_equal_to_four_entry_composition(self, profile):
+        rng = np.random.default_rng(10)
+        ks = rng.uniform(0.05, 3.0, 500) + 1j * rng.uniform(-0.8, 0.3, 500)
+        want_val, _ = reference_t22(profile, ks, np.sqrt, np.exp)
+        assert np.array_equal(t22(profile, ks), want_val)
+        for k in ks.tolist():
+            want = reference_t22(profile, k, cmath.sqrt, cmath.exp)
+            assert t22_with_prime(profile, k) == want
+            assert t22(profile, k) == want[0]
 
     def test_branch_point_raises(self):
         k_branch = SB.units.wavenumber_of_energy(SB.barrier_height)

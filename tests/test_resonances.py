@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from tunnelwave.resonances import (
     coefficient_C,
     expansion_t,
     resonance_state,
+    residues,
 )
 
 SB = preset_profile("sb")
@@ -122,6 +124,32 @@ class TestResidues:
                 lhs = 1.0 / t22_with_prime(data.profile, kappa)[1]
                 rhs = 1j * kappa * r_n * cmath.exp(-1j * kappa * length)
                 assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+
+    def test_derivative_identity_every_pole(self, preset_data):
+        for data in preset_data.values():
+            kappa = data.catalog.poles
+            r_n = data.residues.residues
+            rhs = 1j * kappa * r_n * np.exp(-1j * kappa * data.profile.length)
+            lhs = np.array([1.0 / t22_with_prime(data.profile, k)[1] for k in kappa])
+            assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) <= 1e-8
+
+    def test_batch_equals_single_pole_states(self, preset_data):
+        for data in preset_data.values():
+            rset = data.residues
+            for i in range(0, len(data.catalog), 7):
+                st = resonance_state(data.profile, data.catalog.poles[i])
+                assert abs(st.u0 - rset.u0[i]) <= 1e-12 * abs(st.u0)
+                assert abs(st.u_l - rset.u_l[i]) <= 1e-12 * abs(st.u_l)
+                r_single = st.u0 * st.u_l / st.kappa
+                assert abs(r_single - rset.residues[i]) <= 1e-12 * abs(r_single)
+
+    def test_non_pole_in_catalog_rejected(self, db_data):
+        poles = np.insert(db_data.catalog.poles, 3, 0.5 - 0.05j)
+        tampered = dataclasses.replace(
+            db_data.catalog, poles=poles, residuals=np.zeros(len(poles))
+        )
+        with pytest.raises(NotAPoleError, match=r"at \(0\.5-0\.05j\)"):
+            residues(DB, tampered)
 
     def test_db_single_pole_breit_wigner_window(self, db_data):
         units = DB.units
