@@ -30,7 +30,6 @@ from .resonances import (
     resonance_state,
 )
 from .evolution import (
-    EvolutionResult,
     GaussianPacket,
     cutoff_error_estimate,
     eta,

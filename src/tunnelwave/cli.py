@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .evolution import (
     GaussianPacket,
+    NonAsymptoticError,
     free_packet_log,
     tau_system,
     transmitted_packet_log,
@@ -34,9 +35,9 @@ from .poles import (
     sweep_poles,
     write_text_atomic,
 )
-from .potential import PotentialProfile, transmission_coefficient
+from .potential import PotentialProfile, t22_off_branch, transmission_coefficient
 from .presets import PRESET_NAMES, default_n_seed, default_packet_energy, preset_profile
-from .resonances import ResidueSet, expansion_t, residues
+from .resonances import NotAPoleError, ResidueSet, expansion_t, residues
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -113,7 +114,7 @@ def _resolve_config(args):
     n_seed = args.nseed if args.nseed else (
         default_n_seed(preset) if preset else 1000
     )
-    search = PoleSearchConfig(n_seed=n_seed, seed=args.seed)
+    search = PoleSearchConfig(n_seed=n_seed)
     return RunConfig(
         profile=profile,
         preset=preset,
@@ -228,9 +229,7 @@ def cmd_spectrum(args):
     energies = np.linspace(5.0 * v_top / args.points, 5.0 * v_top, args.points)
     k = np.sqrt(energies / profile.units.inv_mass_coeff)
     t_exact = transmission_coefficient(profile, energies)
-    amp_exact = 1.0 / np.array(
-        [complex(x) for x in np.atleast_1d(_t22_grid(profile, k))]
-    )
+    amp_exact = 1.0 / t22_off_branch(profile, k)
     columns = ["E_over_V", "E_eV", "T_exact", "re_t_exact", "im_t_exact"]
     data = [energies / v_top, energies, t_exact, amp_exact.real, amp_exact.imag]
     devs = []
@@ -248,15 +247,6 @@ def cmd_spectrum(args):
         print(f"N={n:5d}: max |T_expansion - T_exact| = {dev:.3e}")
     print(f"wrote {out}")
     return 0
-
-
-def _t22_grid(profile, k):
-    from .potential import BranchPointProximityError, t22
-
-    try:
-        return t22(profile, k)
-    except BranchPointProximityError:
-        return t22(profile, k * (1.0 + 1e-9))
 
 
 def _parse_pole_counts(text, n_max):
@@ -387,7 +377,6 @@ def _add_common(sub):
     sub.add_argument("--preset", help=f"built-in system: {', '.join(PRESET_NAMES)}")
     sub.add_argument("--config", help="system config file (layer/mass_ratio lines)")
     sub.add_argument("--out", default="out", help="output directory (default: out)")
-    sub.add_argument("--seed", type=int, default=0, help="random seed for the sweep")
     sub.add_argument("--nseed", type=int, default=0,
                      help="anchor index for the pole sweep (default: per preset)")
 
@@ -445,15 +434,19 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        # 0 after --help or --version; argparse exits 2 on a usage error
+        return USAGE_ERROR if exc.code else 0
     try:
         return args.func(args)
+    except (
+        AnchorFailureError, ArithmeticError, NodeBudgetExceededError,
+        NonAsymptoticError, NotAPoleError,
+    ) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (AnchorFailureError, ArithmeticError, NodeBudgetExceededError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .specfun import faddeeva_log_scaled
 from .potential import UnitSystem
 
 __all__ = [
-    "EvolutionResult",
     "FreeDensityUnderflowError",
     "GaussianPacket",
     "NonAsymptoticError",
@@ -107,28 +106,6 @@ class GaussianPacket:
     def velocity(self):
         """Nominal group velocity hbar k0 / m (nm/fs)."""
         return self.units.velocity(self.k0)
-
-
-@dataclass(frozen=True)
-class EvolutionResult:
-    """Sampled amplitude and dimensionless density sigma |psi|^2 on a grid."""
-
-    xs: np.ndarray
-    ts: np.ndarray
-    amplitude: np.ndarray
-    density: np.ndarray
-    method: str
-
-    @classmethod
-    def from_amplitudes(cls, xs, ts, amplitude, sigma, method):
-        amplitude = np.asarray(amplitude, dtype=complex)
-        return cls(
-            xs=np.asarray(xs, dtype=float),
-            ts=np.asarray(ts, dtype=float),
-            amplitude=amplitude,
-            density=sigma * np.abs(amplitude) ** 2,
-            method=method,
-        )
 
 
 def free_packet_log(packet, x, t):

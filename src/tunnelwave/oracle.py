@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import faddeeva_log_scaled
-from .potential import BranchPointProximityError, t22
+from .potential import t22_off_branch
 
 __all__ = [
     "NodeBudgetExceededError",
@@ -127,15 +127,9 @@ def psi_quadrature(packet, profile, x, t, config=QuadratureConfig()):
         raise ValueError("quadrature oracle evaluates the transmitted region x >= L")
     if t < 0.0:
         raise ValueError("t must be >= 0")
-
-    def tfun(ks):
-        try:
-            den = t22(profile, ks)
-        except BranchPointProximityError:
-            den = t22(profile, ks * (1.0 + 1e-9) + 1e-12)
-        return 1.0 / den
-
-    return _momentum_integral(packet, float(x), float(t), tfun, config)
+    return _momentum_integral(
+        packet, float(x), float(t), lambda ks: 1.0 / t22_off_branch(profile, ks), config
+    )
 
 
 def psi_free_quadrature(packet, x, t, config=QuadratureConfig()):

@@ -8,14 +8,16 @@ rectangle are counted by the argument principle: the winding number of t22
 around the counter-clockwise boundary, sampled with the vector kernel and
 refined until every phase step is below pi/4 (t22 is analytic there, since it
 does not depend on the branch chosen for each layer wavevector).  A count of
-zero proves the rectangle empty without any random draw.  Gated random
-restarts run only where the count is nonzero or the certificate is
-inconclusive (branch point on the boundary, overflow, a zero of t22 on the
-boundary, or the refinement cap reached).  After the first rectangle that
-yields no pole the walk switches permanently to thin rectangles
-(pi / (subdivision L) wide, twice as tall) that are allowed to be empty, which
-is what resolves sharp and overlapping resonances near and below the barrier
-top.
+zero proves the rectangle empty.  Where the count is nonzero or the
+certificate inconclusive (branch point on the boundary, overflow, a zero of
+t22 on the boundary, or the refinement cap reached), the rectangle is halved
+along its longer side and each half whose count is not zero gets a Newton
+seed at its centre or is halved again, down to a fixed depth (Kravanja & Van
+Barel, LNM 1727), so the catalog depends only on the profile and the config.
+After the first rectangle that yields no pole the walk switches permanently
+to thin rectangles (pi / (subdivision L) wide, twice as tall) that are
+allowed to be empty, which is what resolves sharp and overlapping resonances
+near and below the barrier top.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Newton iteration failed; signals the restart machinery."""
+    """Newton iteration failed; the sweep falls back to the zero count."""
 
 
 class AnchorFailureError(RuntimeError):
@@ -79,6 +81,10 @@ _ARG_START_POINTS = 64
 _ARG_REFINE = 4
 _ARG_MAX_POINTS = 2**16
 _ARG_MAX_STEP = math.pi / 4.0
+# halvings of a rectangle whose zero count is nonzero or inconclusive; one
+# sufficed on every superlattice tried, and where every half stays
+# inconclusive (overflow) the work grows as 2**depth Newton starts
+_BISECT_DEPTH = 6
 
 
 def residual_gate(config, length, kappa):
@@ -103,11 +109,14 @@ def _residual_gate(residual_tol, length, kappa):
 
 @dataclass(frozen=True)
 class PoleSearchConfig:
+    """Pole-sweep parameters.  ``seed`` selects nothing, since the sweep is
+    deterministic; it stays a field, and in the fingerprint, for callers that
+    still pass it."""
+
     n_seed: int = 4000
     newton_tol: float = 1e-12
     residual_tol: float = 1e-10
     max_newton_iters: int = 100
-    max_random_attempts: int = 1000
     regime2_subdivision: int = 20
     dedup_tol: float = 1e-6
     seed: int = 0
@@ -118,8 +127,8 @@ class PoleSearchConfig:
         for name in ("newton_tol", "residual_tol", "dedup_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_newton_iters < 1 or self.max_random_attempts < 1:
-            raise ValueError("iteration budgets must be >= 1")
+        if self.max_newton_iters < 1:
+            raise ValueError("max_newton_iters must be >= 1")
         if self.regime2_subdivision < 2:
             raise ValueError("regime2_subdivision must be >= 2")
 
@@ -127,7 +136,6 @@ class PoleSearchConfig:
         return (
             f"n_seed={self.n_seed};newton_tol={self.newton_tol!r};"
             f"residual_tol={self.residual_tol!r};max_newton_iters={self.max_newton_iters};"
-            f"max_random_attempts={self.max_random_attempts};"
             f"regime2_subdivision={self.regime2_subdivision};"
             f"dedup_tol={self.dedup_tol!r};seed={self.seed}"
         )
@@ -144,31 +152,26 @@ class SweepStats:
     """What one :func:`sweep_poles` call did, rectangle by rectangle.
 
     Every rectangle either yields a pole to its deterministic Newton seed, is
-    certified empty by its winding number, or is sent to the gated random
-    draws because its zero count is nonzero or the certificate inconclusive.
+    certified empty by its winding number, yields a pole to the winding-number
+    bisection (``bisected``), or has a nonzero or inconclusive zero count that
+    the bisection could not resolve to a pole (``unresolved``).
     ``newton_iterations`` counts the Newton steps of the whole sweep, anchor
-    and draws included: one scalar ``t22_with_prime`` evaluation each.
+    and bisection included: one scalar ``t22_with_prime`` evaluation each.
     """
 
     rectangles: int
     seed_hits: int
     certified_empty: int
-    drawn_nonzero: int
-    drawn_inconclusive: int
-    random_draws: int
+    bisected: int
+    unresolved: int
     newton_iterations: int
     seconds: float
-
-    @property
-    def sent_to_draws(self):
-        return self.drawn_nonzero + self.drawn_inconclusive
 
     def summary(self):
         return (
             f"sweep: {self.rectangles} rectangles, {self.seed_hits} seed hits, "
-            f"{self.certified_empty} certified empty, {self.sent_to_draws} sent to "
-            f"draws ({self.drawn_nonzero} count>0, {self.drawn_inconclusive} "
-            f"inconclusive), {self.random_draws} random draws, "
+            f"{self.certified_empty} certified empty, {self.bisected} bisected, "
+            f"{self.unresolved} unresolved, "
             f"{self.newton_iterations} Newton iterations, {self.seconds:.2f} s"
         )
 
@@ -223,7 +226,7 @@ def newton_step_sequence(seed, profile, config=PoleSearchConfig()):
 
     Returns the converged pole, or raises :class:`DivergenceError` when the
     iterate leaves the lower half-plane, stops being finite, or the budget is
-    exhausted.
+    exhausted.  Used by ``TestNewton`` and ``TestBreitWignerSeeds``.
     """
     return _newton(seed, profile, config, Counter())
 
@@ -297,50 +300,54 @@ def _zero_count(profile, re_c, half_re, im_c, half_im):
     return round(winding / (2.0 * math.pi))
 
 
-def _try_rectangle(
-    profile, config, rng, re_c, half_re, im_c, half_im, first_seed, counts=None
-):
-    """Find a pole inside the rectangle; ``(pole or None, outcome, draws)``.
+def _try_rectangle(profile, config, re_c, half_re, im_c, half_im, first_seed, counts):
+    """Find a pole inside the rectangle; ``(pole or None, outcome)``.
 
     ``outcome`` is ``"seed"`` (the deterministic Newton seed landed inside),
-    ``"empty"`` (certified by a zero count of 0), ``"nonzero"`` or
-    ``"inconclusive"`` (the gated random restarts ran, ``draws`` of them).  A
-    certified rectangle advances ``rng`` exactly as the skipped draws would
-    have, so later rectangles see the same random stream.  Newton iterations
-    are added to ``counts["newton"]`` when a counter is given.
+    ``"empty"`` (certified by a zero count of 0), ``"bisected"`` (a Newton
+    seed at the centre of a sub-rectangle with a nonzero or inconclusive
+    count landed inside) or ``"unresolved"`` (the count is not 0 but no
+    sub-rectangle down to ``_BISECT_DEPTH`` halvings yielded a pole).  Newton
+    iterations are added to ``counts["newton"]``.
     """
-    counts = Counter() if counts is None else counts
 
-    def inside(k):
-        return (
+    def newton_inside(seed):
+        try:
+            k = _newton(seed, profile, config, counts)
+        except DivergenceError:
+            return None
+        inside = (
             abs(k.real - re_c) <= half_re * (1.0 + 1e-9)
             and abs(k.imag - im_c) <= half_im * (1.0 + 1e-9)
         )
+        return k if inside else None
 
-    try:
-        k = _newton(first_seed, profile, config, counts)
-        if inside(k):
-            return k, "seed", 0
-    except DivergenceError:
-        pass
-    count = _zero_count(profile, re_c, half_re, im_c, half_im)
-    if count == 0:
-        rng.uniform(-0.5, 0.5, size=2 * config.max_random_attempts)
-        return None, "empty", 0
-    outcome = "inconclusive" if count is None else "nonzero"
-    for draw in range(1, config.max_random_attempts + 1):
-        gr = rng.uniform(-0.5, 0.5)
-        gi = rng.uniform(-0.5, 0.5)
-        s = complex(re_c + 2.0 * gr * half_re, im_c + 2.0 * gi * half_im)
-        try:
-            if abs(t22(profile, s)) >= 1.0:
+    def bisect(x, hx, y, hy, depth):
+        # the halves of (x +- hx, y +- hy) along its longer side, right or
+        # upper half first
+        if hx >= hy:
+            hx *= 0.5
+            halves = [(x + hx, y), (x - hx, y)]
+        else:
+            hy *= 0.5
+            halves = [(x, y + hy), (x, y - hy)]
+        for cx, cy in halves:
+            if _zero_count(profile, cx, hx, cy, hy) == 0:
                 continue
-            k = _newton(s, profile, config, counts)
-        except (DivergenceError, ArithmeticError, OverflowError, ValueError):
-            continue
-        if inside(k):
-            return k, outcome, draw
-    return None, outcome, config.max_random_attempts
+            k = newton_inside(complex(cx, cy))
+            if k is None and depth > 1:
+                k = bisect(cx, hx, cy, hy, depth - 1)
+            if k is not None:
+                return k
+        return None
+
+    k = newton_inside(first_seed)
+    if k is not None:
+        return k, "seed"
+    if _zero_count(profile, re_c, half_re, im_c, half_im) == 0:
+        return None, "empty"
+    k = bisect(re_c, half_re, im_c, half_im, _BISECT_DEPTH)
+    return k, "unresolved" if k is None else "bisected"
 
 
 def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
@@ -352,10 +359,8 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
     if not profile.has_barrier:
         raise ValueError("profile has no barrier; t22 has no zeros")
     started = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
     outcomes = Counter()
     iterations = Counter()
-    draws = 0
     length = profile.length
     dr = math.pi / length
     dr_thin = dr / config.regime2_subdivision
@@ -380,10 +385,9 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
         beta = -ref.imag
         height = 2.0 * beta if regime2 else beta
         im_c = ref.imag
-        pole, outcome, spent = _try_rectangle(
+        pole, outcome = _try_rectangle(
             profile,
             config,
-            rng,
             re_c=re_next,
             half_re=0.5 * width,
             im_c=im_c,
@@ -392,7 +396,6 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
             counts=iterations,
         )
         outcomes[outcome] += 1
-        draws += spent
         if pole is not None and pole.real > 0.0 and pole.imag < 0.0:
             found.append(pole)
             ref = pole
@@ -406,10 +409,9 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
     ref = anchor
     for _ in range(n_above):
         beta = -ref.imag
-        pole, outcome, spent = _try_rectangle(
+        pole, outcome = _try_rectangle(
             profile,
             config,
-            rng,
             re_c=ref.real + dr,
             half_re=0.5 * dr,
             im_c=ref.imag,
@@ -418,7 +420,6 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
             counts=iterations,
         )
         outcomes[outcome] += 1
-        draws += spent
         if pole is None:
             break
         found.append(pole)
@@ -429,9 +430,8 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
         rectangles=sum(outcomes.values()),
         seed_hits=outcomes["seed"],
         certified_empty=outcomes["empty"],
-        drawn_nonzero=outcomes["nonzero"],
-        drawn_inconclusive=outcomes["inconclusive"],
-        random_draws=draws,
+        bisected=outcomes["bisected"],
+        unresolved=outcomes["unresolved"],
         newton_iterations=iterations["newton"],
         seconds=time.perf_counter() - started,
     )
@@ -461,7 +461,7 @@ def _build_catalog(profile, config, found):
 
 
 def mirror_poles(catalog):
-    """Third-quadrant partners -conj(kappa_n); derived, never stored."""
+    """Third-quadrant partners -conj(kappa_n), never stored; see ``TestMirrorPoles``."""
     return -np.conj(catalog.poles)
 
 
@@ -470,7 +470,7 @@ def breit_wigner_seeds(profile, e_max, grid_points=2000, prominence=0.05):
 
     Independent regime-I cross-check of the sweep: each returned seed is
     ``k(E_peak) - i * (k-space half-width)`` for a transmission peak whose
-    prominence exceeds ``prominence * max(T)``.
+    prominence exceeds ``prominence * max(T)``.  Used by ``TestBreitWignerSeeds``.
     """
     if e_max <= 0.0:
         raise ValueError("e_max must be positive")
@@ -576,15 +576,13 @@ def _fmt(x):
 
 
 def _parse_config(text):
-    kwargs = {}
-    for item in text.split(";"):
-        key, val = item.split("=", 1)
-        if key in ("n_seed", "max_newton_iters", "max_random_attempts",
-                   "regime2_subdivision", "seed"):
-            kwargs[key] = int(val)
-        else:
-            kwargs[key] = float(val)
-    return PoleSearchConfig(**kwargs)
+    """The config whose ``fingerprint_key`` is ``text``; ``ValueError`` when a
+    key is unknown or missing, as in a cache written with other options."""
+    items = dict(item.split("=", 1) for item in text.split(";"))
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(PoleSearchConfig)}
+    if items.keys() != kinds.keys():
+        raise ValueError(f"config keys {sorted(items)} are not {sorted(kinds)}")
+    return PoleSearchConfig(**{key: kinds[key](val) for key, val in items.items()})
 
 
 def load_catalog(path):

@@ -40,6 +40,7 @@ __all__ = [
     "UnitSystem",
     "ZeroWavenumberError",
     "t22",
+    "t22_off_branch",
     "t22_prime",
     "t22_with_prime",
     "transfer_matrix",
@@ -259,6 +260,24 @@ def t22(profile, k):
     return _phase(profile, k, ops) * m22
 
 
+def t22_off_branch(profile, k):
+    """:func:`t22` with every point at a layer branch point moved off it.
+
+    A k whose layer wavevector is numerically zero (E at a layer height) is
+    evaluated at k (1 + 1e-9); every other point is evaluated as given.
+    """
+    try:
+        return t22(profile, k)
+    except BranchPointProximityError:
+        pass
+    k = np.asarray(k, dtype=complex)
+    c = profile.units.inv_mass_coeff
+    near = np.zeros(k.shape, dtype=bool)
+    for _, h in profile.layers:
+        near |= np.abs(np.sqrt(k * k - h / c)) < _Q_MIN
+    return t22(profile, np.where(near, k * (1.0 + 1e-9), k))
+
+
 def t22_with_prime(profile, k):
     """(t22, dt22/dk) at scalar complex k, analytic derivative."""
     kc = complex(k)
@@ -271,7 +290,10 @@ def t22_with_prime(profile, k):
 
 
 def t22_prime(profile, k):
-    """Analytic dt22/dk at scalar complex k."""
+    """Analytic dt22/dk at scalar complex k.
+
+    Test companion, used by ``TestT22`` in ``tests/test_potential.py``.
+    """
     return t22_with_prime(profile, k)[1]
 
 
@@ -309,17 +331,12 @@ def transmission_amplitude(profile, k):
 def transmission_coefficient(profile, energy):
     """T(E) = |t(k(E))|^2 for real E > 0; clipped into [0, 1].
 
-    Points that land numerically on a layer branch point are perturbed by one
-    part in 1e9 and re-evaluated.
+    Points that land numerically on a layer branch point are evaluated at
+    k (1 + 1e-9) (see :func:`t22_off_branch`).
     """
     e_arr = np.asarray(energy, dtype=float)
     if np.any(e_arr <= 0.0):
         raise NegativeEnergyError("transmission coefficient requires E > 0")
-    c = profile.units.inv_mass_coeff
-    k = np.sqrt(e_arr / c)
-    try:
-        den = t22(profile, k)
-    except BranchPointProximityError:
-        den = t22(profile, np.sqrt(e_arr * (1.0 + 1e-9) / c))
-    t_co = 1.0 / np.abs(den) ** 2
+    k = np.sqrt(e_arr / profile.units.inv_mass_coeff)
+    t_co = 1.0 / np.abs(t22_off_branch(profile, k)) ** 2
     return np.minimum(t_co, 1.0) if e_arr.ndim else min(float(t_co), 1.0)

@@ -217,7 +217,8 @@ def faddeeva_log_scaled(z):
 
 
 def faddeeva_asymptotic(z, n_terms):
-    """Truncated large-|z| expansion of w(z); test companion to faddeeva.
+    """Truncated large-|z| expansion of w(z); test companion to faddeeva,
+    used by ``TestAsymptotic`` in ``tests/test_specfun.py``.
 
     The non-exponential part is ``(i/sqrt(pi)) sum_m c_m / z^(2m+1)`` with
     ``c_m = (2m-1)!!/2^m``; for Im z < 0 the reflection term ``2 exp(-z^2)``
@@ -252,6 +253,8 @@ def moshinsky(x_shift, t_complex, kappa_shift, mass, hbar):
     the principal square root.  Valid for Re(t') > 0 or Im(t') < 0, where the
     defining momentum integral converges; the quadratic phase is combined with
     the Faddeeva factor in exponent space so deep arguments cannot overflow.
+    The paper's kernel, kept as a cross-check: ``TestMoshinsky`` in
+    ``tests/test_specfun.py`` compares it with its defining momentum integral.
     """
     t = complex(t_complex)
     if not (t.real > 0.0 or t.imag < 0.0):

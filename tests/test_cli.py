@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tunnelwave import cli
 from tunnelwave.cli import main, parse_distance, parse_profile_file
+from tunnelwave.evolution import NonAsymptoticError
 
 
 def run(args):
@@ -74,10 +78,8 @@ class TestPolesCommand:
         out = tmp_path / "stale"
         assert run(["poles", "--preset", "sb", "--nseed", "60", "--out", out]) == 0
         assert len(list((out / "cache").glob("poles_*.csv"))) == 1
-        # different search seed -> different fingerprint -> fresh catalog file
-        assert run([
-            "poles", "--preset", "sb", "--nseed", "60", "--seed", "5", "--out", out,
-        ]) == 0
+        # different anchor index -> different fingerprint -> fresh catalog file
+        assert run(["poles", "--preset", "sb", "--nseed", "61", "--out", out]) == 0
         assert len(list((out / "cache").glob("poles_*.csv"))) == 2
 
     def test_truncated_cache_rebuilt(self, tmp_path, capsys):
@@ -102,6 +104,21 @@ class TestPolesCommand:
         lines = fresh.decode().splitlines(keepends=True)
         n_header = sum(line.startswith("#") for line in lines)
         cache.write_text("".join(lines[: n_header + 30]))
+        capsys.readouterr()
+        assert run(args) == 0
+        assert "certified empty" in capsys.readouterr().out
+        assert cache.read_bytes() == fresh
+
+    def test_cache_with_unknown_config_key_rebuilt(self, tmp_path, capsys):
+        out = tmp_path / "badkey"
+        args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]
+        assert run(args) == 0
+        (cache,) = (out / "cache").glob("poles_*.csv")
+        fresh = cache.read_bytes()
+        lines = fresh.decode().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith("# config:"))
+        lines[i] = lines[i].rstrip("\n") + ";bogus=1\n"
+        cache.write_text("".join(lines))
         capsys.readouterr()
         assert run(args) == 0
         assert "certified empty" in capsys.readouterr().out
@@ -140,6 +157,47 @@ class TestPolesCommand:
         assert cols["position_eV"][0] == pytest.approx(0.2885, abs=1e-3)
 
 
+class TestExitCodes:
+    def test_unknown_flag_and_missing_command_exit_1(self, capsys):
+        assert run(["poles", "--preset", "sb", "--bogus"]) == 1
+        assert run([]) == 1
+
+    def test_help_and_version_exit_0(self, capsys):
+        assert run(["--version"]) == 0
+        assert run(["poles", "--help"]) == 0
+
+    def test_non_pole_in_catalog_exits_2(self, tmp_path, monkeypatch, capsys):
+        sweep = cli.sweep_poles
+
+        def sweep_with_a_non_pole(profile, config):
+            catalog = sweep(profile, config)
+            return dataclasses.replace(
+                catalog,
+                poles=np.append(catalog.poles, 0.5 - 0.05j),
+                residuals=np.append(catalog.residuals, 0.0),
+            )
+
+        monkeypatch.setattr(cli, "sweep_poles", sweep_with_a_non_pole)
+        out = tmp_path / "nonpole"
+        assert run(["poles", "--preset", "sb", "--nseed", "60", "--out", out]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (out / "cache").exists()
+
+    def test_non_asymptotic_slope_exits_2(self, tmp_path, monkeypatch, capsys):
+        from tunnelwave import validation
+
+        def not_asymptotic(*args, **kwargs):
+            raise NonAsymptoticError("local slope still varies")
+
+        monkeypatch.setattr(validation, "longtime_exponent", not_asymptotic)
+        code = run([
+            "validate", "--preset", "sb", "--nseed", "400",
+            "--skip-oracle", "--out", tmp_path / "slope",
+        ])
+        assert code == 2
+        assert "local slope still varies" in capsys.readouterr().err
+
+
 class TestSpectrumCommand:
     def test_columns_and_bounds(self, sb_run):
         assert run([
@@ -152,6 +210,18 @@ class TestSpectrumCommand:
         err10 = np.max(np.abs(cols["T_expansion_N10"] - cols["T_exact"]))
         err100 = np.max(np.abs(cols["T_expansion_N100"] - cols["T_exact"]))
         assert err100 < err10
+
+    def test_exact_columns_at_the_same_energies(self, tmp_path):
+        # the grid holds E = V, a layer branch point
+        out = tmp_path / "sbspec"
+        assert run([
+            "spectrum", "--preset", "sb", "--nseed", "60",
+            "--poles", "10", "--points", "50", "--out", out,
+        ]) == 0
+        _, cols = read_csv(out / "spectrum_sb.csv")
+        assert np.any(cols["E_over_V"] == 1.0)
+        t_abs2 = cols["re_t_exact"] ** 2 + cols["im_t_exact"] ** 2
+        assert np.allclose(np.minimum(t_abs2, 1.0), cols["T_exact"], rtol=1e-13, atol=0)
 
     def test_deviation_shrinks_with_pole_count(self, tmp_path):
         out = tmp_path / "qbspec"
@@ -199,7 +269,7 @@ class TestDeterminism:
         for out in (a, b):
             assert run([
                 "spectrum", "--preset", "sb", "--nseed", "60",
-                "--poles", "10", "--points", "50", "--seed", "7", "--out", out,
+                "--poles", "10", "--points", "50", "--out", out,
             ]) == 0
         assert (a / "spectrum_sb.csv").read_bytes() == (b / "spectrum_sb.csv").read_bytes()
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tunnelwave.evolution import (
-    EvolutionResult,
     FreeDensityUnderflowError,
     GaussianPacket,
     NonAsymptoticError,
@@ -349,13 +348,3 @@ class TestTauSystem:
     def test_db_and_qb_pick_smallest_below_barrier(self, db_data, qb_data):
         assert tau_system(DB, db_data.catalog) == pytest.approx(640.4, abs=1.0)
         assert tau_system(QB, qb_data.catalog) == pytest.approx(142.2, abs=1.0)
-
-
-class TestEvolutionResult:
-    def test_density_invariant(self):
-        xs = np.array([1.0, 2.0])
-        ts = np.array([0.5, 1.5])
-        amp = np.array([1 + 1j, 0.25j])
-        res = EvolutionResult.from_amplitudes(xs, ts, amp, sigma=0.5, method="analytic")
-        assert np.allclose(res.density, 0.5 * np.abs(amp) ** 2, rtol=1e-14)
-        assert res.method == "analytic"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -174,37 +175,61 @@ class TestZeroCountCertificate:
         assert _zero_count(SB, **self.thin_rectangle()) == 0
 
     def test_branch_point_on_boundary_is_inconclusive(self):
-        config = PoleSearchConfig(max_random_attempts=20)
         k_branch = math.sqrt(0.23 / SB.units.inv_mass_coeff)
-        # top-left corner at the branch point k = sqrt(V/c)
+        # top-left corner at the branch point k = sqrt(V/c); the bisection keeps
+        # the inconclusive corner half at every depth and finds no pole
         rect = dict(re_c=k_branch + 0.01, half_re=0.01, im_c=-0.01, half_im=0.01)
         assert _zero_count(SB, **rect) is None
-        rng = np.random.default_rng(0)
         seed = complex(rect["re_c"], rect["im_c"])
-        assert _try_rectangle(SB, config, rng, **rect, first_seed=seed) == (
-            None, "inconclusive", 20
-        )
+        counts = Counter()
+        assert _try_rectangle(
+            SB, PoleSearchConfig(), **rect, first_seed=seed, counts=counts
+        ) == (None, "unresolved")
+        assert counts["newton"] > 0
 
-    def test_certified_rectangle_advances_rng_like_the_draws(self):
-        config = PoleSearchConfig(max_random_attempts=50)
+    def test_certified_rectangle_is_empty(self):
         rect = self.thin_rectangle()
-        rng = np.random.default_rng(11)
         seed = complex(rect["re_c"], rect["im_c"])
-        assert _try_rectangle(SB, config, rng, **rect, first_seed=seed) == (
-            None, "empty", 0
-        )
-        reference = np.random.default_rng(11)
-        for _ in range(2 * config.max_random_attempts):
-            reference.uniform(-0.5, 0.5)
-        assert rng.bit_generator.state == reference.bit_generator.state
+        assert _try_rectangle(
+            SB, PoleSearchConfig(), **rect, first_seed=seed, counts=Counter()
+        ) == (None, "empty")
 
-    def test_default_sweeps_need_no_random_draws(self, preset_data):
-        for name, empty in (("sb", 47), ("db", 78), ("qb", 127)):
+    def test_diverging_seed_bisected_to_its_pole(self, sb_data):
+        seed = 0.5 + 2.0j
+        with pytest.raises(DivergenceError):
+            newton_step_sequence(seed, SB)
+        # the pole lies in the left half, away from the shared edge
+        k = self.SB_FIRST
+        rect = dict(re_c=k.real + 0.01, half_re=0.05, im_c=k.imag, half_im=0.03)
+        pole, outcome = _try_rectangle(
+            SB, PoleSearchConfig(), **rect, first_seed=seed, counts=Counter()
+        )
+        assert outcome == "bisected"
+        assert abs(pole - sb_data.catalog.poles[0]) <= 1e-12 * abs(pole)
+
+    def test_default_sweeps_need_no_bisection(self, preset_data):
+        for name, rectangles, hits, empty in (
+            ("sb", 1046, 999, 47), ("db", 1077, 999, 78), ("qb", 4126, 3999, 127),
+        ):
             stats = preset_data[name].catalog.stats
+            assert (stats.rectangles, stats.seed_hits) == (rectangles, hits)
             assert stats.certified_empty == empty
-            assert stats.sent_to_draws == 0
-            assert stats.random_draws == 0
-            assert stats.rectangles == stats.seed_hits + stats.certified_empty
+            assert stats.bisected == stats.unresolved == 0
+
+    def test_superlattice_catalog_independent_of_seed(self):
+        # 5 barriers of 0.5 nm with 8 nm wells: one rectangle holds a pole its
+        # Newton seed misses, and the bisection finds it the same way every time
+        layers = [(0.5, 0.23), (8.0, 0.0)] * 4 + [(0.5, 0.23)]
+        profile = PotentialProfile(tuple(layers))
+        catalogs = [
+            sweep_poles(profile, PoleSearchConfig(n_seed=1000, seed=seed))
+            for seed in (0, 1, 7)
+        ]
+        for catalog in catalogs:
+            assert len(catalog) == 1000
+            assert (catalog.stats.bisected, catalog.stats.unresolved) == (1, 0)
+            assert np.array_equal(catalog.poles, catalogs[0].poles)
+            assert np.array_equal(catalog.residuals, catalogs[0].residuals)
 
     def test_default_sweep_newton_iterations(self, preset_data):
         for name, iterations in (("sb", 3712), ("db", 3791), ("qb", 16920)):
@@ -289,6 +314,20 @@ class TestSerialization:
         path.write_text("".join(line for line in lines if not line.startswith("# rows")))
         with pytest.raises(ValueError, match="rows"):
             load_catalog(path)
+
+    def test_rejects_unknown_or_missing_config_key(self, tmp_path, sb_data):
+        path = tmp_path / "cat.csv"
+        save_catalog(sb_data.catalog, path)
+        text = path.read_text()
+        config_line = next(l for l in text.splitlines() if l.startswith("# config:"))
+        for changed in (
+            config_line + ";bogus=1",
+            config_line + ";max_random_attempts=1000",
+            config_line.replace(";seed=0", ""),
+        ):
+            path.write_text(text.replace(config_line, changed))
+            with pytest.raises(ValueError, match="config keys"):
+                load_catalog(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"

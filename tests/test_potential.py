@@ -14,6 +14,7 @@ from tunnelwave.potential import (
     UnitSystem,
     ZeroWavenumberError,
     t22,
+    t22_off_branch,
     t22_prime,
     t22_with_prime,
     transfer_matrix,
@@ -239,6 +240,15 @@ class TestT22:
         k_branch = SB.units.wavenumber_of_energy(SB.barrier_height)
         with pytest.raises(BranchPointProximityError):
             t22(SB, k_branch)
+
+    def test_off_branch_moves_only_the_branch_point(self):
+        k_branch = SB.units.wavenumber_of_energy(SB.barrier_height)
+        ks = np.array([0.3, k_branch, 1.1])
+        vals = t22_off_branch(SB, ks)
+        moved = t22(SB, k_branch * (1.0 + 1e-9))
+        assert vals[1] == moved and t22_off_branch(SB, k_branch) == moved
+        assert np.array_equal(vals[[0, 2]], t22(SB, ks[[0, 2]]))
+        assert np.array_equal(t22_off_branch(SB, ks[[0, 2]]), t22(SB, ks[[0, 2]]))
 
 
 class TestTransmission:
