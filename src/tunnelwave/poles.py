@@ -2,13 +2,20 @@
 
 The sweep anchors on the large-index asymptotic seed, Newton-converges it,
 then walks inward one pole spacing (pi/L) at a time, looking for each pole
-inside a confinement rectangle around its predicted location.  When the
-deterministic Newton seed of a rectangle misses, the zeros of t22 inside the
-rectangle are counted by the argument principle: the winding number of t22
-around the counter-clockwise boundary, sampled with the vector kernel and
-refined until every phase step is below pi/4 (t22 is analytic there, since it
-does not depend on the branch chosen for each layer wavevector).  A count of
-zero proves the rectangle empty.  Where the count is nonzero or the
+inside a confinement rectangle around its predicted location.  Before the
+walk, Newton runs once in lockstep on the vector kernel from the asymptotic
+seeds n pi/L - 2i ln(n)/L of every index n below the anchor, each element
+under the scalar iteration's acceptance rules and retired on its own when it
+diverges or meets a point where t22 cannot be evaluated.  Until the walk
+leaves its first regime, the rectangle of index n takes the lockstep pole of
+seed n when that pole lies inside it, never a neighbour's pole; every other
+rectangle gets a deterministic Newton seed of its own.  When that seed
+misses, the zeros of t22 inside the rectangle are counted by the argument
+principle: the winding number of t22 around the counter-clockwise boundary,
+sampled with the vector kernel (all four edges in one call per refinement)
+and refined until every phase step is below pi/4 (t22 is analytic there,
+since it does not depend on the branch chosen for each layer wavevector).  A
+count of zero proves the rectangle empty.  Where the count is nonzero or the
 certificate inconclusive (branch point on the boundary, overflow, a zero of
 t22 on the boundary, or the refinement cap reached), the rectangle is halved
 along its longer side and each half whose count is not zero gets a Newton
@@ -141,9 +148,18 @@ class PoleSearchConfig:
         )
 
 
+# bumped whenever the sweep or t22 can move the bits of a catalog under an
+# unchanged config, so that caches written before are rebuilt, not reused
+_CATALOG_REVISION = 2
+
+
 def catalog_fingerprint(profile, config):
-    """Hash identifying (profile, search config) for cache lookups."""
-    key = profile.fingerprint_key() + "|" + config.fingerprint_key()
+    """Hash identifying (profile, search config, catalog revision) for cache
+    lookups."""
+    key = (
+        f"{profile.fingerprint_key()}|{config.fingerprint_key()}"
+        f"|revision={_CATALOG_REVISION}"
+    )
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
@@ -151,16 +167,20 @@ def catalog_fingerprint(profile, config):
 class SweepStats:
     """What one :func:`sweep_poles` call did, rectangle by rectangle.
 
-    Every rectangle either yields a pole to its deterministic Newton seed, is
-    certified empty by its winding number, yields a pole to the winding-number
-    bisection (``bisected``), or has a nonzero or inconclusive zero count that
-    the bisection could not resolve to a pole (``unresolved``).
-    ``newton_iterations`` counts the Newton steps of the whole sweep, anchor
-    and bisection included: one scalar ``t22_with_prime`` evaluation each.
+    Every rectangle either yields a pole to a deterministic Newton seed
+    (``seed_hits``), is certified empty by its winding number, yields a pole
+    to the winding-number bisection (``bisected``), or has a nonzero or
+    inconclusive zero count that the bisection could not resolve to a pole
+    (``unresolved``).  ``lockstep_hits`` are the seed hits taken from the
+    lockstep batch rather than from a Newton walk of their own.
+    ``newton_iterations`` counts the Newton steps of the whole sweep, one
+    ``t22_with_prime`` evaluation each: every element-iteration of the
+    lockstep batch, the anchor, and the walk's seeds and bisection.
     """
 
     rectangles: int
     seed_hits: int
+    lockstep_hits: int
     certified_empty: int
     bisected: int
     unresolved: int
@@ -169,7 +189,8 @@ class SweepStats:
 
     def summary(self):
         return (
-            f"sweep: {self.rectangles} rectangles, {self.seed_hits} seed hits, "
+            f"sweep: {self.rectangles} rectangles, {self.seed_hits} seed hits "
+            f"({self.lockstep_hits} lockstep), "
             f"{self.certified_empty} certified empty, {self.bisected} bisected, "
             f"{self.unresolved} unresolved, "
             f"{self.newton_iterations} Newton iterations, {self.seconds:.2f} s"
@@ -262,12 +283,81 @@ def _newton(seed, profile, config, counts):
     raise DivergenceError("newton iteration budget exhausted")
 
 
+def _t22_or_nan(profile, k, with_prime):
+    """``(t22, t22')`` over the array ``k`` (``t22'`` None without
+    ``with_prime``), NaN at each point where the kernel raises: a layer
+    branch point or overflow.  Such points are isolated by halving."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if with_prime:
+                return t22_with_prime(profile, k)
+            return t22(profile, k), None
+    except (ArithmeticError, ValueError):
+        if k.size == 1:
+            nan = np.full(1, complex(np.nan, np.nan))
+            return nan, nan if with_prime else None
+        half = k.size // 2
+        (v_lo, d_lo), (v_hi, d_hi) = (
+            _t22_or_nan(profile, part, with_prime) for part in (k[:half], k[half:])
+        )
+        der = np.concatenate([d_lo, d_hi]) if with_prime else None
+        return np.concatenate([v_lo, v_hi]), der
+
+
+def _newton_lockstep(seeds, profile, config, counts):
+    """:func:`_newton` from every seed of the array at once, in lockstep.
+
+    Each element follows ``_newton``'s acceptance and divergence rules and is
+    retired on its own when it diverges, leaves the fourth-quadrant domain or
+    meets a point where t22 cannot be evaluated.  Returns the converged
+    poles, NaN where ``_newton`` would raise; element-iterations are added to
+    ``counts["newton"]``.
+    """
+    k = np.array(seeds, dtype=complex)
+    poles = np.full(k.shape, complex(np.nan, np.nan))
+    live = np.arange(k.size)
+    length = profile.length
+    residual_tol = config.residual_tol
+    for _ in range(config.max_newton_iters):
+        if not live.size:
+            break
+        counts["newton"] += live.size
+        kl = k[live]
+        val, der = _t22_or_nan(profile, kl, with_prime=True)
+        ok = np.isfinite(val) & np.isfinite(der) & (der != 0)
+        hit = ok & (np.abs(val) <= 0.25 * _residual_gate(residual_tol, length, kl))
+        poles[live[hit]] = kl[hit]
+        go = ok & ~hit
+        step = val[go] / der[go]
+        kn = kl[go] - step
+        stay = np.isfinite(kn) & (kn.imag <= 0.0)
+        live, kn, step = live[go][stay], kn[stay], step[stay]
+        k[live] = kn
+        small = np.abs(step) < config.newton_tol
+        if np.any(small):
+            vs, _ = _t22_or_nan(profile, kn[small], with_prime=False)
+            accept = np.abs(vs) < _residual_gate(residual_tol, length, kn[small])
+            poles[live[small][accept]] = kn[small][accept]
+            drop = np.zeros(live.size, dtype=bool)
+            drop[small] = accept | ~np.isfinite(vs)
+            live = live[~drop]
+    return poles
+
+
+def _inside(k, re_c, half_re, im_c, half_im):
+    return (
+        abs(k.real - re_c) <= half_re * (1.0 + 1e-9)
+        and abs(k.imag - im_c) <= half_im * (1.0 + 1e-9)
+    )
+
+
 def _zero_count(profile, re_c, half_re, im_c, half_im):
     """Zeros of t22 inside the rectangle by the argument principle.
 
     Sums the phase steps of t22 around the counter-clockwise boundary; each
     edge is resampled (``_ARG_REFINE`` times denser) until every step is below
-    ``_ARG_MAX_STEP``.  Returns None when the count is inconclusive: a sample
+    ``_ARG_MAX_STEP``, and the edges still to resolve share one vector ``t22``
+    call per round.  Returns None when the count is inconclusive: a sample
     at a layer branch point or at k = 0, overflow, a non-finite or zero value,
     or an edge still under-resolved at ``_ARG_MAX_POINTS`` samples.
     """
@@ -279,24 +369,28 @@ def _zero_count(profile, re_c, half_re, im_c, half_im):
         complex(re_hi, im_hi),
         complex(re_lo, im_hi),
     ]
+    edges = list(zip(corners, corners[1:] + corners[:1]))
+    points = dict.fromkeys(range(len(edges)), _ARG_START_POINTS)
     winding = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = _ARG_START_POINTS
-        while True:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    vals = t22(profile, np.linspace(a, b, n))
-            except (BranchPointProximityError, OverflowError, ZeroWavenumberError):
-                return None
-            if not np.all(np.isfinite(vals)) or np.any(vals == 0):
-                return None
-            steps = np.angle(vals[1:] / vals[:-1])
+    while points:
+        samples = [np.linspace(*edges[e], n) for e, n in points.items()]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = t22(profile, np.concatenate(samples))
+        except (BranchPointProximityError, OverflowError, ZeroWavenumberError):
+            return None
+        if not np.all(np.isfinite(vals)) or np.any(vals == 0):
+            return None
+        ends = np.cumsum([len(x) for x in samples])
+        for e, edge_vals in zip(list(points), np.split(vals, ends[:-1])):
+            steps = np.angle(edge_vals[1:] / edge_vals[:-1])
             if np.max(np.abs(steps)) < _ARG_MAX_STEP:
-                break
-            n *= _ARG_REFINE
-            if n > _ARG_MAX_POINTS:
+                winding += float(np.sum(steps))
+                del points[e]
+                continue
+            points[e] *= _ARG_REFINE
+            if points[e] > _ARG_MAX_POINTS:
                 return None
-        winding += float(np.sum(steps))
     return round(winding / (2.0 * math.pi))
 
 
@@ -316,11 +410,7 @@ def _try_rectangle(profile, config, re_c, half_re, im_c, half_im, first_seed, co
             k = _newton(seed, profile, config, counts)
         except DivergenceError:
             return None
-        inside = (
-            abs(k.real - re_c) <= half_re * (1.0 + 1e-9)
-            and abs(k.imag - im_c) <= half_im * (1.0 + 1e-9)
-        )
-        return k if inside else None
+        return k if _inside(k, re_c, half_re, im_c, half_im) else None
 
     def bisect(x, hx, y, hy, depth):
         # the halves of (x +- hx, y +- hy) along its longer side, right or
@@ -353,8 +443,11 @@ def _try_rectangle(profile, config, re_c, half_re, im_c, half_im, first_seed, co
 def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
     """Full inward pole sweep; returns a validated :class:`PoleCatalog`.
 
-    ``n_above`` optionally extends the walk outward past the anchor index.
-    The catalog's ``stats`` record what the sweep did.
+    Newton runs first in lockstep from the asymptotic seeds of every index
+    below the anchor; a regime-1 rectangle at index n takes the lockstep pole
+    of seed n when it lies inside, and every other rectangle runs
+    :func:`_try_rectangle`.  ``n_above`` optionally extends the walk outward
+    past the anchor index.  The catalog's ``stats`` record what the sweep did.
     """
     if not profile.has_barrier:
         raise ValueError("profile has no barrier; t22 has no zeros")
@@ -373,6 +466,10 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
         raise AnchorFailureError(f"asymptotic anchor did not converge: {exc}")
     if not (anchor.real > 0.0 and anchor.imag < 0.0):
         raise AnchorFailureError("anchor converged outside the fourth quadrant")
+    n = np.arange(2, config.n_seed)
+    lockstep = _newton_lockstep(
+        n * (math.pi / length) - 2j * np.log(n) / length, profile, config, iterations
+    )
 
     found = [anchor]
     ref = anchor
@@ -385,16 +482,23 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
         beta = -ref.imag
         height = 2.0 * beta if regime2 else beta
         im_c = ref.imag
-        pole, outcome = _try_rectangle(
-            profile,
-            config,
-            re_c=re_next,
-            half_re=0.5 * width,
-            im_c=im_c,
-            half_im=0.5 * height,
-            first_seed=complex(re_next, im_c),
-            counts=iterations,
-        )
+        # in regime 1 this rectangle holds pole n = n_seed - len(found), the
+        # pole of lockstep seed n at lockstep[n - 2]
+        index = config.n_seed - len(found) - 2
+        pole = None if regime2 or index < 0 else complex(lockstep[index])
+        if pole is not None and _inside(pole, re_next, 0.5 * width, im_c, 0.5 * height):
+            outcome = "lockstep"
+        else:
+            pole, outcome = _try_rectangle(
+                profile,
+                config,
+                re_c=re_next,
+                half_re=0.5 * width,
+                im_c=im_c,
+                half_im=0.5 * height,
+                first_seed=complex(re_next, im_c),
+                counts=iterations,
+            )
         outcomes[outcome] += 1
         if pole is not None and pole.real > 0.0 and pole.imag < 0.0:
             found.append(pole)
@@ -428,7 +532,8 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
     catalog = _build_catalog(profile, config, found)
     stats = SweepStats(
         rectangles=sum(outcomes.values()),
-        seed_hits=outcomes["seed"],
+        seed_hits=outcomes["seed"] + outcomes["lockstep"],
+        lockstep_hits=outcomes["lockstep"],
         certified_empty=outcomes["empty"],
         bisected=outcomes["bisected"],
         unresolved=outcomes["unresolved"],
@@ -440,10 +545,10 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
 
 def _build_catalog(profile, config, found):
     poles = sorted((k for k in found if k.real > 0.0 and k.imag < 0.0), key=lambda k: k.real)
+    residuals = np.abs(t22(profile, np.array(poles, dtype=complex))).tolist()
     kept = []
     length = profile.length
-    for k in poles:
-        res = abs(t22(profile, k))
+    for k, res in zip(poles, residuals):
         if res > residual_gate(config, length, k):
             continue
         if kept and abs(k - kept[-1][0]) < config.dedup_tol:

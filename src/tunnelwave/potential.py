@@ -11,7 +11,11 @@ keeps the growing and decaying exponentials separated, so ``t22`` stays
 relatively accurate deep in the lower half k-plane where the resonance poles
 sit (the (u, u') similarity-transform construction loses exp(2|Im k|L) digits
 there).  The composed ``t22`` is independent of the branch chosen for each
-layer wavevector; the principal branch is used throughout.
+layer wavevector; the principal root is used, negated where Re k < 0, so
+that q follows k and two neighbouring wavevectors never nearly cancel in
+``q_a + q_b``, which the interface coefficient
+``g = (V_a - V_b) / (2c q_b (q_a + q_b))`` divides by.  That form of
+``g = (1 - q_a/q_b)/2`` does not cancel at high energy.
 
 One kernel, ``_second_column``, runs the layer recursion for a single
 complex k (cmath) and for arrays of k (numpy).  It propagates only the
@@ -190,28 +194,36 @@ def _second_column(profile, k, ops, with_prime=False, entries=None):
         raise ZeroWavenumberError("transfer matrix undefined at k = 0")
     c = profile.units.inv_mass_coeff
     k2 = k * k
-    qs = [k]
+    # principal roots have Re q >= 0; negated where Re k < 0 they follow k
+    behind = k.real < 0.0
+    sign = 1.0 - 2.0 * behind if any_(behind) else None
+    qs, heights = [k], [0.0]
     for _, h in profile.layers:
         q = sqrt(k2 - h / c)
+        if sign is not None:
+            q = sign * q
         if any_(abs(q) < _Q_MIN):
             raise BranchPointProximityError(
                 "layer wavevector ~ 0 (E at a layer height); perturb the evaluation point"
             )
         qs.append(q)
+        heights.append(h)
     qs.append(k)
+    heights.append(0.0)
 
     m12, m22 = 0j, 1.0 + 0j
     d12 = d22 = 0j
     n_layers = len(profile.layers)
     for j in range(n_layers + 1):
         qa, qb = qs[j], qs[j + 1]
-        r = qa / qb
-        h = 0.5 * (1.0 + r)
-        g = 0.5 * (1.0 - r)
+        # qb^2 - qa^2 = (Va - Vb)/c turns (1 - qa/qb)/2 and the k-derivative
+        # of (1 + qa/qb)/2 into forms without a difference of nearby numbers
+        dv = (heights[j] - heights[j + 1]) / (2.0 * c)
+        g = dv / (qb * (qa + qb))
+        h = 1.0 - g
         if with_prime:
-            qa_p = 1.0 if j == 0 else k / qa
             qb_p = 1.0 if j == n_layers else k / qb
-            jp = 0.5 * (qa_p * qb - qa * qb_p) / (qb * qb)
+            jp = k * dv / (qa * (qb * qb * qb))
             jm = -jp
             d12, d22 = (
                 jp * m12 + jm * m22 + h * d12 + g * d22,
@@ -248,7 +260,8 @@ def _phase(profile, k, ops):
 
 def _ops(k):
     """(k as a Python complex or a complex array, the kernel ops for it)."""
-    if np.ndim(k) == 0:
+    # np.ndim alone costs a few microseconds on a Python number
+    if isinstance(k, (complex, float, int)) or np.ndim(k) == 0:
         return complex(k), _SCALAR
     return np.asarray(k, dtype=complex), _VECTOR
 
@@ -279,13 +292,12 @@ def t22_off_branch(profile, k):
 
 
 def t22_with_prime(profile, k):
-    """(t22, dt22/dk) at scalar complex k, analytic derivative."""
-    kc = complex(k)
-    _, m22, _, d22 = _second_column(profile, kc, _SCALAR, with_prime=True)
-    length = profile.length
-    phase = _phase(profile, kc, _SCALAR)
+    """(t22, dt22/dk) at a complex k or an array of k, analytic derivative."""
+    k, ops = _ops(k)
+    _, m22, _, d22 = _second_column(profile, k, ops, with_prime=True)
+    phase = _phase(profile, k, ops)
     t = phase * m22
-    tp = 1j * length * phase * m22 + phase * d22
+    tp = 1j * profile.length * phase * m22 + phase * d22
     return t, tp
 
 

@@ -54,7 +54,9 @@ class ResonanceState:
     kappa: complex
     u0: complex
     u_l: complex
-    coefficients: tuple  # (A_j, B_j) for u = A e^{i q xi} + B e^{-i q xi} per layer
+    # (A_j, B_j) for u = A e^{i q xi} + B e^{-i q xi} per layer, with q the
+    # principal root of kappa^2 - V_j/c, negated where Re kappa < 0
+    coefficients: tuple
     norm_residual: float
 
 

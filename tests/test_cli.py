@@ -109,6 +109,41 @@ class TestPolesCommand:
         assert "certified empty" in capsys.readouterr().out
         assert cache.read_bytes() == fresh
 
+    def test_cache_from_an_earlier_catalog_revision_not_opened(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import hashlib
+
+        from tunnelwave.presets import preset_profile
+
+        out = tmp_path / "revision"
+        args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]
+        assert run(args) == 0
+        (cache,) = (out / "cache").glob("poles_*.csv")
+        fresh = cache.read_bytes()
+        text = fresh.decode()
+        config_key = next(
+            line for line in text.splitlines() if line.startswith("# config:")
+        ).partition(":")[2].strip()
+        # the fingerprint of the same profile and config before the catalog
+        # revision entered the hash: a valid cache of that era sits under it
+        key = preset_profile("sb").fingerprint_key() + "|" + config_key
+        old_fp = hashlib.sha256(key.encode()).hexdigest()[:16]
+        new_fp = cache.name[len("poles_") : -len(".csv")]
+        assert old_fp != new_fp
+        old = cache.with_name(f"poles_{old_fp}.csv")
+        old.write_text(text.replace(f"# fingerprint: {new_fp}", f"# fingerprint: {old_fp}"))
+        cache.unlink()
+        opened, load_catalog = [], cli.load_catalog
+        monkeypatch.setattr(
+            cli, "load_catalog", lambda path: opened.append(path) or load_catalog(path)
+        )
+        capsys.readouterr()
+        assert run(args) == 0
+        assert "certified empty" in capsys.readouterr().out
+        assert old not in opened and opened == [cache]
+        assert cache.read_bytes() == fresh
+
     def test_cache_with_unknown_config_key_rebuilt(self, tmp_path, capsys):
         out = tmp_path / "badkey"
         args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]

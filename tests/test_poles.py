@@ -21,14 +21,21 @@ from tunnelwave.poles import (
     save_catalog,
     sweep_poles,
 )
-from tunnelwave.poles import _try_rectangle, _zero_count
-from tunnelwave.potential import PotentialProfile, t22
+from tunnelwave.poles import _newton_lockstep, _try_rectangle, _zero_count
+from tunnelwave.potential import PotentialProfile, t22, t22_with_prime
 from tunnelwave.presets import preset_profile
 
 SB = preset_profile("sb")
 DB = preset_profile("db")
 QB = preset_profile("qb")
 FREE = PotentialProfile(((8.0, 0.0),))
+# ten 3 nm barriers of 0.23 eV with 3 nm wells
+LATTICE_10X3 = PotentialProfile(tuple([(3.0, 0.23), (3.0, 0.0)] * 9 + [(3.0, 0.23)]))
+
+
+@pytest.fixture(scope="module")
+def lattice_10x3():
+    return sweep_poles(LATTICE_10X3, PoleSearchConfig(n_seed=1000))
 
 
 class TestAsymptoticSeed:
@@ -145,6 +152,26 @@ class TestSweep:
         with pytest.raises(AnchorFailureError):
             sweep_poles(SB, bad)
 
+    def test_lockstep_retires_unevaluable_seeds_alone(self):
+        k_branch = math.sqrt(0.23 / SB.units.inv_mass_coeff)
+        k_overflow = 5.0 - 100.0j
+        for bad in (k_branch, k_overflow):
+            with pytest.raises(ArithmeticError):
+                t22_with_prime(SB, bad)
+        good = [asymptotic_seed(n, SB.length) for n in range(2, 12)]
+        seeds = good[:4] + [k_branch] + good[4:8] + [k_overflow] + good[8:]
+        counts = Counter()
+        poles = _newton_lockstep(np.array(seeds), SB, PoleSearchConfig(), counts)
+        assert np.isnan(poles[4]) and np.isnan(poles[9])
+        for got, seed in zip(np.delete(poles, [4, 9]), good):
+            try:
+                want = newton_step_sequence(seed, SB)
+            except DivergenceError:  # n = 2 leaves the fourth quadrant
+                assert np.isnan(got)
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want)
+        assert counts["newton"] >= len(seeds)
+
     def test_outward_extension(self):
         cfg = PoleSearchConfig(n_seed=30)
         base = sweep_poles(SB, cfg)
@@ -216,26 +243,36 @@ class TestZeroCountCertificate:
             assert stats.certified_empty == empty
             assert stats.bisected == stats.unresolved == 0
 
-    def test_superlattice_catalog_independent_of_seed(self):
-        # 5 barriers of 0.5 nm with 8 nm wells: one rectangle holds a pole its
-        # Newton seed misses, and the bisection finds it the same way every time
-        layers = [(0.5, 0.23), (8.0, 0.0)] * 4 + [(0.5, 0.23)]
-        profile = PotentialProfile(tuple(layers))
-        catalogs = [
-            sweep_poles(profile, PoleSearchConfig(n_seed=1000, seed=seed))
-            for seed in (0, 1, 7)
-        ]
-        for catalog in catalogs:
-            assert len(catalog) == 1000
-            assert (catalog.stats.bisected, catalog.stats.unresolved) == (1, 0)
-            assert np.array_equal(catalog.poles, catalogs[0].poles)
-            assert np.array_equal(catalog.residuals, catalogs[0].residuals)
+    def test_superlattice_catalog_independent_of_seed(self, lattice_10x3):
+        # three rectangles hold a pole that neither the lockstep batch nor the
+        # rectangle's own Newton seed reaches, and the bisection finds each the
+        # same way every time
+        for catalog in [lattice_10x3] + [
+            sweep_poles(LATTICE_10X3, PoleSearchConfig(n_seed=1000, seed=seed))
+            for seed in (1, 7)
+        ]:
+            assert len(catalog) == 995
+            assert (catalog.stats.bisected, catalog.stats.unresolved) == (3, 0)
+            assert np.array_equal(catalog.poles, lattice_10x3.poles)
+            assert np.array_equal(catalog.residuals, lattice_10x3.residuals)
+
+    def test_superlattice_keeps_pole_the_lockstep_misses(self, lattice_10x3):
+        # the lockstep batch misses this pole while a neighbouring seed's pole
+        # lies in its rectangle; only the pole of the rectangle's own index
+        # may be taken from the batch
+        kappa = 0.8735761254422701 - 0.020968582046550166j
+        assert len(lattice_10x3) == 995
+        assert np.min(np.abs(lattice_10x3.poles - kappa)) <= 1e-12 * abs(kappa)
 
     def test_default_sweep_newton_iterations(self, preset_data):
-        for name, iterations in (("sb", 3712), ("db", 3791), ("qb", 16920)):
+        for name, iterations, lockstep in (
+            ("sb", 6323, 997), ("db", 7251, 993), ("qb", 36720, 3982),
+        ):
             stats = preset_data[name].catalog.stats
             assert stats.newton_iterations == iterations
+            assert stats.lockstep_hits == lockstep <= stats.seed_hits
             assert f"{iterations} Newton iterations" in stats.summary()
+            assert f"({lockstep} lockstep)" in stats.summary()
 
 
 class TestMirrorPoles:

@@ -36,8 +36,10 @@ def reference_t22(profile, k, sqrt, exp):
     derivative, M <- F M and M' <- G M + F M' per factor; ``sqrt``/``exp``
     from cmath for a complex k, from numpy for an array."""
     c = profile.units.inv_mass_coeff
-    qs = [k] + [sqrt(k * k - h / c) for _, h in profile.layers] + [k]
+    sign = 1.0 - 2.0 * (k.real < 0.0)
+    qs = [k] + [sign * sqrt(k * k - h / c) for _, h in profile.layers] + [k]
     dqs = [1.0] + [k / q for q in qs[1:-1]] + [1.0]
+    heights = [0.0] + [h for _, h in profile.layers] + [0.0]
     m = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
     d = (0j, 0j, 0j, 0j)
 
@@ -61,9 +63,10 @@ def reference_t22(profile, k, sqrt, exp):
 
     for j in range(len(profile.layers) + 1):
         qa, qb = qs[j], qs[j + 1]
-        r = qa / qb
-        h, g = 0.5 * (1.0 + r), 0.5 * (1.0 - r)
-        jp = 0.5 * (dqs[j] * qb - qa * dqs[j + 1]) / (qb * qb)
+        dv = (heights[j] - heights[j + 1]) / (2.0 * c)
+        g = dv / (qb * (qa + qb))
+        h = 1.0 - g
+        jp = k * dv / (qa * (qb * qb * qb))
         m, d = apply((h, g, g, h), (jp, -jp, -jp, jp))
         if j < len(profile.layers):
             w = profile.layers[j][0]

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -41,6 +42,34 @@ def quadrature_norm(profile, state):
         u = a * np.exp(1j * q * xi) + b * np.exp(-1j * q * xi)
         total += complex(np.sum(ws * u * u))
     return total + 1j * (state.u0**2 + state.u_l**2) / (2.0 * state.kappa)
+
+
+def mp_boundary_values(profile, kappa):
+    """(u0, uL, r) of the normalized state at ``kappa`` from the local-basis
+    recursion and closed-form norm evaluated at 50 digits."""
+    layers = profile.layers
+    with mp.workdps(50):
+        k = mp.mpc(kappa)
+        c = mp.mpf(profile.units.inv_mass_coeff)
+        qs = [k] + [mp.sqrt(k * k - mp.mpf(h) / c) for _, h in layers] + [k]
+        a, b, norm = mp.mpc(0), mp.mpc(1), mp.mpc(0)
+        for j in range(len(layers) + 1):
+            ratio = qs[j] / qs[j + 1]
+            a, b = (
+                ((1 + ratio) * a + (1 - ratio) * b) / 2,
+                ((1 - ratio) * a + (1 + ratio) * b) / 2,
+            )
+            if j == len(layers):
+                break
+            q, w = qs[j + 1], mp.mpf(layers[j][0])
+            ep = mp.exp(1j * q * w)
+            a_out, b_out = a * ep, b / ep
+            norm += (a_out**2 - a**2) / (2j * q) + 2 * a * b * w + (b**2 - b_out**2) / (2j * q)
+            a, b = a_out, b_out
+        u_l = a + b
+        norm += 1j * (1 + u_l**2) / (2 * k)
+        scale = 1 / mp.sqrt(norm)
+        return complex(scale), complex(u_l * scale), complex(scale * u_l * scale / k)
 
 
 class TestResonanceState:
@@ -142,6 +171,22 @@ class TestResidues:
                 assert abs(st.u_l - rset.u_l[i]) <= 1e-12 * abs(st.u_l)
                 r_single = st.u0 * st.u_l / st.kappa
                 assert abs(r_single - rset.residues[i]) <= 1e-12 * abs(r_single)
+
+    def test_top_qb_states_against_50_digits(self, qb_data):
+        # the interface coefficient must not cancel at high energy.  u(L)
+        # carries the phase of about exp(i kappa L) relative to u(0), and
+        # rounding kappa w in each layer moves it by up to ~eps |kappa| L / 2
+        # (1.4e-12 at the top qb poles), so uL and r get that much more
+        length = qb_data.profile.length
+        rset = qb_data.residues
+        for i in range(len(qb_data.catalog) - 20, len(qb_data.catalog)):
+            kappa = complex(qb_data.catalog.poles[i])
+            phase_tol = 1e-12 + 2.0**-52 * abs(kappa) * length
+            got = (rset.u0[i], rset.u_l[i], rset.residues[i])
+            for value, want, tol in zip(
+                got, mp_boundary_values(QB, kappa), (1e-12, phase_tol, phase_tol)
+            ):
+                assert abs(value - want) <= tol * abs(want)
 
     def test_non_pole_in_catalog_rejected(self, db_data):
         poles = np.insert(db_data.catalog.poles, 3, 0.5 - 0.05j)
