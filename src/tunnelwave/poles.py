@@ -649,16 +649,13 @@ def save_catalog(catalog, path, *, residues=None, u0=None, u_l=None):
         f"# columns: {','.join(cols)}",
         f"# rows: {len(catalog)}",
     ]
-    for i, (kappa, res) in enumerate(zip(catalog.poles, catalog.residuals), start=1):
-        row = [str(i), _fmt(kappa.real), _fmt(kappa.imag), _fmt(res)]
-        if extras:
-            r_i, u0_i, ul_i = (np.asarray(x)[i - 1] for x in extras)
-            row += [
-                _fmt(r_i.real), _fmt(r_i.imag),
-                _fmt(u0_i.real), _fmt(u0_i.imag),
-                _fmt(ul_i.real), _fmt(ul_i.imag),
-            ]
-        lines.append(",".join(row))
+    data = [catalog.poles.real, catalog.poles.imag, catalog.residuals]
+    for x in extras:
+        x = np.asarray(x, dtype=complex)
+        data += [x.real, x.imag]
+    row = "%d," + ",".join(["%.17e"] * len(data))
+    table = np.column_stack(data).tolist()
+    lines += [row % (i, *values) for i, values in enumerate(table, start=1)]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -674,10 +671,6 @@ def write_text_atomic(path, text):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _fmt(x):
-    return format(float(x), ".17e")
 
 
 def _parse_config(text):
@@ -696,31 +689,39 @@ def load_catalog(path):
     Returns ``(catalog, extras)`` where ``extras`` is None or a dict with
     ``residues``, ``u0`` and ``u_l`` complex arrays.  Raises ``ValueError``
     when the ``rows`` header is missing or disagrees with the rows read, as
-    in a file cut at a row boundary.
+    in a file cut at a row boundary, and when a row is not one number per
+    column or the file does not end with a newline, as in a file cut inside
+    a row.
     """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != f"# {_FORMAT_TAG}":
+        raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
+    # every line is written whole, so a missing final newline is a file cut
+    # inside its last line, possibly inside a number that still parses
+    if not text.endswith("\n"):
+        raise ValueError(f"{path}: cut inside its last line")
     header = {}
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        if first != f"# {_FORMAT_TAG}":
-            raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                header[key.strip()] = val.strip()
-            else:
-                rows.append([float(x) for x in line.split(",")])
+    for line in lines[1:]:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, val = line[1:].partition(":")
+            header[key.strip()] = val.strip()
+        else:
+            rows.append(line.split(","))
     if header.get("rows") != str(len(rows)):
         raise ValueError(
             f"{path}: {len(rows)} rows read, header says {header.get('rows')}"
         )
     cols = header["columns"].split(",")
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, len(cols))
+    for i, fields in enumerate(rows, start=1):
+        if len(fields) != len(cols):
+            raise ValueError(f"{path}: row {i} has {len(fields)} fields, not {len(cols)}")
+    data = np.array(rows, dtype=float).reshape(len(rows), len(cols))
     poles = data[:, 1] + 1j * data[:, 2]
     catalog = PoleCatalog(
         poles=poles,

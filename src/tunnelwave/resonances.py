@@ -37,6 +37,9 @@ __all__ = [
 _BC_RTOL = 1e-8
 _NORM_MIN = 1e-14
 _EPS = np.finfo(float).eps
+# (points x poles) elements per expansion_t block: two complex buffers of
+# 256 KiB each, which stay in cache between the passes over a block
+_CHUNK = 2**14
 
 
 class NotAPoleError(ValueError):
@@ -182,6 +185,29 @@ def _pair_arrays(profile, catalog, residue_set, n_poles):
     return kap, z
 
 
+def _check_pole_proximity(k, kap, tol):
+    """Raise :class:`PoleProximityError` when any ``k`` lies within ``tol``
+    of a pole or of its mirror ``-conj(kappa)``.
+
+    Only poles whose real part is near ``Re k`` can be that close, so the
+    2N poles are sorted by real part and each k tests just the candidates in
+    ``Re k +- 2 tol``; the window is twice ``tol`` so that the rounding of
+    its ends never drops a pole the exact test would catch.
+    """
+    poles = np.concatenate([kap, -np.conj(kap)])
+    poles = poles[np.argsort(poles.real)]
+    lo = np.searchsorted(poles.real, k.real - 2.0 * tol, side="left")
+    hi = np.searchsorted(poles.real, k.real + 2.0 * tol, side="right")
+    counts = hi - lo
+    if not counts.any():
+        return
+    which_k = np.repeat(np.arange(len(k)), counts)
+    # position of each candidate within its own k's window
+    offset = np.arange(len(which_k)) - np.repeat(np.cumsum(counts) - counts, counts)
+    if np.any(np.abs(k[which_k] - poles[lo[which_k] + offset]) < tol):
+        raise PoleProximityError("k is within dedup_tol of a pole")
+
+
 def expansion_t(profile, k, catalog, residue_set, n_poles=None):
     """Pole expansion of the transmission amplitude, paired over (n, -n).
 
@@ -189,21 +215,35 @@ def expansion_t(profile, k, catalog, residue_set, n_poles=None):
     poles entering as ``kappa_{-n} = -conj(kappa_n)``, ``r_{-n} exp(...) =
     -conj(r_n exp(...))``; each (n, -n) pair is accumulated together in
     ascending |kappa| order, which keeps every truncation time-reversal clean.
+
+    A pair costs one complex division:
+    ``z/(k - kappa) - conj(z)/(k + conj(kappa)) = (2 Re(z conj(kappa)) +
+    2i k Im z) / ((k - kappa)(k + conj(kappa)))``, the denominator kept as
+    that product, which does not cancel as ``k^2 - 2ik Im kappa - |kappa|^2``
+    can.  The (points x poles) block is evaluated ``_CHUNK`` elements at a
+    time in two reused buffers.
     """
     kap, z = _pair_arrays(profile, catalog, residue_set, n_poles)
     k_arr = np.asarray(k, dtype=complex)
     flat = np.atleast_1d(k_arr).ravel()
+    _check_pole_proximity(flat, kap, catalog.config.dedup_tol)
+    kap_bar = np.conj(kap)
+    a = 2.0 * (z * kap_bar).real
+    b = 2j * z.imag
+    rows = max(1, _CHUNK // max(len(kap), 1))
+    den = np.empty((min(rows, len(flat)), len(kap)), dtype=complex)
+    num = np.empty_like(den)
     out = np.empty_like(flat)
-    tol = catalog.config.dedup_tol
-    chunk = max(1, int(2e6 // max(len(kap), 1)))
-    for i in range(0, len(flat), chunk):
-        kk = flat[i : i + chunk, None]
-        d_pos = kk - kap[None, :]
-        d_neg = kk + np.conj(kap)[None, :]
-        if len(kap) and (np.min(np.abs(d_pos)) < tol or np.min(np.abs(d_neg)) < tol):
-            raise PoleProximityError("k is within dedup_tol of a pole")
-        pair = z[None, :] / d_pos - np.conj(z)[None, :] / d_neg
-        out[i : i + chunk] = 1j * kk[:, 0] * np.sum(pair, axis=1)
+    for i in range(0, len(flat), rows):
+        kk = flat[i : i + rows, None]
+        d, n = den[: len(kk)], num[: len(kk)]
+        np.subtract(kk, kap, out=d)
+        np.add(kk, kap_bar, out=n)
+        d *= n
+        np.multiply(kk, b, out=n)
+        n += a
+        n /= d
+        out[i : i + rows] = 1j * kk[:, 0] * np.sum(n, axis=1)
     if k_arr.ndim == 0:
         return complex(out[0])
     return out.reshape(k_arr.shape)

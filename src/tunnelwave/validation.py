@@ -172,7 +172,9 @@ def check_reconstruction(name, profile, catalog, residue_set, packet):
     t_flight = (x0 - length) / packet.velocity
     etas = _reconstruction_grid(profile, packet, catalog)
     t_ref = transmission_coefficient(profile, etas * packet.energy)
-    devs = []
+    units = profile.units
+    beta_1 = catalog.poles[0].imag
+    devs, params = [], []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for scale in (0.05, 0.25, 1.0):
@@ -180,6 +182,9 @@ def check_reconstruction(name, profile, catalog, residue_set, packet):
             xs = length + np.sqrt(etas) * packet.velocity * t0
             zs = zeta(packet, profile, catalog, residue_set, xs, t0)
             devs.append(float(np.max(np.abs(zs - t_ref))))
+            # ungated: the needle at eta ~ 1 converges to T only once this
+            # parameter, its expected deviation, is small
+            params.append(0.517 / (units.inv_mass_coeff * t0 / units.hbar * beta_1**2))
     monotone = devs[0] > devs[1] > devs[2]
     ok = devs[-1] <= RECONSTRUCT_TOL and monotone
     return _record(
@@ -187,7 +192,8 @@ def check_reconstruction(name, profile, catalog, residue_set, packet):
         ok,
         f"x_d=2e5 L: max|zeta-T| over t0 scales (.05,.25,1) = "
         f"({devs[0]:.4f}, {devs[1]:.4f}, {devs[2]:.4f}); final tol 2e-2, "
-        f"monotone={monotone}",
+        f"monotone={monotone}; 0.517/((hbar t0/2m) beta_1^2) = "
+        f"({params[0]:.3g}, {params[1]:.3g}, {params[2]:.3g})",
     )
 
 

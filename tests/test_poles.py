@@ -352,6 +352,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="rows"):
             load_catalog(path)
 
+    def test_rejects_file_cut_inside_a_row(self, tmp_path, sb_data):
+        path = tmp_path / "cat.csv"
+        save_catalog(sb_data.catalog, path)
+        text = path.read_text()
+        # cut inside the last number, which alone would parse to another value
+        path.write_text(text[: text.rindex("e") - 3])
+        with pytest.raises(ValueError, match="cut inside"):
+            load_catalog(path)
+        lines = text.splitlines(keepends=True)
+        lines[-2] = lines[-2][: lines[-2].rindex(",")] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="fields"):
+            load_catalog(path)
+
     def test_rejects_unknown_or_missing_config_key(self, tmp_path, sb_data):
         path = tmp_path / "cat.csv"
         save_catalog(sb_data.catalog, path)

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from tunnelwave.potential import (
 from tunnelwave.presets import preset_profile
 from tunnelwave.resonances import (
     NotAPoleError,
+    _pair_arrays,
     coefficient_C,
     expansion_t,
     resonance_state,
@@ -42,6 +44,18 @@ def quadrature_norm(profile, state):
         u = a * np.exp(1j * q * xi) + b * np.exp(-1j * q * xi)
         total += complex(np.sum(ws * u * u))
     return total + 1j * (state.u0**2 + state.u_l**2) / (2.0 * state.kappa)
+
+
+def mp_expansion(k, kap, z):
+    """``i k sum_n [z_n/(k - kappa_n) - conj(z_n)/(k + conj(kappa_n))]`` at
+    50 digits, term by term as the expansion is defined."""
+    with mp.workdps(50):
+        kk = mp.mpc(k)
+        total = mp.mpc(0)
+        for kp, zz in zip(kap, z):
+            kp, zz = mp.mpc(kp), mp.mpc(zz)
+            total += zz / (kk - kp) - mp.conj(zz) / (kk + mp.conj(kp))
+        return complex(1j * kk * total)
 
 
 def mp_boundary_values(profile, kappa):
@@ -268,6 +282,84 @@ class TestExpansion:
     def test_oversized_truncation_rejected(self, sb_data):
         with pytest.raises(ValueError):
             expansion_t(SB, 0.5, sb_data.catalog, sb_data.residues, len(sb_data.catalog) + 1)
+
+
+class TestExpansionKernel:
+    @pytest.mark.parametrize("name,n", [("sb", 300), ("db", 1000), ("qb", 4000)])
+    def test_against_50_digit_pair_sum(self, preset_data, name, n):
+        data = preset_data[name]
+        profile = data.profile
+        kap, z = _pair_arrays(profile, data.catalog, data.residues, n)
+        rng = np.random.default_rng(11)
+        energies = rng.uniform(0.005, 5.0, 8) * profile.barrier_height
+        k = np.concatenate([
+            np.sqrt(energies / profile.units.inv_mass_coeff),
+            kap[:4].real + 1e-7,
+        ])
+        amp = expansion_t(profile, k, data.catalog, data.residues, n)
+        ref = np.array([mp_expansion(x, kap, z) for x in k])
+        assert np.max(np.abs(amp - ref) / np.abs(ref)) <= 1e-12
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_pole_proximity_complex_k(self, sb_data, mirror):
+        catalog, rs = sb_data.catalog, sb_data.residues
+        tol = catalog.config.dedup_tol
+        step = np.exp(1j * np.pi / 3)
+        grid = np.linspace(0.2, 2.0, 7) + 0j
+        for kappa in catalog.poles[[0, 5, -1]]:
+            pole = -kappa.conjugate() if mirror else kappa
+            with pytest.raises(PoleProximityError):
+                expansion_t(SB, pole + 0.5 * tol * step, catalog, rs)
+            with pytest.raises(PoleProximityError):
+                expansion_t(SB, np.append(grid, pole + 0.5 * tol * step), catalog, rs)
+            far = expansion_t(SB, np.append(grid, pole + 2.0 * tol * step), catalog, rs)
+            assert np.all(np.isfinite(far))
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_pole_proximity_real_k(self, db_data, mirror):
+        # a tolerance of 2 |Im kappa_1| puts the real axis at tol/2 from the
+        # narrow db resonance
+        kappa = db_data.catalog.poles[0]
+        tol = 2.0 * abs(kappa.imag)
+        catalog = dataclasses.replace(
+            db_data.catalog,
+            config=dataclasses.replace(db_data.catalog.config, dedup_tol=tol),
+        )
+        rs = db_data.residues
+        k_re = -kappa.real if mirror else kappa.real
+        with pytest.raises(PoleProximityError):
+            expansion_t(DB, k_re, catalog, rs)
+        with pytest.raises(PoleProximityError):
+            expansion_t(DB, np.array([0.3, k_re, 0.9]), catalog, rs)
+        sign = -1.0 if mirror else 1.0
+        far = expansion_t(DB, np.array([k_re + sign * 2.0 * tol, k_re - sign * 2.0 * tol]),
+                          catalog, rs)
+        assert np.all(np.isfinite(far))
+
+    def test_scalar_and_shape(self, sb_data):
+        catalog, rs = sb_data.catalog, sb_data.residues
+        val = expansion_t(SB, 0.7, catalog, rs, 100)
+        assert type(val) is complex
+        k = np.linspace(0.1, 3.0, 12).reshape(3, 4) - 0.01j
+        amp = expansion_t(SB, k, catalog, rs, 100)
+        assert amp.shape == (3, 4)
+        flat = expansion_t(SB, k.ravel(), catalog, rs, 100)
+        assert np.array_equal(amp.ravel(), flat)
+        assert expansion_t(SB, k[1, 2], catalog, rs, 100) == flat[6]
+
+    def test_working_set_stays_small(self, qb_data):
+        # 2000 energies x 4000 pole pairs; the block is evaluated in cache-sized
+        # chunks, so the peak stays far below the 8e6-element block
+        k = np.sqrt(np.linspace(0.01, 5.0, 2000) * QB.barrier_height / QB.units.inv_mass_coeff)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            expansion_t(QB, k, qb_data.catalog, qb_data.residues, 4000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestCoefficientC:
