@@ -77,8 +77,10 @@ def parse_profile_file(path):
             if len(parts) != 2:
                 raise ConfigError(f"{path}: layer needs 'width height', got {val!r}")
             layers.append((float(parts[0]), float(parts[1])))
-        else:
+        elif key in ("mass_ratio", "x_c", "sigma", "e0"):
             values[key] = float(val)
+        else:
+            raise ConfigError(f"{path}: unknown key {key!r}")
     if not layers:
         raise ConfigError(f"{path}: no layer lines found")
     profile = PotentialProfile(
@@ -171,7 +173,10 @@ def _packet(cfg, catalog):
     )
 
 
-def _csv_header(cfg, columns, extra=None):
+def _write_csv(cfg, stem, columns, rows, extra=None):
+    """Write ``rows`` under the run header to ``<out>/<stem>_<system>.csv``;
+    returns the path."""
+    path = cfg.out_dir / f"{stem}_{cfg.preset or 'custom'}.csv"
     lines = [
         f"# tunnelwave {__version__}",
         f"# fingerprint: {catalog_fingerprint(cfg.profile, cfg.search)}",
@@ -182,13 +187,10 @@ def _csv_header(cfg, columns, extra=None):
     for key, val in (extra or {}).items():
         lines.append(f"# {key}: {val}")
     lines.append("# columns: " + ",".join(columns))
-    return lines
-
-
-def _write_csv(path, header_lines, rows):
+    lines += [",".join(format(v, ".17e") for v in row) for row in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = [",".join(format(v, ".17e") for v in row) for row in rows]
-    write_text_atomic(path, "\n".join(header_lines + body) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +206,12 @@ def cmd_poles(args):
     units = cfg.profile.units
     pos = catalog.positions(units)
     wid = catalog.widths(units)
-    name = cfg.preset or "custom"
-    out = cfg.out_dir / f"poles_{name}.csv"
-    rows = [
-        (float(n + 1), catalog.poles[n].real, catalog.poles[n].imag,
-         pos[n], wid[n], catalog.residuals[n])
-        for n in range(len(catalog))
-    ]
-    _write_csv(out, _csv_header(cfg, ["n", "re_kappa", "im_kappa",
-                                      "position_eV", "width_eV", "residual"]), rows)
+    out = _write_csv(
+        cfg, "poles",
+        ["n", "re_kappa", "im_kappa", "position_eV", "width_eV", "residual"],
+        zip(np.arange(1.0, len(catalog) + 1), catalog.poles.real, catalog.poles.imag,
+            pos, wid, catalog.residuals),
+    )
     print(f"wrote {out}")
     print("  n      E_n (eV)    Gamma_n (eV)")
     for n in range(min(10, len(catalog))):
@@ -239,10 +238,7 @@ def cmd_spectrum(args):
         columns += [f"T_expansion_N{n}", f"re_t_N{n}", f"im_t_N{n}"]
         data += [t_n, amp.real, amp.imag]
         devs.append(np.max(np.abs(t_n - t_exact)))
-    name = cfg.preset or "custom"
-    out = cfg.out_dir / f"spectrum_{name}.csv"
-    _write_csv(out, _csv_header(cfg, columns, {"pole_counts": args.poles}),
-               zip(*data))
+    out = _write_csv(cfg, "spectrum", columns, zip(*data), {"pole_counts": args.poles})
     for n, dev in zip(n_list, devs):
         print(f"N={n:5d}: max |T_expansion - T_exact| = {dev:.3e}")
     print(f"wrote {out}")
@@ -296,31 +292,25 @@ def cmd_evolve(args):
                   file=sys.stderr)
         columns.append("rho_oracle")
         data.append(rho_oracle)
-    name = cfg.preset or "custom"
-    out = cfg.out_dir / f"evolve_{name}.csv"
-    _write_csv(
-        out,
-        _csv_header(cfg, columns, {
-            "x_d_nm": repr(x_d),
-            "tau_sys_fs": repr(tau_sys),
-            "packet": f"x_c={packet.x_c!r} sigma={packet.sigma!r} k0={packet.k0!r}",
-        }),
-        zip(*data),
-    )
+    out = _write_csv(cfg, "evolve", columns, zip(*data), {
+        "x_d_nm": repr(x_d),
+        "tau_sys_fs": repr(tau_sys),
+        "packet": f"x_c={packet.x_c!r} sigma={packet.sigma!r} k0={packet.k0!r}",
+    })
     print(f"wrote {out}")
     return 0
 
 
 def cmd_reconstruct(args):
     cfg = _resolve_config(args)
+    scales = [float(s) for s in args.t0_scales.split(",")]
+    if any(b <= a for a, b in zip(scales, scales[1:])):
+        raise ConfigError("--t0-scales must be increasing")
     catalog, rset = obtain_catalog(cfg)
     profile = cfg.profile
     packet = _packet(cfg, catalog)
     length = profile.length
     x_d = parse_distance(args.xd, length)
-    scales = [float(s) for s in args.t0_scales.split(",")]
-    if sorted(scales) != scales or len(scales) < 1:
-        raise ConfigError("--t0-scales must be increasing")
     n_poles = max(_parse_pole_counts(args.poles, len(catalog)))
     t_flight = (x_d - length) / packet.velocity
     etas = np.linspace(args.eta_min, args.eta_max, args.eta_points)
@@ -333,16 +323,10 @@ def cmd_reconstruct(args):
         xs = length + np.sqrt(etas) * packet.velocity * t0
         columns.append(f"zeta_t0_{scale:g}")
         data.append(zeta(packet, profile, catalog, rset, xs, t0, n_poles=n_poles))
-    name = cfg.preset or "custom"
-    out = cfg.out_dir / f"reconstruct_{name}.csv"
-    _write_csv(
-        out,
-        _csv_header(cfg, columns, {
-            "x_d_nm": repr(x_d),
-            "t0_fs": ",".join(repr(s * t_flight) for s in scales),
-        }),
-        zip(*data),
-    )
+    out = _write_csv(cfg, "reconstruct", columns, zip(*data), {
+        "x_d_nm": repr(x_d),
+        "t0_fs": ",".join(repr(s * t_flight) for s in scales),
+    })
     for scale, col in zip(scales, data[3:]):
         print(f"t0 scale {scale:g}: max |zeta - T| = {np.max(np.abs(col - t_ref)):.4f}")
     print(f"wrote {out}")
@@ -350,15 +334,17 @@ def cmd_reconstruct(args):
 
 
 def cmd_validate(args):
-    from .validation import run_validation
+    from .validation import REFERENCE_POLES, run_validation
 
     cfg = _resolve_config(args)
-
-    def provider():
-        catalog, rset = obtain_catalog(cfg, quiet=True)
-        return catalog, rset, None if catalog.stats is None else catalog.stats.seconds
-
-    records = run_validation(cfg, oracle=not args.skip_oracle, provider=provider)
+    if cfg.preset not in REFERENCE_POLES:
+        raise ConfigError("validation needs one of the built-in presets")
+    catalog, rset = obtain_catalog(cfg, quiet=True)
+    records = run_validation(
+        cfg.preset, cfg.profile, catalog, rset, _packet(cfg, catalog),
+        None if catalog.stats is None else catalog.stats.seconds,
+        oracle=not args.skip_oracle,
+    )
     n_fail = 0
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"

@@ -440,14 +440,13 @@ def _try_rectangle(profile, config, re_c, half_re, im_c, half_im, first_seed, co
     return k, "unresolved" if k is None else "bisected"
 
 
-def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
+def sweep_poles(profile, config=PoleSearchConfig()):
     """Full inward pole sweep; returns a validated :class:`PoleCatalog`.
 
     Newton runs first in lockstep from the asymptotic seeds of every index
     below the anchor; a regime-1 rectangle at index n takes the lockstep pole
     of seed n when it lies inside, and every other rectangle runs
-    :func:`_try_rectangle`.  ``n_above`` optionally extends the walk outward
-    past the anchor index.  The catalog's ``stats`` record what the sweep did.
+    :func:`_try_rectangle`.  The catalog's ``stats`` record what the sweep did.
     """
     if not profile.has_barrier:
         raise ValueError("profile has no barrier; t22 has no zeros")
@@ -509,25 +508,6 @@ def sweep_poles(profile, config=PoleSearchConfig(), n_above=0):
             re_next = ref.real - dr_thin
         else:
             re_next -= dr_thin
-
-    ref = anchor
-    for _ in range(n_above):
-        beta = -ref.imag
-        pole, outcome = _try_rectangle(
-            profile,
-            config,
-            re_c=ref.real + dr,
-            half_re=0.5 * dr,
-            im_c=ref.imag,
-            half_im=0.5 * beta,
-            first_seed=ref + dr,
-            counts=iterations,
-        )
-        outcomes[outcome] += 1
-        if pole is None:
-            break
-        found.append(pole)
-        ref = pole
 
     catalog = _build_catalog(profile, config, found)
     stats = SweepStats(

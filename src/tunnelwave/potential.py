@@ -329,7 +329,12 @@ def transfer_matrix(profile, k):
 
 
 def transmission_amplitude(profile, k):
-    """t(k) = 1/t22(k); scalar or array k away from poles."""
+    """t(k) = 1/t22(k); scalar or array k away from poles.
+
+    Test companion, used by ``TestTransmission`` and
+    ``test_time_reversal_property`` in ``tests/test_potential.py`` and by
+    ``TestResidues`` in ``tests/test_resonances.py``.
+    """
     den = t22(profile, k)
     if np.ndim(den) == 0:
         if abs(den) < 1e-13:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import (
-    GaussianPacket,
     asymptotic_cancellation,
     longtime_exponent,
     tau_system,
@@ -20,10 +19,9 @@ from .evolution import (
     zeta,
 )
 from .oracle import NodeBudgetExceededError, psi_quadrature
-from .poles import residual_gate, sweep_poles
+from .poles import residual_gate
 from .potential import transmission_coefficient
-from .presets import default_packet_energy
-from .resonances import expansion_t, residues, resonance_state
+from .resonances import expansion_t, resonance_state
 
 __all__ = ["CriterionRecord", "run_validation"]
 
@@ -272,33 +270,14 @@ def check_cancellation(name, profile, catalog, residue_set, packet):
     )
 
 
-def run_validation(cfg, oracle=True, provider=None):
-    """All applicable acceptance checks for one resolved run configuration.
+def run_validation(name, profile, catalog, residue_set, packet, sweep_seconds,
+                   oracle=True):
+    """All applicable acceptance checks for the built-in system ``name``.
 
-    ``provider`` may supply ``(catalog, residue_set, elapsed_or_None)`` (for
-    example from a cache); the default is a timed fresh sweep.
+    ``sweep_seconds`` is the time of the sweep that built ``catalog``, or
+    None for a catalog read from a cache.
     """
-    name = cfg.preset
-    if name not in REFERENCE_POLES:
-        raise ValueError("validation needs one of the built-in presets")
-    profile = cfg.profile
-    if provider is None:
-        catalog = sweep_poles(profile, cfg.search)
-        elapsed = catalog.stats.seconds
-        residue_set = residues(profile, catalog)
-    else:
-        catalog, residue_set, elapsed = provider()
-    packet = GaussianPacket(
-        x_c=cfg.x_c,
-        sigma=cfg.sigma,
-        k0=profile.units.wavenumber_of_energy(
-            cfg.energy
-            if cfg.energy is not None
-            else default_packet_energy(name, profile, catalog)
-        ),
-        units=profile.units,
-    )
-    records = [check_pole_values(name, profile, catalog, elapsed)]
+    records = [check_pole_values(name, profile, catalog, sweep_seconds)]
     lifetime = check_lifetime(name, profile, catalog)
     if lifetime is not None:
         records.append(lifetime)

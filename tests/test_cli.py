@@ -57,6 +57,10 @@ class TestParsing:
         cfg.write_text("layer 5.0\n")
         with pytest.raises(ValueError):
             parse_profile_file(cfg)
+        cfg.write_text("layer = 8.0 0.23\nsigmaa = 0.9\n")
+        with pytest.raises(ValueError, match="sigmaa"):
+            parse_profile_file(cfg)
+        assert run(["poles", "--config", cfg, "--out", tmp_path / "typo"]) == 1
 
 
 class TestPolesCommand:
@@ -297,6 +301,15 @@ class TestReconstructCommand:
         assert final <= 2e-2
         assert first > final
 
+    def test_repeated_t0_scale_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "repeat"
+        assert run([
+            "reconstruct", "--preset", "sb", "--nseed", "60", "--xd", "2e5L",
+            "--eta-points", "11", "--t0-scales", "0.5,0.5", "--out", out,
+        ]) == 1
+        assert "--t0-scales" in capsys.readouterr().err
+        assert not list(out.glob("reconstruct_*.csv"))
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -319,6 +332,27 @@ class TestValidateCommand:
         text = capsys.readouterr().out
         assert "1-pole-values-sb" in text
         assert code == 0, text
+
+    def test_config_file_exits_1_before_any_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "sb.cfg"
+        cfg.write_text("mass_ratio = 0.067\nlayer = 8.0 0.23\n")
+        out = tmp_path / "valcfg"
+        assert run(["validate", "--config", cfg, "--skip-oracle", "--out", out]) == 1
+        assert "built-in presets" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_second_run_reads_the_cache(self, tmp_path, capsys):
+        args = [
+            "validate", "--preset", "sb", "--nseed", "400",
+            "--skip-oracle", "--out", tmp_path / "rerun",
+        ]
+        lines = []
+        for _ in range(2):
+            assert run(args) == 0
+            text = capsys.readouterr().out
+            lines.append(next(s for s in text.splitlines() if "1-pole-values-sb" in s))
+        assert "sweep not timed" not in lines[0]
+        assert lines[1].endswith("catalog from cache (sweep not timed)")
 
     def test_tampered_catalog_fails_residual_check(self, tmp_path, capsys):
         out = tmp_path / "tamper"

@@ -172,13 +172,6 @@ class TestSweep:
                 assert abs(got - want) <= 1e-12 * abs(want)
         assert counts["newton"] >= len(seeds)
 
-    def test_outward_extension(self):
-        cfg = PoleSearchConfig(n_seed=30)
-        base = sweep_poles(SB, cfg)
-        extended = sweep_poles(SB, cfg, n_above=5)
-        assert len(extended) == len(base) + 5
-        assert np.allclose(extended.poles[: len(base)], base.poles)
-
 
 class TestZeroCountCertificate:
     SB_FIRST = 0.7151328825520719 - 0.06423768440198004j
