@@ -10,12 +10,13 @@ explicit :class:`NodeBudgetExceededError` boundary.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import faddeeva_log_scaled
+from .specfun import _w_upper, faddeeva_log_scaled
 from .potential import t22_off_branch
 
 __all__ = [
@@ -55,26 +56,31 @@ def phi0(packet, k):
     """Exact momentum transform of the cutoff Gaussian (no tail approximation).
 
     ``phi0(k) = (2 pi)^(-1/4) sqrt(sigma) w(iz) / sqrt(w(i z0))`` with
-    ``z = x_c/(2 sigma) - i (k - k0) sigma`` and ``z0 = x_c / (sqrt(2) sigma)``;
-    evaluated in exponent space because both Faddeeva factors are huge while
-    the transform itself is O(sqrt(sigma)).
+    ``z = x_c/(2 sigma) - i (k - k0) sigma`` and ``z0 = x_c / (sqrt(2) sigma)``.
+    Both Faddeeva factors are huge while the transform is O(sqrt(sigma)), so
+    the constant ``c0 = log((2 pi)^(-1/4) sqrt(sigma) / sqrt(w(i z0)))`` is
+    taken in exponent space.  Because ``x_c < 0``, ``iz`` lies in the lower
+    half-plane, where ``w(iz) = 2 exp(z^2) - w(-iz)`` holds exactly, so
+    ``phi0 = 2 exp(c0 + z^2) - exp(c0) w(-iz)``: one complex exponential and
+    one upper-half-plane Faddeeva value per k.  ``Re(c0 + z^2)`` is about
+    ``-((k - k0) sigma)^2``, so nothing overflows, and ``exp(c0)`` underflows
+    only where its term is negligible against the first.
     """
     k_arr = np.asarray(k, dtype=float)
     sigma = packet.sigma
-    z = packet.x_c / (2.0 * sigma) - 1j * (k_arr - packet.k0) * sigma
-    z0 = packet.x_c / (math.sqrt(2.0) * sigma)
-    lw_mag, lw_arg = faddeeva_log_scaled(1j * z)
-    l0_mag, l0_arg = faddeeva_log_scaled(1j * complex(z0))
-    log_out = (
-        (lw_mag + 1j * lw_arg)
-        - 0.5 * (l0_mag + 1j * l0_arg)
-        + 0.5 * math.log(sigma)
+    a = packet.x_c / (2.0 * sigma)  # Re z < 0
+    u = (packet.k0 - np.atleast_1d(k_arr)) * sigma  # Im z
+    l0_mag, l0_arg = faddeeva_log_scaled(1j * (packet.x_c / (math.sqrt(2.0) * sigma)))
+    c0 = (
+        0.5 * math.log(sigma)
         - 0.25 * math.log(2.0 * math.pi)
+        - 0.5 * complex(l0_mag, l0_arg)
     )
+    z = a + 1j * u
     with np.errstate(under="ignore"):
-        out = np.exp(log_out)
+        out = 2.0 * np.exp(c0 + z * z) - cmath.exp(c0) * _w_upper(u - 1j * a)
     if k_arr.ndim == 0:
-        return complex(out)
+        return complex(out[0])
     return out
 
 

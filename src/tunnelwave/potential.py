@@ -21,6 +21,10 @@ One kernel, ``_second_column``, runs the layer recursion for a single
 complex k (cmath) and for arrays of k (numpy).  It propagates only the
 second column ``(m12, m22)``, which is all that ``t22``, its derivative and
 the resonance states read; the derivative is carried only when asked for.
+Wavevectors, interface coefficients and propagation factors are evaluated
+once per distinct height, neighbouring pair of heights and (height, width)
+layer (``PotentialProfile.layer_plan``) and shared by the layers that use
+them.
 ``transfer_matrix`` takes the first column from the second one at -k.
 """
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,6 +149,42 @@ class PotentialProfile:
         return sum(w for w, _ in self.layers)
 
     @cached_property
+    def layer_plan(self):
+        """Distinct factors of the layer recursion and where each layer takes them.
+
+        ``(heights, faces, spans, steps)``.  ``heights`` are the distinct layer
+        heights, one wavevector each, told apart by bit pattern (0.0 and -0.0
+        are two).  With ``qs = [k] + wavevectors``, ``faces`` are the distinct
+        interfaces ``(a, b, (V_a - V_b)/2c, reused)`` from ``qs[a]`` to
+        ``qs[b]`` and ``spans`` the distinct layers ``(b, width, reused)``
+        propagating with ``qs[b]``; ``reused`` is true when more than one
+        step takes it.  ``steps`` holds ``(face, span)`` per layer, then
+        ``(face, None)`` for the exit interface.
+        """
+        c = self.units.inv_mass_coeff
+        roots = {}  # bit pattern -> (index into [k] + wavevectors, height)
+        for _, h in self.layers:
+            roots.setdefault(h.hex(), (len(roots) + 1, h))
+        sides = [0] + [roots[h.hex()][0] for _, h in self.layers] + [0]
+        heights = [0.0] + [h for _, h in roots.values()]
+        faces, spans, steps = {}, {}, []
+        for j, (a, b) in enumerate(zip(sides, sides[1:])):
+            face = faces.setdefault((a, b), len(faces))
+            span = spans.setdefault((b, self.layers[j][0]), len(spans)) if b else None
+            steps.append((face, span))
+        face_uses = Counter(f for f, _ in steps)
+        span_uses = Counter(s for _, s in steps)
+        return (
+            tuple(heights[1:]),
+            tuple(
+                (a, b, (heights[a] - heights[b]) / (2.0 * c), face_uses[i] > 1)
+                for i, (a, b) in enumerate(faces)
+            ),
+            tuple((b, w, span_uses[i] > 1) for i, (b, w) in enumerate(spans)),
+            tuple(steps),
+        )
+
+    @cached_property
     def barrier_height(self):
         return max(h for _, h in self.layers)
 
@@ -188,17 +229,23 @@ def _second_column(profile, k, ops, with_prime=False, entries=None):
     grown from ``(a, b) = (0, 1)``, so when ``entries`` is a list the entry
     amplitudes, wavevector and propagation factor ``(a, b, q, exp(iqw))`` of
     every layer are appended to it.
+
+    Each distinct layer height, interface and (height, width) layer of the
+    profile's ``layer_plan`` is evaluated once, at its first use, and kept
+    only if a later layer takes it again; the results are the same
+    operations on the same operands as a per-layer evaluation, bit for bit.
     """
     sqrt, exp, any_ = ops
     if any_(abs(k) < _K_MIN):
         raise ZeroWavenumberError("transfer matrix undefined at k = 0")
+    heights, faces, spans, steps = profile.layer_plan
     c = profile.units.inv_mass_coeff
     k2 = k * k
     # principal roots have Re q >= 0; negated where Re k < 0 they follow k
     behind = k.real < 0.0
     sign = 1.0 - 2.0 * behind if any_(behind) else None
-    qs, heights = [k], [0.0]
-    for _, h in profile.layers:
+    qs = [k]
+    for h in heights:
         q = sqrt(k2 - h / c)
         if sign is not None:
             q = sign * q
@@ -207,44 +254,57 @@ def _second_column(profile, k, ops, with_prime=False, entries=None):
                 "layer wavevector ~ 0 (E at a layer height); perturb the evaluation point"
             )
         qs.append(q)
-        heights.append(h)
-    qs.append(k)
-    heights.append(0.0)
 
+    # a factor that a later layer uses again is kept; one used once is
+    # dropped after its step, so few arrays are alive at a time
+    face_factors = [None] * len(faces)
+    span_factors = [None] * len(spans)
     m12, m22 = 0j, 1.0 + 0j
     d12 = d22 = 0j
-    n_layers = len(profile.layers)
-    for j in range(n_layers + 1):
-        qa, qb = qs[j], qs[j + 1]
-        # qb^2 - qa^2 = (Va - Vb)/c turns (1 - qa/qb)/2 and the k-derivative
-        # of (1 + qa/qb)/2 into forms without a difference of nearby numbers
-        dv = (heights[j] - heights[j + 1]) / (2.0 * c)
-        g = dv / (qb * (qa + qb))
-        h = 1.0 - g
+    for face, span in steps:
+        factors = face_factors[face]
+        if factors is None:
+            a, b, dv, reused = faces[face]
+            qa, qb = qs[a], qs[b]
+            # qb^2 - qa^2 = (Va - Vb)/c turns (1 - qa/qb)/2 and the
+            # k-derivative of (1 + qa/qb)/2 into forms without a difference
+            # of nearby numbers
+            g = dv / (qb * (qa + qb))
+            jp = k * dv / (qa * (qb * qb * qb)) if with_prime else None
+            factors = (g, 1.0 - g, jp)
+            if reused:
+                face_factors[face] = factors
+        g, h, jp = factors
         if with_prime:
-            qb_p = 1.0 if j == n_layers else k / qb
-            jp = k * dv / (qa * (qb * qb * qb))
             jm = -jp
             d12, d22 = (
                 jp * m12 + jm * m22 + h * d12 + g * d22,
                 jm * m12 + jp * m22 + g * d12 + h * d22,
             )
         m12, m22 = h * m12 + g * m22, g * m12 + h * m22
-        if j == n_layers:
+        if span is None:
             break
-        w = profile.layers[j][0]
-        arg = 1j * qb * w
-        if any_(abs(arg.real) > _EXP_MAX):
-            raise OverflowError("propagation factor exceeds the floating range")
-        ep = exp(arg)
-        em = 1.0 / ep
+        factors = span_factors[span]
+        if factors is None:
+            r, w, reused = spans[span]
+            q = qs[r]
+            arg = 1j * q * w
+            if any_(abs(arg.real) > _EXP_MAX):
+                raise OverflowError("propagation factor exceeds the floating range")
+            ep = exp(arg)
+            em = 1.0 / ep
+            if with_prime:
+                q_p = k / q
+                factors = (q, ep, em, 1j * w * q_p * ep, -1j * w * q_p * em)
+            else:
+                factors = (q, ep, em, None, None)
+            if reused:
+                span_factors[span] = factors
+        q, ep, em, dp, dm = factors
         if entries is not None:
-            entries.append((m12, m22, qb, ep))
+            entries.append((m12, m22, q, ep))
         if with_prime:
-            d12, d22 = (
-                1j * w * qb_p * ep * m12 + ep * d12,
-                -1j * w * qb_p * em * m22 + em * d22,
-            )
+            d12, d22 = dp * m12 + ep * d12, dm * m22 + em * d22
         m12, m22 = ep * m12, em * m22
     return m12, m22, d12, d22
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -61,6 +62,26 @@ class TestPhi0:
             target = a0 * 2.0 * np.exp(z * z)
             exact = phi0(pk, k)
             assert abs(exact - target) <= 1.5e-11 * abs(exact)
+
+    @pytest.mark.parametrize("x_c, sigma", [(-2.0, 1.0), (-3.0, 0.5), (-5.0, 0.5), (-20.0, 0.4)])
+    def test_against_mpmath(self, x_c, sigma):
+        # validity ratios 1, 3, 5 and 25; w(z) = exp(-z^2) erfc(-iz) at 40 digits
+        pk = GaussianPacket(x_c, sigma, SB.units.wavenumber_of_energy(0.115), SB.units)
+        rng = np.random.default_rng(12)
+        ks = np.concatenate(([pk.k0], pk.k0 + rng.uniform(-12.0, 12.0, 40) / sigma))
+        got = phi0(pk, ks)
+        with mp.workdps(40):
+            s, xc = mp.mpf(sigma), mp.mpf(x_c)
+
+            def w(z):
+                return mp.exp(-z * z) * mp.erfc(-1j * z)
+
+            norm = (2 * mp.pi) ** -0.25 * mp.sqrt(s) / mp.sqrt(w(1j * xc / (mp.sqrt(2) * s)))
+            for k, val in zip(ks.tolist(), got):
+                z = xc / (2 * s) - 1j * (mp.mpf(k) - mp.mpf(pk.k0)) * s
+                want = complex(norm * w(1j * z))
+                assert abs(val - want) <= 1e-12 * abs(want)
+                assert phi0(pk, k) == val
 
 
 class TestFreeQuadrature:

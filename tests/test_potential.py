@@ -29,6 +29,12 @@ QB = preset_profile("qb")
 FREE = PotentialProfile(((8.0, 0.0),))
 _RNG = np.random.default_rng(7)
 RANDOM = PotentialProfile(tuple(zip(_RNG.uniform(0.5, 6.0, 4), _RNG.uniform(0.0, 0.4, 4))))
+# repeats heights at other widths, repeats (height, width) layers apart, and
+# has both signs of a zero height: every kind of factor the kernel shares
+SHARED = PotentialProfile(
+    ((2.0, 0.23), (1.0, 0.0), (3.0, 0.23), (2.5, -0.0))
+    + ((2.0, 0.23), (1.0, 0.0), (1.5, 0.1), (1.0, -0.0))
+)
 
 
 def reference_t22(profile, k, sqrt, exp):
@@ -228,16 +234,30 @@ class TestT22:
         single = np.array([t22(QB, complex(v)) for v in ks])
         assert np.max(np.abs(bulk - single) / np.abs(single)) <= 1e-13
 
-    @pytest.mark.parametrize("profile", [SB, DB, QB, RANDOM], ids=["sb", "db", "qb", "random"])
+    @pytest.mark.parametrize(
+        "profile", [SB, DB, QB, RANDOM, SHARED], ids=["sb", "db", "qb", "random", "shared"]
+    )
     def test_bit_equal_to_four_entry_composition(self, profile):
         rng = np.random.default_rng(10)
         ks = rng.uniform(0.05, 3.0, 500) + 1j * rng.uniform(-0.8, 0.3, 500)
-        want_val, _ = reference_t22(profile, ks, np.sqrt, np.exp)
+        want_val, want_prime = reference_t22(profile, ks, np.sqrt, np.exp)
         assert np.array_equal(t22(profile, ks), want_val)
+        got_val, got_prime = t22_with_prime(profile, ks)
+        assert np.array_equal(got_val, want_val)
+        assert np.array_equal(got_prime, want_prime)
         for k in ks.tolist():
             want = reference_t22(profile, k, cmath.sqrt, cmath.exp)
             assert t22_with_prime(profile, k) == want
             assert t22(profile, k) == want[0]
+
+    def test_layer_plan_shares_distinct_factors(self):
+        # qb: 2 wavevectors, 4 interfaces and 3 propagation factors for 7 layers
+        heights, faces, spans, steps = QB.layer_plan
+        assert (len(heights), len(faces), len(spans), len(steps)) == (2, 4, 3, 8)
+        # 0.0 and -0.0 are kept apart, so shared factors cannot change a bit
+        heights, faces, spans, _ = SHARED.layer_plan
+        assert [math.copysign(1.0, h) for h in heights if h == 0.0] == [1.0, -1.0]
+        assert (len(heights), len(faces), len(spans)) == (4, 8, 6)
 
     def test_branch_point_raises(self):
         k_branch = SB.units.wavenumber_of_energy(SB.barrier_height)
