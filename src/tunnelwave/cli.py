@@ -28,6 +28,7 @@ from .evolution import (
 from .oracle import NodeBudgetExceededError, psi_quadrature
 from .poles import (
     AnchorFailureError,
+    IncompleteCatalogError,
     PoleSearchConfig,
     catalog_fingerprint,
     load_catalog,
@@ -113,6 +114,9 @@ def _resolve_config(args):
         preset = None
     else:
         raise ConfigError("a system is required: --preset NAME or --config FILE")
+    for name in ("points", "tpoints", "eta_points"):
+        if getattr(args, name, 1) < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1")
     n_seed = args.nseed if args.nseed else (
         default_n_seed(preset) if preset else 1000
     )
@@ -425,8 +429,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (
-        AnchorFailureError, ArithmeticError, NodeBudgetExceededError,
-        NonAsymptoticError, NotAPoleError,
+        AnchorFailureError, ArithmeticError, IncompleteCatalogError,
+        NodeBudgetExceededError, NonAsymptoticError, NotAPoleError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -1,35 +1,24 @@
 """Catalog of fourth-quadrant transmission poles of a layered potential.
 
-The sweep anchors on the large-index asymptotic seed, Newton-converges it,
-then walks inward one pole spacing (pi/L) at a time, looking for each pole
-inside a confinement rectangle around its predicted location.  Before the
-walk, Newton runs once in lockstep on the vector kernel from the asymptotic
-seeds n pi/L - 2i ln(n)/L of every index n below the anchor, each element
-under the scalar iteration's acceptance rules and retired on its own when it
-diverges or meets a point where t22 cannot be evaluated.  Until the walk
-leaves its first regime, the rectangle of index n takes the lockstep pole of
-seed n when that pole lies inside it, never a neighbour's pole; every other
-rectangle gets a deterministic Newton seed of its own.  When that seed
-misses, the zeros of t22 inside the rectangle are counted by the argument
-principle: the winding number of t22 around the counter-clockwise boundary,
-sampled with the vector kernel (all four edges in one call per refinement)
-and refined until every phase step is below pi/4 (t22 is analytic there,
-since it does not depend on the branch chosen for each layer wavevector).  A
-count of zero proves the rectangle empty.  Where the count is nonzero or the
-certificate inconclusive (branch point on the boundary, overflow, a zero of
-t22 on the boundary, or the refinement cap reached), the rectangle is halved
-along its longer side and each half whose count is not zero gets a Newton
-seed at its centre or is halved again, down to a fixed depth (Kravanja & Van
-Barel, LNM 1727), so the catalog depends only on the profile and the config.
-After the first rectangle that yields no pole the walk switches permanently
-to thin rectangles (pi / (subdivision L) wide, twice as tall) that are
-allowed to be empty, which is what resolves sharp and overlapping resonances
-near and below the barrier top.
+Newton runs in lockstep on the vector kernel from the asymptotic seeds
+n pi/L - 2i ln(n)/L of every index n up to the anchor ``n_seed``.  One
+argument-principle count then certifies the catalog: the winding number of
+t22 (analytic, as it does not depend on the branch of any layer wavevector)
+around the box [pi/(40L), Re anchor + pi/(2L)] x [1.5 min Im kappa, 1e-3/L].
+Every edge starts at two samples per pole spacing pi/L and is refined only
+where the sampled phase step, or |dk t22'/t22| at either end of an
+interval, reaches pi/4; the bottom edge samples t22 exp(-2ikL) and adds the
+exact 2L dRe k back.  Where a cell's count exceeds the poles found in it, the
+cell is halved, at the vertical cuts on which the bottom and top phases are
+kept while it is at least pi/L wide and along its longer side after that,
+and Newton starts from its centre once it is narrower than pi/L (Delves &
+Lyness, Math. Comp. 21 (1967) 543; Kravanja & Van Barel, LNM 1727).  The
+sweep raises :class:`IncompleteCatalogError` unless the poles found are
+exactly the count; nothing is drawn at random.
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import hashlib
 import math
@@ -41,17 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .potential import (
-    BranchPointProximityError,
-    ZeroWavenumberError,
-    t22,
-    t22_with_prime,
-    transmission_coefficient,
-)
+from .potential import t22, t22_with_prime, transmission_coefficient
 
 __all__ = [
     "AnchorFailureError",
     "DivergenceError",
+    "IncompleteCatalogError",
     "IndexTooSmallError",
     "PoleCatalog",
     "PoleSearchConfig",
@@ -69,7 +53,7 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Newton iteration failed; the sweep falls back to the zero count."""
+    """Newton iteration failed."""
 
 
 class AnchorFailureError(RuntimeError):
@@ -80,18 +64,25 @@ class IndexTooSmallError(ValueError):
     """Asymptotic seed formula needs n >= 2."""
 
 
+class IncompleteCatalogError(RuntimeError):
+    """The poles found are not the zeros counted in the sweep box."""
+
+
 _EPS = np.finfo(float).eps
 
-# argument-principle certificate: samples per rectangle edge and the largest
-# phase step between neighbouring samples
-_ARG_START_POINTS = 64
-_ARG_REFINE = 4
-_ARG_MAX_POINTS = 2**16
+# argument-principle count: starting samples per pole spacing pi/L, the
+# largest phase step allowed between neighbouring samples (sampled, or
+# |dk t22'/t22| at either end) and the most samples refinement may add to a path
+_ARG_PER_SPACING = 2
 _ARG_MAX_STEP = math.pi / 4.0
-# halvings of a rectangle whose zero count is nonzero or inconclusive; one
-# sufficed on every superlattice tried, and where every half stays
-# inconclusive (overflow) the work grows as 2**depth Newton starts
-_BISECT_DEPTH = 6
+_ARG_MAX_POINTS = 2**16
+# halvings along the longer side of a cell narrower than pi/L that is short
+# of poles; 8 sufficed on every superlattice tried
+_BISECT_DEPTH = 12
+# below this many points one vector kernel call costs more than scalar ones;
+# above this many the kernel's temporaries would raise the peak memory
+_SCALAR_POINTS = 8
+_VECTOR_POINTS = 4096
 
 
 def residual_gate(config, length, kappa):
@@ -124,7 +115,6 @@ class PoleSearchConfig:
     newton_tol: float = 1e-12
     residual_tol: float = 1e-10
     max_newton_iters: int = 100
-    regime2_subdivision: int = 20
     dedup_tol: float = 1e-6
     seed: int = 0
 
@@ -136,21 +126,18 @@ class PoleSearchConfig:
                 raise ValueError(f"{name} must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be >= 1")
-        if self.regime2_subdivision < 2:
-            raise ValueError("regime2_subdivision must be >= 2")
 
     def fingerprint_key(self):
         return (
             f"n_seed={self.n_seed};newton_tol={self.newton_tol!r};"
             f"residual_tol={self.residual_tol!r};max_newton_iters={self.max_newton_iters};"
-            f"regime2_subdivision={self.regime2_subdivision};"
             f"dedup_tol={self.dedup_tol!r};seed={self.seed}"
         )
 
 
 # bumped whenever the sweep or t22 can move the bits of a catalog under an
 # unchanged config, so that caches written before are rebuilt, not reused
-_CATALOG_REVISION = 2
+_CATALOG_REVISION = 3
 
 
 def catalog_fingerprint(profile, config):
@@ -165,34 +152,31 @@ def catalog_fingerprint(profile, config):
 
 @dataclass(frozen=True)
 class SweepStats:
-    """What one :func:`sweep_poles` call did, rectangle by rectangle.
+    """What one :func:`sweep_poles` call did.
 
-    Every rectangle either yields a pole to a deterministic Newton seed
-    (``seed_hits``), is certified empty by its winding number, yields a pole
-    to the winding-number bisection (``bisected``), or has a nonzero or
-    inconclusive zero count that the bisection could not resolve to a pole
-    (``unresolved``).  ``lockstep_hits`` are the seed hits taken from the
-    lockstep batch rather than from a Newton walk of their own.
+    ``box`` is ``(Re lo, Re hi, Im lo, Im hi)`` of the rectangle in which the
+    argument principle counted ``count`` zeros of t22.  ``lockstep`` poles
+    came from the lockstep batch, the anchor's seed included, and ``fill``
+    poles from Newton runs started in cells whose count exceeded the poles
+    found in them.  A catalog is returned, and so cached, only when their
+    sum is ``count``.
     ``newton_iterations`` counts the Newton steps of the whole sweep, one
-    ``t22_with_prime`` evaluation each: every element-iteration of the
-    lockstep batch, the anchor, and the walk's seeds and bisection.
+    ``t22_with_prime`` evaluation each.
     """
 
-    rectangles: int
-    seed_hits: int
-    lockstep_hits: int
-    certified_empty: int
-    bisected: int
-    unresolved: int
+    box: tuple
+    count: int
+    lockstep: int
+    fill: int
     newton_iterations: int
     seconds: float
 
     def summary(self):
+        re_lo, re_hi, im_lo, im_hi = self.box
         return (
-            f"sweep: {self.rectangles} rectangles, {self.seed_hits} seed hits "
-            f"({self.lockstep_hits} lockstep), "
-            f"{self.certified_empty} certified empty, {self.bisected} bisected, "
-            f"{self.unresolved} unresolved, "
+            f"sweep: {self.count} zeros in box: {self.lockstep} lockstep + "
+            f"{self.fill} fill; box Re [{re_lo:.6g}, {re_hi:.6g}] x "
+            f"Im [{im_lo:.6g}, {im_hi:.6g}] nm^-1, "
             f"{self.newton_iterations} Newton iterations, {self.seconds:.2f} s"
         )
 
@@ -246,72 +230,50 @@ def newton_step_sequence(seed, profile, config=PoleSearchConfig()):
     """Newton-Raphson iteration on t22 from a single seed.
 
     Returns the converged pole, or raises :class:`DivergenceError` when the
-    iterate leaves the lower half-plane, stops being finite, or the budget is
-    exhausted.  Used by ``TestNewton`` and ``TestBreitWignerSeeds``.
+    iterate leaves the lower half-plane, stops being finite, meets a point
+    where t22 cannot be evaluated, or the budget is exhausted.  Used by
+    ``TestNewton`` and ``TestBreitWignerSeeds``.
     """
-    return _newton(seed, profile, config, Counter())
-
-
-def _newton(seed, profile, config, counts):
-    """:func:`newton_step_sequence`, adding its iterations to ``counts["newton"]``."""
-    k = complex(seed)
-    if k == 0:
+    if complex(seed) == 0:
         raise ValueError("seed must be nonzero")
-    length = profile.length
-    for _ in range(config.max_newton_iters):
-        counts["newton"] += 1
+    k = _newton_lockstep([seed], profile, config, Counter())[0]
+    if not np.isfinite(k):
+        raise DivergenceError(f"no convergence from {seed!r}")
+    return complex(k)
+
+
+def _t22_or_nan(profile, k):
+    """``(t22, t22')`` over the array ``k``, NaN where the kernel raises (a
+    layer branch point or overflow).  Such points, and runs longer than
+    ``_VECTOR_POINTS``, are split off by halving; up to ``_SCALAR_POINTS``
+    points go one by one through the scalar kernel."""
+    if _SCALAR_POINTS < k.size <= _VECTOR_POINTS:
         try:
-            val, der = t22_with_prime(profile, k)
-        except (ArithmeticError, OverflowError, ValueError):
-            raise DivergenceError(f"t22 not evaluable at {k!r}")
-        if der == 0 or not (cmath.isfinite(val) and cmath.isfinite(der)):
-            raise DivergenceError("degenerate derivative")
-        # The residual cannot fall below its depth-aware floor, and once it is
-        # there the Newton step just jitters; accept at a quarter of the gate.
-        if abs(val) <= 0.25 * residual_gate(config, length, k):
-            return k
-        step = val / der
-        k = k - step
-        if not cmath.isfinite(k) or k.imag > 0.0:
-            raise DivergenceError("iterate left the fourth-quadrant search domain")
-        if abs(step) < config.newton_tol:
-            try:
-                if abs(t22(profile, k)) < residual_gate(config, length, k):
-                    return k
-            except (ArithmeticError, OverflowError, ValueError):
-                raise DivergenceError(f"t22 not evaluable at {k!r}")
-    raise DivergenceError("newton iteration budget exhausted")
-
-
-def _t22_or_nan(profile, k, with_prime):
-    """``(t22, t22')`` over the array ``k`` (``t22'`` None without
-    ``with_prime``), NaN at each point where the kernel raises: a layer
-    branch point or overflow.  Such points are isolated by halving."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if with_prime:
+            with np.errstate(over="ignore", invalid="ignore"):
                 return t22_with_prime(profile, k)
-            return t22(profile, k), None
-    except (ArithmeticError, ValueError):
-        if k.size == 1:
-            nan = np.full(1, complex(np.nan, np.nan))
-            return nan, nan if with_prime else None
-        half = k.size // 2
-        (v_lo, d_lo), (v_hi, d_hi) = (
-            _t22_or_nan(profile, part, with_prime) for part in (k[:half], k[half:])
-        )
-        der = np.concatenate([d_lo, d_hi]) if with_prime else None
-        return np.concatenate([v_lo, v_hi]), der
+        except (ArithmeticError, ValueError):
+            pass
+    if k.size > _SCALAR_POINTS:
+        parts = [_t22_or_nan(profile, part) for part in np.array_split(k, 2)]
+        return tuple(np.concatenate(pair) for pair in zip(*parts))
+    pairs = np.full((k.size, 2), complex(np.nan, np.nan))
+    for i, x in enumerate(k.tolist()):
+        try:
+            pairs[i] = t22_with_prime(profile, x)
+        except (ArithmeticError, ValueError):
+            pass
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _newton_lockstep(seeds, profile, config, counts):
-    """:func:`_newton` from every seed of the array at once, in lockstep.
+    """Newton-Raphson iteration on t22 from every seed at once, in lockstep.
 
-    Each element follows ``_newton``'s acceptance and divergence rules and is
-    retired on its own when it diverges, leaves the fourth-quadrant domain or
-    meets a point where t22 cannot be evaluated.  Returns the converged
-    poles, NaN where ``_newton`` would raise; element-iterations are added to
-    ``counts["newton"]``.
+    An element is accepted once |t22| is within a quarter of the depth-aware
+    gate (below it the step just jitters), or within the gate after a step
+    shorter than ``newton_tol``; it is retired on its own, as NaN, when it
+    diverges, leaves the fourth quadrant, meets a point where t22 cannot be
+    evaluated or uses up ``max_newton_iters``.  Element-iterations are added
+    to ``counts["newton"]``.
     """
     k = np.array(seeds, dtype=complex)
     poles = np.full(k.shape, complex(np.nan, np.nan))
@@ -323,7 +285,7 @@ def _newton_lockstep(seeds, profile, config, counts):
             break
         counts["newton"] += live.size
         kl = k[live]
-        val, der = _t22_or_nan(profile, kl, with_prime=True)
+        val, der = _t22_or_nan(profile, kl)
         ok = np.isfinite(val) & np.isfinite(der) & (der != 0)
         hit = ok & (np.abs(val) <= 0.25 * _residual_gate(residual_tol, length, kl))
         poles[live[hit]] = kl[hit]
@@ -335,7 +297,7 @@ def _newton_lockstep(seeds, profile, config, counts):
         k[live] = kn
         small = np.abs(step) < config.newton_tol
         if np.any(small):
-            vs, _ = _t22_or_nan(profile, kn[small], with_prime=False)
+            vs, _ = _t22_or_nan(profile, kn[small])
             accept = np.abs(vs) < _residual_gate(residual_tol, length, kn[small])
             poles[live[small][accept]] = kn[small][accept]
             drop = np.zeros(live.size, dtype=bool)
@@ -344,201 +306,233 @@ def _newton_lockstep(seeds, profile, config, counts):
     return poles
 
 
-def _inside(k, re_c, half_re, im_c, half_im):
-    return (
-        abs(k.real - re_c) <= half_re * (1.0 + 1e-9)
-        and abs(k.imag - im_c) <= half_im * (1.0 + 1e-9)
-    )
+def _segment(start, end, length):
+    """Both ends and ``_ARG_PER_SPACING`` samples per pi/L from start to end."""
+    n = math.ceil(_ARG_PER_SPACING * abs(end - start) * length / math.pi)
+    return np.linspace(start, end, max(n, 1) + 1)
+
+
+def _edge_phases(profile, edges):
+    """Phase of t22 along straight paths, refined until it is resolved.
+
+    ``edges`` holds ``(samples, lower)`` pairs: the starting points of a path
+    in order, and whether it samples t22 exp(-2ikL), whose phase does not wind
+    with Re k deep in the lower half-plane, and adds the exact 2L dRe k back.
+    An interval whose sampled phase step, or |dk t22'/t22| at either end,
+    reaches ``_ARG_MAX_STEP`` is cut into pieces short enough for that bound;
+    all paths share one vector ``t22_with_prime`` call per round.  Returns
+    per path the phase of t22 at each starting sample from the first, or None
+    where it is not resolved: a sample at a layer branch point, at k = 0 or
+    overflowing, a non-finite or zero value, or over ``_ARG_MAX_POINTS`` added.
+    """
+    if not edges:
+        return []
+    length = profile.length
+    sizes = [len(pts) for pts, _ in edges]
+    k = np.concatenate([pts for pts, _ in edges]).astype(complex)
+    edge = np.repeat(np.arange(len(edges)), sizes)
+    lower = np.array([low for _, low in edges])
+    failed = np.zeros(len(edges), dtype=bool)
+    given = np.ones(k.size, dtype=bool)
+    val = dlog = np.empty(0, dtype=complex)
+    # the points to evaluate, their paths and where they go in val and dlog
+    new, new_edge, at = k, edge, np.zeros(k.size, dtype=int)
+    while new.size:
+        v, d = _t22_or_nan(profile, new)
+        low = lower[new_edge]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d = d / v
+            v[low] *= np.exp(-2j * length * new[low])
+            d[low] -= 2j * length
+            val, dlog = np.insert(val, at, v), np.insert(dlog, at, d)
+            failed[edge[~(np.isfinite(val) & (val != 0) & np.isfinite(dlog))]] = True
+            steps = np.angle(val[1:] / val[:-1])
+            dk = np.diff(k)
+            slope = np.maximum(np.abs(dlog[1:]), np.abs(dlog[:-1])) * np.abs(dk)
+            excess = np.maximum(np.abs(steps), slope) / _ARG_MAX_STEP
+        inner = (edge[1:] == edge[:-1]) & ~failed[edge[1:]]
+        wide = np.flatnonzero(inner & (excess >= 1.0))
+        # int(excess) new points, so that many pieces + 1, in a wide interval
+        cuts = np.minimum(excess[wide], _ARG_MAX_POINTS).astype(int)
+        grown = np.bincount(edge[wide], weights=cuts, minlength=len(edges))
+        grown += np.bincount(edge[~given], minlength=len(edges))
+        failed |= grown > _ARG_MAX_POINTS
+        wide, cuts = wide[~failed[edge[wide]]], cuts[~failed[edge[wide]]]
+        piece = np.arange(1, cuts.sum() + 1) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+        at = np.repeat(wide + 1, cuts)
+        new = k[at - 1] + np.repeat(dk[wide] / (cuts + 1), cuts) * piece
+        new_edge = edge[at - 1]
+        k, edge = np.insert(k, at, new), np.insert(edge, at, new_edge)
+        given = np.insert(given, at, False)
+    total = np.concatenate(([0.0], np.cumsum(np.where(inner, steps, 0.0))))
+    start = np.searchsorted(edge, edge)
+    phase = total - total[start]
+    phase[lower[edge]] += 2.0 * length * (k - k[start]).real[lower[edge]]
+    phases = np.split(phase[given], np.cumsum(sizes)[:-1])
+    return [None if bad else p for p, bad in zip(phases, failed)]
+
+
+def _boundary(rect, length):
+    """The counter-clockwise boundary of ``rect = (re_lo, re_hi, im_lo,
+    im_hi)`` as :func:`_edge_phases` paths, the bottom edge a lower one."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi)]
+    corners += [complex(re_lo, im_hi), corners[0]]
+    return [(_segment(a, b, length), a.imag == b.imag == im_lo)
+            for a, b in zip(corners, corners[1:])]
+
+
+def _winding(parts):
+    """Zeros enclosed by the closed path of phase arrays ``parts``, or None."""
+    if not any(p is None for p in parts):
+        return round(sum(p[-1] for p in parts) / (2.0 * math.pi))
 
 
 def _zero_count(profile, re_c, half_re, im_c, half_im):
-    """Zeros of t22 inside the rectangle by the argument principle.
-
-    Sums the phase steps of t22 around the counter-clockwise boundary; each
-    edge is resampled (``_ARG_REFINE`` times denser) until every step is below
-    ``_ARG_MAX_STEP``, and the edges still to resolve share one vector ``t22``
-    call per round.  Returns None when the count is inconclusive: a sample
-    at a layer branch point or at k = 0, overflow, a non-finite or zero value,
-    or an edge still under-resolved at ``_ARG_MAX_POINTS`` samples.
-    """
-    re_lo, re_hi = re_c - half_re, re_c + half_re
-    im_lo, im_hi = im_c - half_im, im_c + half_im
-    corners = [
-        complex(re_lo, im_lo),
-        complex(re_hi, im_lo),
-        complex(re_hi, im_hi),
-        complex(re_lo, im_hi),
-    ]
-    edges = list(zip(corners, corners[1:] + corners[:1]))
-    points = dict.fromkeys(range(len(edges)), _ARG_START_POINTS)
-    winding = 0.0
-    while points:
-        samples = [np.linspace(*edges[e], n) for e, n in points.items()]
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = t22(profile, np.concatenate(samples))
-        except (BranchPointProximityError, OverflowError, ZeroWavenumberError):
-            return None
-        if not np.all(np.isfinite(vals)) or np.any(vals == 0):
-            return None
-        ends = np.cumsum([len(x) for x in samples])
-        for e, edge_vals in zip(list(points), np.split(vals, ends[:-1])):
-            steps = np.angle(edge_vals[1:] / edge_vals[:-1])
-            if np.max(np.abs(steps)) < _ARG_MAX_STEP:
-                winding += float(np.sum(steps))
-                del points[e]
-                continue
-            points[e] *= _ARG_REFINE
-            if points[e] > _ARG_MAX_POINTS:
-                return None
-    return round(winding / (2.0 * math.pi))
+    """Zeros of t22 inside the rectangle by the argument principle, None
+    when an edge is not resolved; a test companion of :class:`_Box`."""
+    rect = (re_c - half_re, re_c + half_re, im_c - half_im, im_c + half_im)
+    return _winding(_edge_phases(profile, _boundary(rect, profile.length)))
 
 
-def _try_rectangle(profile, config, re_c, half_re, im_c, half_im, first_seed, counts):
-    """Find a pole inside the rectangle; ``(pole or None, outcome)``.
+class _Box:
+    """Zero counts of the cells of the sweep box ``rect``.
 
-    ``outcome`` is ``"seed"`` (the deterministic Newton seed landed inside),
-    ``"empty"`` (certified by a zero count of 0), ``"bisected"`` (a Newton
-    seed at the centre of a sub-rectangle with a nonzero or inconclusive
-    count landed inside) or ``"unresolved"`` (the count is not 0 but no
-    sub-rectangle down to ``_BISECT_DEPTH`` halvings yielded a pole).  Newton
-    iterations are added to ``counts["newton"]``.
+    The bottom and top edges are sampled once, and their phases kept at
+    vertical cuts ``_ARG_PER_SPACING`` per pole spacing pi/L, so the count of
+    a full-height slab between two cuts costs only those two cuts.
     """
 
-    def newton_inside(seed):
-        try:
-            k = _newton(seed, profile, config, counts)
-        except DivergenceError:
-            return None
-        return k if _inside(k, re_c, half_re, im_c, half_im) else None
+    def __init__(self, profile, rect):
+        re_lo, re_hi, self.im_lo, self.im_hi = self.rect = rect
+        self.profile = profile
+        self.cuts = _segment(re_lo, re_hi, profile.length)
+        bottom, top = _edge_phases(profile, [
+            (self.cuts + 1j * self.im_lo, True), (self.cuts + 1j * self.im_hi, False)
+        ])
+        # phase of t22 rightwards along the bottom edge less that along the top
+        self.rim = None if bottom is None or top is None else bottom - top
 
-    def bisect(x, hx, y, hy, depth):
-        # the halves of (x +- hx, y +- hy) along its longer side, right or
-        # upper half first
-        if hx >= hy:
-            hx *= 0.5
-            halves = [(x + hx, y), (x - hx, y)]
-        else:
-            hy *= 0.5
-            halves = [(x, y + hy), (x, y - hy)]
-        for cx, cy in halves:
-            if _zero_count(profile, cx, hx, cy, hy) == 0:
+    def counts(self, cells):
+        """Zeros of t22 in each ``(rect, span)`` of ``cells``, None where
+        not resolved: the slab between cuts ``span = (i, j)``, or ``rect``
+        where ``span`` is None.  All edges share one :func:`_edge_phases`
+        call."""
+        paths = []
+        for rect, span in cells:
+            if span is None:
+                paths += _boundary(rect, self.profile.length)
                 continue
-            k = newton_inside(complex(cx, cy))
-            if k is None and depth > 1:
-                k = bisect(cx, hx, cy, hy, depth - 1)
-            if k is not None:
-                return k
-        return None
+            # up the right cut, then down the left one
+            x0, x1 = self.cuts[span[0]], self.cuts[span[1]]
+            for a, b in ((complex(x1, self.im_lo), complex(x1, self.im_hi)),
+                         (complex(x0, self.im_hi), complex(x0, self.im_lo))):
+                paths.append((_segment(a, b, self.profile.length), False))
+        phases = iter(_edge_phases(self.profile, paths))
+        out = []
+        for _, span in cells:
+            if span is None:
+                out.append(_winding([next(phases) for _ in range(4)]))
+                continue
+            rim = None if self.rim is None else [self.rim[span[1]] - self.rim[span[0]]]
+            out.append(_winding([next(phases), next(phases), rim]))
+        return out
 
-    k = newton_inside(first_seed)
-    if k is not None:
-        return k, "seed"
-    if _zero_count(profile, re_c, half_re, im_c, half_im) == 0:
-        return None, "empty"
-    k = bisect(re_c, half_re, im_c, half_im, _BISECT_DEPTH)
-    return k, "unresolved" if k is None else "bisected"
+
+def _fill(profile, config, box, count, found, counts):
+    """``found`` completed where the zero count exceeds the poles in it.
+
+    The box is the first cell.  A cell short of poles, or whose count is not
+    resolved, is halved at its middle cut while it is at least pi/L wide,
+    then along its longer side, ``_BISECT_DEPTH`` times.  Once it is
+    narrower than pi/L, Newton first starts from its centre, in lockstep
+    with the other such cells, and it is halved only if still short.  A pole
+    is kept when it lies in the box and more than ``dedup_tol`` from every
+    pole found; Newton iterations are added to ``counts["newton"]``.
+    """
+    spacing = math.pi / profile.length
+    re_lo, re_hi, im_lo, _ = box.rect
+
+    def short(cell):
+        (x0, x1, y0, y1), n, _, _ = cell
+        inside = (found.real >= x0) & (found.real <= x1)
+        inside &= (found.imag >= y0) & (found.imag <= y1)
+        return n is None or n > np.count_nonzero(inside)
+
+    cells = [(box.rect, count, (0, len(box.cuts) - 1), _BISECT_DEPTH)]
+    while cells:
+        cells = list(filter(short, cells))
+        seeds = [complex(x0 + x1, y0 + y1) / 2 for (x0, x1, y0, y1), *_ in cells
+                 if x1 - x0 < spacing]
+        for k in _newton_lockstep(seeds, profile, config, counts):
+            if (np.isfinite(k) and re_lo <= k.real <= re_hi and k.imag >= im_lo
+                    and np.min(np.abs(found - k)) >= config.dedup_tol):
+                found = np.append(found, k)
+        halves = []
+        for (x0, x1, y0, y1), _, span, depth in filter(short, cells):
+            if span is not None and x1 - x0 >= spacing:
+                i, j = span
+                m = (i + j) // 2
+                halves.append(((x0, box.cuts[m], y0, y1), (i, m), depth))
+                halves.append(((box.cuts[m], x1, y0, y1), (m, j), depth))
+            elif depth and x1 - x0 >= y1 - y0:
+                halves.append((((x0 + x1) / 2, x1, y0, y1), None, depth - 1))
+                halves.append(((x0, (x0 + x1) / 2, y0, y1), None, depth - 1))
+            elif depth:
+                halves.append(((x0, x1, (y0 + y1) / 2, y1), None, depth - 1))
+                halves.append(((x0, x1, y0, (y0 + y1) / 2), None, depth - 1))
+        counted = box.counts([(rect, span) for rect, span, _ in halves])
+        cells = [(r, n, s, depth) for (r, s, depth), n in zip(halves, counted)]
+    return found
 
 
 def sweep_poles(profile, config=PoleSearchConfig()):
-    """Full inward pole sweep; returns a validated :class:`PoleCatalog`.
-
-    Newton runs first in lockstep from the asymptotic seeds of every index
-    below the anchor; a regime-1 rectangle at index n takes the lockstep pole
-    of seed n when it lies inside, and every other rectangle runs
-    :func:`_try_rectangle`.  The catalog's ``stats`` record what the sweep did.
-    """
+    """Lockstep Newton, one zero count of the sweep box and the fill (see the
+    module docstring); returns a validated :class:`PoleCatalog` whose
+    ``stats`` record what the sweep did.  Raises
+    :class:`IncompleteCatalogError` unless it holds exactly the count."""
     if not profile.has_barrier:
         raise ValueError("profile has no barrier; t22 has no zeros")
     started = time.perf_counter()
-    outcomes = Counter()
     iterations = Counter()
     length = profile.length
-    dr = math.pi / length
-    dr_thin = dr / config.regime2_subdivision
-
-    try:
-        anchor = _newton(
-            asymptotic_seed(config.n_seed, length), profile, config, iterations
-        )
-    except DivergenceError as exc:
-        raise AnchorFailureError(f"asymptotic anchor did not converge: {exc}")
-    if not (anchor.real > 0.0 and anchor.imag < 0.0):
-        raise AnchorFailureError("anchor converged outside the fourth quadrant")
-    n = np.arange(2, config.n_seed)
-    lockstep = _newton_lockstep(
+    n = np.arange(2, config.n_seed + 1)
+    poles = _newton_lockstep(
         n * (math.pi / length) - 2j * np.log(n) / length, profile, config, iterations
     )
-
-    found = [anchor]
-    ref = anchor
-    regime2 = False
-    re_next = anchor.real - dr
-    while True:
-        width = dr_thin if regime2 else dr
-        if re_next <= 0.5 * width:
-            break
-        beta = -ref.imag
-        height = 2.0 * beta if regime2 else beta
-        im_c = ref.imag
-        # in regime 1 this rectangle holds pole n = n_seed - len(found), the
-        # pole of lockstep seed n at lockstep[n - 2]
-        index = config.n_seed - len(found) - 2
-        pole = None if regime2 or index < 0 else complex(lockstep[index])
-        if pole is not None and _inside(pole, re_next, 0.5 * width, im_c, 0.5 * height):
-            outcome = "lockstep"
-        else:
-            pole, outcome = _try_rectangle(
-                profile,
-                config,
-                re_c=re_next,
-                half_re=0.5 * width,
-                im_c=im_c,
-                half_im=0.5 * height,
-                first_seed=complex(re_next, im_c),
-                counts=iterations,
-            )
-        outcomes[outcome] += 1
-        if pole is not None and pole.real > 0.0 and pole.imag < 0.0:
-            found.append(pole)
-            ref = pole
-            re_next = pole.real - (dr_thin if regime2 else dr)
-        elif not regime2:
-            regime2 = True
-            re_next = ref.real - dr_thin
-        else:
-            re_next -= dr_thin
+    anchor = poles[-1]
+    re_lo = math.pi / (40.0 * length)
+    if not (anchor.real > re_lo and anchor.imag < 0.0):
+        raise AnchorFailureError("asymptotic anchor did not converge")
+    re_hi = anchor.real + math.pi / (2.0 * length)
+    poles = poles[(poles.real >= re_lo) & (poles.real <= re_hi)]  # NaN drops out
+    box = (re_lo, re_hi, 1.5 * float(np.min(poles.imag)), 1e-3 / length)
+    counter = _Box(profile, box)
+    (count,) = counter.counts([(box, (0, len(counter.cuts) - 1))])
+    if count is None:
+        raise IncompleteCatalogError("the zero count of the sweep box is not resolved")
+    found = np.sort_complex(poles)
+    found = found[np.append(True, np.abs(np.diff(found)) >= config.dedup_tol)]
+    lockstep = found.size
+    found = _fill(profile, config, counter, count, found, iterations)
 
     catalog = _build_catalog(profile, config, found)
-    stats = SweepStats(
-        rectangles=sum(outcomes.values()),
-        seed_hits=outcomes["seed"] + outcomes["lockstep"],
-        lockstep_hits=outcomes["lockstep"],
-        certified_empty=outcomes["empty"],
-        bisected=outcomes["bisected"],
-        unresolved=outcomes["unresolved"],
-        newton_iterations=iterations["newton"],
-        seconds=time.perf_counter() - started,
-    )
+    stats = SweepStats(box, count, lockstep, found.size - lockstep,
+                       iterations["newton"], time.perf_counter() - started)
+    if len(catalog) != count:
+        raise IncompleteCatalogError(f"{len(catalog)} poles found; {stats.summary()}")
     return dataclasses.replace(catalog, stats=stats)
 
 
 def _build_catalog(profile, config, found):
-    poles = sorted((k for k in found if k.real > 0.0 and k.imag < 0.0), key=lambda k: k.real)
-    residuals = np.abs(t22(profile, np.array(poles, dtype=complex))).tolist()
-    kept = []
-    length = profile.length
-    for k, res in zip(poles, residuals):
-        if res > residual_gate(config, length, k):
-            continue
-        if kept and abs(k - kept[-1][0]) < config.dedup_tol:
-            if res < kept[-1][1]:
-                kept[-1] = (k, res)
-            continue
-        kept.append((k, res))
+    """The catalog of the distinct poles ``found``, ordered by real part,
+    each whose |t22| is within its gate."""
+    poles = np.sort_complex(found)
+    residuals = np.abs(t22(profile, poles))
+    kept = residuals <= _residual_gate(config.residual_tol, profile.length, poles)
     return PoleCatalog(
-        poles=np.array([k for k, _ in kept], dtype=complex),
-        residuals=np.array([r for _, r in kept], dtype=float),
+        poles=poles[kept],
+        residuals=residuals[kept],
         profile_fingerprint=catalog_fingerprint(profile, config),
         length=profile.length,
         config=config,

@@ -67,6 +67,7 @@ def check_pole_values(name, profile, catalog, elapsed_s):
         dp, dw = abs(pos[i] - p_ref), abs(wid[i] - w_ref)
         ok &= dp <= p_tol and dw <= w_tol
         parts.append(f"E{i + 1}={pos[i]:.4f}({dp:.1e}) G{i + 1}={wid[i]:.6f}({dw:.1e})")
+    parts.append(f"count={catalog.stats.count if catalog.stats else len(catalog)}")
     if elapsed_s is None:
         parts.append("catalog from cache (sweep not timed)")
     else:

@@ -96,7 +96,7 @@ class TestPolesCommand:
         cache.write_text(text[: text.index("\n", len(text) // 2) + 16])
         capsys.readouterr()
         assert run(args) == 0
-        assert "certified empty" in capsys.readouterr().out
+        assert "zeros in box" in capsys.readouterr().out
         assert cache.read_bytes() == fresh
 
     def test_cache_cut_at_row_boundary_rebuilt(self, tmp_path, capsys):
@@ -110,7 +110,7 @@ class TestPolesCommand:
         cache.write_text("".join(lines[: n_header + 30]))
         capsys.readouterr()
         assert run(args) == 0
-        assert "certified empty" in capsys.readouterr().out
+        assert "zeros in box" in capsys.readouterr().out
         assert cache.read_bytes() == fresh
 
     def test_cache_from_an_earlier_catalog_revision_not_opened(
@@ -144,7 +144,7 @@ class TestPolesCommand:
         )
         capsys.readouterr()
         assert run(args) == 0
-        assert "certified empty" in capsys.readouterr().out
+        assert "zeros in box" in capsys.readouterr().out
         assert old not in opened and opened == [cache]
         assert cache.read_bytes() == fresh
 
@@ -160,8 +160,42 @@ class TestPolesCommand:
         cache.write_text("".join(lines))
         capsys.readouterr()
         assert run(args) == 0
-        assert "certified empty" in capsys.readouterr().out
+        assert "zeros in box" in capsys.readouterr().out
         assert cache.read_bytes() == fresh
+
+    def test_cache_written_at_catalog_revision_2_rebuilt(self, tmp_path, capsys):
+        import hashlib
+
+        from tunnelwave.presets import preset_profile
+
+        out = tmp_path / "revision2"
+        args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]
+        assert run(args) == 0
+        (cache,) = (out / "cache").glob("poles_*.csv")
+        fresh = cache.read_bytes()
+        text = fresh.decode()
+        config_key = next(
+            line for line in text.splitlines() if line.startswith("# config:")
+        ).partition(":")[2].strip()
+        # the same catalog as the previous revision wrote it, with the
+        # subdivision of its second sweep regime in the config
+        old_key = config_key.replace(
+            ";dedup_tol=", ";regime2_subdivision=20;dedup_tol="
+        )
+        key = f"{preset_profile('sb').fingerprint_key()}|{old_key}|revision=2"
+        old_fp = hashlib.sha256(key.encode()).hexdigest()[:16]
+        new_fp = cache.name[len("poles_") : -len(".csv")]
+        old_text = text.replace(f"# fingerprint: {new_fp}", f"# fingerprint: {old_fp}")
+        old_text = old_text.replace(config_key, old_key)
+        old = cache.with_name(f"poles_{old_fp}.csv")
+        old.write_text(old_text)
+        # also under the current name, where its config cannot be read
+        cache.write_text(old_text)
+        capsys.readouterr()
+        assert run(args) == 0
+        assert "zeros in box" in capsys.readouterr().out
+        assert cache.read_bytes() == fresh
+        assert old.read_text() == old_text
 
     def test_preset_definitions_match_reference_systems(self):
         from tunnelwave.presets import preset_profile
@@ -200,6 +234,17 @@ class TestExitCodes:
     def test_unknown_flag_and_missing_command_exit_1(self, capsys):
         assert run(["poles", "--preset", "sb", "--bogus"]) == 1
         assert run([]) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--points", "0"],
+        ["evolve", "--xd", "2L", "--tpoints", "0"],
+        ["reconstruct", "--xd", "2e5L", "--eta-points", "0"],
+    ])
+    def test_empty_grid_exits_1_before_any_sweep(self, args, tmp_path, capsys):
+        out = tmp_path / "empty"
+        assert run(args + ["--preset", "sb", "--nseed", "60", "--out", out]) == 1
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_and_version_exit_0(self, capsys):
         assert run(["--version"]) == 0

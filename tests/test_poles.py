@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tunnelwave import cli, poles
 from tunnelwave.poles import (
     AnchorFailureError,
     DivergenceError,
+    IncompleteCatalogError,
     IndexTooSmallError,
     PoleSearchConfig,
     asymptotic_seed,
@@ -21,21 +24,49 @@ from tunnelwave.poles import (
     save_catalog,
     sweep_poles,
 )
-from tunnelwave.poles import _newton_lockstep, _try_rectangle, _zero_count
-from tunnelwave.potential import PotentialProfile, t22, t22_with_prime
+from tunnelwave.poles import _Box, _newton_lockstep, _zero_count
+from tunnelwave.potential import (
+    PotentialProfile,
+    t22,
+    t22_with_prime,
+    transmission_coefficient,
+)
 from tunnelwave.presets import preset_profile
+from tunnelwave.resonances import expansion_t, residues
 
 SB = preset_profile("sb")
 DB = preset_profile("db")
 QB = preset_profile("qb")
 FREE = PotentialProfile(((8.0, 0.0),))
-# ten 3 nm barriers of 0.23 eV with 3 nm wells
+# ten and eight 3 nm barriers of 0.23 eV with 3 nm wells
 LATTICE_10X3 = PotentialProfile(tuple([(3.0, 0.23), (3.0, 0.0)] * 9 + [(3.0, 0.23)]))
+LATTICE_8X3 = PotentialProfile(tuple([(3.0, 0.23), (3.0, 0.0)] * 7 + [(3.0, 0.23)]))
 
 
 @pytest.fixture(scope="module")
 def lattice_10x3():
     return sweep_poles(LATTICE_10X3, PoleSearchConfig(n_seed=1000))
+
+
+@pytest.fixture(scope="module")
+def lattice_8x3():
+    return sweep_poles(LATTICE_8X3, PoleSearchConfig(n_seed=1000))
+
+
+def drop_from_lockstep(monkeypatch, index, fill_finds=True):
+    """Make the lockstep batch lose the pole of seed ``index + 2``, and with
+    ``fill_finds`` false every Newton run of the fill find nothing."""
+    lockstep = poles._newton_lockstep
+
+    def dropping(seeds, profile, config, counts):
+        found = lockstep(seeds, profile, config, counts)
+        if len(seeds) == config.n_seed - 1:  # the batch from seeds 2 to n_seed
+            found[index] = np.nan
+        elif not fill_finds:
+            found[:] = np.nan
+        return found
+
+    monkeypatch.setattr(poles, "_newton_lockstep", dropping)
 
 
 class TestAsymptoticSeed:
@@ -176,13 +207,6 @@ class TestSweep:
 class TestZeroCountCertificate:
     SB_FIRST = 0.7151328825520719 - 0.06423768440198004j
 
-    def thin_rectangle(self):
-        # the first regime-2 rectangle the sb sweep tries, just below its
-        # lowest pole: pi / (20 L) wide, from the real axis down to 2 beta
-        width = math.pi / SB.length / PoleSearchConfig().regime2_subdivision
-        k = self.SB_FIRST
-        return dict(re_c=k.real - width, half_re=0.5 * width, im_c=k.imag, half_im=-k.imag)
-
     def test_one_zero_around_first_sb_pole(self):
         k = self.SB_FIRST
         assert _zero_count(SB, k.real, 0.05, k.imag, 0.03) == 1
@@ -191,81 +215,121 @@ class TestZeroCountCertificate:
         # the 0.1199 / 0.1309 / 0.1450 eV triplet sits at Re k 0.459-0.505
         assert _zero_count(QB, 0.482, 0.032, -0.01, 0.01) == 3
 
-    def test_thin_regime2_rectangle_certified_empty(self):
-        assert _zero_count(SB, **self.thin_rectangle()) == 0
+    def test_thin_rectangle_below_first_sb_pole_is_empty(self):
+        # pi / (20 L) wide, just below the lowest sb pole, from the real axis
+        # down to twice its depth
+        width = math.pi / SB.length / 20
+        k = self.SB_FIRST
+        assert _zero_count(SB, k.real - width, 0.5 * width, k.imag, -k.imag) == 0
 
     def test_branch_point_on_boundary_is_inconclusive(self):
         k_branch = math.sqrt(0.23 / SB.units.inv_mass_coeff)
-        # top-left corner at the branch point k = sqrt(V/c); the bisection keeps
-        # the inconclusive corner half at every depth and finds no pole
-        rect = dict(re_c=k_branch + 0.01, half_re=0.01, im_c=-0.01, half_im=0.01)
-        assert _zero_count(SB, **rect) is None
-        seed = complex(rect["re_c"], rect["im_c"])
-        counts = Counter()
-        assert _try_rectangle(
-            SB, PoleSearchConfig(), **rect, first_seed=seed, counts=counts
-        ) == (None, "unresolved")
-        assert counts["newton"] > 0
+        # top-left corner at the branch point k = sqrt(V/c)
+        assert _zero_count(SB, k_branch + 0.01, 0.01, -0.01, 0.01) is None
 
-    def test_certified_rectangle_is_empty(self):
-        rect = self.thin_rectangle()
-        seed = complex(rect["re_c"], rect["im_c"])
-        assert _try_rectangle(
-            SB, PoleSearchConfig(), **rect, first_seed=seed, counts=Counter()
-        ) == (None, "empty")
+    def test_box_count_is_the_sum_of_its_halves(self, sb_data):
+        catalog = sb_data.catalog
+        re_lo, re_hi, im_lo, im_hi = box = catalog.stats.box
+        counter = _Box(SB, box)
+        last = len(counter.cuts) - 1
+        mid = last // 2
+        (total,) = counter.counts([(box, (0, last))])
+        x = counter.cuts[mid]
+        halves = [
+            _zero_count(SB, 0.5 * (a + b), 0.5 * (b - a), 0.5 * (im_lo + im_hi),
+                        0.5 * (im_hi - im_lo))
+            for a, b in ((re_lo, x), (x, re_hi))
+        ]
+        slabs = counter.counts([(None, (0, mid)), (None, (mid, last))])
+        assert total == len(catalog) == sum(halves) == sum(slabs)
+        assert halves == slabs
+        assert halves[0] == np.count_nonzero(catalog.poles.real < x)
 
-    def test_diverging_seed_bisected_to_its_pole(self, sb_data):
-        seed = 0.5 + 2.0j
-        with pytest.raises(DivergenceError):
-            newton_step_sequence(seed, SB)
-        # the pole lies in the left half, away from the shared edge
-        k = self.SB_FIRST
-        rect = dict(re_c=k.real + 0.01, half_re=0.05, im_c=k.imag, half_im=0.03)
-        pole, outcome = _try_rectangle(
-            SB, PoleSearchConfig(), **rect, first_seed=seed, counts=Counter()
-        )
-        assert outcome == "bisected"
-        assert abs(pole - sb_data.catalog.poles[0]) <= 1e-12 * abs(pole)
+    def test_count_independent_of_the_left_edge(self, lattice_10x3):
+        # a sampler testing only the sampled phase step, from 2 samples per
+        # pi/L, read the top edge one turn high here with the left edge at
+        # pi/(40 L)
+        _, re_hi, im_lo, im_hi = lattice_10x3.stats.box
+        counts = []
+        for left in (4.0, 40.0):
+            box = (math.pi / (left * LATTICE_10X3.length), re_hi, im_lo, im_hi)
+            counter = _Box(LATTICE_10X3, box)
+            counts += counter.counts([(box, (0, len(counter.cuts) - 1))])
+        assert counts == [1000, 1000]
 
-    def test_default_sweeps_need_no_bisection(self, preset_data):
-        for name, rectangles, hits, empty in (
-            ("sb", 1046, 999, 47), ("db", 1077, 999, 78), ("qb", 4126, 3999, 127),
+    def test_box_edges_longer_than_the_refinement_cap(self):
+        # 80002 starting samples per horizontal edge of the box, more than
+        # the cap, which bounds only the samples that refinement adds
+        catalog = sweep_poles(SB, PoleSearchConfig(n_seed=40000))
+        assert len(catalog) == catalog.stats.count == 40000
+
+    def test_fill_restores_a_pole_the_lockstep_dropped(self, monkeypatch):
+        config = PoleSearchConfig(n_seed=200)
+        full = sweep_poles(SB, config)
+        kappa = full.poles[99]
+        drop_from_lockstep(monkeypatch, 98)
+        catalog = sweep_poles(SB, config)
+        assert catalog.stats.fill == full.stats.fill + 1
+        assert catalog.stats.lockstep == full.stats.lockstep - 1
+        assert np.min(np.abs(catalog.poles - kappa)) <= 1e-12 * abs(kappa)
+        assert len(catalog) == len(full) == catalog.stats.count
+
+    def test_count_above_the_poles_found_raises(self, monkeypatch, tmp_path, capsys):
+        drop_from_lockstep(monkeypatch, 98, fill_finds=False)
+        # the lockstep batch already misses the two lowest sb poles
+        message = "197 poles found; sweep: 200 zeros in box: 197 lockstep + 0 fill"
+        with pytest.raises(IncompleteCatalogError, match=re.escape(message)):
+            sweep_poles(SB, PoleSearchConfig(n_seed=200))
+        out = tmp_path / "incomplete"
+        args = ["poles", "--preset", "sb", "--nseed", "200", "--out", str(out)]
+        assert cli.main(args) == 2
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+        assert not (out / "cache").exists()
+
+    def test_default_sweep_newton_iterations(self, preset_data):
+        for name, count, lockstep in (
+            ("sb", 1000, 998), ("db", 1000, 996), ("qb", 4000, 3991),
         ):
             stats = preset_data[name].catalog.stats
-            assert (stats.rectangles, stats.seed_hits) == (rectangles, hits)
-            assert stats.certified_empty == empty
-            assert stats.bisected == stats.unresolved == 0
+            fill = count - lockstep
+            assert (stats.count, stats.lockstep, stats.fill) == (count, lockstep, fill)
+            assert stats.newton_iterations > 0
+            summary = stats.summary()
+            assert f"{count} zeros in box: {lockstep} lockstep + {fill} fill" in summary
+            assert f"{stats.newton_iterations} Newton iterations" in summary
 
     def test_superlattice_catalog_independent_of_seed(self, lattice_10x3):
-        # three rectangles hold a pole that neither the lockstep batch nor the
-        # rectangle's own Newton seed reaches, and the bisection finds each the
-        # same way every time
+        # the lockstep batch misses 44 poles, the fill finds each the same way
+        # every time
         for catalog in [lattice_10x3] + [
             sweep_poles(LATTICE_10X3, PoleSearchConfig(n_seed=1000, seed=seed))
             for seed in (1, 7)
         ]:
-            assert len(catalog) == 995
-            assert (catalog.stats.bisected, catalog.stats.unresolved) == (3, 0)
+            assert len(catalog) == catalog.stats.count == 1000
             assert np.array_equal(catalog.poles, lattice_10x3.poles)
             assert np.array_equal(catalog.residuals, lattice_10x3.residuals)
 
     def test_superlattice_keeps_pole_the_lockstep_misses(self, lattice_10x3):
-        # the lockstep batch misses this pole while a neighbouring seed's pole
-        # lies in its rectangle; only the pole of the rectangle's own index
-        # may be taken from the batch
         kappa = 0.8735761254422701 - 0.020968582046550166j
-        assert len(lattice_10x3) == 995
+        assert len(lattice_10x3) == 1000
         assert np.min(np.abs(lattice_10x3.poles - kappa)) <= 1e-12 * abs(kappa)
 
-    def test_default_sweep_newton_iterations(self, preset_data):
-        for name, iterations, lockstep in (
-            ("sb", 6323, 997), ("db", 7251, 993), ("qb", 36720, 3982),
-        ):
-            stats = preset_data[name].catalog.stats
-            assert stats.newton_iterations == iterations
-            assert stats.lockstep_hits == lockstep <= stats.seed_hits
-            assert f"{iterations} Newton iterations" in stats.summary()
-            assert f"({lockstep} lockstep)" in stats.summary()
+    @pytest.mark.parametrize("name, zeros", [("lattice_10x3", 5), ("lattice_8x3", 4)])
+    def test_superlattice_keeps_its_sub_barrier_miniband(self, name, zeros, request):
+        # the miniband at 0.12-0.18 eV, a few meV wide, which a sweep walking
+        # one pole spacing at a time stepped over
+        catalog = request.getfixturevalue(name)
+        profile = LATTICE_10X3 if name == "lattice_10x3" else LATTICE_8X3
+        poles = catalog.poles
+        inside = (np.abs(poles.real - 0.51) <= 0.06) & (poles.imag >= -0.008)
+        counted = _zero_count(profile, 0.51, 0.06, -0.004, 0.004)
+        assert np.count_nonzero(inside) == counted == zeros
+        v_top = profile.barrier_height
+        energies = np.linspace(v_top / 2000, v_top, 2000)
+        k = np.sqrt(energies / profile.units.inv_mass_coeff)
+        amp = expansion_t(profile, k, catalog, residues(profile, catalog), len(catalog))
+        exact = transmission_coefficient(profile, energies)
+        assert np.max(np.abs(np.abs(amp) ** 2 - exact)) <= 1e-2
 
 
 class TestMirrorPoles:
@@ -367,6 +431,7 @@ class TestSerialization:
         for changed in (
             config_line + ";bogus=1",
             config_line + ";max_random_attempts=1000",
+            config_line + ";regime2_subdivision=20",
             config_line.replace(";seed=0", ""),
         ):
             path.write_text(text.replace(config_line, changed))
