@@ -4,11 +4,11 @@ reconstructions) for the three built-in systems into ./out.
 
 The time-evolution runs cover the short/medium/long detector distances; the
 quadrature-oracle column is added only at 2L where the node budget allows.
-End to end this took 1180 s (20 minutes) on a 2-core Xeon host with Python
-3.11 and numpy 2.4; the db and qb ``evolve --oracle`` steps took 681 s and
-445 s of it, every other step under a minute.  Catalogs are swept once per
-system and cached; every later run, the ``evolve`` runs included, reuses
-them.
+End to end this took 45 s on a 2-core Xeon host with Python 3.11 and numpy
+2.4; the sb, db and qb ``evolve --oracle`` steps took 3, 28 and 10 s of it
+(one oracle call over all 400 times each), every other step under 2 s.
+Catalogs are swept once per system and cached; every later run, the
+``evolve`` runs included, reuses them.
 """
 
 import shutil

@@ -263,11 +263,15 @@ def _parse_pole_counts(text, n_max):
 
 def cmd_evolve(args):
     cfg = _resolve_config(args)
-    catalog, rset = obtain_catalog(cfg)
     profile = cfg.profile
+    x_d = parse_distance(args.xd, profile.length)
+    if args.tmax <= 0.0:
+        raise ConfigError("--tmax must be positive")
+    if x_d < profile.length:
+        raise ConfigError("--xd must be at least L (the transmitted region)")
+    catalog, rset = obtain_catalog(cfg)
     packet = _packet(cfg, catalog)
     tau_sys = tau_system(profile, catalog)
-    x_d = parse_distance(args.xd, profile.length)
     n_poles = max(_parse_pole_counts(args.poles, len(catalog)))
     ts = np.linspace(1e-3 * tau_sys, args.tmax * tau_sys, args.tpoints)
     logs = transmitted_packet_log(
@@ -281,17 +285,10 @@ def cmd_evolve(args):
     columns = ["t_over_tau", "t_fs", "rho_analytic", "rho_free"]
     data = [ts / tau_sys, ts, rho, rho_free]
     if args.oracle:
-        rho_oracle = np.full_like(ts, np.nan)
-        budget_hit = False
-        for i, t in enumerate(ts):
-            try:
-                rho_oracle[i] = packet.sigma * abs(
-                    psi_quadrature(packet, profile, x_d, t)
-                ) ** 2
-            except NodeBudgetExceededError:
-                budget_hit = True
-                break
-        if budget_hit:
+        try:
+            rho_oracle = packet.sigma * np.abs(psi_quadrature(packet, profile, x_d, ts)) ** 2
+        except NodeBudgetExceededError:
+            rho_oracle = np.full_like(ts, np.nan)
             print("warning: oracle node budget exceeded; oracle column left blank",
                   file=sys.stderr)
         columns.append("rho_oracle")
@@ -308,13 +305,17 @@ def cmd_evolve(args):
 def cmd_reconstruct(args):
     cfg = _resolve_config(args)
     scales = [float(s) for s in args.t0_scales.split(",")]
-    if any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ConfigError("--t0-scales must be increasing")
-    catalog, rset = obtain_catalog(cfg)
+    if min(scales) <= 0.0 or any(b <= a for a, b in zip(scales, scales[1:])):
+        raise ConfigError("--t0-scales must be positive and increasing")
     profile = cfg.profile
-    packet = _packet(cfg, catalog)
     length = profile.length
     x_d = parse_distance(args.xd, length)
+    if x_d <= length:
+        raise ConfigError("--xd must lie beyond L")
+    if not 0.0 < args.eta_min <= args.eta_max:
+        raise ConfigError("need 0 < --eta-min <= --eta-max")
+    catalog, rset = obtain_catalog(cfg)
+    packet = _packet(cfg, catalog)
     n_poles = max(_parse_pole_counts(args.poles, len(catalog)))
     t_flight = (x_d - length) / packet.velocity
     etas = np.linspace(args.eta_min, args.eta_max, args.eta_points)
@@ -346,7 +347,6 @@ def cmd_validate(args):
     catalog, rset = obtain_catalog(cfg, quiet=True)
     records = run_validation(
         cfg.preset, cfg.profile, catalog, rset, _packet(cfg, catalog),
-        None if catalog.stats is None else catalog.stats.seconds,
         oracle=not args.skip_oracle,
     )
     n_fail = 0

@@ -30,7 +30,7 @@ __all__ = [
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _NODE_BUDGET = 10**8
-_CHUNK_NODES = 2**16  # integrand nodes evaluated at once, bounding the temporaries
+_CHUNK_NODES = 2**14  # integrand nodes evaluated at once, bounding the temporaries
 
 
 class NodeBudgetExceededError(RuntimeError):
@@ -84,7 +84,7 @@ def phi0(packet, k):
     return out
 
 
-def _panel_nodes(packet, x, t, config):
+def _panel_nodes(packet, x, ts, config):
     """Composite GL nodes/weights over the momentum window, split at k = 0."""
     sigma = packet.sigma
     k0 = packet.k0
@@ -92,13 +92,13 @@ def _panel_nodes(packet, x, t, config):
     lo, hi = k0 - half, k0 + half
     c = packet.units.inv_mass_coeff
     hbar = packet.units.hbar
-    # |d phase / dk| = |x - (2 c k / hbar) t|, extremal at the window edges
-    dphi = max(abs(x - 2.0 * c * lo * t / hbar), abs(x - 2.0 * c * hi * t / hbar))
+    # |d phase / dk| = |x - (2 c k / hbar) t|, extremal at window edges and time ends
+    dphi = max(abs(x - 2.0 * c * k * t / hbar) for k in (lo, hi) for t in (ts.min(), ts.max()))
     needed = (hi - lo) * dphi * config.phase_oversampling / math.pi
     n_panels = max(math.ceil(config.base_nodes / _GL_ORDER), math.ceil(needed / _GL_ORDER))
     if n_panels * _GL_ORDER > _NODE_BUDGET:
         raise NodeBudgetExceededError(
-            f"{n_panels * _GL_ORDER:.3g} nodes needed at (x={x:.3g}, t={t:.3g}); "
+            f"{n_panels * _GL_ORDER:.3g} nodes needed at x={x:.3g}, t <= {ts.max():.3g}; "
             "only the analytic path is feasible here"
         )
     edges = [np.linspace(lo, hi, n_panels + 1)]
@@ -116,30 +116,37 @@ def _panel_nodes(packet, x, t, config):
 
 
 def _momentum_integral(packet, x, t, tfun, config):
-    ks, ws = _panel_nodes(packet, x, t, config)
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0.0):
+        raise ValueError("t must be >= 0")
+    ks, ws = _panel_nodes(packet, x, ts, config)
     c = packet.units.inv_mass_coeff
     hbar = packet.units.hbar
-    integrand = np.empty(ks.size, dtype=complex)
+    acc = np.zeros(ts.size, dtype=complex)
     for lo in range(0, ks.size, _CHUNK_NODES):
         k = ks[lo : lo + _CHUNK_NODES]
-        phase = k * x - c * k * k * t / hbar
-        integrand[lo : lo + _CHUNK_NODES] = phi0(packet, k) * tfun(k) * np.exp(1j * phase)
-    return complex(np.sum(ws * integrand)) / math.sqrt(2.0 * math.pi)
+        base = ws[lo : lo + _CHUNK_NODES] * phi0(packet, k) * tfun(k) / math.sqrt(2.0 * math.pi)
+        kx, ck2 = k * x, c * k * k
+        cis = np.empty(k.size, dtype=complex)
+        for j, tj in enumerate(ts.flat):
+            # exp(i phase) from cos and sin of the real phase: half the complex exp's cost
+            phase = kx - ck2 * tj / hbar
+            np.cos(phase, out=cis.real)
+            np.sin(phase, out=cis.imag)
+            acc[j] += np.dot(base, cis)
+    return complex(acc[0]) if ts.ndim == 0 else acc.reshape(ts.shape)
 
 
 def psi_quadrature(packet, profile, x, t, config=QuadratureConfig()):
-    """Transmitted amplitude by direct quadrature with the exact t(k)."""
+    """Transmitted amplitude by direct quadrature with the exact t(k): a complex
+    for a scalar ``t``; for an array, an array of its shape on one node grid."""
     if x < profile.length:
         raise ValueError("quadrature oracle evaluates the transmitted region x >= L")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
     return _momentum_integral(
-        packet, float(x), float(t), lambda ks: 1.0 / t22_off_branch(profile, ks), config
+        packet, float(x), t, lambda ks: 1.0 / t22_off_branch(profile, ks), config
     )
 
 
 def psi_free_quadrature(packet, x, t, config=QuadratureConfig()):
     """Free amplitude by the same quadrature engine (t(k) = 1)."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    return _momentum_integral(packet, float(x), float(t), lambda ks: 1.0, config)
+    return _momentum_integral(packet, float(x), t, lambda ks: 1.0, config)

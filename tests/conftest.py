@@ -1,5 +1,3 @@
-import time
-
 import pytest
 
 from tunnelwave.evolution import GaussianPacket
@@ -26,9 +24,7 @@ class PresetData:
         self.name = name
         self.profile = preset_profile(name)
         config = PoleSearchConfig(n_seed=default_n_seed(name))
-        t0 = time.time()
         self.catalog = sweep_poles(self.profile, config)
-        self.sweep_seconds = time.time() - t0
         self.residues = residues(self.profile, self.catalog)
         units = self.profile.units
         self.energy = default_packet_energy(name, self.profile, self.catalog)

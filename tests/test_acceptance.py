@@ -40,7 +40,7 @@ def report(record):
 @pytest.mark.parametrize("name", PRESETS)
 def test_criterion_1_pole_values(name, preset_data):
     data = preset_data[name]
-    report(check_pole_values(name, data.profile, data.catalog, data.sweep_seconds))
+    report(check_pole_values(name, data.profile, data.catalog))
 
 
 @pytest.mark.parametrize("name", ("db", "qb"))

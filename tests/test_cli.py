@@ -246,6 +246,23 @@ class TestExitCodes:
         assert "must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["evolve", "--xd", "2L", "--tmax", "0"],
+        ["evolve", "--xd", "2L", "--tmax", "-1"],
+        ["evolve", "--xd", "0.5L"],
+        ["reconstruct", "--xd", "1L"],
+        ["reconstruct", "--xd", "0.5L"],
+        ["reconstruct", "--xd", "2e5L", "--eta-min", "0"],
+        ["reconstruct", "--xd", "2e5L", "--eta-min", "3", "--eta-max", "1"],
+        ["reconstruct", "--xd", "2e5L", "--t0-scales", "0,1"],
+        ["reconstruct", "--xd", "2e5L", "--t0-scales=-0.5,1"],
+    ])
+    def test_bad_times_and_distances_exit_1_before_any_sweep(self, args, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert run(args + ["--preset", "sb", "--nseed", "60", "--out", out]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "cache").exists()
+
     def test_help_and_version_exit_0(self, capsys):
         assert run(["--version"]) == 0
         assert run(["poles", "--help"]) == 0
@@ -331,6 +348,19 @@ class TestEvolveCommand:
         peak = np.max(cols["rho_oracle"])
         assert np.max(np.abs(cols["rho_analytic"] - cols["rho_oracle"])) <= 2e-2 * peak
         assert np.all(np.abs(cols["t_over_tau"] * 6.299 - cols["t_fs"]) < 0.1)
+
+    def test_oracle_budget_leaves_whole_column_blank(self, tmp_path, capsys):
+        # the latest time needs more nodes than the budget, so no point is
+        # computed, the base-grid first point included
+        out = tmp_path / "budget"
+        assert run([
+            "evolve", "--preset", "sb", "--nseed", "60", "--xd", "2L",
+            "--tmax", "4e5", "--tpoints", "3", "--oracle", "--out", out,
+        ]) == 0
+        assert "oracle node budget exceeded" in capsys.readouterr().err
+        _, cols = read_csv(out / "evolve_sb.csv")
+        assert np.all(np.isnan(cols["rho_oracle"]))
+        assert np.all(np.isfinite(cols["rho_analytic"]))
 
 
 class TestReconstructCommand:

@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tunnelwave.evolution import GaussianPacket, free_packet
+from tunnelwave import oracle
+from tunnelwave.evolution import GaussianPacket, free_packet, tau_system
 from tunnelwave.oracle import (
     NodeBudgetExceededError,
     QuadratureConfig,
@@ -14,6 +15,7 @@ from tunnelwave.oracle import (
 )
 from tunnelwave.potential import PotentialProfile
 from tunnelwave.presets import preset_profile
+from tunnelwave.validation import ORACLE_WINDOWS
 
 SB = preset_profile("sb")
 FREE = PotentialProfile(((8.0, 0.0),))
@@ -178,3 +180,55 @@ class TestTransmittedQuadrature:
         pk = make_packet()
         with pytest.raises(ValueError):
             psi_quadrature(pk, SB, 0.5 * SB.length, 1.0)
+
+
+class TestTimeArrays:
+    """An array of t shares one node grid sized for its earliest and latest time."""
+
+    def test_last_element_bit_equal_to_one_point_call(self):
+        pk = make_packet()
+        x = 2 * SB.length
+        ts = np.linspace(0.5, 20 * 6.299, 7)
+        many = psi_quadrature(pk, SB, x, ts)
+        one = psi_quadrature(pk, SB, x, ts[-1])
+        assert many.shape == ts.shape
+        assert isinstance(one, complex)
+        assert many[-1] == one
+
+    def test_db_window_matches_converged_grid(self, db_data):
+        # a one-point call gives db's two earliest criterion-4 times the base
+        # grid, which does not resolve the 1 meV resonance; the shared grid of
+        # the whole window does
+        pk, profile = db_data.packet, db_data.profile
+        t_end, n_pts = ORACLE_WINDOWS["db"]
+        tau_sys = tau_system(profile, db_data.catalog)
+        ts = np.linspace(1e-3 * tau_sys, t_end * tau_sys, n_pts)
+        x = 2.0 * profile.length
+        window = psi_quadrature(pk, profile, x, ts)
+        assert ts[1:3] == pytest.approx([10.8, 21.0], abs=0.1)
+        fine = psi_quadrature(pk, profile, x, ts[1:3], QuadratureConfig(base_nodes=2**18))
+        peak = np.max(np.abs(window))
+        assert np.max(np.abs(window[1:3] - fine)) <= 1e-10 * peak
+
+    def test_free_engine_matches_free_packet(self):
+        pk = make_packet()
+        x = 2 * SB.length
+        ts = np.linspace(0.2, 80.0, 25)
+        quad = psi_free_quadrature(pk, x, ts)
+        closed = free_packet(pk, x, ts)
+        assert np.max(np.abs(quad - closed)) <= 1e-8 * np.max(np.abs(closed))
+
+    def test_negative_time_anywhere_rejected(self):
+        pk = make_packet()
+        with pytest.raises(ValueError):
+            psi_quadrature(pk, SB, 2 * SB.length, np.array([1.0, -1.0, 2.0]))
+        with pytest.raises(ValueError):
+            psi_free_quadrature(pk, 0.0, np.array([[0.0, 3.0], [-1e-9, 4.0]]))
+
+    def test_budget_from_latest_time_before_any_node(self, monkeypatch):
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("nodes built past the budget")
+
+        monkeypatch.setattr(oracle.np, "linspace", no_nodes)
+        with pytest.raises(NodeBudgetExceededError):
+            psi_quadrature(make_packet(), SB, 2e5 * SB.length, np.array([0.0, 1e7]))
