@@ -1,15 +1,15 @@
 """Complex special functions used by the transient-transmission solver.
 
 The central object is the Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``.
-Evaluation is split by region: a Maclaurin series near the origin, a rational
-approximation (Weideman-style, coefficients fitted at import time) on a middle
-annulus, and the Laplace continued fraction far out.  The continued fraction
-takes only as many levels as each argument's own ``|z|`` needs (16 at
-``|z| = 7`` down to 1 beyond ``|z| = 1e4``), the tiered depth of Poppe &
-Wijers (ACM TOMS 16, 1990) and Zaghloul & Ali (ACM TOMS 38, 2011), so a vector
-call and scalar calls give the same values.  The lower half-plane is always
-reached through a single application of the reflection identity
-``w(z) = 2 exp(-z^2) - w(-z)``.
+Evaluation is split by region: a Maclaurin series for ``|z| <= 2``,
+Weideman's N = 48 rational approximation (SIAM J. Numer. Anal. 31, 1994;
+coefficients fitted at import time) for ``2 < |z| < 150``, and the Laplace
+continued fraction beyond.  The continued fraction takes only as many levels as
+each argument's own ``|z|`` needs (3 at ``|z| = 150`` down to 1 beyond
+``|z| = 1e4``), the tiered depth of Poppe & Wijers (ACM TOMS 16, 1990) and
+Zaghloul & Ali (ACM TOMS 38, 2011), so a vector call and scalar calls give the
+same values.  The lower half-plane is always reached through a single
+application of the reflection identity ``w(z) = 2 exp(-z^2) - w(-z)``.
 """
 
 from __future__ import annotations
@@ -42,25 +42,22 @@ class DomainTooSmallError(ValueError):
 _N_SERIES = 100
 _INV_GAMMA = np.array([1.0 / math.gamma(0.5 * n + 1.0) for n in range(_N_SERIES)])
 
-# Radii of the three evaluation regions.  Chosen so the relative error against
-# a 50-digit reference stays below 1e-13 on the whole upper half-plane; see
-# tests for the measured profile.  Beyond _R_CONTFRAC the continued fraction's
-# depth falls with |z| by the tiers below.
+# Radii of the three evaluation regions.  The series keeps w(0) exactly 1.
+# Against a 40-digit reference the rational fit is within 1.7e-14 relative
+# just outside |z| = 2 and 4e-16 from |z| = 7 to 150; from _R_CONTFRAC outward
+# the continued fraction needs at most 3 levels.  See tests for the profile.
 _R_SERIES = 2.0
-_R_CONTFRAC = 7.0
+_R_CONTFRAC = 150.0
 
 # Continued-fraction depth by radius tier: from |z| = radius outward, `depth`
-# levels keep the relative error at or below 2e-16 for every arg z in
-# [0, pi] against a 40-digit reference (12 levels give 9e-16 at |z| = 7).
-_CF_TIERS = ((1e4, 1), (1e3, 2), (150.0, 3), (40.0, 5), (15.0, 8), (_R_CONTFRAC, 16))
+# levels keep the relative error within 3.5e-16 for every arg z in [0, pi]
+# against a 40-digit reference.
+_CF_TIERS = ((1e4, 1), (1e3, 2), (_R_CONTFRAC, 3))
 # |z|^2 below which an element needs level m, at index m - 1
 _CF_LEVEL_R2 = tuple(
     min((r for r, d in _CF_TIERS if d < m), default=math.inf) ** 2
     for m in range(1, max(d for _, d in _CF_TIERS) + 1)
 )
-# levels 1.._CF_SHALLOW run in place over the whole array; deeper levels run
-# only on the gathered elements that need them (|z| < 150, rare far out)
-_CF_SHALLOW = 3
 
 
 def _w_series(z):
@@ -95,7 +92,7 @@ _WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs(_WEIDEMAN_N)
 
 
 def _w_weideman(z):
-    """Rational approximation on the middle annulus, Im z >= 0."""
+    """Rational approximation for _R_SERIES < |z| < _R_CONTFRAC, Im z >= 0."""
     big_l = _WEIDEMAN_L
     iz = 1j * z
     denom = big_l - iz
@@ -114,14 +111,7 @@ def _w_contfrac(z, r2):
     its own ``|z|`` alone.
     """
     g = np.zeros_like(z)
-    deep = r2 < _CF_LEVEL_R2[_CF_SHALLOW]
-    if deep.any():
-        zd, rd = z[deep], r2[deep]
-        gd = np.zeros_like(zd)
-        for m in range(len(_CF_LEVEL_R2), _CF_SHALLOW, -1):
-            np.divide(0.5 * m, zd - gd, out=gd, where=rd < _CF_LEVEL_R2[m - 1])
-        g[deep] = gd
-    for m in range(_CF_SHALLOW, 0, -1):
+    for m in range(len(_CF_LEVEL_R2), 0, -1):
         np.divide(0.5 * m, z - g, out=g, where=r2 < _CF_LEVEL_R2[m - 1])
     return (1j / _SQRT_PI) / (z - g)
 
@@ -160,11 +150,9 @@ def faddeeva(z):
     if not np.all(np.isfinite(z_in)):
         raise ValueError("faddeeva requires finite arguments")
     zf = np.atleast_1d(z_in)
-    out = np.empty_like(zf)
     lower = zf.imag < 0.0
-    upper = ~lower
-    if upper.any():
-        out[upper] = _w_upper(zf[upper])
+    # w(-z) for Im z < 0, w(z) elsewhere: one upper-half-plane evaluation
+    out = _w_upper(np.where(lower, -zf, zf))
     if lower.any():
         zl = zf[lower]
         a = -(zl * zl)
@@ -173,7 +161,7 @@ def faddeeva(z):
                 "exp(-z**2) exceeds the floating range; use faddeeva_log_scaled"
             )
         with np.errstate(under="ignore"):
-            out[lower] = 2.0 * np.exp(a) - _w_upper(-zl)
+            out[lower] = 2.0 * np.exp(a) - out[lower]
     if z_in.ndim == 0:
         return complex(out[0])
     return out.reshape(z_in.shape)

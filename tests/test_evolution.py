@@ -97,7 +97,7 @@ class TestTransmittedPacket:
         ts = np.linspace(0.05 * tau_sys, 12 * tau_sys, 25)
         x_d = 2 * SB.length
         psi_a = transmitted_packet(pk, SB, sb_data.catalog, sb_data.residues, x_d, ts)
-        psi_o = np.array([psi_quadrature(pk, SB, x_d, t) for t in ts])
+        psi_o = psi_quadrature(pk, SB, x_d, ts)
         rho_a = pk.sigma * np.abs(psi_a) ** 2
         rho_o = pk.sigma * np.abs(psi_o) ** 2
         assert np.max(np.abs(rho_a - rho_o)) <= 2e-2 * np.max(rho_o)

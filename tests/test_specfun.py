@@ -55,8 +55,9 @@ def test_accuracy_against_reference_upper_half_plane(radius):
         assert abs(faddeeva(z) - ref) <= tol * abs(ref)
 
 
-# lower radius of each continued-fraction depth tier, |z| = 7 to 1e4
-_CF_TIER_RADII = [7.0, 15.0, 40.0, 150.0, 1e3, 1e4]
+# radii across the rational region (7 to 80) and the lower radius of each
+# continued-fraction depth tier (150, 1e3, 1e4)
+_CF_TIER_RADII = [7.0, 15.0, 25.0, 40.0, 80.0, 150.0, 1e3, 1e4]
 
 
 @pytest.mark.parametrize(
@@ -64,8 +65,9 @@ _CF_TIER_RADII = [7.0, 15.0, 40.0, 150.0, 1e3, 1e4]
     [r for r0 in _CF_TIER_RADII for r in (r0, np.nextafter(r0, 0.0), r0 * (1.0 - 1e-9))],
 )
 def test_continued_fraction_tiers_at_full_precision(radius):
-    # each tier's depth holds 1e-14 from its lower radius outward, and the
-    # next deeper tier (or the rational region below 7) just inside it
+    # the rational fit holds 1e-14 out to |z| = 150, each continued-fraction
+    # tier's depth from its lower radius outward, and the next deeper tier
+    # (or the rational region below 150) just inside it
     thetas = np.concatenate([[1e-9, math.pi - 1e-9], np.linspace(0.0, math.pi, 25)])
     for theta in thetas:
         z = radius * cmath.exp(1j * theta)
@@ -119,10 +121,18 @@ def test_overflow_raises_and_points_at_log_scaled():
 def test_vector_and_scalar_paths_agree():
     rng = np.random.default_rng(4)
     z = rng.uniform(-9, 9, 200) + 1j * rng.uniform(-6, 9, 200)
-    z = z[(-(z * z)).real < 650.0]
-    bulk = faddeeva(z)
-    single = np.array([faddeeva(complex(v)) for v in z])
+    # just below and at each region or tier boundary, in both half-planes
+    radii = [r for r0 in (2.0, 150.0, 1e3, 1e4) for r in (np.nextafter(r0, 0.0), r0)]
+    thetas = np.linspace(-math.pi, math.pi, 17)
+    z = np.concatenate([z, (np.array(radii)[:, None] * np.exp(1j * thetas)).ravel()])
+    fits = (-(z * z)).real < 650.0
+    bulk = faddeeva(z[fits])
+    single = np.array([faddeeva(complex(v)) for v in z[fits]])
     assert np.array_equal(bulk, single)
+    # where 2 exp(-z^2) overflows, through the log-scaled form
+    log_mag, phase = faddeeva_log_scaled(z)
+    for i, v in enumerate(z):
+        assert faddeeva_log_scaled(complex(v)) == (log_mag[i], phase[i])
 
 
 class TestLogScaled:
