@@ -2,10 +2,14 @@
 
 This is the independent check on the closed-form path: the exact cutoff
 Gaussian transform phi0(k) is integrated against the exact transfer-matrix
-t(k) (never the pole expansion) with a phase-adaptive composite
-Gauss-Legendre rule.  Node counts scale with the fastest local phase, so the
-accuracy is uniform in (x, t) until the budget runs out, which is the
-explicit :class:`NodeBudgetExceededError` boundary.
+t(k) (never the pole expansion) with a composite 16-point Gauss-Legendre
+rule.  The panels come in two steps.  Coarse panels are halved where a
+panel-halving estimate of the t-independent integrand ``phi0(k) t(k)`` is
+too large, so the grid follows the narrow resonances of the exact t(k).
+Each leaf is then cut for the local phase rate ``|x - 2ckt/hbar|`` at its
+ends and the extreme times, never coarser than the ``base_nodes`` grid.
+The accuracy is therefore uniform in (x, t) until the node budget runs out,
+which is the explicit :class:`NodeBudgetExceededError` boundary.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _NODE_BUDGET = 10**8
 _CHUNK_NODES = 2**14  # integrand nodes evaluated at once, bounding the temporaries
+_COARSE_FACTOR = 8  # base panels per coarse panel where refinement starts
+_REFINE_TOL = 1e-14  # halving estimate per panel, relative to the sum of |G16|
 
 
 class NodeBudgetExceededError(RuntimeError):
@@ -39,6 +45,20 @@ class NodeBudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Node rule of the quadrature oracle.
+
+    ``window_half_width`` bounds the momentum window ``k0 +- w / sigma``.
+    ``base_nodes`` is a floor on density: no panel is wider than one of
+    ``base_nodes / 16`` equal panels over the window.  Coarse panels eight
+    times that width are first halved until the halving estimate of
+    ``phi0(k) t(k)`` on each is below 1e-14 of the sum of ``|G16|``, which
+    resolves t(k) wherever it needs it.  Each leaf then gets one panel for
+    that integrand plus ``h * rate * phase_oversampling / (16 pi)`` for the
+    phase, ``rate`` the largest ``|x - 2ckt/hbar|`` at its ends and the
+    earliest and latest time: ``phase_oversampling / pi`` nodes per unit
+    of phase rate and k.
+    """
+
     window_half_width: float = 12.0  # in units of 1/sigma
     base_nodes: int = 2**14
     phase_oversampling: float = 4.0
@@ -84,42 +104,111 @@ def phi0(packet, k):
     return out
 
 
-def _panel_nodes(packet, x, ts, config):
-    """Composite GL nodes/weights over the momentum window, split at k = 0."""
+def _gl_sums(f, a, b):
+    """16-point Gauss-Legendre sums of ``f`` over the panels ``[a, b]``."""
+    half = 0.5 * (b - a)
+    k = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES[None, :]
+    return half * (f(k.ravel()).reshape(k.shape) @ _GL_WEIGHTS)
+
+
+def _refined_panels(f, edges):
+    """Leaves of the halving refinement of the panels between ``edges``.
+
+    A panel is halved while the GL16 halving estimate
+    ``|G(panel) - G(left) - G(right)|`` exceeds ``_REFINE_TOL`` times the sum of
+    ``|G|`` over all current panels.  Returns the leaves' ends in k order.
+    """
+    a, b = edges[:-1], edges[1:]
+    whole = _gl_sums(f, a, b)
+    leaves_a, leaves_b, leaves_abs = [], [], 0.0
+    while a.size:
+        m = 0.5 * (a + b)
+        halves = _gl_sums(f, np.concatenate([a, m]), np.concatenate([m, b]))
+        left, right = halves[: a.size], halves[a.size :]
+        tol = _REFINE_TOL * (leaves_abs + np.abs(whole).sum())
+        split = np.abs(whole - left - right) > tol
+        leaves_a.append(a[~split])
+        leaves_b.append(b[~split])
+        leaves_abs += np.abs(whole[~split]).sum()
+        a = np.concatenate([a[split], m[split]])
+        b = np.concatenate([m[split], b[split]])
+        whole = np.concatenate([left[split], right[split]])
+    a, b = np.concatenate(leaves_a), np.concatenate(leaves_b)
+    order = np.argsort(a)
+    return a[order], b[order]
+
+
+def _abs_rate_integral(x, beta, lo, hi):
+    """Integral of the phase rate ``|x - beta k|`` over ``[lo, hi]``."""
+
+    def signed(p, q):
+        return x * (q - p) - 0.5 * beta * (q * q - p * p)
+
+    if beta > 0.0 and lo < x / beta < hi:
+        return abs(signed(lo, x / beta)) + abs(signed(x / beta, hi))
+    return abs(signed(lo, hi))
+
+
+def _check_budget(n_nodes, x, ts):
+    if n_nodes > _NODE_BUDGET:
+        raise NodeBudgetExceededError(
+            f"{n_nodes:.3g} nodes needed at x={x:.3g}, t <= {ts.max():.3g}; "
+            "only the analytic path is feasible here"
+        )
+
+
+def _panel_nodes(packet, x, ts, tfun, config):
+    """Composite GL nodes/weights over the momentum window, split at k = 0.
+
+    Coarse panels are refined on the t-independent integrand
+    ``phi0(k) tfun(k)``; each leaf is then cut into the larger of the base
+    floor's count of 16-node panels and one panel plus the local phase
+    rule's share (see :class:`QuadratureConfig`).  The budget is checked on a
+    closed-form lower bound before any work and on the exact count before
+    any node is built.
+    """
     sigma = packet.sigma
     k0 = packet.k0
     half = config.window_half_width / sigma
     lo, hi = k0 - half, k0 + half
     c = packet.units.inv_mass_coeff
     hbar = packet.units.hbar
-    # |d phase / dk| = |x - (2 c k / hbar) t|, extremal at window edges and time ends
-    dphi = max(abs(x - 2.0 * c * k * t / hbar) for k in (lo, hi) for t in (ts.min(), ts.max()))
-    needed = (hi - lo) * dphi * config.phase_oversampling / math.pi
-    n_panels = max(math.ceil(config.base_nodes / _GL_ORDER), math.ceil(needed / _GL_ORDER))
-    if n_panels * _GL_ORDER > _NODE_BUDGET:
-        raise NodeBudgetExceededError(
-            f"{n_panels * _GL_ORDER:.3g} nodes needed at x={x:.3g}, t <= {ts.max():.3g}; "
-            "only the analytic path is feasible here"
-        )
-    edges = [np.linspace(lo, hi, n_panels + 1)]
+    # |d phase / dk| = |x - beta k|, beta = 2 c t / hbar, is convex in k and t:
+    # its largest value on a panel sits at the panel's ends and the extreme times
+    betas = 2.0 * c * np.array([ts.min(), ts.max()]) / hbar
+    density = config.phase_oversampling / (_GL_ORDER * math.pi)  # panels per (rate * dk)
+    _check_budget(_GL_ORDER * density * _abs_rate_integral(x, betas[1], lo, hi), x, ts)
+    n_base = math.ceil(config.base_nodes / _GL_ORDER)
+    n_coarse = max(n_base // _COARSE_FACTOR, 2)
+    edges = np.linspace(lo, hi, n_coarse + 1)
     if lo < 0.0 < hi:
-        frac = math.ceil(n_panels * (0.0 - lo) / (hi - lo))
-        frac = min(max(frac, 1), n_panels - 1)
-        edges = [np.linspace(lo, 0.0, frac + 1), np.linspace(0.0, hi, n_panels - frac + 1)]
-    ks, ws = [], []
-    for group in edges:
-        mids = 0.5 * (group[1:] + group[:-1])
-        halfw = 0.5 * (group[1:] - group[:-1])
-        ks.append((mids[:, None] + halfw[:, None] * _GL_NODES[None, :]).ravel())
-        ws.append((halfw[:, None] * _GL_WEIGHTS[None, :]).ravel())
-    return np.concatenate(ks), np.concatenate(ws)
+        frac = math.ceil(n_coarse * -lo / (hi - lo))
+        frac = min(max(frac, 1), n_coarse - 1)
+        edges = np.concatenate(
+            [np.linspace(lo, 0.0, frac + 1), np.linspace(0.0, hi, n_coarse - frac + 1)[1:]]
+        )
+    a, b = _refined_panels(lambda k: phi0(packet, k) * tfun(k), edges)
+    h = b - a
+    rate = np.max([np.abs(x - beta * end) for beta in betas for end in (a, b)], axis=0)
+    # one panel resolves f on a leaf; the phase's oscillations come on top of it
+    n_sub = np.maximum(
+        np.ceil(h * (n_base / (hi - lo))), np.ceil(1.0 + h * rate * density)
+    ).astype(np.int64)
+    _check_budget(_GL_ORDER * int(n_sub.sum()), x, ts)
+    width = np.repeat(h / n_sub, n_sub)
+    first = np.cumsum(n_sub) - n_sub
+    index = np.arange(width.size) - np.repeat(first, n_sub)
+    mids = np.repeat(a, n_sub) + (index + 0.5) * width
+    ks = (mids[:, None] + 0.5 * width[:, None] * _GL_NODES[None, :]).ravel()
+    ws = (0.5 * width[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return ks, ws
 
 
 def _momentum_integral(packet, x, t, tfun, config):
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0.0):
         raise ValueError("t must be >= 0")
-    ks, ws = _panel_nodes(packet, x, ts, config)
+    ks, ws = _panel_nodes(packet, x, ts, tfun, config)
     c = packet.units.inv_mass_coeff
     hbar = packet.units.hbar
     acc = np.zeros(ts.size, dtype=complex)

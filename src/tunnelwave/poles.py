@@ -85,19 +85,15 @@ _SCALAR_POINTS = 8
 _VECTOR_POINTS = 4096
 
 
-def residual_gate(config, length, kappa):
+def residual_gate(residual_tol, length, kappa):
     """Depth-aware acceptance threshold on |t22| at a candidate pole.
 
     Near a zero at depth beta = -Im(kappa), the evaluated |t22| cannot drop
     below ~eps * exp(beta L) in double precision (the value is a cancellation
     of O(1) contributions scaled back by exp(ikL)).  For shallow poles the
-    gate is exactly ``config.residual_tol``.
+    gate is exactly ``residual_tol``.  ``kappa`` is a complex or an array of
+    them.
     """
-    return _residual_gate(config.residual_tol, length, kappa)
-
-
-def _residual_gate(residual_tol, length, kappa):
-    """:func:`residual_gate` for a complex ``kappa`` or an array of them."""
     if isinstance(kappa, np.ndarray):
         growth = np.exp(np.clip(-kappa.imag * length, 0.0, 690.0))
         return np.maximum(residual_tol, 64.0 * _EPS * growth)
@@ -287,7 +283,7 @@ def _newton_lockstep(seeds, profile, config, counts):
         kl = k[live]
         val, der = _t22_or_nan(profile, kl)
         ok = np.isfinite(val) & np.isfinite(der) & (der != 0)
-        hit = ok & (np.abs(val) <= 0.25 * _residual_gate(residual_tol, length, kl))
+        hit = ok & (np.abs(val) <= 0.25 * residual_gate(residual_tol, length, kl))
         poles[live[hit]] = kl[hit]
         go = ok & ~hit
         step = val[go] / der[go]
@@ -298,7 +294,7 @@ def _newton_lockstep(seeds, profile, config, counts):
         small = np.abs(step) < config.newton_tol
         if np.any(small):
             vs, _ = _t22_or_nan(profile, kn[small])
-            accept = np.abs(vs) < _residual_gate(residual_tol, length, kn[small])
+            accept = np.abs(vs) < residual_gate(residual_tol, length, kn[small])
             poles[live[small][accept]] = kn[small][accept]
             drop = np.zeros(live.size, dtype=bool)
             drop[small] = accept | ~np.isfinite(vs)
@@ -529,7 +525,7 @@ def _build_catalog(profile, config, found):
     each whose |t22| is within its gate."""
     poles = np.sort_complex(found)
     residuals = np.abs(t22(profile, poles))
-    kept = residuals <= _residual_gate(config.residual_tol, profile.length, poles)
+    kept = residuals <= residual_gate(config.residual_tol, profile.length, poles)
     return PoleCatalog(
         poles=poles[kept],
         residuals=residuals[kept],

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poles import _residual_gate
+from .poles import residual_gate
 from .potential import _VECTOR, PoleProximityError, _second_column
 
 __all__ = [
@@ -75,7 +75,7 @@ def _states(profile, kappa, residual_tol, initial_scale=1.0):
     entries = []
     m12, m22, _, _ = _second_column(profile, kappa, _VECTOR, entries=entries)
     t_abs = np.abs(np.exp(1j * kappa * length) * m22)
-    gate = _residual_gate(residual_tol, length, kappa)
+    gate = residual_gate(residual_tol, length, kappa)
     # u'(L) - i kappa u(L) = -2 i kappa b, so b is the incoming contamination
     b_end = initial_scale * m22
     u_end = initial_scale * m12 + b_end

@@ -19,7 +19,7 @@ from .evolution import (
     zeta,
 )
 from .oracle import NodeBudgetExceededError, psi_quadrature
-from .poles import _residual_gate
+from .poles import residual_gate
 from .potential import transmission_coefficient
 from .resonances import expansion_t, resonance_state
 
@@ -240,7 +240,7 @@ def check_properties(name, profile, catalog, residue_set):
     ok &= bc_ok
 
     fresh = np.abs(t22(profile, catalog.poles))
-    gates = _residual_gate(catalog.config.residual_tol, catalog.length, catalog.poles)
+    gates = residual_gate(catalog.config.residual_tol, catalog.length, catalog.poles)
     gate_ok = bool(np.all(fresh <= gates))
     ok &= gate_ok
     msgs.append(

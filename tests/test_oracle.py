@@ -13,12 +13,13 @@ from tunnelwave.oracle import (
     psi_free_quadrature,
     psi_quadrature,
 )
-from tunnelwave.potential import PotentialProfile
+from tunnelwave.potential import PotentialProfile, t22_off_branch
 from tunnelwave.presets import preset_profile
 from tunnelwave.validation import ORACLE_WINDOWS
 
 SB = preset_profile("sb")
 FREE = PotentialProfile(((8.0, 0.0),))
+CONVERGED = QuadratureConfig(base_nodes=2**18, phase_oversampling=8)
 
 
 def make_packet(units=SB.units, energy=0.115):
@@ -209,6 +210,38 @@ class TestTimeArrays:
         fine = psi_quadrature(pk, profile, x, ts[1:3], QuadratureConfig(base_nodes=2**18))
         peak = np.max(np.abs(window))
         assert np.max(np.abs(window[1:3] - fine)) <= 1e-10 * peak
+
+    @pytest.mark.parametrize("name, points", [("db", [1, 2]), ("qb", [1])])
+    def test_one_point_calls_converge_at_criterion_4_times(self, request, name, points):
+        # refinement on phi0 t(k) resolves db's 1 meV resonance on a one-point
+        # grid too, where the phase rule alone missed it by 4e-4 of the peak
+        data = request.getfixturevalue(f"{name}_data")
+        pk, profile = data.packet, data.profile
+        t_end, n_pts = ORACLE_WINDOWS[name]
+        tau_sys = tau_system(profile, data.catalog)
+        ts = np.linspace(1e-3 * tau_sys, t_end * tau_sys, n_pts)
+        x = 2.0 * profile.length
+        peak = np.max(np.abs(psi_quadrature(pk, profile, x, ts)))
+        fine = psi_quadrature(pk, profile, x, ts[points], CONVERGED)
+        for t, want in zip(ts[points], fine):
+            assert abs(psi_quadrature(pk, profile, x, t) - want) <= 1e-10 * peak
+
+    def test_local_phase_rule_halves_uniform_rule(self, db_data):
+        # the phase rate |x - 2ckt/hbar| is a V in k: sizing every panel for
+        # its own largest rate needs about half the nodes of sizing all of
+        # them for the window's largest
+        pk, profile = db_data.packet, db_data.profile
+        config = QuadratureConfig()
+        x = 2.0 * profile.length
+        t = 0.5 * tau_system(profile, db_data.catalog)
+        ks, _ = oracle._panel_nodes(
+            pk, x, np.asarray(t), lambda k: 1.0 / t22_off_branch(profile, k), config
+        )
+        half = config.window_half_width / pk.sigma
+        beta = 2.0 * pk.units.inv_mass_coeff * t / pk.units.hbar
+        rate = max(abs(x - beta * k) for k in (pk.k0 - half, pk.k0 + half))
+        uniform = math.ceil(2.0 * half * rate * config.phase_oversampling / math.pi)
+        assert ks.size <= 0.6 * uniform
 
     def test_free_engine_matches_free_packet(self):
         pk = make_packet()

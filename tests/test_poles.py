@@ -139,7 +139,7 @@ class TestSweep:
         for data in preset_data.values():
             catalog = data.catalog
             for kappa in catalog.poles[:: max(1, len(catalog) // 50)]:
-                gate = residual_gate(catalog.config, catalog.length, complex(kappa))
+                gate = residual_gate(catalog.config.residual_tol, catalog.length, complex(kappa))
                 assert abs(t22(data.profile, complex(kappa))) <= gate
 
     def test_shallow_pole_residuals_meet_plain_tolerance(self, preset_data):
@@ -341,7 +341,7 @@ class TestMirrorPoles:
         for data in preset_data.values():
             catalog = data.catalog
             for kappa in mirror_poles(catalog)[:10]:
-                gate = residual_gate(catalog.config, catalog.length, complex(kappa))
+                gate = residual_gate(catalog.config.residual_tol, catalog.length, complex(kappa))
                 assert abs(t22(data.profile, complex(kappa))) <= gate
 
     def test_empty_catalog(self, sb_data):

@@ -77,6 +77,18 @@ def test_continued_fraction_tiers_at_full_precision(radius):
         assert abs(faddeeva(z) - ref) <= 1e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("radius", [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)])
+def test_series_and_rational_fit_meet_at_radius_two(radius):
+    # the series ends and the rational fit starts at |z| = 2, the least
+    # accurate seam of the upper half-plane (3.3e-14 measured)
+    for theta in np.linspace(0.0, math.pi, 183):
+        z = radius * cmath.exp(1j * theta)
+        if z.imag < 0.0:
+            z = complex(z.real, 0.0)
+        ref = w_reference(z, dps=40)
+        assert abs(faddeeva(z) - ref) <= 5e-14 * abs(ref)
+
+
 def test_accuracy_lower_half_plane_where_representable():
     rng = np.random.default_rng(11)
     for _ in range(150):
