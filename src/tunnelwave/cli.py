@@ -10,6 +10,7 @@ rebuilt whenever the fingerprint does not match.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,7 +64,15 @@ class ConfigError(ValueError):
 
 def parse_profile_file(path):
     """Flat key-value config: repeated ``layer = width height`` lines plus
-    ``mass_ratio``; optional ``x_c``, ``sigma``, ``e0`` packet overrides."""
+    ``mass_ratio``; optional ``x_c``, ``sigma``, ``e0`` packet overrides.
+    Every number must be finite."""
+
+    def number(key, text):
+        val = float(text)
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}: {key} must be finite, got {text!r}")
+        return val
+
     layers = []
     values = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -77,9 +86,9 @@ def parse_profile_file(path):
             parts = val.split()
             if len(parts) != 2:
                 raise ConfigError(f"{path}: layer needs 'width height', got {val!r}")
-            layers.append((float(parts[0]), float(parts[1])))
+            layers.append((number(key, parts[0]), number(key, parts[1])))
         elif key in ("mass_ratio", "x_c", "sigma", "e0"):
-            values[key] = float(val)
+            values[key] = number(key, val)
         else:
             raise ConfigError(f"{path}: unknown key {key!r}")
     if not layers:
@@ -150,11 +159,8 @@ def obtain_catalog(cfg, quiet=False):
     except (ValueError, KeyError, IndexError, OSError):
         pass  # missing or unreadable: rebuild below
     else:
-        if catalog.profile_fingerprint == fp and extras is not None:
-            rset = ResidueSet(
-                residues=extras["residues"], u0=extras["u0"], u_l=extras["u_l"]
-            )
-            return catalog, rset
+        if catalog.profile_fingerprint == fp:
+            return catalog, ResidueSet(**extras)
     catalog = sweep_poles(cfg.profile, cfg.search)
     rset = residues(cfg.profile, catalog)
     path.parent.mkdir(parents=True, exist_ok=True)

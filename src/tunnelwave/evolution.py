@@ -80,12 +80,12 @@ class GaussianPacket:
     units: UnitSystem
 
     def __post_init__(self):
-        if not self.x_c < 0.0:
-            raise ValueError("x_c must be negative")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        if not self.k0 > 0.0:
-            raise ValueError("k0 must be positive")
+        if not -math.inf < self.x_c < 0.0:
+            raise ValueError("x_c must be finite and negative")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and positive")
+        if not 0.0 < self.k0 < math.inf:
+            raise ValueError("k0 must be finite and positive")
 
     @property
     def tau(self):

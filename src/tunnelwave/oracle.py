@@ -7,9 +7,9 @@ rule.  The panels come in two steps.  Coarse panels are halved where a
 panel-halving estimate of the t-independent integrand ``phi0(k) t(k)`` is
 too large, so the grid follows the narrow resonances of the exact t(k).
 Each leaf is then cut for the local phase rate ``|x - 2ckt/hbar|`` at its
-ends and the extreme times, never coarser than the ``base_nodes`` grid.
-The accuracy is therefore uniform in (x, t) until the node budget runs out,
-which is the explicit :class:`NodeBudgetExceededError` boundary.
+ends and the extreme times; no uniform floor sits on top of the two rules.
+The accuracy is therefore uniform in (x, t) until the node budget runs
+out, which is the explicit :class:`NodeBudgetExceededError` boundary.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _NODE_BUDGET = 10**8
 _CHUNK_NODES = 2**14  # integrand nodes evaluated at once, bounding the temporaries
-_COARSE_FACTOR = 8  # base panels per coarse panel where refinement starts
+_COARSE_PANELS = 128  # equal panels over the window where refinement starts
 _REFINE_TOL = 1e-14  # halving estimate per panel, relative to the sum of |G16|
 
 
@@ -48,28 +48,24 @@ class QuadratureConfig:
     """Node rule of the quadrature oracle.
 
     ``window_half_width`` bounds the momentum window ``k0 +- w / sigma``.
-    ``base_nodes`` is a floor on density: no panel is wider than one of
-    ``base_nodes / 16`` equal panels over the window.  Coarse panels eight
-    times that width are first halved until the halving estimate of
-    ``phi0(k) t(k)`` on each is below 1e-14 of the sum of ``|G16|``, which
-    resolves t(k) wherever it needs it.  Each leaf then gets one panel for
-    that integrand plus ``h * rate * phase_oversampling / (16 pi)`` for the
-    phase, ``rate`` the largest ``|x - 2ckt/hbar|`` at its ends and the
-    earliest and latest time: ``phase_oversampling / pi`` nodes per unit
-    of phase rate and k.
+    128 equal panels over the window are first halved until the halving
+    estimate of ``phi0(k) t(k)`` on each is below 1e-14 of the sum of
+    ``|G16|``, which resolves t(k) wherever it needs it.  Each leaf then
+    gets one panel for that integrand plus
+    ``h * rate * phase_oversampling / (16 pi)`` for the phase, ``rate`` the
+    largest ``|x - 2ckt/hbar|`` at its ends and the earliest and latest
+    time: ``phase_oversampling / pi`` nodes per unit of phase rate and k.
+    Both fields must be finite.
     """
 
     window_half_width: float = 12.0  # in units of 1/sigma
-    base_nodes: int = 2**14
     phase_oversampling: float = 4.0
 
     def __post_init__(self):
-        if self.window_half_width < 8.0:
-            raise ValueError("window_half_width must be >= 8 (units of 1/sigma)")
-        if self.base_nodes < 2**10:
-            raise ValueError("base_nodes must be >= 1024")
-        if self.phase_oversampling <= 0.0:
-            raise ValueError("phase_oversampling must be positive")
+        if not 8.0 <= self.window_half_width < math.inf:
+            raise ValueError("window_half_width must be finite and >= 8 (units of 1/sigma)")
+        if not 0.0 < self.phase_oversampling < math.inf:
+            raise ValueError("phase_oversampling must be finite and positive")
 
 
 def phi0(packet, k):
@@ -161,11 +157,10 @@ def _panel_nodes(packet, x, ts, tfun, config):
     """Composite GL nodes/weights over the momentum window, split at k = 0.
 
     Coarse panels are refined on the t-independent integrand
-    ``phi0(k) tfun(k)``; each leaf is then cut into the larger of the base
-    floor's count of 16-node panels and one panel plus the local phase
-    rule's share (see :class:`QuadratureConfig`).  The budget is checked on a
-    closed-form lower bound before any work and on the exact count before
-    any node is built.
+    ``phi0(k) tfun(k)``; each leaf is then cut into one 16-node panel plus
+    the local phase rule's share (see :class:`QuadratureConfig`).  The
+    budget is checked on a closed-form lower bound before any work and on
+    the exact count before any node is built.
     """
     sigma = packet.sigma
     k0 = packet.k0
@@ -178,8 +173,7 @@ def _panel_nodes(packet, x, ts, tfun, config):
     betas = 2.0 * c * np.array([ts.min(), ts.max()]) / hbar
     density = config.phase_oversampling / (_GL_ORDER * math.pi)  # panels per (rate * dk)
     _check_budget(_GL_ORDER * density * _abs_rate_integral(x, betas[1], lo, hi), x, ts)
-    n_base = math.ceil(config.base_nodes / _GL_ORDER)
-    n_coarse = max(n_base // _COARSE_FACTOR, 2)
+    n_coarse = _COARSE_PANELS
     edges = np.linspace(lo, hi, n_coarse + 1)
     if lo < 0.0 < hi:
         frac = math.ceil(n_coarse * -lo / (hi - lo))
@@ -191,9 +185,7 @@ def _panel_nodes(packet, x, ts, tfun, config):
     h = b - a
     rate = np.max([np.abs(x - beta * end) for beta in betas for end in (a, b)], axis=0)
     # one panel resolves f on a leaf; the phase's oscillations come on top of it
-    n_sub = np.maximum(
-        np.ceil(h * (n_base / (hi - lo))), np.ceil(1.0 + h * rate * density)
-    ).astype(np.int64)
+    n_sub = np.ceil(1.0 + h * rate * density).astype(np.int64)
     _check_budget(_GL_ORDER * int(n_sub.sum()), x, ts)
     width = np.repeat(h / n_sub, n_sub)
     first = np.cumsum(n_sub) - n_sub

@@ -598,17 +598,14 @@ def _cross(energies, t_co, i_peak, level, direction):
 # ---------------------------------------------------------------------------
 
 _FORMAT_TAG = "polecatalog v1"
+_COLUMNS = (
+    "n", "re_kappa", "im_kappa", "residual",
+    "re_r", "im_r", "re_u0", "im_u0", "re_uL", "im_uL",
+)
 
 
-def save_catalog(catalog, path, *, residues=None, u0=None, u_l=None):
-    """Write the catalog (and optional residue columns) as '#'-headed CSV."""
-    cols = ["n", "re_kappa", "im_kappa", "residual"]
-    extras = []
-    if residues is not None:
-        cols += ["re_r", "im_r", "re_u0", "im_u0", "re_uL", "im_uL"]
-        extras = [residues, u0, u_l]
-        if any(x is None for x in extras):
-            raise ValueError("residues, u0 and u_l must be given together")
+def save_catalog(catalog, path, *, residues, u0, u_l):
+    """Write the catalog with its residue columns as '#'-headed CSV."""
     cfg = catalog.config
     lines = [
         f"# {_FORMAT_TAG}",
@@ -616,11 +613,11 @@ def save_catalog(catalog, path, *, residues=None, u0=None, u_l=None):
         "# units: nm fs eV",
         f"# length_nm: {catalog.length!r}",
         f"# config: {cfg.fingerprint_key()}",
-        f"# columns: {','.join(cols)}",
+        f"# columns: {','.join(_COLUMNS)}",
         f"# rows: {len(catalog)}",
     ]
     data = [catalog.poles.real, catalog.poles.imag, catalog.residuals]
-    for x in extras:
+    for x in (residues, u0, u_l):
         x = np.asarray(x, dtype=complex)
         data += [x.real, x.imag]
     row = "%d," + ",".join(["%.17e"] * len(data))
@@ -656,12 +653,12 @@ def _parse_config(text):
 def load_catalog(path):
     """Read a catalog written by :func:`save_catalog`.
 
-    Returns ``(catalog, extras)`` where ``extras`` is None or a dict with
+    Returns ``(catalog, extras)`` where ``extras`` is a dict with
     ``residues``, ``u0`` and ``u_l`` complex arrays.  Raises ``ValueError``
-    when the ``rows`` header is missing or disagrees with the rows read, as
-    in a file cut at a row boundary, and when a row is not one number per
-    column or the file does not end with a newline, as in a file cut inside
-    a row.
+    when the columns are not the ten :func:`save_catalog` writes, when the
+    ``rows`` header is missing or disagrees with the rows read, as in a file
+    cut at a row boundary, and when a row is not one number per column or
+    the file does not end with a newline, as in a file cut inside a row.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -687,11 +684,13 @@ def load_catalog(path):
         raise ValueError(
             f"{path}: {len(rows)} rows read, header says {header.get('rows')}"
         )
-    cols = header["columns"].split(",")
+    if tuple(header.get("columns", "").split(",")) != _COLUMNS:
+        raise ValueError(f"{path}: columns are not {','.join(_COLUMNS)}")
+    n_cols = len(_COLUMNS)
     for i, fields in enumerate(rows, start=1):
-        if len(fields) != len(cols):
-            raise ValueError(f"{path}: row {i} has {len(fields)} fields, not {len(cols)}")
-    data = np.array(rows, dtype=float).reshape(len(rows), len(cols))
+        if len(fields) != n_cols:
+            raise ValueError(f"{path}: row {i} has {len(fields)} fields, not {n_cols}")
+    data = np.array(rows, dtype=float).reshape(len(rows), n_cols)
     poles = data[:, 1] + 1j * data[:, 2]
     catalog = PoleCatalog(
         poles=poles,
@@ -700,11 +699,8 @@ def load_catalog(path):
         length=float(header["length_nm"]),
         config=_parse_config(header["config"]),
     )
-    extras = None
-    if "re_r" in cols:
-        extras = {
-            "residues": data[:, 4] + 1j * data[:, 5],
-            "u0": data[:, 6] + 1j * data[:, 7],
-            "u_l": data[:, 8] + 1j * data[:, 9],
-        }
-    return catalog, extras
+    return catalog, {
+        "residues": data[:, 4] + 1j * data[:, 5],
+        "u0": data[:, 6] + 1j * data[:, 7],
+        "u_l": data[:, 8] + 1j * data[:, 9],
+    }

@@ -132,13 +132,13 @@ class PotentialProfile:
         if not layers:
             raise ValueError("profile needs at least one layer")
         for w, h in layers:
-            if not w > 0.0:
-                raise ValueError(f"layer width must be > 0, got {w!r}")
-            if h < 0.0:
-                raise ValueError(f"layer height must be >= 0, got {h!r}")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"layer width must be finite and > 0, got {w!r}")
+            if not 0.0 <= h < math.inf:
+                raise ValueError(f"layer height must be finite and >= 0, got {h!r}")
         object.__setattr__(self, "layers", layers)
-        if self.mass_ratio <= 0.0:
-            raise ValueError("mass_ratio must be positive")
+        if not 0.0 < self.mass_ratio < math.inf:
+            raise ValueError("mass_ratio must be finite and positive")
 
     @cached_property
     def units(self):

@@ -100,13 +100,12 @@ def check_expansion(name, profile, catalog, residue_set):
     ok = err <= 1e-2
     detail = f"N={n_req}: max|T_N - T| = {err:.2e} (tol 1e-2)"
     if name == "qb" and len(catalog) >= 4000:
+        # n_req is 4000 here: the window's N = 4000 values are amp's
         window = (energies >= 4.0 * v_top) & (energies <= 5.0 * v_top)
-        e_w, t_w = energies[window], t_exact[window]
-        k_w = np.sqrt(e_w / profile.units.inv_mass_coeff)
-        err_1000 = float(np.max(np.abs(
-            np.abs(expansion_t(profile, k_w, catalog, residue_set, 1000)) ** 2 - t_w)))
-        err_4000 = float(np.max(np.abs(
-            np.abs(expansion_t(profile, k_w, catalog, residue_set, 4000)) ** 2 - t_w)))
+        t_w = t_exact[window]
+        amp_1000 = expansion_t(profile, k[window], catalog, residue_set, 1000)
+        err_1000 = float(np.max(np.abs(np.abs(amp_1000) ** 2 - t_w)))
+        err_4000 = float(np.max(np.abs(np.abs(amp[window]) ** 2 - t_w)))
         ok &= err_1000 > err_4000
         detail += f"; 4-5V window err(1000)={err_1000:.2e} > err(4000)={err_4000:.2e}"
     return _record(f"3-expansion-{name}", ok, detail)

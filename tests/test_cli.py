@@ -163,6 +163,24 @@ class TestPolesCommand:
         assert "zeros in box" in capsys.readouterr().out
         assert cache.read_bytes() == fresh
 
+    def test_cache_without_residue_columns_rebuilt(self, tmp_path, capsys):
+        out = tmp_path / "noresidues"
+        args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]
+        assert run(args) == 0
+        (cache,) = (out / "cache").glob("poles_*.csv")
+        fresh = cache.read_bytes()
+        cache.write_text("".join(
+            line.replace(",re_r,im_r,re_u0,im_u0,re_uL,im_uL", "")
+            if line.startswith("#") else ",".join(line.split(",")[:4]) + "\n"
+            for line in fresh.decode().splitlines(keepends=True)
+        ))
+        with pytest.raises(ValueError, match="columns"):
+            cli.load_catalog(cache)
+        capsys.readouterr()
+        assert run(args) == 0
+        assert "zeros in box" in capsys.readouterr().out
+        assert cache.read_bytes() == fresh
+
     def test_cache_written_at_catalog_revision_2_rebuilt(self, tmp_path, capsys):
         import hashlib
 
@@ -262,6 +280,24 @@ class TestExitCodes:
         assert run(args + ["--preset", "sb", "--nseed", "60", "--out", out]) == 1
         assert "error:" in capsys.readouterr().err
         assert not (out / "cache").exists()
+
+    @pytest.mark.parametrize("line", [
+        "layer = inf 0.23",
+        "layer = 5.0 inf",
+        "layer = nan 0.23",
+        "mass_ratio = inf",
+        "sigma = inf",
+        "x_c = nan",
+        "e0 = -inf",
+    ])
+    def test_non_finite_config_exits_1_before_any_sweep(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"mass_ratio = 0.067\nlayer = 8.0 0.23\n{line}\n")
+        out = tmp_path / "nonfinite"
+        assert run(["evolve", "--xd", "2L", "--config", cfg, "--out", out]) == 1
+        key = line.split("=")[0].strip()
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_and_version_exit_0(self, capsys):
         assert run(["--version"]) == 0

@@ -48,6 +48,13 @@ class TestGaussianPacket:
             GaussianPacket(-5.0, -0.5, 0.4, u)
         with pytest.raises(ValueError):
             GaussianPacket(-5.0, 0.5, 0.0, u)
+        for bad in (-math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                GaussianPacket(bad, 0.5, 0.4, u)
+            with pytest.raises(ValueError):
+                GaussianPacket(-5.0, bad, 0.4, u)
+            with pytest.raises(ValueError):
+                GaussianPacket(-5.0, 0.5, bad, u)
 
 
 class TestFreePacket:

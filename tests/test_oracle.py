@@ -19,7 +19,7 @@ from tunnelwave.validation import ORACLE_WINDOWS
 
 SB = preset_profile("sb")
 FREE = PotentialProfile(((8.0, 0.0),))
-CONVERGED = QuadratureConfig(base_nodes=2**18, phase_oversampling=8)
+CONVERGED = QuadratureConfig(phase_oversampling=32)
 
 
 def make_packet(units=SB.units, energy=0.115):
@@ -30,13 +30,19 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = QuadratureConfig()
         assert cfg.window_half_width == 12.0
-        assert cfg.base_nodes == 2**14
+        assert cfg.phase_oversampling == 4.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(window_half_width=4.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(base_nodes=512)
+        for kwargs in (
+            {"window_half_width": 4.0},
+            {"window_half_width": math.nan},
+            {"window_half_width": math.inf},
+            {"phase_oversampling": 0.0},
+            {"phase_oversampling": math.nan},
+            {"phase_oversampling": math.inf},
+        ):
+            with pytest.raises(ValueError):
+                QuadratureConfig(**kwargs)
 
 
 class TestPhi0:
@@ -123,7 +129,7 @@ class TestTransmittedQuadrature:
         pk = make_packet()
         x, t = 2 * SB.length, 5 * 6.299
         base = psi_quadrature(pk, SB, x, t, QuadratureConfig())
-        fine = psi_quadrature(pk, SB, x, t, QuadratureConfig(base_nodes=2**15))
+        fine = psi_quadrature(pk, SB, x, t, QuadratureConfig(phase_oversampling=8.0))
         assert abs(base - fine) <= 1e-9 * abs(fine)
 
     def test_window_sufficiency(self):
@@ -197,9 +203,6 @@ class TestTimeArrays:
         assert many[-1] == one
 
     def test_db_window_matches_converged_grid(self, db_data):
-        # a one-point call gives db's two earliest criterion-4 times the base
-        # grid, which does not resolve the 1 meV resonance; the shared grid of
-        # the whole window does
         pk, profile = db_data.packet, db_data.profile
         t_end, n_pts = ORACLE_WINDOWS["db"]
         tau_sys = tau_system(profile, db_data.catalog)
@@ -207,7 +210,7 @@ class TestTimeArrays:
         x = 2.0 * profile.length
         window = psi_quadrature(pk, profile, x, ts)
         assert ts[1:3] == pytest.approx([10.8, 21.0], abs=0.1)
-        fine = psi_quadrature(pk, profile, x, ts[1:3], QuadratureConfig(base_nodes=2**18))
+        fine = psi_quadrature(pk, profile, x, ts[1:3], CONVERGED)
         peak = np.max(np.abs(window))
         assert np.max(np.abs(window[1:3] - fine)) <= 1e-10 * peak
 
@@ -224,6 +227,18 @@ class TestTimeArrays:
         peak = np.max(np.abs(psi_quadrature(pk, profile, x, ts)))
         fine = psi_quadrature(pk, profile, x, ts[points], CONVERGED)
         for t, want in zip(ts[points], fine):
+            assert abs(psi_quadrature(pk, profile, x, t) - want) <= 1e-10 * peak
+
+    def test_one_point_calls_resolve_a_narrower_resonance(self):
+        # 9 nm barriers around the 5 nm well: Gamma_1 ~ 1.7e-5 eV, 60 times
+        # narrower than db's, found by the refinement alone at every time
+        profile = PotentialProfile(((9.0, 0.23), (5.0, 0.0), (9.0, 0.23)))
+        pk = make_packet(profile.units, energy=0.08)
+        x = 2.0 * profile.length
+        ts = np.array([0.05, 0.5, 5.0, 50.0])
+        fine = [psi_quadrature(pk, profile, x, t, CONVERGED) for t in ts]
+        peak = np.max(np.abs(fine))
+        for t, want in zip(ts, fine):
             assert abs(psi_quadrature(pk, profile, x, t) - want) <= 1e-10 * peak
 
     def test_local_phase_rule_halves_uniform_rule(self, db_data):

@@ -373,34 +373,30 @@ class TestBreitWignerSeeds:
         assert breit_wigner_seeds(FREE, 0.23) == []
 
 
+def _save(data, path):
+    rset = data.residues
+    save_catalog(data.catalog, path, residues=rset.residues, u0=rset.u0, u_l=rset.u_l)
+
+
 class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path, db_data):
+    def test_round_trip_with_residues(self, tmp_path, db_data):
         path = tmp_path / "cat.csv"
-        save_catalog(db_data.catalog, path)
+        _save(db_data, path)
         loaded, extras = load_catalog(path)
-        assert extras is None
         assert np.array_equal(loaded.poles, db_data.catalog.poles)
         assert np.array_equal(loaded.residuals, db_data.catalog.residuals)
         assert loaded.profile_fingerprint == db_data.catalog.profile_fingerprint
         assert loaded.config == db_data.catalog.config
         assert loaded.length == db_data.catalog.length
         assert loaded.stats is None and db_data.catalog.stats is not None
-
-    def test_round_trip_with_residues(self, tmp_path, sb_data):
-        path = tmp_path / "cat.csv"
-        rset = sb_data.residues
-        save_catalog(
-            sb_data.catalog, path, residues=rset.residues, u0=rset.u0, u_l=rset.u_l
-        )
-        loaded, extras = load_catalog(path)
-        assert np.array_equal(loaded.poles, sb_data.catalog.poles)
+        rset = db_data.residues
         assert np.array_equal(extras["residues"], rset.residues)
         assert np.array_equal(extras["u0"], rset.u0)
         assert np.array_equal(extras["u_l"], rset.u_l)
 
     def test_rejects_row_count_mismatch(self, tmp_path, sb_data):
         path = tmp_path / "cat.csv"
-        save_catalog(sb_data.catalog, path)
+        _save(sb_data, path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-1]))
         with pytest.raises(ValueError, match="rows"):
@@ -411,7 +407,7 @@ class TestSerialization:
 
     def test_rejects_file_cut_inside_a_row(self, tmp_path, sb_data):
         path = tmp_path / "cat.csv"
-        save_catalog(sb_data.catalog, path)
+        _save(sb_data, path)
         text = path.read_text()
         # cut inside the last number, which alone would parse to another value
         path.write_text(text[: text.rindex("e") - 3])
@@ -425,7 +421,7 @@ class TestSerialization:
 
     def test_rejects_unknown_or_missing_config_key(self, tmp_path, sb_data):
         path = tmp_path / "cat.csv"
-        save_catalog(sb_data.catalog, path)
+        _save(sb_data, path)
         text = path.read_text()
         config_line = next(l for l in text.splitlines() if l.startswith("# config:"))
         for changed in (

@@ -143,6 +143,18 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             PotentialProfile(((1.0, -0.1),))
 
+    def test_rejects_non_finite(self):
+        for layers, mass_ratio in (
+            (((math.inf, 0.23),), 0.067),
+            (((math.nan, 0.23),), 0.067),
+            (((5.0, math.inf),), 0.067),
+            (((5.0, math.nan),), 0.067),
+            (((5.0, 0.23),), math.inf),
+            (((5.0, 0.23),), math.nan),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                PotentialProfile(layers, mass_ratio)
+
     def test_length_and_barrier(self):
         assert QB.length == pytest.approx(25.0)
         assert DB.length == pytest.approx(15.0)
