@@ -5,7 +5,6 @@ from .potential import (
     TransferMatrix,
     UnitSystem,
     t22,
-    t22_prime,
     transfer_matrix,
     transmission_amplitude,
     transmission_coefficient,
@@ -14,10 +13,7 @@ from .poles import (
     PoleCatalog,
     PoleSearchConfig,
     asymptotic_seed,
-    breit_wigner_seeds,
     load_catalog,
-    mirror_poles,
-    newton_step_sequence,
     save_catalog,
     sweep_poles,
 )
@@ -31,7 +27,6 @@ from .resonances import (
 )
 from .evolution import (
     GaussianPacket,
-    cutoff_error_estimate,
     eta,
     free_packet,
     longtime_exponent,
@@ -40,7 +35,7 @@ from .evolution import (
     zeta,
 )
 from .oracle import QuadratureConfig, phi0, psi_free_quadrature, psi_quadrature
-from .specfun import faddeeva, faddeeva_asymptotic, faddeeva_log_scaled, moshinsky
+from .specfun import faddeeva, faddeeva_log_scaled
 from .presets import preset_profile
 
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ from .poles import (
 from .potential import PotentialProfile, t22_off_branch, transmission_coefficient
 from .presets import PRESET_NAMES, default_n_seed, default_packet_energy, preset_profile
 from .resonances import NotAPoleError, ResidueSet, expansion_t, residues
+from .validation import REFERENCE_POLES, run_validation
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -62,17 +63,19 @@ class ConfigError(ValueError):
     pass
 
 
+def finite_float(value, what="number"):
+    """``float(value)``; a :class:`ConfigError` naming ``what`` unless it is
+    finite.  Also the argparse type of every float option."""
+    val = float(value)
+    if not math.isfinite(val):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return val
+
+
 def parse_profile_file(path):
     """Flat key-value config: repeated ``layer = width height`` lines plus
     ``mass_ratio``; optional ``x_c``, ``sigma``, ``e0`` packet overrides.
     Every number must be finite."""
-
-    def number(key, text):
-        val = float(text)
-        if not math.isfinite(val):
-            raise ConfigError(f"{path}: {key} must be finite, got {text!r}")
-        return val
-
     layers = []
     values = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -86,9 +89,9 @@ def parse_profile_file(path):
             parts = val.split()
             if len(parts) != 2:
                 raise ConfigError(f"{path}: layer needs 'width height', got {val!r}")
-            layers.append((number(key, parts[0]), number(key, parts[1])))
+            layers.append(tuple(finite_float(v, f"{path}: {key}") for v in parts))
         elif key in ("mass_ratio", "x_c", "sigma", "e0"):
-            values[key] = number(key, val)
+            values[key] = finite_float(val, f"{path}: {key}")
         else:
             raise ConfigError(f"{path}: unknown key {key!r}")
     if not layers:
@@ -100,11 +103,12 @@ def parse_profile_file(path):
 
 
 def parse_distance(text, length):
-    """Distance in nm, or a multiple of the system length like '2L', '2e5L'."""
+    """Distance in nm, or a multiple of the system length like '2L', '2e5L';
+    it must be finite."""
     text = text.strip()
     if text.lower().endswith("l"):
-        return float(text[:-1]) * length
-    return float(text)
+        return finite_float(float(text[:-1]) * length, f"distance {text!r}")
+    return finite_float(text, "distance")
 
 
 def _resolve_config(args):
@@ -170,7 +174,9 @@ def obtain_catalog(cfg, quiet=False):
     return catalog, rset
 
 
-def _packet(cfg, catalog):
+def _packet(cfg, catalog=None):
+    """The run's packet, checked for the analytic path.  Only a preset's
+    energy comes from ``catalog``."""
     units = cfg.profile.units
     if cfg.energy is not None:
         e0 = cfg.energy
@@ -178,9 +184,21 @@ def _packet(cfg, catalog):
         e0 = default_packet_energy(cfg.preset, cfg.profile, catalog)
     else:
         e0 = 0.5 * cfg.profile.barrier_height
-    return GaussianPacket(
+    packet = GaussianPacket(
         x_c=cfg.x_c, sigma=cfg.sigma, k0=units.wavenumber_of_energy(e0), units=units
     )
+    packet.require_analytic()
+    return packet
+
+
+def _catalog_and_packet(cfg, quiet=False):
+    """The catalog, its residues and the run's packet.  A config run's packet
+    (``e0``, or V/2) needs no catalog, so a bad one fails before the sweep."""
+    packet = None if cfg.preset else _packet(cfg)
+    catalog, rset = obtain_catalog(cfg, quiet)
+    if packet is None:
+        packet = _packet(cfg, catalog)
+    return catalog, rset, packet
 
 
 def _write_csv(cfg, stem, columns, rows, extra=None):
@@ -275,8 +293,7 @@ def cmd_evolve(args):
         raise ConfigError("--tmax must be positive")
     if x_d < profile.length:
         raise ConfigError("--xd must be at least L (the transmitted region)")
-    catalog, rset = obtain_catalog(cfg)
-    packet = _packet(cfg, catalog)
+    catalog, rset, packet = _catalog_and_packet(cfg)
     tau_sys = tau_system(profile, catalog)
     n_poles = max(_parse_pole_counts(args.poles, len(catalog)))
     ts = np.linspace(1e-3 * tau_sys, args.tmax * tau_sys, args.tpoints)
@@ -310,7 +327,7 @@ def cmd_evolve(args):
 
 def cmd_reconstruct(args):
     cfg = _resolve_config(args)
-    scales = [float(s) for s in args.t0_scales.split(",")]
+    scales = [finite_float(s, "--t0-scales") for s in args.t0_scales.split(",")]
     if min(scales) <= 0.0 or any(b <= a for a, b in zip(scales, scales[1:])):
         raise ConfigError("--t0-scales must be positive and increasing")
     profile = cfg.profile
@@ -320,8 +337,7 @@ def cmd_reconstruct(args):
         raise ConfigError("--xd must lie beyond L")
     if not 0.0 < args.eta_min <= args.eta_max:
         raise ConfigError("need 0 < --eta-min <= --eta-max")
-    catalog, rset = obtain_catalog(cfg)
-    packet = _packet(cfg, catalog)
+    catalog, rset, packet = _catalog_and_packet(cfg)
     n_poles = max(_parse_pole_counts(args.poles, len(catalog)))
     t_flight = (x_d - length) / packet.velocity
     etas = np.linspace(args.eta_min, args.eta_max, args.eta_points)
@@ -345,14 +361,12 @@ def cmd_reconstruct(args):
 
 
 def cmd_validate(args):
-    from .validation import REFERENCE_POLES, run_validation
-
     cfg = _resolve_config(args)
     if cfg.preset not in REFERENCE_POLES:
         raise ConfigError("validation needs one of the built-in presets")
-    catalog, rset = obtain_catalog(cfg, quiet=True)
+    catalog, rset, packet = _catalog_and_packet(cfg, quiet=True)
     records = run_validation(
-        cfg.preset, cfg.profile, catalog, rset, _packet(cfg, catalog),
+        cfg.preset, cfg.profile, catalog, rset, packet,
         oracle=not args.skip_oracle,
     )
     n_fail = 0
@@ -399,7 +413,7 @@ def build_parser():
     p = subs.add_parser("evolve", help="transmitted density over time at fixed x")
     _add_common(p)
     p.add_argument("--xd", required=True, help="detector position, e.g. '2L' or nm")
-    p.add_argument("--tmax", type=float, default=20.0, help="end time in tau_sys units")
+    p.add_argument("--tmax", type=finite_float, default=20.0, help="end time in tau_sys units")
     p.add_argument("--tpoints", type=int, default=400)
     p.add_argument("--poles", default="", help="truncation of the pole sum")
     p.add_argument("--oracle", action="store_true",
@@ -412,8 +426,8 @@ def build_parser():
     p.add_argument("--xd", required=True, help="free-flight anchor, e.g. '2e5L'")
     p.add_argument("--t0-scales", default="0.25,0.5,1.0",
                    help="increasing fractions of the flight time")
-    p.add_argument("--eta-min", type=float, default=0.2)
-    p.add_argument("--eta-max", type=float, default=3.0)
+    p.add_argument("--eta-min", type=finite_float, default=0.2)
+    p.add_argument("--eta-max", type=finite_float, default=3.0)
     p.add_argument("--eta-points", type=int, default=481)
     p.set_defaults(func=cmd_reconstruct)
 

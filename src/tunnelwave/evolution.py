@@ -23,6 +23,7 @@ import numpy as np
 
 from .specfun import faddeeva_log_scaled
 from .potential import UnitSystem
+from .resonances import _pair_arrays, coefficient_C
 
 __all__ = [
     "FreeDensityUnderflowError",
@@ -32,7 +33,6 @@ __all__ = [
     "TruncationWarning",
     "UnreliableRegimeError",
     "asymptotic_cancellation",
-    "cutoff_error_estimate",
     "eta",
     "fit_loglog_slope",
     "free_packet",
@@ -97,6 +97,15 @@ class GaussianPacket:
         """|x_c| / (2 sigma); >= 3 for the analytic path, >= 5 acceptance grade."""
         return abs(self.x_c) / (2.0 * self.sigma)
 
+    def require_analytic(self):
+        """Raise :class:`UnreliableRegimeError` unless the packet is far
+        enough from the origin (validity ratio >= 3) for the analytic path."""
+        if self.validity_ratio < 3.0:
+            raise UnreliableRegimeError(
+                f"validity ratio {self.validity_ratio:.2f} < 3; "
+                "the analytic path needs the packet far from the origin"
+            )
+
     @property
     def energy(self):
         """Nominal incidence energy (eV)."""
@@ -136,12 +145,6 @@ def free_packet(packet, x, t):
     return out
 
 
-def cutoff_error_estimate(packet, term_magnitude):
-    """Neglected-tail scale exp(-x_c^2 / 4 sigma^2) * term_magnitude."""
-    arg = -packet.validity_ratio**2
-    return math.exp(max(arg, -745.0)) * term_magnitude if arg > -745.0 else 0.0
-
-
 def tau_system(profile, catalog):
     """Longest lifetime hbar / Gamma_min over poles below the barrier top.
 
@@ -164,13 +167,7 @@ class _BracketEvaluator:
     """Precomputed pole/coefficient arrays for repeated bracket evaluation."""
 
     def __init__(self, packet, profile, catalog, residue_set, n_poles=None):
-        from .resonances import _pair_arrays, coefficient_C  # local import, no cycle
-
-        if packet.validity_ratio < 3.0:
-            raise UnreliableRegimeError(
-                f"validity ratio {packet.validity_ratio:.2f} < 3; "
-                "the analytic path needs the packet far from the origin"
-            )
+        packet.require_analytic()
         if packet.validity_ratio < 5.0:
             warnings.warn(
                 f"validity ratio {packet.validity_ratio:.2f} < 5: below "

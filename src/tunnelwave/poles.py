@@ -30,30 +30,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .potential import t22, t22_with_prime, transmission_coefficient
+from .potential import t22, t22_with_prime
 
 __all__ = [
     "AnchorFailureError",
-    "DivergenceError",
     "IncompleteCatalogError",
     "IndexTooSmallError",
     "PoleCatalog",
     "PoleSearchConfig",
     "SweepStats",
     "asymptotic_seed",
-    "breit_wigner_seeds",
     "catalog_fingerprint",
     "load_catalog",
-    "mirror_poles",
-    "newton_step_sequence",
     "residual_gate",
     "save_catalog",
     "sweep_poles",
 ]
-
-
-class DivergenceError(RuntimeError):
-    """Newton iteration failed."""
 
 
 class AnchorFailureError(RuntimeError):
@@ -220,22 +212,6 @@ def asymptotic_seed(n, length):
     if n < 2:
         raise IndexTooSmallError("asymptotic seed requires n >= 2")
     return n * math.pi / length - 2j * math.log(n) / length
-
-
-def newton_step_sequence(seed, profile, config=PoleSearchConfig()):
-    """Newton-Raphson iteration on t22 from a single seed.
-
-    Returns the converged pole, or raises :class:`DivergenceError` when the
-    iterate leaves the lower half-plane, stops being finite, meets a point
-    where t22 cannot be evaluated, or the budget is exhausted.  Used by
-    ``TestNewton`` and ``TestBreitWignerSeeds``.
-    """
-    if complex(seed) == 0:
-        raise ValueError("seed must be nonzero")
-    k = _newton_lockstep([seed], profile, config, Counter())[0]
-    if not np.isfinite(k):
-        raise DivergenceError(f"no convergence from {seed!r}")
-    return complex(k)
 
 
 def _t22_or_nan(profile, k):
@@ -533,64 +509,6 @@ def _build_catalog(profile, config, found):
         length=profile.length,
         config=config,
     )
-
-
-def mirror_poles(catalog):
-    """Third-quadrant partners -conj(kappa_n), never stored; see ``TestMirrorPoles``."""
-    return -np.conj(catalog.poles)
-
-
-def breit_wigner_seeds(profile, e_max, grid_points=2000, prominence=0.05):
-    """Half-width-at-half-maximum seeds from peaks of T(E).
-
-    Independent regime-I cross-check of the sweep: each returned seed is
-    ``k(E_peak) - i * (k-space half-width)`` for a transmission peak whose
-    prominence exceeds ``prominence * max(T)``.  Used by ``TestBreitWignerSeeds``.
-    """
-    if e_max <= 0.0:
-        raise ValueError("e_max must be positive")
-    energies = np.linspace(e_max / grid_points, e_max, grid_points)
-    t_co = transmission_coefficient(profile, energies)
-    c = profile.units.inv_mass_coeff
-    seeds = []
-    t_scale = float(np.max(t_co))
-    if t_scale <= 0.0:
-        return seeds
-    for i in range(1, grid_points - 1):
-        if not (t_co[i] > t_co[i - 1] and t_co[i] >= t_co[i + 1]):
-            continue
-        j = i
-        while j > 0 and t_co[j - 1] < t_co[j]:
-            j -= 1
-        left_min = t_co[j]
-        j = i
-        while j < grid_points - 1 and t_co[j + 1] < t_co[j]:
-            j += 1
-        right_min = t_co[j]
-        prom = t_co[i] - max(left_min, right_min)
-        if prom < prominence * t_scale:
-            continue
-        level = t_co[i] - 0.5 * prom
-        e_lo = _cross(energies, t_co, i, level, -1)
-        e_hi = _cross(energies, t_co, i, level, +1)
-        k_half = 0.5 * (math.sqrt(e_hi / c) - math.sqrt(e_lo / c))
-        seeds.append(complex(math.sqrt(energies[i] / c), -k_half))
-    return seeds
-
-
-def _cross(energies, t_co, i_peak, level, direction):
-    """Energy where T first crosses ``level`` moving away from the peak."""
-    i = i_peak
-    n = len(t_co)
-    while 0 < i < n - 1:
-        j = i + direction
-        if t_co[j] <= level:
-            frac = (t_co[i] - level) / (t_co[i] - t_co[j])
-            return energies[i] + frac * (energies[j] - energies[i])
-        if t_co[j] > t_co[i]:
-            break
-        i = j
-    return energies[i]
 
 
 # ---------------------------------------------------------------------------

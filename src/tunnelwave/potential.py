@@ -50,7 +50,6 @@ __all__ = [
     "ZeroWavenumberError",
     "t22",
     "t22_off_branch",
-    "t22_prime",
     "t22_with_prime",
     "transfer_matrix",
     "transmission_amplitude",
@@ -359,14 +358,6 @@ def t22_with_prime(profile, k):
     t = phase * m22
     tp = 1j * profile.length * phase * m22 + phase * d22
     return t, tp
-
-
-def t22_prime(profile, k):
-    """Analytic dt22/dk at scalar complex k.
-
-    Test companion, used by ``TestT22`` in ``tests/test_potential.py``.
-    """
-    return t22_with_prime(profile, k)[1]
 
 
 def _global_column(profile, k):

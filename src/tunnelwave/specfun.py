@@ -14,25 +14,17 @@ application of the reflection identity ``w(z) = 2 exp(-z^2) - w(-z)``.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 __all__ = [
-    "DomainTooSmallError",
     "faddeeva",
-    "faddeeva_asymptotic",
     "faddeeva_log_scaled",
-    "moshinsky",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
 _EXP_MAX = 709.0  # largest x with exp(x) finite in float64, with headroom
-
-
-class DomainTooSmallError(ValueError):
-    """Argument magnitude below the validity radius of the asymptotic series."""
 
 
 # ---------------------------------------------------------------------------
@@ -202,56 +194,3 @@ def faddeeva_log_scaled(z):
         return val.real, val.imag
     shaped = logw.reshape(z_in.shape)
     return shaped.real, shaped.imag
-
-
-def faddeeva_asymptotic(z, n_terms):
-    """Truncated large-|z| expansion of w(z); test companion to faddeeva,
-    used by ``TestAsymptotic`` in ``tests/test_specfun.py``.
-
-    The non-exponential part is ``(i/sqrt(pi)) sum_m c_m / z^(2m+1)`` with
-    ``c_m = (2m-1)!!/2^m``; for Im z < 0 the reflection term ``2 exp(-z^2)``
-    is added.
-    """
-    if not 1 <= int(n_terms) <= 6:
-        raise ValueError("n_terms must lie in 1..6")
-    zc = complex(z)
-    if abs(zc) < 5.0:
-        raise DomainTooSmallError("asymptotic series requires |z| >= 5")
-    coeff = 1.0
-    acc = 0j
-    zp = 1.0 / zc
-    z2 = zp * zp
-    for m in range(int(n_terms)):
-        acc += coeff * zp
-        zp *= z2
-        coeff *= (2 * m + 1) / 2.0
-    out = 1j * acc / _SQRT_PI
-    if zc.imag < 0.0:
-        a = -(zc * zc)
-        if a.real > _EXP_MAX:
-            raise OverflowError("reflection term overflows for this argument")
-        out += 2.0 * cmath.exp(a)
-    return out
-
-
-def moshinsky(x_shift, t_complex, kappa_shift, mass, hbar):
-    """Transient-diffraction kernel M = (1/2) exp(i m x'^2 / 2 hbar t') w(i y').
-
-    ``y' = exp(-i pi/4) sqrt(m / (2 hbar t')) (x' - hbar kappa' t' / m)`` with
-    the principal square root.  Valid for Re(t') > 0 or Im(t') < 0, where the
-    defining momentum integral converges; the quadratic phase is combined with
-    the Faddeeva factor in exponent space so deep arguments cannot overflow.
-    The paper's kernel, kept as a cross-check: ``TestMoshinsky`` in
-    ``tests/test_specfun.py`` compares it with its defining momentum integral.
-    """
-    t = complex(t_complex)
-    if not (t.real > 0.0 or t.imag < 0.0):
-        raise ValueError("moshinsky requires Re(t') > 0 or Im(t') < 0")
-    kappa = complex(kappa_shift)
-    root = cmath.exp(-0.25j * math.pi) * cmath.sqrt(mass / (2.0 * hbar * t))
-    y = root * (x_shift - hbar * kappa * t / mass)
-    log_mag, phase = faddeeva_log_scaled(1j * y)
-    exponent = 1j * mass * x_shift * x_shift / (2.0 * hbar * t) + complex(log_mag, phase)
-    if exponent.real > _EXP_MAX:
-        raise OverflowError("Moshinsky kernel exceeds the floating range")
-    return 0.5 * cmath.exp(exponent)

@@ -20,8 +20,9 @@ from .evolution import (
 )
 from .oracle import NodeBudgetExceededError, psi_quadrature
 from .poles import residual_gate
-from .potential import transmission_coefficient
-from .resonances import expansion_t, resonance_state
+from .potential import t22, transfer_matrix, transmission_coefficient
+from .resonances import coefficient_C, expansion_t, resonance_state
+from .specfun import faddeeva
 
 __all__ = ["CriterionRecord", "run_validation"]
 
@@ -197,9 +198,6 @@ def check_reconstruction(name, profile, catalog, residue_set, packet):
 
 def check_properties(name, profile, catalog, residue_set):
     """Criterion-7 spot checks; the full property suites live in the tests."""
-    from .potential import t22, transfer_matrix
-    from .specfun import faddeeva
-
     rng = np.random.default_rng(7)
     msgs, ok = [], True
 
@@ -249,8 +247,6 @@ def check_properties(name, profile, catalog, residue_set):
 
 
 def check_cancellation(name, profile, catalog, residue_set, packet):
-    from .resonances import coefficient_C
-
     tau_sys = tau_system(profile, catalog)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

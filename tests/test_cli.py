@@ -1,7 +1,11 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunnelwave import cli
 from tunnelwave.cli import main, parse_distance, parse_profile_file
@@ -23,6 +27,11 @@ def read_csv(path):
     cols = header["columns"].split(",")
     data = np.asarray(rows)
     return header, {c: data[:, i] for i, c in enumerate(cols)}
+
+
+def assert_nothing_written(out):
+    assert not (out / "cache").exists()
+    assert not list(out.glob("*.csv"))
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +308,21 @@ class TestExitCodes:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, line", [
+        (["evolve", "--xd", "2L", "--tmax", "nan"], ""),
+        (["evolve", "--xd", "inf"], ""),
+        (["reconstruct", "--xd", "2e5L", "--eta-max", "inf"], ""),
+        (["evolve", "--xd", "2L"], "x_c = 5.0"),
+        (["evolve", "--xd", "2L"], "x_c = -1.0"),  # validity ratio 1 < 3
+        (["evolve", "--xd", "2L"], "e0 = -1.0"),
+    ], ids=["tmax-nan", "xd-inf", "eta-max-inf", "x_c-positive", "ratio-1", "e0-negative"])
+    def test_bad_number_or_packet_exits_1_before_any_sweep(self, args, line, tmp_path):
+        cfg = tmp_path / "sb.cfg"
+        cfg.write_text(f"mass_ratio = 0.067\nlayer = 8.0 0.23\n{line}\n")
+        out = tmp_path / "bad"
+        assert run(args + ["--config", cfg, "--nseed", "60", "--out", out]) == 1
+        assert_nothing_written(out)
+
     def test_help_and_version_exit_0(self, capsys):
         assert run(["--version"]) == 0
         assert run(["poles", "--help"]) == 0
@@ -486,3 +510,53 @@ class TestValidateCommand:
         text = capsys.readouterr().out
         assert code == 2
         assert "FAIL 7-properties-sb" in text
+
+
+# ordinary values of every number the fuzz draws (None: the key is left
+# out); up to two of them are replaced by a non-finite, zero, negative or
+# malformed one
+ORDINARY = {
+    "width": ["8.0", "3.0"],
+    "height": ["0.23"],
+    "mass_ratio": ["0.067", None],
+    "x_c": ["-5.0", "-3.0", None],
+    "sigma": ["0.5", None],
+    "e0": ["0.08", "0.115", None],
+    "xd": ["2L", "2e5L", "30"],
+    "tmax": ["2", "20"],
+    "eta_min": ["0.2", "1.0"],
+    "eta_max": ["3.0"],
+}
+BAD = ["nan", "inf", "-inf", "0", "-1.0", "-1.0L"]
+
+
+@pytest.mark.filterwarnings("ignore::tunnelwave.evolution.PacketValidityWarning")
+@settings(max_examples=30, deadline=None)
+@given(
+    command=st.sampled_from(["evolve", "reconstruct"]),
+    values=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in ORDINARY.items()}),
+    bad=st.dictionaries(st.sampled_from(sorted(ORDINARY)), st.sampled_from(BAD), max_size=2),
+    n_layers=st.integers(0, 2),
+    unknown_key=st.booleans(),
+)
+def test_fuzzed_input_exits_0_1_or_2_and_usage_errors_write_nothing(
+    command, values, bad, n_layers, unknown_key
+):
+    v = {**values, **bad}
+    lines = [f"layer = {v['width']} {v['height']}"] * n_layers
+    lines += [f"{key} = {v[key]}" for key in ("mass_ratio", "x_c", "sigma", "e0")
+              if v[key] is not None]
+    lines += ["bogus = 1.0"] * unknown_key
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out"
+        cfg.write_text("\n".join(lines) + "\n")
+        args = [command, "--config", cfg, "--nseed", "60", "--out", out, f"--xd={v['xd']}"]
+        if command == "evolve":
+            args += [f"--tmax={v['tmax']}", "--tpoints", "20"]
+        else:
+            args += [f"--eta-min={v['eta_min']}", f"--eta-max={v['eta_max']}",
+                     "--eta-points", "11"]
+        code = run(args)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert_nothing_written(out)

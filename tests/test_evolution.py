@@ -11,7 +11,6 @@ from tunnelwave.evolution import (
     PacketValidityWarning,
     UnreliableRegimeError,
     asymptotic_cancellation,
-    cutoff_error_estimate,
     eta,
     fit_loglog_slope,
     free_packet,
@@ -77,22 +76,6 @@ class TestFreePacket:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             free_packet(make_packet(SB.units), 0.0, -1.0)
-
-
-class TestCutoffErrorEstimate:
-    def test_reference_packet(self):
-        pk = make_packet(SB.units)
-        assert cutoff_error_estimate(pk, 1.0) == pytest.approx(math.exp(-25.0))
-        assert cutoff_error_estimate(pk, 1.0) == pytest.approx(1.39e-11, rel=0.01)
-
-    def test_warning_tier(self):
-        pk = make_packet(SB.units, x_c=-3.0)
-        assert pk.validity_ratio == pytest.approx(3.0)
-        assert cutoff_error_estimate(pk, 1.0) == pytest.approx(1.23e-4, rel=0.01)
-
-    def test_far_cutoff_vanishes(self):
-        pk = make_packet(SB.units, x_c=-80.0)
-        assert cutoff_error_estimate(pk, 1.0) == 0.0
 
 
 class TestTransmittedPacket:

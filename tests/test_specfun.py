@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunnelwave.specfun import (
-    DomainTooSmallError,
-    faddeeva,
-    faddeeva_asymptotic,
-    faddeeva_log_scaled,
-    moshinsky,
-)
+from tunnelwave.specfun import faddeeva, faddeeva_log_scaled
 
 # e * erfc(1), 50-digit series oracle, frozen
 ERFCX_1 = 0.42758357615580700441075034192166661878239812379280
@@ -198,100 +192,6 @@ class TestLogScaled:
         for i, v in enumerate(z):
             m_i, p_i = faddeeva_log_scaled(complex(v))
             assert m_i == mag[i] and p_i == phase[i]
-
-
-class TestAsymptotic:
-    def test_large_argument_second_quadrant(self):
-        z = 10.0 * cmath.exp(0.75j * math.pi)
-        approx = faddeeva_asymptotic(z, 2)
-        exact = faddeeva(z)
-        assert abs(approx - exact) <= 1e-4 * abs(exact)
-
-    def test_very_large_argument_one_term(self):
-        z = 100.0 * cmath.exp(0.75j * math.pi)
-        approx = faddeeva_asymptotic(z, 1)
-        exact = faddeeva(z)
-        assert abs(approx - exact) <= 1e-4 * abs(exact)
-
-    def test_term_count_validated(self):
-        with pytest.raises(ValueError):
-            faddeeva_asymptotic(10.0 + 1j, 0)
-        with pytest.raises(ValueError):
-            faddeeva_asymptotic(10.0 + 1j, 7)
-
-    def test_small_argument_rejected(self):
-        with pytest.raises(DomainTooSmallError):
-            faddeeva_asymptotic(1.0 + 1j, 2)
-
-    def test_match_over_upper_half_plane(self):
-        for radius in (10.0, 20.0, 80.0):
-            for theta in np.linspace(0.05, math.pi - 0.05, 15):
-                z = radius * cmath.exp(1j * theta)
-                approx = faddeeva_asymptotic(z, 3)
-                exact = faddeeva(z)
-                assert abs(approx - exact) <= 1e-4 * abs(exact)
-
-    def test_lower_half_plane_includes_exponential_branch(self):
-        z = 6.0 - 0.4j
-        approx = faddeeva_asymptotic(z, 4)
-        exact = faddeeva(z)
-        assert abs(approx - exact) <= 1e-3 * abs(exact)
-
-
-# mass and hbar in the nm/fs/eV system used throughout
-_HBAR = 0.6582119569
-_MASS = _HBAR**2 / (2.0 * (0.0380998 / 0.067))
-
-_GL_N, _GL_W = np.polynomial.legendre.leggauss(16)
-
-
-def moshinsky_quadrature(x, t, kappa, mass, hbar, half_width=14.0, panels=2500):
-    """Direct momentum integral (i/2pi) int dk e^{ikx - i hbar k^2 t/2m}/(k-kappa)."""
-    k_damp = math.sqrt(2.0 * mass / (hbar * (-t.imag)))
-    edges = np.linspace(-half_width * k_damp, half_width * k_damp, panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    ks = (mids[:, None] + half[:, None] * _GL_N[None, :]).ravel()
-    ws = (half[:, None] * _GL_W[None, :]).ravel()
-    f = np.exp(1j * ks * x - 0.5j * hbar * ks * ks * t / mass) / (ks - kappa)
-    return 1j / (2.0 * math.pi) * complex(np.sum(ws * f))
-
-
-class TestMoshinsky:
-    def test_origin_value(self):
-        assert moshinsky(0.0, 1.0, 0.0, _MASS, _HBAR) == pytest.approx(0.5)
-
-    def test_matches_defining_integral(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            x = rng.uniform(-3.0, 8.0)
-            t = complex(rng.uniform(0.3, 4.0), -rng.uniform(0.4, 3.0))
-            kappa = complex(rng.uniform(0.1, 1.5), -rng.uniform(0.05, 1.0))
-            closed = moshinsky(x, t, kappa, _MASS, _HBAR)
-            integral = moshinsky_quadrature(x, t, kappa, _MASS, _HBAR)
-            assert abs(closed - integral) <= 1e-8 * abs(integral)
-
-    def test_schwarz_reflection_pair(self):
-        # conj M(x, t', kappa') = M(x, -conj t', -conj kappa'): the reflection
-        # k -> -k of the defining integral.  (Conjugating t' alone flips the
-        # sign of the quadratic phase and is not a symmetry.)
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            x = rng.uniform(-2.0, 5.0)
-            t = complex(rng.uniform(0.3, 3.0), -rng.uniform(0.3, 2.0))
-            kappa = complex(rng.uniform(0.1, 1.2), -rng.uniform(0.05, 0.8))
-            lhs = moshinsky(x, -t.conjugate(), -kappa.conjugate(), _MASS, _HBAR)
-            rhs = moshinsky(x, t, kappa, _MASS, _HBAR).conjugate()
-            assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1e-30)
-
-    def test_domain_rejected(self):
-        with pytest.raises(ValueError):
-            moshinsky(1.0, complex(-1.0, 0.5), 0.2 - 0.1j, _MASS, _HBAR)
-
-    def test_overflow_propagates(self):
-        # deep upper-half-plane shift drives the exponential branch over range
-        with pytest.raises(OverflowError):
-            moshinsky(0.0, complex(10.0, -0.3), 60j, _MASS, _HBAR)
 
 
 @settings(max_examples=150, deadline=None)
