@@ -7,8 +7,9 @@ For every file under either tree it prints one line: ``byte-identical``, or
 for a CSV that differs, the header lines that differ and one line per data
 column with either ``byte-identical`` (every value written the same) or the
 largest relative deviation ``|a - b| / max(|a|, |b|)`` and the row where it
-occurs.  Exits with 1 when the trees hold different files or a file's
-columns or row count differ, else 0.
+occurs.  Exits with 0 when every file is byte-identical, 1 when only
+values or header lines differ, and 2 when the trees hold different files or
+a file's columns or row count differ.
 """
 
 import argparse
@@ -85,22 +86,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
     files_a = {p.relative_to(args.dir_a) for p in args.dir_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(args.dir_b) for p in args.dir_b.rglob("*") if p.is_file()}
-    ok = True
+    code = 0
     for rel in sorted(files_a | files_b):
         if rel not in files_a or rel not in files_b:
             side = args.dir_b if rel in files_a else args.dir_a
             print(f"{rel}: missing under {side}")
-            ok = False
+            code = 2
             continue
         lines, same_shape = compare_file(args.dir_a / rel, args.dir_b / rel)
-        ok &= same_shape
+        if not same_shape:
+            code = 2
+        elif lines != ["byte-identical"]:
+            code = max(code, 1)
         if len(lines) == 1:
             print(f"{rel}: {lines[0]}")
         else:
             print(f"{rel}:")
             for line in lines:
                 print(f"  {line}")
-    return 0 if ok else 1
+    return code
 
 
 if __name__ == "__main__":

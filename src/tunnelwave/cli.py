@@ -37,7 +37,7 @@ from .poles import (
     sweep_poles,
     write_text_atomic,
 )
-from .potential import PotentialProfile, t22_off_branch, transmission_coefficient
+from .potential import PotentialProfile, t22, transmission_coefficient
 from .presets import PRESET_NAMES, default_n_seed, default_packet_energy, preset_profile
 from .resonances import NotAPoleError, ResidueSet, expansion_t, residues
 from .validation import REFERENCE_POLES, run_validation
@@ -249,14 +249,15 @@ def cmd_poles(args):
 
 def cmd_spectrum(args):
     cfg = _resolve_config(args)
+    pole_counts = _parse_pole_counts(args.poles)
     catalog, rset = obtain_catalog(cfg)
     profile = cfg.profile
-    n_list = _parse_pole_counts(args.poles, len(catalog))
+    n_list = _within_catalog(pole_counts, len(catalog))
     v_top = profile.barrier_height
     energies = np.linspace(5.0 * v_top / args.points, 5.0 * v_top, args.points)
     k = np.sqrt(energies / profile.units.inv_mass_coeff)
     t_exact = transmission_coefficient(profile, energies)
-    amp_exact = 1.0 / t22_off_branch(profile, k)
+    amp_exact = 1.0 / t22(profile, k)
     columns = ["E_over_V", "E_eV", "T_exact", "re_t_exact", "im_t_exact"]
     data = [energies / v_top, energies, t_exact, amp_exact.real, amp_exact.imag]
     devs = []
@@ -273,16 +274,26 @@ def cmd_spectrum(args):
     return 0
 
 
-def _parse_pole_counts(text, n_max):
+def _parse_pole_counts(text):
+    """The counts of ``--poles``, each at least 1; [] (every pole) when
+    empty.  The upper bound, the catalog size, is checked by
+    :func:`_within_catalog` after the sweep."""
     if not text:
-        return [n_max]
-    out = []
-    for item in text.split(","):
-        n = int(item)
-        if not 1 <= n <= n_max:
-            raise ConfigError(f"pole count {n} outside 1..{n_max}")
-        out.append(n)
-    return out
+        return []
+    try:
+        counts = [int(item) for item in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--poles needs a comma list of integers, got {text!r}") from None
+    if min(counts) < 1:
+        raise ConfigError(f"pole count {min(counts)} is below 1")
+    return counts
+
+
+def _within_catalog(counts, n_max):
+    """``counts``, or ``[n_max]`` when empty; each must be at most ``n_max``."""
+    if max(counts, default=0) > n_max:
+        raise ConfigError(f"pole count {max(counts)} outside 1..{n_max}")
+    return counts or [n_max]
 
 
 def cmd_evolve(args):
@@ -293,10 +304,14 @@ def cmd_evolve(args):
         raise ConfigError("--tmax must be positive")
     if x_d < profile.length:
         raise ConfigError("--xd must be at least L (the transmitted region)")
+    pole_counts = _parse_pole_counts(args.poles)
     catalog, rset, packet = _catalog_and_packet(cfg)
     tau_sys = tau_system(profile, catalog)
-    n_poles = max(_parse_pole_counts(args.poles, len(catalog)))
-    ts = np.linspace(1e-3 * tau_sys, args.tmax * tau_sys, args.tpoints)
+    n_poles = max(_within_catalog(pole_counts, len(catalog)))
+    t_end = args.tmax * tau_sys
+    if not math.isfinite(t_end):
+        raise ConfigError(f"--tmax {args.tmax!r} times tau_sys {tau_sys!r} fs overflows")
+    ts = np.linspace(1e-3 * tau_sys, t_end, args.tpoints)
     logs = transmitted_packet_log(
         packet, profile, catalog, rset, x_d, ts, n_poles=n_poles
     )
@@ -337,8 +352,9 @@ def cmd_reconstruct(args):
         raise ConfigError("--xd must lie beyond L")
     if not 0.0 < args.eta_min <= args.eta_max:
         raise ConfigError("need 0 < --eta-min <= --eta-max")
+    pole_counts = _parse_pole_counts(args.poles)
     catalog, rset, packet = _catalog_and_packet(cfg)
-    n_poles = max(_parse_pole_counts(args.poles, len(catalog)))
+    n_poles = max(_within_catalog(pole_counts, len(catalog)))
     t_flight = (x_d - length) / packet.velocity
     etas = np.linspace(args.eta_min, args.eta_max, args.eta_points)
     e0 = packet.energy

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import _w_upper, faddeeva_log_scaled
-from .potential import t22_off_branch
+from .potential import t22
 
 __all__ = [
     "NodeBudgetExceededError",
@@ -224,7 +224,7 @@ def psi_quadrature(packet, profile, x, t, config=QuadratureConfig()):
     if x < profile.length:
         raise ValueError("quadrature oracle evaluates the transmitted region x >= L")
     return _momentum_integral(
-        packet, float(x), t, lambda ks: 1.0 / t22_off_branch(profile, ks), config
+        packet, float(x), t, lambda ks: 1.0 / t22(profile, ks), config
     )
 
 

@@ -83,14 +83,10 @@ def residual_gate(residual_tol, length, kappa):
     Near a zero at depth beta = -Im(kappa), the evaluated |t22| cannot drop
     below ~eps * exp(beta L) in double precision (the value is a cancellation
     of O(1) contributions scaled back by exp(ikL)).  For shallow poles the
-    gate is exactly ``residual_tol``.  ``kappa`` is a complex or an array of
-    them.
+    gate is exactly ``residual_tol``.  ``kappa`` is an array.
     """
-    if isinstance(kappa, np.ndarray):
-        growth = np.exp(np.clip(-kappa.imag * length, 0.0, 690.0))
-        return np.maximum(residual_tol, 64.0 * _EPS * growth)
-    growth = math.exp(min(-kappa.imag * length, 690.0)) if kappa.imag < 0.0 else 1.0
-    return max(residual_tol, 64.0 * _EPS * growth)
+    growth = np.exp(np.clip(-kappa.imag * length, 0.0, 690.0))
+    return np.maximum(residual_tol, 64.0 * _EPS * growth)
 
 
 @dataclass(frozen=True)
@@ -215,8 +211,9 @@ def asymptotic_seed(n, length):
 
 
 def _t22_or_nan(profile, k):
-    """``(t22, t22')`` over the array ``k``, NaN where the kernel raises (a
-    layer branch point or overflow).  Such points, and runs longer than
+    """``(t22, t22')`` over the array ``k``, NaN where the kernel raises (k
+    at 0 or an overflowing factor; a layer branch point is evaluated, see
+    :mod:`tunnelwave.potential`).  Such points, and runs longer than
     ``_VECTOR_POINTS``, are split off by halving; up to ``_SCALAR_POINTS``
     points go one by one through the scalar kernel."""
     if _SCALAR_POINTS < k.size <= _VECTOR_POINTS:
@@ -294,8 +291,9 @@ def _edge_phases(profile, edges):
     reaches ``_ARG_MAX_STEP`` is cut into pieces short enough for that bound;
     all paths share one vector ``t22_with_prime`` call per round.  Returns
     per path the phase of t22 at each starting sample from the first, or None
-    where it is not resolved: a sample at a layer branch point, at k = 0 or
-    overflowing, a non-finite or zero value, or over ``_ARG_MAX_POINTS`` added.
+    where it is not resolved: a sample at k = 0 or overflowing, a non-finite
+    or zero value, or over ``_ARG_MAX_POINTS`` added.  A sample at a layer
+    branch point is evaluated like any other.
     """
     if not edges:
         return []
@@ -522,8 +520,23 @@ _COLUMNS = (
 )
 
 
+_CHECKSUM = "# sha256: "
+
+
+def _checksum(data):
+    """SHA-256 of the bytes ``data`` with its checksum line taken out (no
+    copy is made).  Without that line the header has no checksum to match."""
+    view = memoryview(data)
+    start = data.find(b"\n" + _CHECKSUM.encode()) + 1
+    end = data.find(b"\n", start) + 1
+    digest = hashlib.sha256(view[:start])
+    digest.update(view[end:])
+    return digest.hexdigest()
+
+
 def save_catalog(catalog, path, *, residues, u0, u_l):
-    """Write the catalog with its residue columns as '#'-headed CSV."""
+    """Write the catalog with its residue columns as '#'-headed CSV.  The
+    last header line is the SHA-256 of all the others."""
     cfg = catalog.config
     lines = [
         f"# {_FORMAT_TAG}",
@@ -538,10 +551,13 @@ def save_catalog(catalog, path, *, residues, u0, u_l):
     for x in (residues, u0, u_l):
         x = np.asarray(x, dtype=complex)
         data += [x.real, x.imag]
-    row = "%d," + ",".join(["%.17e"] * len(data))
+    row = "%d," + ",".join(["%.17e"] * len(data)) + "\n"
     table = np.column_stack(data).tolist()
-    lines += [row % (i, *values) for i, values in enumerate(table, start=1)]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    body = "".join(row % (i, *values) for i, values in enumerate(table, start=1))
+    head = "\n".join(lines) + "\n"
+    digest = hashlib.sha256(head.encode())
+    digest.update(body.encode())
+    write_text_atomic(path, f"{head}{_CHECKSUM}{digest.hexdigest()}\n{body}")
 
 
 def write_text_atomic(path, text):
@@ -568,6 +584,13 @@ def _parse_config(text):
     return PoleSearchConfig(**{key: kinds[key](val) for key, val in items.items()})
 
 
+def _read_with_checksum(path):
+    """``(text, checksum)`` of the file as written: no newline translation
+    may hide a changed byte.  The bytes are freed on return."""
+    data = Path(path).read_bytes()
+    return data.decode("utf-8"), _checksum(data)
+
+
 def load_catalog(path):
     """Read a catalog written by :func:`save_catalog`.
 
@@ -575,11 +598,11 @@ def load_catalog(path):
     ``residues``, ``u0`` and ``u_l`` complex arrays.  Raises ``ValueError``
     when the columns are not the ten :func:`save_catalog` writes, when the
     ``rows`` header is missing or disagrees with the rows read, as in a file
-    cut at a row boundary, and when a row is not one number per column or
-    the file does not end with a newline, as in a file cut inside a row.
+    cut at a row boundary, when a row is not one number per column or the
+    file does not end with a newline, as in a file cut inside a row, and
+    when the checksum does not match the other lines, as in a changed digit.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text, digest = _read_with_checksum(path)
     lines = text.splitlines()
     if not lines or lines[0].strip() != f"# {_FORMAT_TAG}":
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
@@ -617,6 +640,8 @@ def load_catalog(path):
         length=float(header["length_nm"]),
         config=_parse_config(header["config"]),
     )
+    if header.get("sha256") != digest:
+        raise ValueError(f"{path}: checksum does not match its lines")
     return catalog, {
         "residues": data[:, 4] + 1j * data[:, 5],
         "u0": data[:, 6] + 1j * data[:, 7],

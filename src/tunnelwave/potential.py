@@ -17,6 +17,14 @@ that q follows k and two neighbouring wavevectors never nearly cancel in
 ``g = (V_a - V_b) / (2c q_b (q_a + q_b))`` divides by.  That form of
 ``g = (1 - q_a/q_b)/2`` does not cancel at high energy.
 
+At a layer branch point (E = V_j, q_j = 0) ``t22`` is analytic, but the
+local basis degenerates: ``g`` divides by ``q_j``.  The kernel evaluates
+every point where some ``|q_j| < _Q_MIN`` at ``k (1 + 1e-9)`` instead, the
+phase ``exp(ikL)`` and the derivative included, and every other point as
+given.  Only ``k ~ 0`` (below ``_K_MIN``, or still at the branch point of
+a layer of height ~ 0, such as a well, after the move) and an overflowing
+factor raise.
+
 One kernel, ``_second_column``, runs the layer recursion for a single
 complex k (cmath) and for arrays of k (numpy).  It propagates only the
 second column ``(m12, m22)``, which is all that ``t22``, its derivative and
@@ -41,7 +49,6 @@ import numpy as np
 __all__ = [
     "HBAR_EV_FS",
     "HBAR2_OVER_2ME_EV_NM2",
-    "BranchPointProximityError",
     "NegativeEnergyError",
     "PoleProximityError",
     "PotentialProfile",
@@ -49,7 +56,6 @@ __all__ = [
     "UnitSystem",
     "ZeroWavenumberError",
     "t22",
-    "t22_off_branch",
     "t22_with_prime",
     "transfer_matrix",
     "transmission_amplitude",
@@ -70,13 +76,6 @@ class NegativeEnergyError(ValueError):
 
 class ZeroWavenumberError(ValueError):
     """Transfer matrices are singular at k = 0."""
-
-
-class BranchPointProximityError(ArithmeticError):
-    """Some layer wavevector is numerically at its branch point (E ~ V_j).
-
-    Signals the caller to perturb the evaluation point slightly.
-    """
 
 
 class PoleProximityError(ArithmeticError):
@@ -213,18 +212,22 @@ class TransferMatrix:
 # the layer recursion: one kernel for a Python complex k and for arrays of k
 # ---------------------------------------------------------------------------
 
-# (sqrt, exp, reduction of a per-point test to one bool) for each kind of k
-_SCALAR = (cmath.sqrt, cmath.exp, bool)
-_VECTOR = (np.sqrt, np.exp, np.any)
+# (sqrt, exp, reduction of a per-point test to one bool, choice by a
+# per-point test) for each kind of k
+_SCALAR = (cmath.sqrt, cmath.exp, bool, lambda test, a, b: a if test else b)
+_VECTOR = (np.sqrt, np.exp, np.any, np.where)
 
 
 def _second_column(profile, k, ops, with_prime=False, entries=None):
-    """Second column ``(m12, m22)`` of the local-basis matrix and its d/dk.
+    """``(k, m12, m22, d12, d22)``: the second column of the local-basis
+    matrix and its d/dk, at the ``k`` returned.
 
     ``ops`` is ``_SCALAR`` for a Python complex ``k`` and ``_VECTOR`` for an
-    array.  The first column never feeds back into the second, so it is not
-    composed.  The derivative ``(d12, d22)`` is carried only with
-    ``with_prime`` and is ``(0j, 0j)`` otherwise.  The column is the state
+    array.  The returned ``k`` is the one given, except that a point at a
+    layer branch point is moved to ``k (1 + 1e-9)``.  The first column never
+    feeds back into the second, so it is not composed.  The derivative
+    ``(d12, d22)`` is carried only with ``with_prime`` and is ``(0j, 0j)``
+    otherwise.  The column is the state
     grown from ``(a, b) = (0, 1)``, so when ``entries`` is a list the entry
     amplitudes, wavevector and propagation factor ``(a, b, q, exp(iqw))`` of
     every layer are appended to it.
@@ -234,25 +237,27 @@ def _second_column(profile, k, ops, with_prime=False, entries=None):
     only if a later layer takes it again; the results are the same
     operations on the same operands as a per-layer evaluation, bit for bit.
     """
-    sqrt, exp, any_ = ops
+    sqrt, exp, any_, where = ops
     if any_(abs(k) < _K_MIN):
         raise ZeroWavenumberError("transfer matrix undefined at k = 0")
     heights, faces, spans, steps = profile.layer_plan
     c = profile.units.inv_mass_coeff
-    k2 = k * k
+    roots = [sqrt(k * k - h / c) for h in heights]
+    near = False
+    for q in roots:
+        near = near | (abs(q) < _Q_MIN)
+    if any_(near):
+        k = where(near, k * (1.0 + 1e-9), k)
+        roots = [sqrt(k * k - h / c) for h in heights]
+        # still there only where a layer of height ~ 0 meets k ~ 0
+        if any(any_(abs(q) < _Q_MIN) for q in roots):
+            raise ZeroWavenumberError("layer wavevector ~ 0 at k ~ 0")
     # principal roots have Re q >= 0; negated where Re k < 0 they follow k
     behind = k.real < 0.0
-    sign = 1.0 - 2.0 * behind if any_(behind) else None
-    qs = [k]
-    for h in heights:
-        q = sqrt(k2 - h / c)
-        if sign is not None:
-            q = sign * q
-        if any_(abs(q) < _Q_MIN):
-            raise BranchPointProximityError(
-                "layer wavevector ~ 0 (E at a layer height); perturb the evaluation point"
-            )
-        qs.append(q)
+    if any_(behind):
+        sign = 1.0 - 2.0 * behind
+        roots = [sign * q for q in roots]
+    qs = [k] + roots
 
     # a factor that a later layer uses again is kept; one used once is
     # dropped after its step, so few arrays are alive at a time
@@ -305,12 +310,12 @@ def _second_column(profile, k, ops, with_prime=False, entries=None):
         if with_prime:
             d12, d22 = dp * m12 + ep * d12, dm * m22 + em * d22
         m12, m22 = ep * m12, em * m22
-    return m12, m22, d12, d22
+    return k, m12, m22, d12, d22
 
 
 def _phase(profile, k, ops):
     """exp(ikL), the factor between the local and the global basis."""
-    _, exp, any_ = ops
+    exp, any_ = ops[1:3]
     arg = 1j * k * profile.length
     if any_(abs(arg.real) > _EXP_MAX):
         raise OverflowError("exp(ikL) exceeds the floating range")
@@ -328,32 +333,14 @@ def _ops(k):
 def t22(profile, k):
     """Denominator element of the transmission amplitude, t(k) = 1/t22(k)."""
     k, ops = _ops(k)
-    _, m22, _, _ = _second_column(profile, k, ops)
+    k, _, m22, _, _ = _second_column(profile, k, ops)
     return _phase(profile, k, ops) * m22
-
-
-def t22_off_branch(profile, k):
-    """:func:`t22` with every point at a layer branch point moved off it.
-
-    A k whose layer wavevector is numerically zero (E at a layer height) is
-    evaluated at k (1 + 1e-9); every other point is evaluated as given.
-    """
-    try:
-        return t22(profile, k)
-    except BranchPointProximityError:
-        pass
-    k = np.asarray(k, dtype=complex)
-    c = profile.units.inv_mass_coeff
-    near = np.zeros(k.shape, dtype=bool)
-    for _, h in profile.layers:
-        near |= np.abs(np.sqrt(k * k - h / c)) < _Q_MIN
-    return t22(profile, np.where(near, k * (1.0 + 1e-9), k))
 
 
 def t22_with_prime(profile, k):
     """(t22, dt22/dk) at a complex k or an array of k, analytic derivative."""
     k, ops = _ops(k)
-    _, m22, _, d22 = _second_column(profile, k, ops, with_prime=True)
+    k, _, m22, _, d22 = _second_column(profile, k, ops, with_prime=True)
     phase = _phase(profile, k, ops)
     t = phase * m22
     tp = 1j * profile.length * phase * m22 + phase * d22
@@ -361,7 +348,7 @@ def t22_with_prime(profile, k):
 
 
 def _global_column(profile, k):
-    m12, m22, _, _ = _second_column(profile, k, _SCALAR)
+    k, m12, m22, _, _ = _second_column(profile, k, _SCALAR)
     phase = _phase(profile, k, _SCALAR)
     return m12 / phase, m22 * phase
 
@@ -397,14 +384,10 @@ def transmission_amplitude(profile, k):
 
 
 def transmission_coefficient(profile, energy):
-    """T(E) = |t(k(E))|^2 for real E > 0; clipped into [0, 1].
-
-    Points that land numerically on a layer branch point are evaluated at
-    k (1 + 1e-9) (see :func:`t22_off_branch`).
-    """
+    """T(E) = |t(k(E))|^2 for real E > 0; clipped into [0, 1]."""
     e_arr = np.asarray(energy, dtype=float)
     if np.any(e_arr <= 0.0):
         raise NegativeEnergyError("transmission coefficient requires E > 0")
     k = np.sqrt(e_arr / profile.units.inv_mass_coeff)
-    t_co = 1.0 / np.abs(t22_off_branch(profile, k)) ** 2
+    t_co = 1.0 / np.abs(t22(profile, k)) ** 2
     return np.minimum(t_co, 1.0) if e_arr.ndim else min(float(t_co), 1.0)

@@ -73,7 +73,7 @@ def _states(profile, kappa, residual_tol, initial_scale=1.0):
     """
     length = profile.length
     entries = []
-    m12, m22, _, _ = _second_column(profile, kappa, _VECTOR, entries=entries)
+    _, m12, m22, _, _ = _second_column(profile, kappa, _VECTOR, entries=entries)
     t_abs = np.abs(np.exp(1j * kappa * length) * m22)
     gate = residual_gate(residual_tol, length, kappa)
     # u'(L) - i kappa u(L) = -2 i kappa b, so b is the incoming contamination

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -103,6 +104,23 @@ class TestPolesCommand:
         fresh = cache.read_bytes()
         text = fresh.decode()
         cache.write_text(text[: text.index("\n", len(text) // 2) + 16])
+        capsys.readouterr()
+        assert run(args) == 0
+        assert "zeros in box" in capsys.readouterr().out
+        assert cache.read_bytes() == fresh
+
+    def test_cache_with_one_changed_digit_rebuilt(self, tmp_path, capsys):
+        out = tmp_path / "digit"
+        args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]
+        assert run(args) == 0
+        (cache,) = (out / "cache").glob("poles_*.csv")
+        fresh = cache.read_bytes()
+        # Re kappa_2 0.947693... -> 0.947613...: still a well-formed catalog
+        changed = fresh.replace(b"\n2,9.476935", b"\n2,9.476135", 1)
+        assert changed != fresh
+        cache.write_bytes(changed)
+        with pytest.raises(ValueError, match="checksum"):
+            cli.load_catalog(cache)
         capsys.readouterr()
         assert run(args) == 0
         assert "zeros in box" in capsys.readouterr().out
@@ -283,6 +301,10 @@ class TestExitCodes:
         ["reconstruct", "--xd", "2e5L", "--eta-min", "3", "--eta-max", "1"],
         ["reconstruct", "--xd", "2e5L", "--t0-scales", "0,1"],
         ["reconstruct", "--xd", "2e5L", "--t0-scales=-0.5,1"],
+        ["evolve", "--xd", "2L", "--poles", "0"],
+        ["evolve", "--xd", "2L", "--poles", "abc"],
+        ["spectrum", "--poles", "10,0"],
+        ["reconstruct", "--xd", "2e5L", "--poles", "1.5"],
     ])
     def test_bad_times_and_distances_exit_1_before_any_sweep(self, args, tmp_path, capsys):
         out = tmp_path / "bad"
@@ -322,6 +344,19 @@ class TestExitCodes:
         out = tmp_path / "bad"
         assert run(args + ["--config", cfg, "--nseed", "60", "--out", out]) == 1
         assert_nothing_written(out)
+
+    @pytest.mark.parametrize("args, flag", [
+        (["evolve", "--xd", "2L", "--tmax", "1e308"], "--tmax"),
+        (["spectrum", "--poles", "10,99999", "--points", "10"], "pole count 99999"),
+    ])
+    def test_bound_from_the_catalog_exits_1_after_the_sweep(
+        self, args, flag, tmp_path, capsys, recwarn
+    ):
+        out = tmp_path / "bound"
+        assert run(args + ["--preset", "sb", "--nseed", "60", "--out", out]) == 1
+        assert flag in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not list(out.glob("*.csv"))
 
     def test_help_and_version_exit_0(self, capsys):
         assert run(["--version"]) == 0
@@ -497,11 +532,14 @@ class TestValidateCommand:
         ]) == 0
         capsys.readouterr()
         cache = next((out / "cache").glob("poles_*.csv"))
-        lines = cache.read_text().splitlines()
+        # a wrong pole in a cache whose checksum matches, so that it loads
+        lines = [l for l in cache.read_text().splitlines() if not l.startswith("# sha256:")]
         first_row = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         fields = lines[first_row].split(",")
         fields[1] = format(float(fields[1]) + 1e-3, ".17e")
         lines[first_row] = ",".join(fields)
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+        lines.insert(first_row, f"# sha256: {digest}")
         cache.write_text("\n".join(lines) + "\n")
         code = run([
             "validate", "--preset", "sb", "--nseed", "400",
@@ -560,3 +598,28 @@ def test_fuzzed_input_exits_0_1_or_2_and_usage_errors_write_nothing(
         assert code in (0, 1, 2)
         if code == 1:
             assert_nothing_written(out)
+
+
+@pytest.fixture(scope="module")
+def sb60_cache(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sb60")
+    args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]
+    assert run(args) == 0
+    (cache,) = (out / "cache").glob("poles_*.csv")
+    return args, cache, cache.read_bytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(cut=st.booleans(), where=st.floats(0.0, 1.0, exclude_max=True),
+       byte=st.one_of(st.sampled_from(b"0123456789"), st.integers(0, 255)))
+def test_cut_or_changed_cache_rebuilt_byte_identical(sb60_cache, cut, where, byte):
+    # half the changes write a digit, which often still parses as a number
+    args, cache, fresh = sb60_cache
+    at = int(where * len(fresh))
+    if cut:
+        cache.write_bytes(fresh[:at])
+    else:
+        byte = byte if byte != fresh[at] else (byte + 1) % 256
+        cache.write_bytes(fresh[:at] + bytes([byte]) + fresh[at + 1 :])
+    assert run(args) == 0
+    assert cache.read_bytes() == fresh

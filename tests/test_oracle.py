@@ -13,7 +13,7 @@ from tunnelwave.oracle import (
     psi_free_quadrature,
     psi_quadrature,
 )
-from tunnelwave.potential import PotentialProfile, t22_off_branch
+from tunnelwave.potential import PotentialProfile, t22
 from tunnelwave.presets import preset_profile
 from tunnelwave.validation import ORACLE_WINDOWS
 
@@ -166,7 +166,6 @@ class TestTransmittedQuadrature:
         # time-reversal identity t(-k) = conj(t(k)) for real k must leave the
         # amplitude unchanged
         from tunnelwave.oracle import _momentum_integral, phi0 as _phi0
-        from tunnelwave.potential import t22
 
         pk = make_packet()
         x, t = 2 * SB.length, 4 * 6.299
@@ -250,7 +249,7 @@ class TestTimeArrays:
         x = 2.0 * profile.length
         t = 0.5 * tau_system(profile, db_data.catalog)
         ks, _ = oracle._panel_nodes(
-            pk, x, np.asarray(t), lambda k: 1.0 / t22_off_branch(profile, k), config
+            pk, x, np.asarray(t), lambda k: 1.0 / t22(profile, k), config
         )
         half = config.window_half_width / pk.sigma
         beta = 2.0 * pk.units.inv_mass_coeff * t / pk.units.hbar

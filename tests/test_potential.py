@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tunnelwave.potential import (
-    BranchPointProximityError,
     NegativeEnergyError,
     PotentialProfile,
     UnitSystem,
     ZeroWavenumberError,
     t22,
-    t22_off_branch,
     t22_with_prime,
     transfer_matrix,
     transmission_amplitude,
@@ -170,6 +168,9 @@ class TestTransferMatrix:
     def test_zero_wavenumber_rejected(self):
         with pytest.raises(ZeroWavenumberError):
             transfer_matrix(SB, 0.0)
+        # db's well: the moved point is still at its branch point k = 0
+        with pytest.raises(ZeroWavenumberError):
+            t22(DB, np.array([0.3, 1e-8]))
 
     def test_pseudo_unitarity_below_barrier(self):
         m = transfer_matrix(SB, SB.units.wavenumber_of_energy(0.115))
@@ -270,19 +271,28 @@ class TestT22:
         assert [math.copysign(1.0, h) for h in heights if h == 0.0] == [1.0, -1.0]
         assert (len(heights), len(faces), len(spans)) == (4, 8, 6)
 
-    def test_branch_point_raises(self):
+    def test_branch_point_evaluated_at_moved_k(self):
+        # E = V: the layer wavevector is 0 and the point moves to k (1 + 1e-9)
         k_branch = SB.units.wavenumber_of_energy(SB.barrier_height)
-        with pytest.raises(BranchPointProximityError):
-            t22(SB, k_branch)
+        moved = k_branch * (1.0 + 1e-9)
+        assert t22(SB, k_branch) == t22(SB, moved)
+        assert t22_with_prime(SB, k_branch) == t22_with_prime(SB, moved)
+        assert transfer_matrix(SB, k_branch) == transfer_matrix(SB, moved)
+        ks = np.array([k_branch, -k_branch])
+        for got, want in zip(t22_with_prime(SB, ks), t22_with_prime(SB, ks * (1.0 + 1e-9))):
+            assert np.array_equal(got, want)
+        assert np.array_equal(t22(SB, ks), t22(SB, ks * (1.0 + 1e-9)))
 
     def test_off_branch_moves_only_the_branch_point(self):
         k_branch = SB.units.wavenumber_of_energy(SB.barrier_height)
-        ks = np.array([0.3, k_branch, 1.1])
-        vals = t22_off_branch(SB, ks)
-        moved = t22(SB, k_branch * (1.0 + 1e-9))
-        assert vals[1] == moved and t22_off_branch(SB, k_branch) == moved
-        assert np.array_equal(vals[[0, 2]], t22(SB, ks[[0, 2]]))
-        assert np.array_equal(t22_off_branch(SB, ks[[0, 2]]), t22(SB, ks[[0, 2]]))
+        ks = np.array([0.3, k_branch, 1.1 - 0.2j, -0.7])
+        ordinary = ks[[0, 2, 3]]
+        vals = t22(SB, ks)
+        assert vals[1] == t22(SB, np.array([k_branch * (1.0 + 1e-9)]))[0]
+        assert np.array_equal(vals[[0, 2, 3]], t22(SB, ordinary))
+        got, want = t22_with_prime(SB, ks), t22_with_prime(SB, ordinary)
+        for g, w in zip(got, want):
+            assert np.array_equal(g[[0, 2, 3]], w)
 
 
 class TestTransmission:
@@ -339,11 +349,8 @@ def test_layer_splitting_leaves_t22_unchanged(widths, heights, k_re, k_im, split
     split_layers = layers[:split] + ((w / 2, h), (w / 2, h)) + layers[split + 1 :]
     profile_split = PotentialProfile(split_layers)
     k = complex(k_re, k_im)
-    try:
-        a = t22(profile, k)
-        b = t22(profile_split, k)
-    except BranchPointProximityError:
-        return
+    a = t22(profile, k)
+    b = t22(profile_split, k)
     assert abs(a - b) <= 1e-12 * abs(a)
 
 
