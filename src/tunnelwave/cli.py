@@ -357,13 +357,20 @@ def cmd_reconstruct(args):
     n_poles = max(_within_catalog(pole_counts, len(catalog)))
     t_flight = (x_d - length) / packet.velocity
     etas = np.linspace(args.eta_min, args.eta_max, args.eta_points)
+    t0s = [scale * t_flight for scale in scales]
+    grids = [length + np.sqrt(etas) * packet.velocity * t0 for t0 in t0s]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(np.all(np.isfinite(free_packet_log(packet, xs, t0)))
+                   for xs, t0 in zip(grids, t0s)):
+            raise ConfigError(
+                f"--xd {args.xd} is too far: the free packet's exponent "
+                "overflows at the reconstruction points"
+            )
     e0 = packet.energy
     t_ref = transmission_coefficient(profile, etas * e0)
     columns = ["eta", "E_eV", "T_exact"]
     data = [etas, etas * e0, t_ref]
-    for scale in scales:
-        t0 = scale * t_flight
-        xs = length + np.sqrt(etas) * packet.velocity * t0
+    for scale, t0, xs in zip(scales, t0s, grids):
         columns.append(f"zeta_t0_{scale:g}")
         data.append(zeta(packet, profile, catalog, rset, xs, t0, n_poles=n_poles))
     out = _write_csv(cfg, "reconstruct", columns, zip(*data), {

@@ -7,9 +7,13 @@ where the bracket
           * sum_n r_n kappa_n exp(-i kappa_n L) w(i y'_n)
 
 runs over the catalog poles and their third-quadrant mirrors in (n, -n)
-pairs.  Both factors are carried in exponent space: in transient regimes the
-bracket grows exactly where the free envelope underflows, and only the
-product is guaranteed representable.
+pairs.  The free factor is carried in exponent space, since it underflows
+far from the packet centre.  The bracket is summed in linear space, where its
+terms stay far inside the double range for every preset packet.  A point
+whose reflection terms ``2 exp(-z^2)`` could overflow there is summed in
+exponent space instead: in transient regimes the bracket grows exactly where
+the free envelope underflows, and only the product is guaranteed
+representable.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import faddeeva_log_scaled
+from .specfun import _w_split, faddeeva_log_scaled
 from .potential import UnitSystem
 from .resonances import _pair_arrays, coefficient_C
 
@@ -45,9 +49,13 @@ __all__ = [
 ]
 
 _QUARTER_LOG_2PI = 0.25 * math.log(2.0 * math.pi)
-# (points x poles) elements per bracket chunk: larger chunks gain little time
-# and raise the peak memory of long point lists
+# (points x poles) elements per bracket chunk: one Faddeeva pass per chunk;
+# larger chunks gain little time and raise the peak memory of long point lists
 _CHUNK = 2**13
+# a point is summed in linear space only while its largest term stays below
+# exp(_LINEAR_LOG_MAX): 59 e-folds under exp's overflow at 709.78, room for
+# any catalog's pair count
+_LINEAR_LOG_MAX = 650.0
 
 
 class UnreliableRegimeError(ValueError):
@@ -180,39 +188,56 @@ class _BracketEvaluator:
         self.c_const = coefficient_C(profile, catalog, residue_set, n_poles)
         # coefficient of w(i y'_n); the mirror partner carries the conjugate
         self.coef = z * kap
+        self.coefs = np.concatenate([self.coef, np.conj(self.coef)])
         log_coef = np.log(self.coef)
         self.log_coefs = np.concatenate([log_coef, np.conj(log_coef)])
+        self.max_log_coef = float(np.max(log_coef.real))
         self.log_c_const = np.log(complex(self.c_const))
         # shifted wavenumbers kappa' of the poles, then of their mirrors
         self.kp = np.concatenate([kap, -np.conj(kap)]) - packet.k0
         self.hbar = packet.units.hbar
         self.mass = packet.units.mass
 
-    def _y_args(self, x, t):
-        """y' of the poles, then of their mirrors: shape ``x.shape + (2N,)``."""
+    def _y_args(self, x, t, out=None):
+        """y' of the poles, then of their mirrors: shape ``x.shape + (2N,)``;
+        written into ``out`` when given."""
         packet = self.packet
         tp = t - 1j * packet.tau
         xp = (x - packet.x_c - packet.velocity * t)[..., None]
         rot = cmath.exp(-0.25j * math.pi)
         root = (rot * np.sqrt(self.mass / (2.0 * self.hbar * tp)))[..., None]
         vel = (self.hbar * tp / self.mass)[..., None]
-        return root * (xp - vel * self.kp)
+        y = np.multiply(vel, self.kp, out=out)
+        np.subtract(xp, y, out=y)
+        # root first: complex products are not commutative bit for bit
+        return np.multiply(root, y, out=y)
 
     def log_bracket(self, x, t):
         """Complex log of the bracket at the points ``(x[i], t[i])`` of two
         equal-length 1-d arrays; overflow-safe.
 
         Works in chunks of about ``_CHUNK`` (points x poles) elements with one
-        Faddeeva call per chunk, and warns once per call when the last pole
-        pair still contributes more than 1e-8 of the bracket somewhere.
+        Faddeeva pass per chunk, summed in linear space.  The points a chunk
+        flags are summed again in exponent space.  Both sums go row by row, so
+        every point gets the bits it gets alone.  Warns once per call when the
+        last pole pair still contributes more than 1e-8 of the bracket
+        somewhere.
         """
-        n_terms = len(self.log_coefs)
-        rows = max(1, _CHUNK // n_terms)
+        n_terms = len(self.coefs)
+        rows = max(1, min(len(x), _CHUNK // n_terms))
+        # the chunk's arguments and Faddeeva values, reused by every chunk
+        bufs = np.empty((2, rows, n_terms), dtype=complex)
         out = np.empty(len(x), dtype=complex)
         tail = np.empty(len(x))
         for s in range(0, len(x), rows):
             part = slice(s, s + rows)
-            out[part], tail[part] = self._log_bracket_chunk(x[part], t[part])
+            n = min(rows, len(x) - s)
+            out[part], tail[part], slow = self._linear_chunk(
+                x[part], t[part], bufs[0, :n], bufs[1, :n]
+            )
+            if slow.any():
+                idx = s + np.flatnonzero(slow)
+                out[idx], tail[idx] = self._log_chunk(x[idx], t[idx])
         worst = float(np.max(tail, initial=0.0))
         if worst > 1e-8:
             warnings.warn(
@@ -224,8 +249,53 @@ class _BracketEvaluator:
             )
         return out
 
-    def _log_bracket_chunk(self, x, t):
-        """Log bracket and tail-pair fraction for one chunk of points."""
+    def _prefactor(self, t):
+        """sqrt(pi) sigma sqrt(1 + i t / tau) at the times ``t``."""
+        return (math.sqrt(math.pi) * self.packet.sigma) * np.sqrt(
+            1.0 + 1j * t / self.packet.tau
+        )
+
+    def _linear_chunk(self, x, t, z_buf=None, w_buf=None):
+        """Log bracket, tail-pair fraction and a log-space flag for one chunk
+        of points, summed in linear space (in the ``(points, 2N)`` buffers
+        ``z_buf`` and ``w_buf`` when given).
+
+        A point is flagged when its largest reflection exponent, plus the log
+        of the largest coefficient times the prefactor where that exceeds 1,
+        passes ``_LINEAR_LOG_MAX``, or when its linear sum is not finite (or
+        exactly zero); its two returned values are then meaningless.
+        """
+        n_terms = len(self.coefs)
+        z = self._y_args(x, t, z_buf)
+        z *= 1j
+        w_flat = None if w_buf is None else w_buf.reshape(-1)
+        w, refl, a = _w_split(z.reshape(-1), w_flat)
+        prefac = self._prefactor(t)
+        rows = refl // n_terms
+        # 2 exp(a) itself must stay below exp(_LINEAR_LOG_MAX) too
+        scale = np.maximum(0.0, self.max_log_coef + np.log(np.abs(prefac)))
+        limit = _LINEAR_LOG_MAX - scale
+        slow = np.zeros(len(x), dtype=bool)
+        slow[rows[a.real > limit[rows]]] = True
+        safe = ~slow[rows]
+        with np.errstate(under="ignore"):
+            w[refl[safe]] += 2.0 * np.exp(a[safe])
+        # pairwise row sums: one row's bits do not depend on the chunk, and
+        # where the sum cancels they keep 20x less error than einsum's
+        terms = np.multiply(w.reshape(z.shape), self.coefs, out=z)
+        total = self.c_const + prefac * np.sum(terms, axis=1)
+        n = len(self.coef)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_total = np.log(total)
+            tail = np.abs(prefac) * (
+                np.abs(terms[:, n - 1]) + np.abs(terms[:, -1])
+            ) / np.abs(total)
+        slow |= ~np.isfinite(log_total)
+        return log_total, tail, slow
+
+    def _log_chunk(self, x, t):
+        """Log bracket and tail-pair fraction for one chunk of points, summed
+        in exponent space; never overflows."""
         tau = self.packet.tau
         log_mag, phase = faddeeva_log_scaled(1j * self._y_args(x, t))
         prefac = (

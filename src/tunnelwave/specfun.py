@@ -25,6 +25,7 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _EXP_MAX = 709.0  # largest x with exp(x) finite in float64, with headroom
+_EXP_FLOOR = -746.0  # below it exp(x) underflows to exactly 0 in float64
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +109,12 @@ def _w_contfrac(z, r2):
     return (1j / _SQRT_PI) / (z - g)
 
 
-def _w_upper(z):
-    """Dispatch over the three regions; assumes Im z >= 0 elementwise."""
+def _w_upper(z, out=None):
+    """Dispatch over the three regions; assumes Im z >= 0 elementwise.
+    Writes into ``out`` when given."""
     r2 = z.real * z.real + z.imag * z.imag
-    out = np.empty_like(z)
+    if out is None:
+        out = np.empty_like(z)
     small = r2 <= _R_SERIES * _R_SERIES
     big = r2 >= _R_CONTFRAC * _R_CONTFRAC
     mid = ~(small | big)
@@ -129,6 +132,29 @@ def _w_upper(z):
 # ---------------------------------------------------------------------------
 
 
+def _w_split(z, out=None):
+    """w(z) for a 1-d array of finite z from one upper-half-plane evaluation,
+    with the reflection term left out.  ``z`` is flipped into the upper
+    half-plane in place, and ``w`` is written into ``out`` when given.
+
+    Returns ``(w, refl, a)``.  ``w`` holds w(z) where Im z >= 0 and -w(-z)
+    where Im z < 0.  ``refl`` holds the indices of the lower-half-plane
+    elements whose reflection term ``2 exp(a)``, ``a = -z^2``, is not exactly
+    zero, and ``a`` their exponents.  Adding ``2 exp(a)`` at ``refl`` gives
+    w(z) everywhere.
+    """
+    lower = z.imag < 0.0
+    np.negative(z, out=z, where=lower)
+    w = _w_upper(z, out)
+    np.negative(w, out=w, where=lower)
+    # (-z)^2 is z^2 bit for bit.  Where Re(-z^2) < _EXP_FLOOR, 2 exp(-z^2) is
+    # exactly zero, so skipping it changes no bit and takes no cos/sin of a
+    # huge Im(z^2)
+    sq = z * z
+    refl = np.flatnonzero(lower & (sq.real <= -_EXP_FLOOR))
+    return w, refl, -sq[refl]
+
+
 def faddeeva(z):
     """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for scalar or array z.
 
@@ -141,19 +167,13 @@ def faddeeva(z):
     z_in = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z_in)):
         raise ValueError("faddeeva requires finite arguments")
-    zf = np.atleast_1d(z_in)
-    lower = zf.imag < 0.0
-    # w(-z) for Im z < 0, w(z) elsewhere: one upper-half-plane evaluation
-    out = _w_upper(np.where(lower, -zf, zf))
-    if lower.any():
-        zl = zf[lower]
-        a = -(zl * zl)
-        if np.any(a.real > _EXP_MAX):
-            raise OverflowError(
-                "exp(-z**2) exceeds the floating range; use faddeeva_log_scaled"
-            )
-        with np.errstate(under="ignore"):
-            out[lower] = 2.0 * np.exp(a) - out[lower]
+    out, refl, a = _w_split(z_in.flatten())
+    if np.any(a.real > _EXP_MAX):
+        raise OverflowError(
+            "exp(-z**2) exceeds the floating range; use faddeeva_log_scaled"
+        )
+    with np.errstate(under="ignore"):
+        out[refl] += 2.0 * np.exp(a)
     if z_in.ndim == 0:
         return complex(out[0])
     return out.reshape(z_in.shape)
@@ -170,24 +190,16 @@ def faddeeva_log_scaled(z):
     z_in = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z_in)):
         raise ValueError("faddeeva_log_scaled requires finite arguments")
-    zf = np.atleast_1d(z_in)
-    lower = zf.imag < 0.0
-    # w(-z) for Im z < 0, w(z) elsewhere: one upper-half-plane evaluation
-    w = _w_upper(np.where(lower, -zf, zf))
-    # below exp's subnormal floor the reflection term 2 exp(-z^2) is exactly
-    # zero, so log(-w(-z)) is bit-identical there and skips a cos/sin of a
-    # huge Im(z^2)
-    logw = np.log(np.where(lower, -w, w))
-    refl = lower & ((-(zf * zf)).real >= -746.0)
-    if refl.any():
-        zl, wref = zf[refl], w[refl]
-        a = -(zl * zl)
+    w, refl, a = _w_split(z_in.flatten())
+    logw = np.log(w)
+    if len(refl):
+        wref = w[refl]  # -w(-z)
         big = a.real > 650.0
-        res = np.empty_like(zl)
+        res = np.empty_like(a)
         with np.errstate(under="ignore"):
             # log w = a + log(2 - exp(-a) w(-z)); exp(-a) underflows harmlessly
-            res[big] = a[big] + np.log(2.0 - np.exp(-a[big]) * wref[big])
-            res[~big] = np.log(2.0 * np.exp(a[~big]) - wref[~big])
+            res[big] = a[big] + np.log(2.0 + np.exp(-a[big]) * wref[big])
+            res[~big] = np.log(2.0 * np.exp(a[~big]) + wref[~big])
         logw[refl] = res
     if z_in.ndim == 0:
         val = complex(logw[0])

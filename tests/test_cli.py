@@ -348,6 +348,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, flag", [
         (["evolve", "--xd", "2L", "--tmax", "1e308"], "--tmax"),
         (["spectrum", "--poles", "10,99999", "--points", "10"], "pole count 99999"),
+        (["reconstruct", "--xd", "1e300L"], "--xd 1e300L"),
     ])
     def test_bound_from_the_catalog_exits_1_after_the_sweep(
         self, args, flag, tmp_path, capsys, recwarn

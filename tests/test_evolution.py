@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tunnelwave.evolution import (
+    _BracketEvaluator,
     FreeDensityUnderflowError,
     GaussianPacket,
     NonAsymptoticError,
@@ -14,15 +15,18 @@ from tunnelwave.evolution import (
     eta,
     fit_loglog_slope,
     free_packet,
+    free_packet_log,
     longtime_exponent,
     tau_system,
     transmitted_packet,
     transmitted_packet_log,
     zeta,
 )
+from tunnelwave.poles import PoleSearchConfig, sweep_poles
 from tunnelwave.potential import transmission_coefficient
-from tunnelwave.presets import preset_profile
-from tunnelwave.resonances import coefficient_C
+from tunnelwave.presets import default_packet_energy, preset_profile
+from tunnelwave.resonances import coefficient_C, residues
+from tunnelwave.specfun import faddeeva_log_scaled
 
 SB = preset_profile("sb")
 DB = preset_profile("db")
@@ -192,6 +196,81 @@ class TestTransmittedPacket:
         peak = int(np.argmax(rho))
         assert 0 < peak < len(ts) - 1
         assert 7.0 <= ts[peak] / tau_sys <= 9.0
+
+
+class TestLinearBracket:
+    """The bracket is summed in linear space; a point whose reflection terms
+    could overflow there takes the exponent-space routine instead."""
+
+    @pytest.fixture(scope="class")
+    def wide_db(self):
+        # a packet 10x wider than the default, observed at x = L after 10 of
+        # its own spreading times: the largest reflection exponent Re(-z^2)
+        # there is about 1267, far past exp's range
+        catalog = sweep_poles(DB, PoleSearchConfig(n_seed=300))
+        rset = residues(DB, catalog)
+        k0 = DB.units.wavenumber_of_energy(default_packet_energy("db", DB, catalog))
+        packet = GaussianPacket(-1000.0, 100.0, k0, DB.units)
+        return packet, catalog, rset
+
+    def test_overflowing_point_takes_the_log_path(self, wide_db):
+        packet, catalog, rset = wide_db
+        ev = _BracketEvaluator(packet, DB, catalog, rset)
+        x, t = np.array([DB.length]), np.array([10.0 * packet.tau])
+        z = 1j * ev._y_args(x, t)
+        assert np.max((-(z * z)).real[z.imag < 0.0]) > 1200.0
+        _, _, slow = ev._linear_chunk(x, t)
+        assert slow.tolist() == [True]
+        want, _ = ev._log_chunk(x, t)
+        assert np.array_equal(ev.log_bracket(x, t), want)
+        log_psi = transmitted_packet_log(packet, DB, catalog, rset, DB.length, t[0])
+        assert math.isfinite(log_psi.real) and math.isfinite(log_psi.imag)
+
+    def test_mixed_call_equals_one_point_calls(self, wide_db):
+        packet, catalog, rset = wide_db
+        tau = packet.tau
+        xs = np.array([DB.length, DB.length, 1000.0, 3000.0, 2.0 * DB.length])
+        ts = np.array([0.5, 10.0, 0.5, 1.0, 10.0]) * tau
+        ev = _BracketEvaluator(packet, DB, catalog, rset)
+        _, _, slow = ev._linear_chunk(xs, ts)
+        assert slow.tolist() == [False, True, False, False, True]
+        bulk = transmitted_packet_log(packet, DB, catalog, rset, xs, ts)
+        single = np.array([
+            transmitted_packet_log(packet, DB, catalog, rset, x, t)
+            for x, t in zip(xs, ts)
+        ])
+        assert np.array_equal(bulk, single)
+
+    @pytest.mark.parametrize("mult", [2.0, 200.0, 2e5])
+    def test_linear_and_log_paths_agree_on_presets(self, preset_data, mult):
+        # 40 times over the window each distance is evaluated on: [1e-3, 20]
+        # tau_sys at 2L, [t_f/4, 4 t_f] beyond (t_f the free flight time)
+        for data in preset_data.values():
+            pk, profile = data.packet, data.profile
+            x_d = mult * profile.length
+            if mult == 2.0:
+                ts = np.linspace(1e-3, 20.0, 40) * tau_system(profile, data.catalog)
+            else:
+                ts = (x_d - pk.x_c) / pk.velocity * 4.0 ** np.linspace(-1.0, 1.0, 40)
+            xs = np.full(ts.shape, x_d)
+            ev = _BracketEvaluator(pk, profile, data.catalog, data.residues)
+            lin, tail_lin, slow = ev._linear_chunk(xs, ts)
+            log, tail_log = ev._log_chunk(xs, ts)
+            assert not slow.any()
+            free = free_packet_log(pk, xs, ts)
+            psi_lin, psi_log = np.exp(lin + free), np.exp(log + free)
+            peak = np.max(np.abs(psi_log))
+            assert np.max(np.abs(psi_lin - psi_log)) <= 1e-13 * peak
+            # the tail fraction shares the bracket's relative error, which a
+            # cancelling sum amplifies by its condition number kappa: 1e-12
+            # up to kappa = 1e3, then 1e-15 kappa (measured up to 1.0e-15)
+            log_w, _ = faddeeva_log_scaled(1j * ev._y_args(xs, ts))
+            magnitudes = abs(ev.c_const) + np.abs(ev._prefactor(ts)) * np.sum(
+                np.abs(ev.coefs) * np.exp(log_w), axis=1
+            )
+            kappa = magnitudes / np.exp(log.real)
+            bound = 1e-12 * np.maximum(1.0, kappa / 1e3)
+            assert np.all(np.abs(tail_lin - tail_log) <= bound * tail_log)
 
 
 class TestZetaEta:

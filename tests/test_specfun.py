@@ -171,7 +171,8 @@ class TestLogScaled:
 
     def test_underflowed_reflection_term_bit_equal(self):
         # where Re(-z^2) < -746, 2 exp(-z^2) is exactly zero in double
-        # precision and the shortcut must not change a single bit
+        # precision and the shortcut must not change a single bit, in the
+        # linear and in the log-scaled form
         rng = np.random.default_rng(12)
         mag = 10.0 ** rng.uniform(1.0, 6.0, 20_000)
         z = mag * np.exp(-1j * rng.uniform(0.0, math.pi, 20_000))
@@ -180,7 +181,9 @@ class TestLogScaled:
         z, a = z[keep], a[keep]
         assert len(z) > 5_000
         with np.errstate(under="ignore"):
-            want = np.log(2.0 * np.exp(a) - faddeeva(-z))
+            linear = 2.0 * np.exp(a) - faddeeva(-z)
+        assert np.array_equal(faddeeva(z), linear)
+        want = np.log(linear)
         log_mag, phase = faddeeva_log_scaled(z)
         assert np.array_equal(log_mag, want.real)
         assert np.array_equal(phase, want.imag)
