@@ -38,7 +38,8 @@ def _rel_dev(a, b):
     x, y = float(a), float(b)
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
-    if math.isnan(x) or math.isnan(y):
+    # nan or an infinity against a different value
+    if not (math.isfinite(x) and math.isfinite(y)):
         return math.inf
     return abs(x - y) / max(abs(x), abs(y))
 

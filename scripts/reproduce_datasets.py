@@ -4,9 +4,10 @@ reconstructions) for the three built-in systems into ./out.
 
 The time-evolution runs cover the short/medium/long detector distances; the
 quadrature-oracle column is added only at 2L where the node budget allows.
-End to end this took 50 s on a 2-core Xeon host with Python 3.11 and numpy
-2.4; the sb, db and qb ``evolve --oracle`` steps took 3, 27 and 10 s of it
-(one oracle call over all 400 times each), every other step under 2 s.
+End to end this took 39 s (median of seven runs, 31 to 44 s) on a 2-core
+Xeon host with Python 3.11 and numpy 2.4; the sb, db and qb
+``evolve --oracle`` steps took 2.7, 24 and 7.8 s of it (one oracle call over
+all 400 times each), every other step under 1.5 s.
 Catalogs are swept once per system and cached; every later run, the
 ``evolve`` runs included, reuses them.
 """

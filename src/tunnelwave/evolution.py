@@ -10,10 +10,10 @@ runs over the catalog poles and their third-quadrant mirrors in (n, -n)
 pairs.  The free factor is carried in exponent space, since it underflows
 far from the packet centre.  The bracket is summed in linear space, where its
 terms stay far inside the double range for every preset packet.  A point
-whose reflection terms ``2 exp(-z^2)`` could overflow there is summed in
-exponent space instead: in transient regimes the bracket grows exactly where
-the free envelope underflows, and only the product is guaranteed
-representable.
+whose reflection terms ``2 exp(-z^2)`` could overflow there has its row of
+terms scaled down by ``exp(-shift)`` before the sum and ``shift`` added back
+to its log: in transient regimes the bracket grows exactly where the free
+envelope underflows, and only the product is guaranteed representable.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _w_split, faddeeva_log_scaled
+from .specfun import _w_split
 from .potential import UnitSystem
 from .resonances import _pair_arrays, coefficient_C
 
@@ -52,7 +52,7 @@ _QUARTER_LOG_2PI = 0.25 * math.log(2.0 * math.pi)
 # (points x poles) elements per bracket chunk: one Faddeeva pass per chunk;
 # larger chunks gain little time and raise the peak memory of long point lists
 _CHUNK = 2**13
-# a point is summed in linear space only while its largest term stays below
+# a point's terms are scaled so that the largest stays below
 # exp(_LINEAR_LOG_MAX): 59 e-folds under exp's overflow at 709.78, room for
 # any catalog's pair count
 _LINEAR_LOG_MAX = 650.0
@@ -189,10 +189,7 @@ class _BracketEvaluator:
         # coefficient of w(i y'_n); the mirror partner carries the conjugate
         self.coef = z * kap
         self.coefs = np.concatenate([self.coef, np.conj(self.coef)])
-        log_coef = np.log(self.coef)
-        self.log_coefs = np.concatenate([log_coef, np.conj(log_coef)])
-        self.max_log_coef = float(np.max(log_coef.real))
-        self.log_c_const = np.log(complex(self.c_const))
+        self.max_log_coef = float(np.max(np.log(self.coef).real))
         # shifted wavenumbers kappa' of the poles, then of their mirrors
         self.kp = np.concatenate([kap, -np.conj(kap)]) - packet.k0
         self.hbar = packet.units.hbar
@@ -217,11 +214,10 @@ class _BracketEvaluator:
         equal-length 1-d arrays; overflow-safe.
 
         Works in chunks of about ``_CHUNK`` (points x poles) elements with one
-        Faddeeva pass per chunk, summed in linear space.  The points a chunk
-        flags are summed again in exponent space.  Both sums go row by row, so
-        every point gets the bits it gets alone.  Warns once per call when the
-        last pole pair still contributes more than 1e-8 of the bracket
-        somewhere.
+        Faddeeva pass per chunk, summed in linear space row by row, so every
+        point gets the bits it gets alone.  Raises ``ValueError`` where the
+        sum is not finite.  Warns once per call when the last pole pair still
+        contributes more than 1e-8 of the bracket somewhere.
         """
         n_terms = len(self.coefs)
         rows = max(1, min(len(x), _CHUNK // n_terms))
@@ -232,12 +228,17 @@ class _BracketEvaluator:
         for s in range(0, len(x), rows):
             part = slice(s, s + rows)
             n = min(rows, len(x) - s)
-            out[part], tail[part], slow = self._linear_chunk(
+            out[part], tail[part] = self._chunk(
                 x[part], t[part], bufs[0, :n], bufs[1, :n]
             )
-            if slow.any():
-                idx = s + np.flatnonzero(slow)
-                out[idx], tail[idx] = self._log_chunk(x[idx], t[idx])
+        # a zero bracket has log -inf; nan or +inf means a non-finite sum
+        bad = np.flatnonzero(np.isnan(out) | (out.real == math.inf))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(
+                f"bracket sum is not finite at x = {x[i]:.6g}, t = {t[i]:.6g}; "
+                "the closed form needs finite x and t with t / tau representable"
+            )
         worst = float(np.max(tail, initial=0.0))
         if worst > 1e-8:
             warnings.warn(
@@ -255,69 +256,45 @@ class _BracketEvaluator:
             1.0 + 1j * t / self.packet.tau
         )
 
-    def _linear_chunk(self, x, t, z_buf=None, w_buf=None):
-        """Log bracket, tail-pair fraction and a log-space flag for one chunk
-        of points, summed in linear space (in the ``(points, 2N)`` buffers
-        ``z_buf`` and ``w_buf`` when given).
+    def _chunk(self, x, t, z_buf, w_buf):
+        """Log bracket and tail-pair fraction for one chunk of points, summed
+        in linear space in the ``(points, 2N)`` buffers ``z_buf`` and ``w_buf``.
 
-        A point is flagged when its largest reflection exponent, plus the log
-        of the largest coefficient times the prefactor where that exceeds 1,
-        passes ``_LINEAR_LOG_MAX``, or when its linear sum is not finite (or
-        exactly zero); its two returned values are then meaningless.
+        A row whose largest reflection exponent, plus the log of the largest
+        coefficient times the prefactor where that exceeds 1, passes
+        ``_LINEAR_LOG_MAX`` by ``shift`` has its ``w`` values, its reflection
+        terms ``2 exp(a)`` and C scaled by ``exp(-shift)``; ``shift`` is added
+        back to its log.  Every other row is summed unscaled.
         """
-        n_terms = len(self.coefs)
         z = self._y_args(x, t, z_buf)
         z *= 1j
-        w_flat = None if w_buf is None else w_buf.reshape(-1)
-        w, refl, a = _w_split(z.reshape(-1), w_flat)
+        w, refl, a = _w_split(z.reshape(-1), w_buf.reshape(-1))
+        w_rows = w.reshape(z.shape)
         prefac = self._prefactor(t)
-        rows = refl // n_terms
+        rows = refl // z.shape[1]
         # 2 exp(a) itself must stay below exp(_LINEAR_LOG_MAX) too
-        scale = np.maximum(0.0, self.max_log_coef + np.log(np.abs(prefac)))
-        limit = _LINEAR_LOG_MAX - scale
-        slow = np.zeros(len(x), dtype=bool)
-        slow[rows[a.real > limit[rows]]] = True
-        safe = ~slow[rows]
+        limit = _LINEAR_LOG_MAX - np.maximum(
+            0.0, self.max_log_coef + np.log(np.abs(prefac))
+        )
+        shift = np.zeros(len(x))
+        np.maximum.at(shift, rows, a.real - limit[rows])
+        scale = np.exp(-shift)
+        if shift.any():
+            np.multiply(w_rows, scale[:, None], out=w_rows, where=shift[:, None] > 0.0)
+            a -= shift[rows]
         with np.errstate(under="ignore"):
-            w[refl[safe]] += 2.0 * np.exp(a[safe])
+            w[refl] += 2.0 * np.exp(a)
         # pairwise row sums: one row's bits do not depend on the chunk, and
         # where the sum cancels they keep 20x less error than einsum's
-        terms = np.multiply(w.reshape(z.shape), self.coefs, out=z)
-        total = self.c_const + prefac * np.sum(terms, axis=1)
+        terms = np.multiply(w_rows, self.coefs, out=z)
+        total = self.c_const * scale + prefac * np.sum(terms, axis=1)
         n = len(self.coef)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_total = np.log(total)
             tail = np.abs(prefac) * (
                 np.abs(terms[:, n - 1]) + np.abs(terms[:, -1])
             ) / np.abs(total)
-        slow |= ~np.isfinite(log_total)
-        return log_total, tail, slow
-
-    def _log_chunk(self, x, t):
-        """Log bracket and tail-pair fraction for one chunk of points, summed
-        in exponent space; never overflows."""
-        tau = self.packet.tau
-        log_mag, phase = faddeeva_log_scaled(1j * self._y_args(x, t))
-        prefac = (
-            0.5 * math.log(math.pi)
-            + math.log(self.packet.sigma)
-            + 0.5 * np.log(1.0 + 1j * t / tau)
-        )
-        contributions = np.empty((len(x), len(self.log_coefs) + 1), dtype=complex)
-        contributions[:, 0] = self.log_c_const
-        contributions[:, 1:] = (prefac[:, None] + self.log_coefs) + (log_mag + 1j * phase)
-        scale = np.max(contributions.real, axis=1)
-        with np.errstate(under="ignore"):
-            mantissas = np.exp(contributions - scale[:, None])
-        total = np.sum(mantissas, axis=1)
-        empty = total == 0
-        tail = np.abs(mantissas[:, len(self.coef)]) + np.abs(mantissas[:, -1])
-        with np.errstate(divide="ignore"):
-            log_total = np.log(total)
-        log_total[empty] = -math.inf
-        tail[empty] = 0.0
-        tail[~empty] /= np.abs(total[~empty])
-        return scale + log_total, tail
+        return log_total + shift, tail
 
 
 def transmitted_packet_log(packet, profile, catalog, residue_set, x, t, n_poles=None):
@@ -430,28 +407,15 @@ def asymptotic_cancellation(packet, profile, catalog, residue_set, x_d, t, n_pol
     long times the leading sum cancels C up to that scale.
     """
     ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
-    tau = packet.tau
     y = ev._y_args(np.asarray(x_d, float), np.asarray(t, float))
-    n = len(ev.coef)
-    prefac = math.sqrt(math.pi) * packet.sigma * cmath.sqrt(1.0 + 1j * t / tau)
-    total = 0j
-    scale = 0.0
-    for coefs, ys in ((ev.coef, y[:n]), (np.conj(ev.coef), y[n:])):
-        lead = 1.0 / (math.sqrt(math.pi) * ys)
-        exp_part = np.zeros_like(ys)
-        lhp = ys.real < 0.0
-        if lhp.any():
-            args = ys[lhp] ** 2
-            safe = args.real < 700.0
-            vals = np.zeros_like(args)
-            with np.errstate(under="ignore"):
-                vals[safe] = 2.0 * np.exp(args[safe])
-            if np.any(~safe):
-                raise OverflowError("exponential branch overflows at this point")
-            exp_part[lhp] = vals
-        total += np.sum(coefs * (lead + exp_part))
-        scale += float(
-            np.sum(np.abs(coefs) * 0.5 / (math.sqrt(math.pi) * np.abs(ys) ** 3))
-        )
-    residual = abs(ev.c_const + prefac * total)
-    return residual, abs(prefac) * scale
+    lead = 1.0 / (math.sqrt(math.pi) * y)
+    lhp = y.real < 0.0
+    args = y[lhp] ** 2
+    if not np.all(args.real < 700.0):
+        raise OverflowError("exponential branch overflows at this point")
+    with np.errstate(under="ignore"):
+        lead[lhp] += 2.0 * np.exp(args)
+    prefac = ev._prefactor(t)
+    residual = abs(ev.c_const + prefac * np.sum(ev.coefs * lead))
+    scale = np.sum(np.abs(ev.coefs) * 0.5 / (math.sqrt(math.pi) * np.abs(y) ** 3))
+    return residual, float(abs(prefac) * scale)

@@ -177,8 +177,8 @@ def _pair_arrays(profile, catalog, residue_set, n_poles):
     n_cat = len(catalog)
     if n_poles is None:
         n_poles = n_cat
-    if not 0 <= n_poles <= n_cat:
-        raise ValueError(f"n_poles must lie in 0..{n_cat}")
+    if not 1 <= n_poles <= n_cat:
+        raise ValueError(f"n_poles must lie in 1..{n_cat}")
     order = np.argsort(np.abs(catalog.poles))[:n_poles]
     kap = catalog.poles[order]
     z = residue_set.residues[order] * np.exp(-1j * kap * profile.length)

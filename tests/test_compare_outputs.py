@@ -19,17 +19,23 @@ def tree(root, files):
     return root
 
 
-@pytest.mark.parametrize("changed, code", [
-    ({}, 0),
-    ({"x.csv": CSV.replace("4.0", "4.5")}, 1),
-    ({"x.csv": CSV.replace("0.1", "0.2")}, 1),
-    ({"x.csv": CSV.replace("a,b", "a,c")}, 2),
-    ({"x.csv": CSV + "5.0,6.0\n"}, 2),
-    ({"cache/extra.csv": CSV}, 2),
-], ids=["identical", "value", "header", "column", "rows", "extra-file"])
-def test_exit_code(tmp_path, capsys, changed, code):
+@pytest.mark.parametrize("changed, code, line", [
+    ({}, 0, None),
+    ({"x.csv": CSV.replace("4.0", "4.5")}, 1, "b: max rel dev 1.111e-01 (row 2)"),
+    # an infinity against a number is an infinite deviation, not nan
+    ({"x.csv": CSV.replace("2.0", "inf").replace("4.0", "4.5")}, 1,
+     "b: max rel dev inf (row 1)"),
+    ({"x.csv": CSV.replace("0.1", "0.2")}, 1, None),
+    ({"x.csv": CSV.replace("a,b", "a,c")}, 2, None),
+    ({"x.csv": CSV + "5.0,6.0\n"}, 2, None),
+    ({"cache/extra.csv": CSV}, 2, None),
+], ids=["identical", "value", "inf", "header", "column", "rows", "extra-file"])
+def test_exit_code(tmp_path, capsys, changed, code, line):
     files = {"x.csv": CSV, "cache/y.csv": CSV}
     a = tree(tmp_path / "a", files)
     b = tree(tmp_path / "b", {**files, **changed})
     assert compare_outputs.main([str(a), str(b)]) == code
-    assert "cache/y.csv: byte-identical" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "cache/y.csv: byte-identical" in out
+    if line is not None:
+        assert f"  {line}\n" in out

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -103,6 +104,24 @@ class TestTransmittedPacket:
         with pytest.raises(ValueError):
             transmitted_packet(pk, SB, sb_data.catalog, sb_data.residues, 20.0, 0.0)
 
+    @pytest.mark.parametrize("func, x, t", [
+        ("psi", math.nan, 5.0),
+        ("psi", math.inf, 5.0),
+        ("psi", 2.0, math.nan),
+        ("psi", 2.0, math.inf),
+        ("psi", 2.0, 1e308),
+        ("zeta", math.nan, 5.0),
+        ("zeta", 2.0, math.nan),
+        ("zeta", 2.0, 1e308),
+    ])
+    def test_non_finite_bracket_rejected(self, sb_data, func, x, t):
+        # nan or inf x or t, and a t whose t / tau overflows, leave the
+        # bracket sum non-finite: a ValueError, never a NaN result
+        args = (sb_data.packet, SB, sb_data.catalog, sb_data.residues, x * SB.length, t)
+        call = transmitted_packet_log if func == "psi" else zeta
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            call(*args)
+
     def test_unreliable_packet_rejected(self, sb_data):
         close = GaussianPacket(-2.0, 0.5, 0.45, SB.units)
         with pytest.raises(UnreliableRegimeError):
@@ -198,33 +217,77 @@ class TestTransmittedPacket:
         assert 7.0 <= ts[peak] / tau_sys <= 9.0
 
 
+def exponent_space_bracket(ev, x, t):
+    """Log bracket and tail-pair fraction of ``ev`` summed term by term in
+    exponent space: the reference for the linear sum."""
+    log_mag, phase = faddeeva_log_scaled(1j * ev._y_args(x, t))
+    contributions = np.empty((len(x), len(ev.coefs) + 1), dtype=complex)
+    contributions[:, 0] = np.log(ev.c_const)
+    contributions[:, 1:] = (np.log(ev._prefactor(t))[:, None] + np.log(ev.coefs)) + (
+        log_mag + 1j * phase
+    )
+    scale = np.max(contributions.real, axis=1)
+    mantissas = np.exp(contributions - scale[:, None])
+    total = np.sum(mantissas, axis=1)
+    tail = np.abs(mantissas[:, len(ev.coef)]) + np.abs(mantissas[:, -1])
+    return scale + np.log(total), tail / np.abs(total)
+
+
+def linear_bracket(ev, x, t):
+    """Log bracket and tail-pair fraction of ``ev`` as one chunk."""
+    bufs = np.empty((2, len(x), len(ev.coefs)), dtype=complex)
+    return ev._chunk(x, t, bufs[0], bufs[1])
+
+
+def mp_log_bracket(ev, x, t, dps=40):
+    """Log bracket of ``ev`` at one point: the same double-precision terms,
+    with w(z) = exp(-z^2) erfc(-iz) and the sum in ``dps``-digit mpmath."""
+    z = 1j * ev._y_args(np.array([x]), np.array([t]))[0]
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for coef, zz in zip(ev.coefs, z):
+            zz = mp.mpc(complex(zz))
+            total += mp.mpc(complex(coef)) * mp.exp(-zz * zz) * mp.erfc(-1j * zz)
+        prefac = mp.mpc(complex(ev._prefactor(t)))
+        return complex(mp.log(mp.mpc(complex(ev.c_const)) + prefac * total))
+
+
 class TestLinearBracket:
     """The bracket is summed in linear space; a point whose reflection terms
-    could overflow there takes the exponent-space routine instead."""
+    could overflow there has its row scaled by exp(-shift) first."""
 
     @pytest.fixture(scope="class")
     def wide_db(self):
-        # a packet 10x wider than the default, observed at x = L after 10 of
-        # its own spreading times: the largest reflection exponent Re(-z^2)
-        # there is about 1267, far past exp's range
+        # a packet 10x wider than the default, observed near x = L after 10
+        # of its own spreading times: the largest reflection exponent
+        # Re(-z^2) there is about 1267, far past exp's range
         catalog = sweep_poles(DB, PoleSearchConfig(n_seed=300))
         rset = residues(DB, catalog)
         k0 = DB.units.wavenumber_of_energy(default_packet_energy("db", DB, catalog))
         packet = GaussianPacket(-1000.0, 100.0, k0, DB.units)
         return packet, catalog, rset
 
-    def test_overflowing_point_takes_the_log_path(self, wide_db):
+    @staticmethod
+    def scaled(ev, xs, ts):
+        """Whether each point's largest term could pass exp(650) unscaled."""
+        z = 1j * ev._y_args(xs, ts)
+        refl = np.where(z.imag < 0.0, (-(z * z)).real, -np.inf)
+        room = np.maximum(0.0, ev.max_log_coef + np.log(np.abs(ev._prefactor(ts))))
+        return np.max(refl, axis=1) + room > 650.0
+
+    def test_overflow_points_match_mpmath(self, wide_db):
         packet, catalog, rset = wide_db
         ev = _BracketEvaluator(packet, DB, catalog, rset)
-        x, t = np.array([DB.length]), np.array([10.0 * packet.tau])
-        z = 1j * ev._y_args(x, t)
+        xs = np.array([DB.length, 2.0 * DB.length])
+        ts = np.full(2, 10.0 * packet.tau)
+        z = 1j * ev._y_args(xs, ts)
         assert np.max((-(z * z)).real[z.imag < 0.0]) > 1200.0
-        _, _, slow = ev._linear_chunk(x, t)
-        assert slow.tolist() == [True]
-        want, _ = ev._log_chunk(x, t)
-        assert np.array_equal(ev.log_bracket(x, t), want)
-        log_psi = transmitted_packet_log(packet, DB, catalog, rset, DB.length, t[0])
-        assert math.isfinite(log_psi.real) and math.isfinite(log_psi.imag)
+        assert self.scaled(ev, xs, ts).all()
+        got = ev.log_bracket(xs, ts)
+        for x, t, log_b in zip(xs, ts, got):
+            assert abs(log_b - mp_log_bracket(ev, x, t)) <= 5e-12
+        log_psi = transmitted_packet_log(packet, DB, catalog, rset, xs, ts)
+        assert np.all(np.isfinite(log_psi))
 
     def test_mixed_call_equals_one_point_calls(self, wide_db):
         packet, catalog, rset = wide_db
@@ -232,14 +295,14 @@ class TestLinearBracket:
         xs = np.array([DB.length, DB.length, 1000.0, 3000.0, 2.0 * DB.length])
         ts = np.array([0.5, 10.0, 0.5, 1.0, 10.0]) * tau
         ev = _BracketEvaluator(packet, DB, catalog, rset)
-        _, _, slow = ev._linear_chunk(xs, ts)
-        assert slow.tolist() == [False, True, False, False, True]
+        assert self.scaled(ev, xs, ts).tolist() == [False, True, False, False, True]
         bulk = transmitted_packet_log(packet, DB, catalog, rset, xs, ts)
         single = np.array([
             transmitted_packet_log(packet, DB, catalog, rset, x, t)
             for x, t in zip(xs, ts)
         ])
         assert np.array_equal(bulk, single)
+        assert np.all(np.isfinite(bulk[[1, 4]]))
 
     @pytest.mark.parametrize("mult", [2.0, 200.0, 2e5])
     def test_linear_and_log_paths_agree_on_presets(self, preset_data, mult):
@@ -254,9 +317,9 @@ class TestLinearBracket:
                 ts = (x_d - pk.x_c) / pk.velocity * 4.0 ** np.linspace(-1.0, 1.0, 40)
             xs = np.full(ts.shape, x_d)
             ev = _BracketEvaluator(pk, profile, data.catalog, data.residues)
-            lin, tail_lin, slow = ev._linear_chunk(xs, ts)
-            log, tail_log = ev._log_chunk(xs, ts)
-            assert not slow.any()
+            assert not self.scaled(ev, xs, ts).any()
+            lin, tail_lin = linear_bracket(ev, xs, ts)
+            log, tail_log = exponent_space_bracket(ev, xs, ts)
             free = free_packet_log(pk, xs, ts)
             psi_lin, psi_log = np.exp(lin + free), np.exp(log + free)
             peak = np.max(np.abs(psi_log))

@@ -280,8 +280,16 @@ class TestExpansion:
             expansion_t(SB, sb_data.catalog.poles[0], sb_data.catalog, sb_data.residues)
 
     def test_oversized_truncation_rejected(self, sb_data):
-        with pytest.raises(ValueError):
-            expansion_t(SB, 0.5, sb_data.catalog, sb_data.residues, len(sb_data.catalog) + 1)
+        from tunnelwave.evolution import transmitted_packet_log
+
+        catalog, rset = sb_data.catalog, sb_data.residues
+        for n in (0, len(catalog) + 1):
+            with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
+                expansion_t(SB, 0.5, catalog, rset, n)
+            with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
+                coefficient_C(SB, catalog, rset, n)
+        with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
+            transmitted_packet_log(sb_data.packet, SB, catalog, rset, 2 * SB.length, 5.0, 0)
 
 
 class TestExpansionKernel:
@@ -363,9 +371,6 @@ class TestExpansionKernel:
 
 
 class TestCoefficientC:
-    def test_empty_sum(self, sb_data):
-        assert coefficient_C(SB, sb_data.catalog, sb_data.residues, 0) == 0.0
-
     def test_real_valued(self, preset_data):
         for data in preset_data.values():
             c = coefficient_C(data.profile, data.catalog, data.residues)
