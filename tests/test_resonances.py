@@ -371,6 +371,12 @@ class TestExpansionKernel:
 
 
 class TestCoefficientC:
+    def test_empty_sum(self, sb_data):
+        # An empty pole sum is no truncation: n_poles must lie in 1..N.
+        catalog = sb_data.catalog
+        with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
+            coefficient_C(SB, catalog, sb_data.residues, 0)
+
     def test_real_valued(self, preset_data):
         for data in preset_data.values():
             c = coefficient_C(data.profile, data.catalog, data.residues)
