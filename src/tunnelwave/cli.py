@@ -289,6 +289,15 @@ def _parse_pole_counts(text):
     return counts
 
 
+def _parse_truncation(text):
+    """The one count of ``--poles`` that evolve and reconstruct take, as a
+    list: [] (every pole) when empty."""
+    counts = _parse_pole_counts(text)
+    if len(counts) > 1:
+        raise ConfigError(f"--poles takes one truncation here, got {text!r}")
+    return counts
+
+
 def _within_catalog(counts, n_max):
     """``counts``, or ``[n_max]`` when empty; each must be at most ``n_max``."""
     if max(counts, default=0) > n_max:
@@ -304,10 +313,10 @@ def cmd_evolve(args):
         raise ConfigError("--tmax must be positive")
     if x_d < profile.length:
         raise ConfigError("--xd must be at least L (the transmitted region)")
-    pole_counts = _parse_pole_counts(args.poles)
+    pole_counts = _parse_truncation(args.poles)
     catalog, rset, packet = _catalog_and_packet(cfg)
     tau_sys = tau_system(profile, catalog)
-    n_poles = max(_within_catalog(pole_counts, len(catalog)))
+    (n_poles,) = _within_catalog(pole_counts, len(catalog))
     t_end = args.tmax * tau_sys
     if not math.isfinite(t_end):
         raise ConfigError(f"--tmax {args.tmax!r} times tau_sys {tau_sys!r} fs overflows")
@@ -352,9 +361,9 @@ def cmd_reconstruct(args):
         raise ConfigError("--xd must lie beyond L")
     if not 0.0 < args.eta_min <= args.eta_max:
         raise ConfigError("need 0 < --eta-min <= --eta-max")
-    pole_counts = _parse_pole_counts(args.poles)
+    pole_counts = _parse_truncation(args.poles)
     catalog, rset, packet = _catalog_and_packet(cfg)
-    n_poles = max(_within_catalog(pole_counts, len(catalog)))
+    (n_poles,) = _within_catalog(pole_counts, len(catalog))
     t_flight = (x_d - length) / packet.velocity
     etas = np.linspace(args.eta_min, args.eta_max, args.eta_points)
     t0s = [scale * t_flight for scale in scales]

@@ -175,6 +175,11 @@ class _BracketEvaluator:
     """Precomputed pole/coefficient arrays for repeated bracket evaluation."""
 
     def __init__(self, packet, profile, catalog, residue_set, n_poles=None):
+        if packet.units != profile.units:
+            raise ValueError(
+                f"packet mass ratio {packet.units.mass_ratio!r} is not the "
+                f"profile's {profile.units.mass_ratio!r}"
+            )
         packet.require_analytic()
         if packet.validity_ratio < 5.0:
             warnings.warn(
@@ -297,8 +302,21 @@ class _BracketEvaluator:
         return log_total + shift, tail
 
 
+def _require_finite(packet, x, t):
+    """Raise ``ValueError`` unless every x, t and t / tau is finite; the
+    closed form is not finite anywhere else."""
+    with np.errstate(over="ignore"):
+        t_over_tau = np.asarray(t, float) / packet.tau
+    for name, v in (("x", x), ("t", t), ("t / tau", t_over_tau)):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(
+                f"{name} is not finite; the closed form needs finite x, t and t / tau"
+            )
+
+
 def transmitted_packet_log(packet, profile, catalog, residue_set, x, t, n_poles=None):
     """Complex log of the transmitted amplitude; never overflows."""
+    _require_finite(packet, x, t)
     if np.any(np.asarray(x, float) < profile.length):
         raise ValueError("transmitted amplitude is defined for x >= L only")
     if np.any(np.asarray(t, float) <= 0.0):
@@ -327,6 +345,7 @@ def zeta(packet, profile, catalog, residue_set, x, t0, n_poles=None):
     Equals |bracket|^2 identically, so it stays finite deep in the packet
     tails; an underflowing free density still raises, per contract.
     """
+    _require_finite(packet, x, t0)
     if np.any(np.asarray(x, float) <= profile.length):
         raise ValueError("zeta requires x > L")
     if t0 <= 0.0:

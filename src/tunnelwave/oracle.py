@@ -223,6 +223,11 @@ def psi_quadrature(packet, profile, x, t, config=QuadratureConfig()):
     for a scalar ``t``; for an array, an array of its shape on one node grid."""
     if x < profile.length:
         raise ValueError("quadrature oracle evaluates the transmitted region x >= L")
+    if packet.units != profile.units:
+        raise ValueError(
+            f"packet mass ratio {packet.units.mass_ratio!r} is not the "
+            f"profile's {profile.units.mass_ratio!r}"
+        )
     return _momentum_integral(
         packet, float(x), t, lambda ks: 1.0 / t22(profile, ks), config
     )

@@ -19,7 +19,6 @@ exactly the count; nothing is drawn at random.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -27,6 +26,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -77,50 +77,50 @@ _SCALAR_POINTS = 8
 _VECTOR_POINTS = 4096
 
 
-def residual_gate(residual_tol, length, kappa):
+# Newton's step and residual tolerances, its iteration cap and the distance
+# below which two poles are one: properties of the method, covered by
+# _CATALOG_REVISION rather than by the config
+_NEWTON_TOL = 1e-12
+_RESIDUAL_TOL = 1e-10
+_MAX_NEWTON_ITERS = 100
+_DEDUP_TOL = 1e-6
+
+
+def residual_gate(length, kappa):
     """Depth-aware acceptance threshold on |t22| at a candidate pole.
 
     Near a zero at depth beta = -Im(kappa), the evaluated |t22| cannot drop
     below ~eps * exp(beta L) in double precision (the value is a cancellation
     of O(1) contributions scaled back by exp(ikL)).  For shallow poles the
-    gate is exactly ``residual_tol``.  ``kappa`` is an array.
+    gate is exactly ``_RESIDUAL_TOL``.  ``kappa`` is an array.
     """
     growth = np.exp(np.clip(-kappa.imag * length, 0.0, 690.0))
-    return np.maximum(residual_tol, 64.0 * _EPS * growth)
+    return np.maximum(_RESIDUAL_TOL, 64.0 * _EPS * growth)
 
 
 @dataclass(frozen=True)
 class PoleSearchConfig:
-    """Pole-sweep parameters.  ``seed`` selects nothing, since the sweep is
-    deterministic; it stays a field, and in the fingerprint, for callers that
-    still pass it."""
+    """Pole-sweep parameters: the anchor index ``n_seed``, which sets how
+    many resonances the catalog carries.  ``seed`` selects nothing, since the
+    sweep is deterministic; it stays a field, and in the fingerprint, for
+    callers that still pass it."""
 
     n_seed: int = 4000
-    newton_tol: float = 1e-12
-    residual_tol: float = 1e-10
-    max_newton_iters: int = 100
-    dedup_tol: float = 1e-6
     seed: int = 0
+    # the distance below which two poles are one, for callers that read it
+    dedup_tol: ClassVar[float] = _DEDUP_TOL
 
     def __post_init__(self):
         if self.n_seed < 2:
             raise ValueError("n_seed must be >= 2")
-        for name in ("newton_tol", "residual_tol", "dedup_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be >= 1")
 
     def fingerprint_key(self):
-        return (
-            f"n_seed={self.n_seed};newton_tol={self.newton_tol!r};"
-            f"residual_tol={self.residual_tol!r};max_newton_iters={self.max_newton_iters};"
-            f"dedup_tol={self.dedup_tol!r};seed={self.seed}"
-        )
+        return f"n_seed={self.n_seed};seed={self.seed}"
 
 
-# bumped whenever the sweep or t22 can move the bits of a catalog under an
-# unchanged config, so that caches written before are rebuilt, not reused
+# bumped whenever the sweep, its constants or t22 can move the bits of a
+# catalog under an unchanged config, so that caches written before are
+# rebuilt, not reused
 _CATALOG_REVISION = 3
 
 
@@ -234,29 +234,28 @@ def _t22_or_nan(profile, k):
     return pairs[:, 0], pairs[:, 1]
 
 
-def _newton_lockstep(seeds, profile, config, counts):
+def _newton_lockstep(seeds, profile, counts):
     """Newton-Raphson iteration on t22 from every seed at once, in lockstep.
 
     An element is accepted once |t22| is within a quarter of the depth-aware
     gate (below it the step just jitters), or within the gate after a step
-    shorter than ``newton_tol``; it is retired on its own, as NaN, when it
+    shorter than ``_NEWTON_TOL``; it is retired on its own, as NaN, when it
     diverges, leaves the fourth quadrant, meets a point where t22 cannot be
-    evaluated or uses up ``max_newton_iters``.  Element-iterations are added
+    evaluated or uses up ``_MAX_NEWTON_ITERS``.  Element-iterations are added
     to ``counts["newton"]``.
     """
     k = np.array(seeds, dtype=complex)
     poles = np.full(k.shape, complex(np.nan, np.nan))
     live = np.arange(k.size)
     length = profile.length
-    residual_tol = config.residual_tol
-    for _ in range(config.max_newton_iters):
+    for _ in range(_MAX_NEWTON_ITERS):
         if not live.size:
             break
         counts["newton"] += live.size
         kl = k[live]
         val, der = _t22_or_nan(profile, kl)
         ok = np.isfinite(val) & np.isfinite(der) & (der != 0)
-        hit = ok & (np.abs(val) <= 0.25 * residual_gate(residual_tol, length, kl))
+        hit = ok & (np.abs(val) <= 0.25 * residual_gate(length, kl))
         poles[live[hit]] = kl[hit]
         go = ok & ~hit
         step = val[go] / der[go]
@@ -264,10 +263,10 @@ def _newton_lockstep(seeds, profile, config, counts):
         stay = np.isfinite(kn) & (kn.imag <= 0.0)
         live, kn, step = live[go][stay], kn[stay], step[stay]
         k[live] = kn
-        small = np.abs(step) < config.newton_tol
+        small = np.abs(step) < _NEWTON_TOL
         if np.any(small):
             vs, _ = _t22_or_nan(profile, kn[small])
-            accept = np.abs(vs) < residual_gate(residual_tol, length, kn[small])
+            accept = np.abs(vs) < residual_gate(length, kn[small])
             poles[live[small][accept]] = kn[small][accept]
             drop = np.zeros(live.size, dtype=bool)
             drop[small] = accept | ~np.isfinite(vs)
@@ -409,7 +408,7 @@ class _Box:
         return out
 
 
-def _fill(profile, config, box, count, found, counts):
+def _fill(profile, box, count, found, counts):
     """``found`` completed where the zero count exceeds the poles in it.
 
     The box is the first cell.  A cell short of poles, or whose count is not
@@ -417,7 +416,7 @@ def _fill(profile, config, box, count, found, counts):
     then along its longer side, ``_BISECT_DEPTH`` times.  Once it is
     narrower than pi/L, Newton first starts from its centre, in lockstep
     with the other such cells, and it is halved only if still short.  A pole
-    is kept when it lies in the box and more than ``dedup_tol`` from every
+    is kept when it lies in the box and more than ``_DEDUP_TOL`` from every
     pole found; Newton iterations are added to ``counts["newton"]``.
     """
     spacing = math.pi / profile.length
@@ -434,9 +433,9 @@ def _fill(profile, config, box, count, found, counts):
         cells = list(filter(short, cells))
         seeds = [complex(x0 + x1, y0 + y1) / 2 for (x0, x1, y0, y1), *_ in cells
                  if x1 - x0 < spacing]
-        for k in _newton_lockstep(seeds, profile, config, counts):
+        for k in _newton_lockstep(seeds, profile, counts):
             if (np.isfinite(k) and re_lo <= k.real <= re_hi and k.imag >= im_lo
-                    and np.min(np.abs(found - k)) >= config.dedup_tol):
+                    and np.min(np.abs(found - k)) >= _DEDUP_TOL):
                 found = np.append(found, k)
         halves = []
         for (x0, x1, y0, y1), _, span, depth in filter(short, cells):
@@ -468,7 +467,7 @@ def sweep_poles(profile, config=PoleSearchConfig()):
     length = profile.length
     n = np.arange(2, config.n_seed + 1)
     poles = _newton_lockstep(
-        n * (math.pi / length) - 2j * np.log(n) / length, profile, config, iterations
+        n * (math.pi / length) - 2j * np.log(n) / length, profile, iterations
     )
     anchor = poles[-1]
     re_lo = math.pi / (40.0 * length)
@@ -482,30 +481,27 @@ def sweep_poles(profile, config=PoleSearchConfig()):
     if count is None:
         raise IncompleteCatalogError("the zero count of the sweep box is not resolved")
     found = np.sort_complex(poles)
-    found = found[np.append(True, np.abs(np.diff(found)) >= config.dedup_tol)]
+    found = found[np.append(True, np.abs(np.diff(found)) >= _DEDUP_TOL)]
     lockstep = found.size
-    found = _fill(profile, config, counter, count, found, iterations)
+    found = _fill(profile, counter, count, found, iterations)
 
-    catalog = _build_catalog(profile, config, found)
+    # the distinct poles found, ordered by real part, each within its gate
+    found = np.sort_complex(found)
+    residuals = np.abs(t22(profile, found))
+    kept = residuals <= residual_gate(length, found)
     stats = SweepStats(box, count, lockstep, found.size - lockstep,
                        iterations["newton"], time.perf_counter() - started)
-    if len(catalog) != count:
-        raise IncompleteCatalogError(f"{len(catalog)} poles found; {stats.summary()}")
-    return dataclasses.replace(catalog, stats=stats)
-
-
-def _build_catalog(profile, config, found):
-    """The catalog of the distinct poles ``found``, ordered by real part,
-    each whose |t22| is within its gate."""
-    poles = np.sort_complex(found)
-    residuals = np.abs(t22(profile, poles))
-    kept = residuals <= residual_gate(config.residual_tol, profile.length, poles)
+    if np.count_nonzero(kept) != count:
+        raise IncompleteCatalogError(
+            f"{np.count_nonzero(kept)} poles found; {stats.summary()}"
+        )
     return PoleCatalog(
-        poles=poles[kept],
+        poles=found[kept],
         residuals=residuals[kept],
         profile_fingerprint=catalog_fingerprint(profile, config),
-        length=profile.length,
+        length=length,
         config=config,
+        stats=stats,
     )
 
 
@@ -578,10 +574,9 @@ def _parse_config(text):
     """The config whose ``fingerprint_key`` is ``text``; ``ValueError`` when a
     key is unknown or missing, as in a cache written with other options."""
     items = dict(item.split("=", 1) for item in text.split(";"))
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(PoleSearchConfig)}
-    if items.keys() != kinds.keys():
-        raise ValueError(f"config keys {sorted(items)} are not {sorted(kinds)}")
-    return PoleSearchConfig(**{key: kinds[key](val) for key, val in items.items()})
+    if items.keys() != {"n_seed", "seed"}:
+        raise ValueError(f"config keys {sorted(items)} are not ['n_seed', 'seed']")
+    return PoleSearchConfig(n_seed=int(items["n_seed"]), seed=int(items["seed"]))
 
 
 def _read_with_checksum(path):

@@ -43,6 +43,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -87,7 +88,8 @@ class UnitSystem:
     """nm / fs / eV unit bundle for a fixed effective-mass ratio."""
 
     mass_ratio: float
-    hbar: float = HBAR_EV_FS
+    # fixed, like the HBAR2_OVER_2ME_EV_NM2 behind inv_mass_coeff
+    hbar: ClassVar[float] = HBAR_EV_FS
 
     def __post_init__(self):
         if self.mass_ratio <= 0.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poles import residual_gate
+from .poles import _DEDUP_TOL, residual_gate
 from .potential import _VECTOR, PoleProximityError, _second_column
 
 __all__ = [
@@ -63,7 +63,7 @@ class ResonanceState:
     norm_residual: float
 
 
-def _states(profile, kappa, residual_tol, initial_scale=1.0):
+def _states(profile, kappa, initial_scale=1.0):
     """Normalized outgoing states at every pole of the 1-d array ``kappa``.
 
     Returns ``(u0, u_l, coefficients, norm_residual)``: arrays over the poles,
@@ -75,7 +75,7 @@ def _states(profile, kappa, residual_tol, initial_scale=1.0):
     entries = []
     _, m12, m22, _, _ = _second_column(profile, kappa, _VECTOR, entries=entries)
     t_abs = np.abs(np.exp(1j * kappa * length) * m22)
-    gate = residual_gate(residual_tol, length, kappa)
+    gate = residual_gate(length, kappa)
     # u'(L) - i kappa u(L) = -2 i kappa b, so b is the incoming contamination
     b_end = initial_scale * m22
     u_end = initial_scale * m12 + b_end
@@ -119,7 +119,7 @@ def _states(profile, kappa, residual_tol, initial_scale=1.0):
     return u_start * scale, u_end * scale, coeffs, norm_residual
 
 
-def resonance_state(profile, kappa, residual_tol=1e-10, initial_scale=1.0):
+def resonance_state(profile, kappa, initial_scale=1.0):
     """Construct the normalized resonance state at a validated pole.
 
     The state is grown in the local plane-wave basis, ``u = a e^{iq xi} +
@@ -136,7 +136,7 @@ def resonance_state(profile, kappa, residual_tol=1e-10, initial_scale=1.0):
     if initial_scale == 0:
         raise ValueError("initial_scale must be nonzero")
     u0, u_l, coeffs, norm_residual = _states(
-        profile, np.array([kap]), residual_tol, complex(initial_scale)
+        profile, np.array([kap]), complex(initial_scale)
     )
     return ResonanceState(
         kappa=kap,
@@ -168,7 +168,7 @@ class ResidueSet:
 def residues(profile, catalog):
     """Residue set for every catalog pole, from normalized resonance states."""
     kappa = catalog.poles
-    u0, u_l, _, _ = _states(profile, kappa, catalog.config.residual_tol)
+    u0, u_l, _, _ = _states(profile, kappa)
     return ResidueSet(residues=u0 * u_l / kappa, u0=u0, u_l=u_l)
 
 
@@ -226,7 +226,7 @@ def expansion_t(profile, k, catalog, residue_set, n_poles=None):
     kap, z = _pair_arrays(profile, catalog, residue_set, n_poles)
     k_arr = np.asarray(k, dtype=complex)
     flat = np.atleast_1d(k_arr).ravel()
-    _check_pole_proximity(flat, kap, catalog.config.dedup_tol)
+    _check_pole_proximity(flat, kap, _DEDUP_TOL)
     kap_bar = np.conj(kap)
     a = 2.0 * (z * kap_bar).real
     b = 2j * z.imag

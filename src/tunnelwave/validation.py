@@ -226,9 +226,7 @@ def check_properties(name, profile, catalog, residue_set):
     bc_ok = True
     try:
         for kappa in catalog.poles[: min(5, len(catalog))]:
-            st = resonance_state(
-                profile, kappa, residual_tol=catalog.config.residual_tol
-            )
+            st = resonance_state(profile, kappa)
             worst_bc = max(worst_bc, st.norm_residual)
         msgs.append(f"state norm residual {worst_bc:.1e}")
     except (ValueError, ArithmeticError) as exc:
@@ -237,7 +235,7 @@ def check_properties(name, profile, catalog, residue_set):
     ok &= bc_ok
 
     fresh = np.abs(t22(profile, catalog.poles))
-    gates = residual_gate(catalog.config.residual_tol, catalog.length, catalog.poles)
+    gates = residual_gate(catalog.length, catalog.poles)
     gate_ok = bool(np.all(fresh <= gates))
     ok &= gate_ok
     msgs.append(

@@ -208,12 +208,15 @@ class TestPolesCommand:
         assert "zeros in box" in capsys.readouterr().out
         assert cache.read_bytes() == fresh
 
-    def test_cache_written_at_catalog_revision_2_rebuilt(self, tmp_path, capsys):
-        import hashlib
-
+    @staticmethod
+    def old_cache_rebuilt(out, capsys, old_key, revision):
+        """Write the ``--nseed 60`` sb catalog as a cache of an earlier format
+        would hold it, with config line ``old_key`` and the fingerprint of
+        ``revision``, under both that fingerprint's name and the current one;
+        the CLI must rebuild the current cache byte-identical and leave the
+        old one alone."""
         from tunnelwave.presets import preset_profile
 
-        out = tmp_path / "revision2"
         args = ["poles", "--preset", "sb", "--nseed", "60", "--out", out]
         assert run(args) == 0
         (cache,) = (out / "cache").glob("poles_*.csv")
@@ -222,16 +225,13 @@ class TestPolesCommand:
         config_key = next(
             line for line in text.splitlines() if line.startswith("# config:")
         ).partition(":")[2].strip()
-        # the same catalog as the previous revision wrote it, with the
-        # subdivision of its second sweep regime in the config
-        old_key = config_key.replace(
-            ";dedup_tol=", ";regime2_subdivision=20;dedup_tol="
-        )
-        key = f"{preset_profile('sb').fingerprint_key()}|{old_key}|revision=2"
+        key = f"{preset_profile('sb').fingerprint_key()}|{old_key}|revision={revision}"
         old_fp = hashlib.sha256(key.encode()).hexdigest()[:16]
         new_fp = cache.name[len("poles_") : -len(".csv")]
+        assert old_fp != new_fp
         old_text = text.replace(f"# fingerprint: {new_fp}", f"# fingerprint: {old_fp}")
-        old_text = old_text.replace(config_key, old_key)
+        old_text = old_text.replace(f"# config: {config_key}", f"# config: {old_key}")
+        assert old_text.count(old_key) == 1
         old = cache.with_name(f"poles_{old_fp}.csv")
         old.write_text(old_text)
         # also under the current name, where its config cannot be read
@@ -241,6 +241,23 @@ class TestPolesCommand:
         assert "zeros in box" in capsys.readouterr().out
         assert cache.read_bytes() == fresh
         assert old.read_text() == old_text
+
+    def test_cache_written_at_catalog_revision_2_rebuilt(self, tmp_path, capsys):
+        # the config as revision 2 wrote it, with the subdivision of its
+        # second sweep regime and the Newton and dedup tolerances
+        old_key = (
+            "n_seed=60;newton_tol=1e-12;residual_tol=1e-10;max_newton_iters=100;"
+            "regime2_subdivision=20;dedup_tol=1e-06;seed=0"
+        )
+        self.old_cache_rebuilt(tmp_path / "revision2", capsys, old_key, 2)
+
+    def test_cache_written_with_tolerances_in_the_config_rebuilt(self, tmp_path, capsys):
+        # revision 3 as it was written while the tolerances were config fields
+        old_key = (
+            "n_seed=60;newton_tol=1e-12;residual_tol=1e-10;max_newton_iters=100;"
+            "dedup_tol=1e-06;seed=0"
+        )
+        self.old_cache_rebuilt(tmp_path / "tolerances", capsys, old_key, 3)
 
     def test_preset_definitions_match_reference_systems(self):
         from tunnelwave.presets import preset_profile
@@ -305,6 +322,8 @@ class TestExitCodes:
         ["evolve", "--xd", "2L", "--poles", "abc"],
         ["spectrum", "--poles", "10,0"],
         ["reconstruct", "--xd", "2e5L", "--poles", "1.5"],
+        ["evolve", "--xd", "2L", "--poles", "10,100"],
+        ["reconstruct", "--xd", "2e5L", "--poles", "10,100"],
     ])
     def test_bad_times_and_distances_exit_1_before_any_sweep(self, args, tmp_path, capsys):
         out = tmp_path / "bad"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -24,10 +25,10 @@ from tunnelwave.evolution import (
     zeta,
 )
 from tunnelwave.poles import PoleSearchConfig, sweep_poles
-from tunnelwave.potential import transmission_coefficient
+from tunnelwave.potential import UnitSystem, transmission_coefficient
 from tunnelwave.presets import default_packet_energy, preset_profile
 from tunnelwave.resonances import coefficient_C, residues
-from tunnelwave.specfun import faddeeva_log_scaled
+from tunnelwave.specfun import faddeeva, faddeeva_log_scaled
 
 SB = preset_profile("sb")
 DB = preset_profile("db")
@@ -115,12 +116,28 @@ class TestTransmittedPacket:
         ("zeta", 2.0, 1e308),
     ])
     def test_non_finite_bracket_rejected(self, sb_data, func, x, t):
-        # nan or inf x or t, and a t whose t / tau overflows, leave the
-        # bracket sum non-finite: a ValueError, never a NaN result
+        # nan or inf x or t, and a t whose t / tau overflows, would leave the
+        # bracket sum non-finite: a ValueError on entry, before numpy warns
+        # about any of them, never a NaN result
         args = (sb_data.packet, SB, sb_data.catalog, sb_data.residues, x * SB.length, t)
         call = transmitted_packet_log if func == "psi" else zeta
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
-            call(*args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not finite"):
+                call(*args)
+
+    @pytest.mark.parametrize("call", [
+        transmitted_packet_log, zeta, longtime_exponent, asymptotic_cancellation,
+    ], ids=lambda call: call.__name__)
+    def test_packet_in_other_units_rejected(self, sb_data, call):
+        pk = make_packet(UnitSystem(mass_ratio=0.1))
+        tau_sys = tau_system(SB, sb_data.catalog)
+        t = {
+            longtime_exponent: (100.0 * tau_sys, 1e3 * tau_sys),
+            asymptotic_cancellation: 1e3 * tau_sys,
+        }.get(call, 5.0)
+        with pytest.raises(ValueError, match="mass ratio 0.1 is not the profile's 0.067"):
+            call(pk, SB, sb_data.catalog, sb_data.residues, 2.0 * SB.length, t)
 
     def test_unreliable_packet_rejected(self, sb_data):
         close = GaussianPacket(-2.0, 0.5, 0.45, SB.units)
@@ -288,6 +305,30 @@ class TestLinearBracket:
             assert abs(log_b - mp_log_bracket(ev, x, t)) <= 5e-12
         log_psi = transmitted_packet_log(packet, DB, catalog, rset, xs, ts)
         assert np.all(np.isfinite(log_psi))
+
+    def test_shifted_row_scales_its_w_values(self, wide_db):
+        # a synthetic coefficient pair on an overflow-range row: a pole
+        # column whose reflection exponent a passes the linear range by a few
+        # dozen e-folds, its coefficient cut by exp(-a) so that its reflection
+        # term is the size of the mirror column's w term; left unscaled, that
+        # w term would outweigh it by exp(shift)
+        packet, catalog, rset = wide_db
+        ev = _BracketEvaluator(packet, DB, catalog, rset)
+        xs, ts = np.array([DB.length]), np.array([1.3 * packet.tau])
+        z = 1j * ev._y_args(xs, ts)[0]
+        n = len(ev.coef)
+        a = np.where(z[:n].imag < 0.0, (-(z[:n] * z[:n])).real, -np.inf)
+        p = int(np.argmax(a))
+        assert 680.0 < a[p] < 710.0 and z[n + p].imag > 0.0
+        ev.kp = ev.kp[[p, n + p]]
+        ev.coefs = np.array([ev.coefs[p] * math.exp(-a[p]), ev.coefs[n + p]])
+        ev.coef = ev.coefs[:1]
+        ev.max_log_coef = float(np.max(np.log(np.abs(ev.coefs))))
+        assert self.scaled(ev, xs, ts).all()
+        terms = np.abs(ev.coefs * np.array([2.0 * math.exp(a[p]), faddeeva(z[n + p])]))
+        assert 1e-3 < terms[0] / terms[1] < 1e3
+        (got,) = ev.log_bracket(xs, ts)
+        assert abs(got - mp_log_bracket(ev, xs[0], ts[0])) <= 5e-12
 
     def test_mixed_call_equals_one_point_calls(self, wide_db):
         packet, catalog, rset = wide_db

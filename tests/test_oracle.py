@@ -13,7 +13,7 @@ from tunnelwave.oracle import (
     psi_free_quadrature,
     psi_quadrature,
 )
-from tunnelwave.potential import PotentialProfile, t22
+from tunnelwave.potential import PotentialProfile, UnitSystem, t22
 from tunnelwave.presets import preset_profile
 from tunnelwave.validation import ORACLE_WINDOWS
 
@@ -186,6 +186,11 @@ class TestTransmittedQuadrature:
         pk = make_packet()
         with pytest.raises(ValueError):
             psi_quadrature(pk, SB, 0.5 * SB.length, 1.0)
+
+    def test_packet_in_other_units_rejected(self):
+        pk = make_packet(UnitSystem(mass_ratio=0.1))
+        with pytest.raises(ValueError, match="mass ratio 0.1 is not the profile's 0.067"):
+            psi_quadrature(pk, SB, 2.0 * SB.length, 5.0)
 
 
 class TestTimeArrays:

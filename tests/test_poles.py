@@ -49,14 +49,15 @@ def lattice_8x3():
     return sweep_poles(LATTICE_8X3, PoleSearchConfig(n_seed=1000))
 
 
-def drop_from_lockstep(monkeypatch, index, fill_finds=True):
-    """Make the lockstep batch lose the pole of seed ``index + 2``, and with
-    ``fill_finds`` false every Newton run of the fill find nothing."""
+def drop_from_lockstep(monkeypatch, index, n_seed, fill_finds=True):
+    """Make the lockstep batch of an ``n_seed`` sweep lose the pole of seed
+    ``index + 2``, and with ``fill_finds`` false every Newton run of the fill
+    find nothing."""
     lockstep = poles._newton_lockstep
 
-    def dropping(seeds, profile, config, counts):
-        found = lockstep(seeds, profile, config, counts)
-        if len(seeds) == config.n_seed - 1:  # the batch from seeds 2 to n_seed
+    def dropping(seeds, profile, counts):
+        found = lockstep(seeds, profile, counts)
+        if len(seeds) == n_seed - 1:  # the batch from seeds 2 to n_seed
             found[index] = np.nan
         elif not fill_finds:
             found[:] = np.nan
@@ -82,19 +83,18 @@ class TestAsymptoticSeed:
 class TestNewton:
     def test_fixed_point_at_exact_pole(self):
         kappa = 0.7151328825520719 - 0.06423768440198004j
-        out = _newton_lockstep([kappa], SB, PoleSearchConfig(), Counter())[0]
+        out = _newton_lockstep([kappa], SB, Counter())[0]
         assert abs(out - kappa) <= 1e-12
 
     def test_converges_to_sb_reference_resonance(self):
-        out = _newton_lockstep([0.71 - 0.13j], SB, PoleSearchConfig(), Counter())[0]
+        out = _newton_lockstep([0.71 - 0.13j], SB, Counter())[0]
         units = SB.units
         energy = units.energy_of_wavenumber(out)
         assert energy.real == pytest.approx(0.2885, abs=1e-3)
         assert -2.0 * energy.imag == pytest.approx(0.1045, abs=1e-3)
 
     def test_upper_half_plane_diverges(self):
-        config = PoleSearchConfig(max_newton_iters=40)
-        assert np.isnan(_newton_lockstep([0.5 + 2.0j], SB, config, Counter())[0])
+        assert np.isnan(_newton_lockstep([0.5 + 2.0j], SB, Counter())[0])
 
 
 class TestSweep:
@@ -131,7 +131,7 @@ class TestSweep:
         for data in preset_data.values():
             catalog = data.catalog
             kappas = catalog.poles[:: max(1, len(catalog) // 50)]
-            gates = residual_gate(catalog.config.residual_tol, catalog.length, kappas)
+            gates = residual_gate(catalog.length, kappas)
             for kappa, gate in zip(kappas, gates):
                 assert abs(t22(data.profile, complex(kappa))) <= gate
 
@@ -143,7 +143,7 @@ class TestSweep:
             shallow = -catalog.poles.imag * catalog.length <= 8.8
             assert np.count_nonzero(shallow) >= 10
             assert np.all(
-                catalog.residuals[shallow] <= catalog.config.residual_tol
+                catalog.residuals[shallow] <= poles._RESIDUAL_TOL
             )
 
     def test_asymptotic_spacing(self, preset_data):
@@ -171,10 +171,10 @@ class TestSweep:
             coeffs = np.polyfit(np.log(n[high]), betas, 1)
             assert 1.0 <= coeffs[0] <= 3.0
 
-    def test_anchor_failure_surfaces(self):
-        bad = PoleSearchConfig(n_seed=5000, max_newton_iters=1)
+    def test_anchor_failure_surfaces(self, monkeypatch):
+        monkeypatch.setattr(poles, "_MAX_NEWTON_ITERS", 1)
         with pytest.raises(AnchorFailureError):
-            sweep_poles(SB, bad)
+            sweep_poles(SB, PoleSearchConfig(n_seed=5000))
 
     def test_lockstep_retires_unevaluable_seeds_alone(self):
         # a seed on the layer branch point k = sqrt(V/c) is evaluated at
@@ -186,10 +186,10 @@ class TestSweep:
         good = [asymptotic_seed(n, SB.length) for n in range(2, 12)] + [k_branch]
         seeds = good[:4] + [k_overflow] + good[4:]
         counts = Counter()
-        poles = _newton_lockstep(np.array(seeds), SB, PoleSearchConfig(), counts)
+        poles = _newton_lockstep(np.array(seeds), SB, counts)
         assert np.isnan(poles[4])
         for got, seed in zip(np.delete(poles, 4), good):
-            want = _newton_lockstep([seed], SB, PoleSearchConfig(), Counter())[0]
+            want = _newton_lockstep([seed], SB, Counter())[0]
             if np.isnan(want):  # n = 2 leaves the fourth quadrant
                 assert np.isnan(got)
             else:
@@ -262,7 +262,7 @@ class TestZeroCountCertificate:
         config = PoleSearchConfig(n_seed=200)
         full = sweep_poles(SB, config)
         kappa = full.poles[99]
-        drop_from_lockstep(monkeypatch, 98)
+        drop_from_lockstep(monkeypatch, 98, config.n_seed)
         catalog = sweep_poles(SB, config)
         assert catalog.stats.fill == full.stats.fill + 1
         assert catalog.stats.lockstep == full.stats.lockstep - 1
@@ -270,7 +270,7 @@ class TestZeroCountCertificate:
         assert len(catalog) == len(full) == catalog.stats.count
 
     def test_count_above_the_poles_found_raises(self, monkeypatch, tmp_path, capsys):
-        drop_from_lockstep(monkeypatch, 98, fill_finds=False)
+        drop_from_lockstep(monkeypatch, 98, 200, fill_finds=False)
         # the lockstep batch already misses the two lowest sb poles
         message = "197 poles found; sweep: 200 zeros in box: 197 lockstep + 0 fill"
         with pytest.raises(IncompleteCatalogError, match=re.escape(message)):
@@ -332,7 +332,7 @@ class TestMirrorPoles:
         for data in preset_data.values():
             catalog = data.catalog
             kappas = -np.conj(catalog.poles)[:10]
-            gates = residual_gate(catalog.config.residual_tol, catalog.length, kappas)
+            gates = residual_gate(catalog.length, kappas)
             for kappa, gate in zip(kappas, gates):
                 assert abs(t22(data.profile, complex(kappa))) <= gate
 
@@ -394,14 +394,14 @@ class TestBreitWignerSeeds:
     def test_db_single_seed_matches_sweep(self, db_data):
         seeds = breit_wigner_seeds(DB, 0.23)
         assert len(seeds) == 1
-        refined = _newton_lockstep([seeds[0]], DB, db_data.catalog.config, Counter())[0]
+        refined = _newton_lockstep([seeds[0]], DB, Counter())[0]
         assert np.min(np.abs(db_data.catalog.poles - refined)) <= 1e-6
 
     def test_qb_triplet_seeds(self, qb_data):
         seeds = breit_wigner_seeds(QB, 0.23)
         assert len(seeds) == 3
         for seed in seeds:
-            refined = _newton_lockstep([seed], QB, qb_data.catalog.config, Counter())[0]
+            refined = _newton_lockstep([seed], QB, Counter())[0]
             assert np.min(np.abs(qb_data.catalog.poles - refined)) <= 1e-6
 
     def test_zero_potential_empty(self):

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tunnelwave import resonances
 from tunnelwave.potential import (
     PoleProximityError,
     t22_with_prime,
@@ -324,16 +325,13 @@ class TestExpansionKernel:
             assert np.all(np.isfinite(far))
 
     @pytest.mark.parametrize("mirror", [False, True])
-    def test_pole_proximity_real_k(self, db_data, mirror):
+    def test_pole_proximity_real_k(self, db_data, mirror, monkeypatch):
         # a tolerance of 2 |Im kappa_1| puts the real axis at tol/2 from the
         # narrow db resonance
         kappa = db_data.catalog.poles[0]
         tol = 2.0 * abs(kappa.imag)
-        catalog = dataclasses.replace(
-            db_data.catalog,
-            config=dataclasses.replace(db_data.catalog.config, dedup_tol=tol),
-        )
-        rs = db_data.residues
+        monkeypatch.setattr(resonances, "_DEDUP_TOL", tol)
+        catalog, rs = db_data.catalog, db_data.residues
         k_re = -kappa.real if mirror else kappa.real
         with pytest.raises(PoleProximityError):
             expansion_t(DB, k_re, catalog, rs)
