@@ -49,9 +49,11 @@ __all__ = [
 ]
 
 _QUARTER_LOG_2PI = 0.25 * math.log(2.0 * math.pi)
-# (points x poles) elements per bracket chunk: one Faddeeva pass per chunk;
-# larger chunks gain little time and raise the peak memory of long point lists
-_CHUNK = 2**13
+# (points x poles) elements per bracket chunk: one Faddeeva pass per chunk in
+# two buffers that every chunk of a call reuses, 512 KB together.  Smaller
+# chunks pay the fixed numpy cost of a pass more often: qb's 8000 terms fill
+# only one row of a 2**13 chunk
+_CHUNK = 2**14
 # a point's terms are scaled so that the largest stays below
 # exp(_LINEAR_LOG_MAX): 59 e-folds under exp's overflow at 709.78, room for
 # any catalog's pair count
@@ -226,16 +228,15 @@ class _BracketEvaluator:
         """
         n_terms = len(self.coefs)
         rows = max(1, min(len(x), _CHUNK // n_terms))
-        # the chunk's arguments and Faddeeva values, reused by every chunk
+        # the chunk's arguments (then its Faddeeva values) and scratch (then
+        # its terms), reused by every chunk
         bufs = np.empty((2, rows, n_terms), dtype=complex)
         out = np.empty(len(x), dtype=complex)
         tail = np.empty(len(x))
         for s in range(0, len(x), rows):
             part = slice(s, s + rows)
             n = min(rows, len(x) - s)
-            out[part], tail[part] = self._chunk(
-                x[part], t[part], bufs[0, :n], bufs[1, :n]
-            )
+            out[part], tail[part] = self._chunk(x[part], t[part], *bufs[:, :n])
         # a zero bracket has log -inf; nan or +inf means a non-finite sum
         bad = np.flatnonzero(np.isnan(out) | (out.real == math.inf))
         if len(bad):
@@ -261,9 +262,9 @@ class _BracketEvaluator:
             1.0 + 1j * t / self.packet.tau
         )
 
-    def _chunk(self, x, t, z_buf, w_buf):
+    def _chunk(self, x, t, z_buf, work):
         """Log bracket and tail-pair fraction for one chunk of points, summed
-        in linear space in the ``(points, 2N)`` buffers ``z_buf`` and ``w_buf``.
+        in linear space in the ``(points, 2N)`` buffers ``z_buf`` and ``work``.
 
         A row whose largest reflection exponent, plus the log of the largest
         coefficient times the prefactor where that exceeds 1, passes
@@ -273,25 +274,34 @@ class _BracketEvaluator:
         """
         z = self._y_args(x, t, z_buf)
         z *= 1j
-        w, refl, a = _w_split(z.reshape(-1), w_buf.reshape(-1))
+        # w overwrites the arguments
+        w, refl, a = _w_split(z.reshape(-1), work.reshape(-1))
         w_rows = w.reshape(z.shape)
         prefac = self._prefactor(t)
-        rows = refl // z.shape[1]
         # 2 exp(a) itself must stay below exp(_LINEAR_LOG_MAX) too
         limit = _LINEAR_LOG_MAX - np.maximum(
             0.0, self.max_log_coef + np.log(np.abs(prefac))
         )
+        # refl is sorted, so row i's reflection terms are the run
+        # a[ends[i - 1]:ends[i]]; rounding is monotone, so the largest
+        # exponent of a run less its row's limit is the largest difference
+        ends = np.searchsorted(refl, np.arange(1, len(x) + 1) * z.shape[1])
+        runs = np.diff(ends, prepend=0)
+        hit = np.flatnonzero(runs)
+        run_max = np.maximum.reduceat(a.real, ends[hit] - runs[hit])
         shift = np.zeros(len(x))
-        np.maximum.at(shift, rows, a.real - limit[rows])
+        shift[hit] = np.maximum(0.0, run_max - limit[hit])
         scale = np.exp(-shift)
         if shift.any():
             np.multiply(w_rows, scale[:, None], out=w_rows, where=shift[:, None] > 0.0)
-            a -= shift[rows]
+            a -= np.repeat(shift, runs)
         with np.errstate(under="ignore"):
-            w[refl] += 2.0 * np.exp(a)
+            np.exp(a, out=a)
+            a *= 2.0
+            w[refl] += a
         # pairwise row sums: one row's bits do not depend on the chunk, and
         # where the sum cancels they keep 20x less error than einsum's
-        terms = np.multiply(w_rows, self.coefs, out=z)
+        terms = np.multiply(w_rows, self.coefs, out=work)
         total = self.c_const * scale + prefac * np.sum(terms, axis=1)
         n = len(self.coef)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -303,14 +313,21 @@ class _BracketEvaluator:
 
 
 def _require_finite(packet, x, t):
-    """Raise ``ValueError`` unless every x, t and t / tau is finite; the
-    closed form is not finite anywhere else."""
-    with np.errstate(over="ignore"):
-        t_over_tau = np.asarray(t, float) / packet.tau
-    for name, v in (("x", x), ("t", t), ("t / tau", t_over_tau)):
+    """Raise ``ValueError`` unless every x, t, t / tau and the free packet's
+    squared offset ``(x - x_c - v t)^2`` is finite; the closed form is not
+    finite anywhere else."""
+    x, t = np.asarray(x, float), np.asarray(t, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_over_tau = t / packet.tau
+        offset = x - packet.x_c - packet.velocity * t
+        offset_sq = offset * offset
+    for name, v in (
+        ("x", x), ("t", t), ("t / tau", t_over_tau), ("(x - x_c - v t)^2", offset_sq)
+    ):
         if not np.all(np.isfinite(v)):
             raise ValueError(
-                f"{name} is not finite; the closed form needs finite x, t and t / tau"
+                f"{name} is not finite; the closed form needs finite x, t, "
+                "t / tau and (x - x_c - v t)^2"
             )
 
 

@@ -10,6 +10,15 @@ each argument's own ``|z|`` needs (3 at ``|z| = 150`` down to 1 beyond
 Zaghloul & Ali (ACM TOMS 38, 2011), so a vector call and scalar calls give the
 same values.  The lower half-plane is always reached through a single
 application of the reflection identity ``w(z) = 2 exp(-z^2) - w(-z)``.
+
+Dispatch works in place over the argument array plus one work array of its
+size.  Where any argument lies at ``|z| >= 150`` the continued fraction runs
+over the whole array, one masked update per level, and only the arguments
+below 150 are gathered and sent to the series or the rational approximation.
+Where every argument lies in the rational region the approximation runs over
+the whole array, with no gather.  No complex product is written over one of
+its own inputs, since numpy rounds such a product of a one-element array
+differently, and a point must get the same bits alone as in a call.
 """
 
 from __future__ import annotations
@@ -84,47 +93,80 @@ _WEIDEMAN_N = 48
 _WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs(_WEIDEMAN_N)
 
 
-def _w_weideman(z):
-    """Rational approximation for _R_SERIES < |z| < _R_CONTFRAC, Im z >= 0."""
+def _w_weideman(z, out=None):
+    """Rational approximation for _R_SERIES < |z| < _R_CONTFRAC, Im z >= 0,
+    written into ``out`` (which may be ``z``) when given.  The Horner loop
+    writes each product into a second buffer."""
     big_l = _WEIDEMAN_L
-    iz = 1j * z
-    denom = big_l - iz
-    zm = (big_l + iz) / denom
-    p = np.zeros_like(z)
-    for c in _WEIDEMAN_A:
-        p = p * zm + c
-    return 2.0 * p / (denom * denom) + (1.0 / _SQRT_PI) / denom
-
-
-def _w_contfrac(z, r2):
-    """Laplace continued fraction for |z| >= _R_CONTFRAC, Im z >= 0.
-
-    ``r2 = |z|^2``.  Level m of the backward recurrence updates only the
-    elements whose radius tier needs it, so each element's value depends on
-    its own ``|z|`` alone.
-    """
-    g = np.zeros_like(z)
-    for m in range(len(_CF_LEVEL_R2), 0, -1):
-        np.divide(0.5 * m, z - g, out=g, where=r2 < _CF_LEVEL_R2[m - 1])
-    return (1j / _SQRT_PI) / (z - g)
-
-
-def _w_upper(z, out=None):
-    """Dispatch over the three regions; assumes Im z >= 0 elementwise.
-    Writes into ``out`` when given."""
-    r2 = z.real * z.real + z.imag * z.imag
     if out is None:
         out = np.empty_like(z)
-    small = r2 <= _R_SERIES * _R_SERIES
-    big = r2 >= _R_CONTFRAC * _R_CONTFRAC
-    mid = ~(small | big)
+    zm, denom, q = np.empty((3,) + z.shape, dtype=complex)
+    np.multiply(1j, z, out=zm)
+    np.subtract(big_l, zm, out=denom)
+    np.add(big_l, zm, out=zm)
+    np.divide(zm, denom, out=zm)
+    p = out
+    p.fill(0.0)
+    for c in _WEIDEMAN_A:
+        np.multiply(p, zm, out=q)
+        np.add(q, c, out=p)
+    np.multiply(2.0, p, out=q)
+    np.multiply(denom, denom, out=zm)
+    np.divide(q, zm, out=p)
+    np.divide(1.0 / _SQRT_PI, denom, out=q)
+    return np.add(p, q, out=p)
+
+
+def _w_contfrac(z, levels, g):
+    """Laplace continued fraction for |z| >= _R_CONTFRAC, Im z >= 0, written
+    over ``z`` with ``g`` as the work array.
+
+    ``levels[m - 1]`` masks the elements whose radius tier needs level m, so
+    each element's value depends on its own ``|z|`` alone.
+    """
+    # the deepest level divides z itself: z - 0 is z bit for bit
+    g.fill(0.0)
+    np.divide(0.5 * len(levels), z, out=g, where=levels[-1])
+    for m in range(len(levels) - 1, 0, -1):
+        np.subtract(z, g, out=g, where=levels[m - 1])
+        np.divide(0.5 * m, g, out=g, where=levels[m - 1])
+    np.subtract(z, g, out=g)
+    return np.divide(1j / _SQRT_PI, g, out=z)
+
+
+def _w_upper(z, work=None):
+    """Dispatch over the three regions; assumes Im z >= 0 elementwise.
+
+    Overwrites ``z`` with w(z) and returns it; ``work``, a complex array of
+    ``z``'s shape, serves as scratch when given.  Where every element lies in
+    the rational region, that approximation runs over the whole array.
+    Otherwise the continued fraction runs over the whole array if any element
+    needs it, and the elements with |z| < _R_CONTFRAC are gathered before it
+    and written back after it.
+    """
+    if work is None:
+        work = np.empty_like(z)
+    r2, im2 = work.view(float).reshape(2, -1)
+    np.multiply(z.real, z.real, out=r2)
+    np.multiply(z.imag, z.imag, out=im2)
+    r2 += im2
+    near = np.flatnonzero(r2 < _R_CONTFRAC * _R_CONTFRAC)
+    small = r2[near] <= _R_SERIES * _R_SERIES
+    if len(near) == len(z) and not small.any():
+        return _w_weideman(z, out=z)
+    z_near = z[near]
+    if len(near) < len(z):
+        levels = [True if b == math.inf else r2 < b for b in _CF_LEVEL_R2]
+        # the near elements get values here too, overwritten below; parked
+        # at |z| = _R_CONTFRAC they raise no division or overflow warnings
+        z[near] = _R_CONTFRAC
+        _w_contfrac(z, levels, work)
     if small.any():
-        out[small] = _w_series(z[small])
+        z[near[small]] = _w_series(z_near[small])
+    mid = ~small
     if mid.any():
-        out[mid] = _w_weideman(z[mid])
-    if big.any():
-        out[big] = _w_contfrac(z[big], r2[big])
-    return out
+        z[near[mid]] = _w_weideman(z_near[mid])
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +174,10 @@ def _w_upper(z, out=None):
 # ---------------------------------------------------------------------------
 
 
-def _w_split(z, out=None):
+def _w_split(z, work=None):
     """w(z) for a 1-d array of finite z from one upper-half-plane evaluation,
-    with the reflection term left out.  ``z`` is flipped into the upper
-    half-plane in place, and ``w`` is written into ``out`` when given.
+    with the reflection term left out.  ``w`` is written over ``z``, and
+    ``work``, a complex array of ``z``'s shape, serves as scratch when given.
 
     Returns ``(w, refl, a)``.  ``w`` holds w(z) where Im z >= 0 and -w(-z)
     where Im z < 0.  ``refl`` holds the indices of the lower-half-plane
@@ -143,16 +185,20 @@ def _w_split(z, out=None):
     zero, and ``a`` their exponents.  Adding ``2 exp(a)`` at ``refl`` gives
     w(z) everywhere.
     """
+    if work is None:
+        work = np.empty_like(z)
     lower = z.imag < 0.0
-    np.negative(z, out=z, where=lower)
-    w = _w_upper(z, out)
-    np.negative(w, out=w, where=lower)
     # (-z)^2 is z^2 bit for bit.  Where Re(-z^2) < _EXP_FLOOR, 2 exp(-z^2) is
     # exactly zero, so skipping it changes no bit and takes no cos/sin of a
     # huge Im(z^2)
-    sq = z * z
+    sq = np.multiply(z, z, out=work)
     refl = np.flatnonzero(lower & (sq.real <= -_EXP_FLOOR))
-    return w, refl, -sq[refl]
+    a = sq[refl]
+    np.negative(a, out=a)
+    np.negative(z, out=z, where=lower)
+    w = _w_upper(z, work)
+    np.negative(w, out=w, where=lower)
+    return w, refl, a
 
 
 def faddeeva(z):

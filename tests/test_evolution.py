@@ -111,18 +111,23 @@ class TestTransmittedPacket:
         ("psi", 2.0, math.nan),
         ("psi", 2.0, math.inf),
         ("psi", 2.0, 1e308),
+        ("psi", 2.0, 1e155),
+        ("psi", 2.0, 1e307),
         ("zeta", math.nan, 5.0),
         ("zeta", 2.0, math.nan),
         ("zeta", 2.0, 1e308),
+        ("zeta", 2.0, 1e155),
+        ("zeta", 2.0, 1e307),
     ])
     def test_non_finite_bracket_rejected(self, sb_data, func, x, t):
-        # nan or inf x or t, and a t whose t / tau overflows, would leave the
-        # bracket sum non-finite: a ValueError on entry, before numpy warns
-        # about any of them, never a NaN result
+        # nan or inf x or t, a t whose t / tau overflows, and a t (1e155 up)
+        # whose free-packet offset (x - x_c - v t)^2 overflows would leave
+        # the closed form non-finite: a ValueError on entry, before any
+        # warning, never a NaN or -inf+inf*j result
         args = (sb_data.packet, SB, sb_data.catalog, sb_data.residues, x * SB.length, t)
         call = transmitted_packet_log if func == "psi" else zeta
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
                 call(*args)
 
@@ -185,6 +190,26 @@ class TestTransmittedPacket:
                 for t in ts
             ])
             assert np.array_equal(bulk, single)
+
+    @pytest.mark.parametrize("mult", [2.0, 2e5])
+    def test_chunk_size_changes_no_bit(self, preset_data, mult, monkeypatch):
+        # qb's 8000 terms fill one row of a 2**12 or 2**13 chunk and two of a
+        # 2**14 one; sb and db fill several rows of each
+        for data in preset_data.values():
+            pk, profile = data.packet, data.profile
+            tau_sys = tau_system(profile, data.catalog)
+            x_d = mult * profile.length
+            ts = np.geomspace(1e-2 * tau_sys, 30.0 * tau_sys, 40)
+            if mult != 2.0:
+                ts = (x_d - pk.x_c) / pk.velocity * 4.0 ** np.linspace(-1.0, 1.0, 40)
+            got = []
+            for chunk in (2**12, 2**13, 2**14):
+                monkeypatch.setattr("tunnelwave.evolution._CHUNK", chunk)
+                got.append(transmitted_packet_log(
+                    pk, profile, data.catalog, data.residues, x_d, ts
+                ))
+            assert np.array_equal(got[0].view(np.uint64), got[1].view(np.uint64))
+            assert np.array_equal(got[0].view(np.uint64), got[2].view(np.uint64))
 
     def test_early_time_residual_bounded(self, preset_data):
         # t -> 0+ leaves |psi| <= 2|C| |psi_free| (measured factor <= ~0.95)
@@ -344,6 +369,25 @@ class TestLinearBracket:
         ])
         assert np.array_equal(bulk, single)
         assert np.all(np.isfinite(bulk[[1, 4]]))
+
+    def test_chunk_size_changes_no_bit(self, wide_db, monkeypatch):
+        # shifted and unshifted rows side by side: each row's shift is the
+        # largest exponent of its own run of reflection terms, wherever the
+        # chunk boundaries fall
+        packet, catalog, rset = wide_db
+        xs = np.tile([DB.length, DB.length, 1000.0, 3000.0, 2.0 * DB.length], 8)
+        ts = np.tile([0.5, 10.0, 0.5, 1.0, 10.0], 8) * packet.tau
+        ts *= 1.0 + 0.01 * np.repeat(np.arange(8), 5)
+        ev = _BracketEvaluator(packet, DB, catalog, rset)
+        scaled = self.scaled(ev, xs, ts)
+        assert 0 < np.count_nonzero(scaled) < len(xs)
+        got = []
+        for chunk in (2**12, 2**13, 2**14):
+            monkeypatch.setattr("tunnelwave.evolution._CHUNK", chunk)
+            got.append(transmitted_packet_log(packet, DB, catalog, rset, xs, ts))
+        assert np.all(np.isfinite(got[0]))
+        assert np.array_equal(got[0].view(np.uint64), got[1].view(np.uint64))
+        assert np.array_equal(got[0].view(np.uint64), got[2].view(np.uint64))
 
     @pytest.mark.parametrize("mult", [2.0, 200.0, 2e5])
     def test_linear_and_log_paths_agree_on_presets(self, preset_data, mult):

@@ -141,6 +141,66 @@ def test_vector_and_scalar_paths_agree():
         assert faddeeva_log_scaled(complex(v)) == (log_mag[i], phase[i])
 
 
+def bits(values):
+    """The raw bit patterns of float or complex values: equal bits, signed
+    zeros included."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _ring(rng, n, r_lo, r_hi):
+    # log-uniform radii, uniform angles in both half-planes
+    radius = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n))
+    return radius * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+
+
+# zero components with either sign, and the imaginary axis, where w is real
+_SIGNED_ZEROS = np.array([
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(-0.0, 1.0), complex(-0.0, 5.0), complex(0.0, -5.0),
+    complex(-0.0, 300.0), complex(0.0, 300.0), complex(-0.0, -30.0),
+])
+
+
+def _tier_arrays():
+    rng = np.random.default_rng(21)
+    far = _ring(rng, 300, 150.0, 1e5)
+    rational = _ring(rng, 300, 2.0, 150.0)
+    few_near = np.concatenate([_ring(rng, 3, 0.1, 2.0), _ring(rng, 3, 2.0, 150.0)])
+    few_far = np.concatenate([_ring(rng, 3, 150.0, 1e5), [np.nextafter(150.0, 0.0), 150.0]])
+    arrays = {
+        "all-contfrac": far,
+        "all-rational": rational,
+        "mostly-contfrac": rng.permutation(np.concatenate([far, few_near, _SIGNED_ZEROS])),
+        "mostly-rational": rng.permutation(np.concatenate([rational, few_far, _SIGNED_ZEROS])),
+    }
+    for name, z in list(arrays.items()):
+        arrays[f"{name}-len1"] = z[:1]
+        arrays[f"{name}-len2"] = z[:2]
+    # two-element arrays with one element in each of two regions
+    regions = {"series": 1.5j + 0.2, "rational": 20.0 - 40.0j, "contfrac": -300.0 + 2e3j}
+    for a, b in [("contfrac", "series"), ("contfrac", "rational"), ("rational", "contfrac"),
+                 ("series", "rational")]:
+        arrays[f"{a}+{b}"] = np.array([regions[a], regions[b]])
+    return arrays
+
+
+_TIER_ARRAYS = _tier_arrays()
+
+
+@pytest.mark.parametrize("z", _TIER_ARRAYS.values(), ids=_TIER_ARRAYS.keys())
+def test_bulk_equals_one_element_calls_across_tiers(z):
+    # the continued fraction runs in place over a whole array with the rest
+    # gathered, or the rational fit runs over a whole array; either way every
+    # element must come out as when it is evaluated alone, bit for bit
+    log_mag, phase = faddeeva_log_scaled(z)
+    singles = np.array([faddeeva_log_scaled(complex(v)) for v in z])
+    assert np.array_equal(bits(log_mag), bits(singles[:, 0]))
+    assert np.array_equal(bits(phase), bits(singles[:, 1]))
+    fits = z[(-(z * z)).real < 650.0]
+    single = np.array([faddeeva(complex(v)) for v in fits], dtype=complex)
+    assert np.array_equal(bits(faddeeva(fits)), bits(single))
+
+
 class TestLogScaled:
     def test_zero(self):
         assert faddeeva_log_scaled(0.0) == (0.0, 0.0)
