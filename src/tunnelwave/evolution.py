@@ -69,7 +69,9 @@ class PacketValidityWarning(UserWarning):
 
 
 class TruncationWarning(UserWarning):
-    """The last pole pair still contributes noticeably to the bracket."""
+    """Raised by nothing: the pole terms cancel, so no pair's share of the
+    bracket measures truncation.  Kept for the benchmark, which filters it,
+    until its next change (as ``faddeeva_log_scaled``)."""
 
 
 class FreeDensityUnderflowError(FloatingPointError):
@@ -223,8 +225,7 @@ class _BracketEvaluator:
         Works in chunks of about ``_CHUNK`` (points x poles) elements with one
         Faddeeva pass per chunk, summed in linear space row by row, so every
         point gets the bits it gets alone.  Raises ``ValueError`` where the
-        sum is not finite.  Warns once per call when the last pole pair still
-        contributes more than 1e-8 of the bracket somewhere.
+        sum is not finite.
         """
         n_terms = len(self.coefs)
         rows = max(1, min(len(x), _CHUNK // n_terms))
@@ -232,11 +233,10 @@ class _BracketEvaluator:
         # its terms), reused by every chunk
         bufs = np.empty((2, rows, n_terms), dtype=complex)
         out = np.empty(len(x), dtype=complex)
-        tail = np.empty(len(x))
         for s in range(0, len(x), rows):
             part = slice(s, s + rows)
             n = min(rows, len(x) - s)
-            out[part], tail[part] = self._chunk(x[part], t[part], *bufs[:, :n])
+            out[part] = self._chunk(x[part], t[part], *bufs[:, :n])
         # a zero bracket has log -inf; nan or +inf means a non-finite sum
         bad = np.flatnonzero(np.isnan(out) | (out.real == math.inf))
         if len(bad):
@@ -244,15 +244,6 @@ class _BracketEvaluator:
             raise ValueError(
                 f"bracket sum is not finite at x = {x[i]:.6g}, t = {t[i]:.6g}; "
                 "the closed form needs finite x and t with t / tau representable"
-            )
-        worst = float(np.max(tail, initial=0.0))
-        if worst > 1e-8:
-            warnings.warn(
-                f"last pole pair contributes up to {worst:.3g} of the bracket "
-                f"(above 1e-8 at {int(np.sum(tail > 1e-8))} of {len(x)} points); "
-                "the catalog may be too short for these points",
-                TruncationWarning,
-                stacklevel=3,
             )
         return out
 
@@ -263,8 +254,8 @@ class _BracketEvaluator:
         )
 
     def _chunk(self, x, t, z_buf, work):
-        """Log bracket and tail-pair fraction for one chunk of points, summed
-        in linear space in the ``(points, 2N)`` buffers ``z_buf`` and ``work``.
+        """Log bracket for one chunk of points, summed in linear space in the
+        ``(points, 2N)`` buffers ``z_buf`` and ``work``.
 
         A row whose largest reflection exponent, plus the log of the largest
         coefficient times the prefactor where that exceeds 1, passes
@@ -303,13 +294,9 @@ class _BracketEvaluator:
         # where the sum cancels they keep 20x less error than einsum's
         terms = np.multiply(w_rows, self.coefs, out=work)
         total = self.c_const * scale + prefac * np.sum(terms, axis=1)
-        n = len(self.coef)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_total = np.log(total)
-            tail = np.abs(prefac) * (
-                np.abs(terms[:, n - 1]) + np.abs(terms[:, -1])
-            ) / np.abs(total)
-        return log_total + shift, tail
+        # a zero bracket has log -inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(total) + shift
 
 
 def _require_finite(packet, x, t):
@@ -331,13 +318,19 @@ def _require_finite(packet, x, t):
             )
 
 
-def transmitted_packet_log(packet, profile, catalog, residue_set, x, t, n_poles=None):
-    """Complex log of the transmitted amplitude; never overflows."""
+def _require_transmitted(packet, profile, x, t):
+    """Raise ``ValueError`` unless every (x, t) is a finite point of the
+    closed form's domain x >= L, t > 0 (see :func:`_require_finite`)."""
     _require_finite(packet, x, t)
     if np.any(np.asarray(x, float) < profile.length):
         raise ValueError("transmitted amplitude is defined for x >= L only")
     if np.any(np.asarray(t, float) <= 0.0):
         raise ValueError("transmitted amplitude requires t > 0")
+
+
+def transmitted_packet_log(packet, profile, catalog, residue_set, x, t, n_poles=None):
+    """Complex log of the transmitted amplitude; never overflows."""
+    _require_transmitted(packet, profile, x, t)
     ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
     xs, ts = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
     flat_x, flat_t = xs.ravel(), ts.ravel()
@@ -403,9 +396,16 @@ def longtime_exponent(
     """Fitted power of the density decay at fixed x_d over a log-uniform grid.
 
     Raises :class:`NonAsymptoticError` when the local slope still varies by
-    more than 0.5 across the window.
+    more than 0.5 across the window, and ``ValueError`` unless
+    ``t_max > t_min`` and ``samples >= 4``, so that each half's fit has two
+    points.
     """
     t_min, t_max = t_range
+    if not (t_max > t_min and samples >= 4):
+        raise ValueError(
+            f"the slope fit needs t_max > t_min and samples >= 4, got "
+            f"({t_min:.3g}, {t_max:.3g}) fs with {samples} samples"
+        )
     floor = 50.0 * tau_system(profile, catalog)
     if t_min < floor * (1.0 - 1e-9):
         raise ValueError(
@@ -442,6 +442,7 @@ def asymptotic_cancellation(packet, profile, catalog, residue_set, x_d, t, n_pol
     where ``scale`` is the magnitude sum of the next-order 1/y'^3 terms.  At
     long times the leading sum cancels C up to that scale.
     """
+    _require_transmitted(packet, profile, x_d, t)
     ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
     y = ev._y_args(np.asarray(x_d, float), np.asarray(t, float))
     lead = 1.0 / (math.sqrt(math.pi) * y)

@@ -14,13 +14,12 @@ out, which is the explicit :class:`NodeBudgetExceededError` boundary.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _w_upper, faddeeva_log_scaled
+from .specfun import _w_upper
 from .potential import t22
 
 __all__ = [
@@ -75,8 +74,10 @@ def phi0(packet, k):
     ``z = x_c/(2 sigma) - i (k - k0) sigma`` and ``z0 = x_c / (sqrt(2) sigma)``.
     Both Faddeeva factors are huge while the transform is O(sqrt(sigma)), so
     the constant ``c0 = log((2 pi)^(-1/4) sqrt(sigma) / sqrt(w(i z0)))`` is
-    taken in exponent space.  Because ``x_c < 0``, ``iz`` lies in the lower
-    half-plane, where ``w(iz) = 2 exp(z^2) - w(-iz)`` holds exactly, so
+    taken in exponent space; it is real, since ``z0 < 0`` gives
+    ``log w(i z0) = z0^2 + log erfc(z0)`` with ``erfc(z0)`` in (1, 2).
+    Because ``x_c < 0``, ``iz`` lies in the lower half-plane, where
+    ``w(iz) = 2 exp(z^2) - w(-iz)`` holds exactly, so
     ``phi0 = 2 exp(c0 + z^2) - exp(c0) w(-iz)``: one complex exponential and
     one upper-half-plane Faddeeva value per k.  ``Re(c0 + z^2)`` is about
     ``-((k - k0) sigma)^2``, so nothing overflows, and ``exp(c0)`` underflows
@@ -86,15 +87,15 @@ def phi0(packet, k):
     sigma = packet.sigma
     a = packet.x_c / (2.0 * sigma)  # Re z < 0
     u = (packet.k0 - np.atleast_1d(k_arr)) * sigma  # Im z
-    l0_mag, l0_arg = faddeeva_log_scaled(1j * (packet.x_c / (math.sqrt(2.0) * sigma)))
+    z0 = packet.x_c / (math.sqrt(2.0) * sigma)
     c0 = (
         0.5 * math.log(sigma)
         - 0.25 * math.log(2.0 * math.pi)
-        - 0.5 * complex(l0_mag, l0_arg)
+        - 0.5 * (z0 * z0 + math.log(math.erfc(z0)))
     )
     z = a + 1j * u
     with np.errstate(under="ignore"):
-        out = 2.0 * np.exp(c0 + z * z) - cmath.exp(c0) * _w_upper(u - 1j * a)
+        out = 2.0 * np.exp(c0 + z * z) - math.exp(c0) * _w_upper(u - 1j * a)
     if k_arr.ndim == 0:
         return complex(out[0])
     return out

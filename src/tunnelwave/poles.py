@@ -204,10 +204,12 @@ class PoleCatalog:
 
 
 def asymptotic_seed(n, length):
-    """High-index pole estimate n*pi/L - i (2/L) ln n."""
-    if n < 2:
+    """High-index pole estimates n pi/L - i (2/L) ln n for an index or an
+    array of indices n >= 2: the sweep's Newton seeds."""
+    n = np.asarray(n)
+    if np.any(n < 2):
         raise IndexTooSmallError("asymptotic seed requires n >= 2")
-    return n * math.pi / length - 2j * math.log(n) / length
+    return n * (math.pi / length) - 2j * np.log(n) / length
 
 
 def _t22_or_nan(profile, k):
@@ -465,10 +467,8 @@ def sweep_poles(profile, config=PoleSearchConfig()):
     started = time.perf_counter()
     iterations = Counter()
     length = profile.length
-    n = np.arange(2, config.n_seed + 1)
-    poles = _newton_lockstep(
-        n * (math.pi / length) - 2j * np.log(n) / length, profile, iterations
-    )
+    seeds = asymptotic_seed(np.arange(2, config.n_seed + 1), length)
+    poles = _newton_lockstep(seeds, profile, iterations)
     anchor = poles[-1]
     re_lo = math.pi / (40.0 * length)
     if not (anchor.real > re_lo and anchor.imag < 0.0):

@@ -6,7 +6,6 @@ Each check returns a :class:`CriterionRecord` with the measured numbers in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +116,7 @@ def check_oracle_equivalence(name, profile, catalog, residue_set, packet):
     tau_sys = tau_system(profile, catalog)
     x_d = 2.0 * profile.length
     ts = np.linspace(1e-3 * tau_sys, t_end * tau_sys, n_pts)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        psi_a = transmitted_packet(packet, profile, catalog, residue_set, x_d, ts)
+    psi_a = transmitted_packet(packet, profile, catalog, residue_set, x_d, ts)
     try:
         psi_o = psi_quadrature(packet, profile, x_d, ts)
     except NodeBudgetExceededError as exc:
@@ -137,12 +134,10 @@ def check_oracle_equivalence(name, profile, catalog, residue_set, packet):
 
 def check_longtime_slope(name, profile, catalog, residue_set, packet):
     tau_sys = tau_system(profile, catalog)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        slope = longtime_exponent(
-            packet, profile, catalog, residue_set,
-            2.0 * profile.length, (50.0 * tau_sys, 500.0 * tau_sys),
-        )
+    slope = longtime_exponent(
+        packet, profile, catalog, residue_set,
+        2.0 * profile.length, (50.0 * tau_sys, 500.0 * tau_sys),
+    )
     return _record(
         f"5-longtime-slope-{name}",
         abs(slope + 3.0) <= SLOPE_TOL,
@@ -174,16 +169,14 @@ def check_reconstruction(name, profile, catalog, residue_set, packet):
     units = profile.units
     beta_1 = catalog.poles[0].imag
     devs, params = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for scale in (0.05, 0.25, 1.0):
-            t0 = scale * t_flight
-            xs = length + np.sqrt(etas) * packet.velocity * t0
-            zs = zeta(packet, profile, catalog, residue_set, xs, t0)
-            devs.append(float(np.max(np.abs(zs - t_ref))))
-            # ungated: the needle at eta ~ 1 converges to T only once this
-            # parameter, its expected deviation, is small
-            params.append(0.517 / (units.inv_mass_coeff * t0 / units.hbar * beta_1**2))
+    for scale in (0.05, 0.25, 1.0):
+        t0 = scale * t_flight
+        xs = length + np.sqrt(etas) * packet.velocity * t0
+        zs = zeta(packet, profile, catalog, residue_set, xs, t0)
+        devs.append(float(np.max(np.abs(zs - t_ref))))
+        # ungated: the needle at eta ~ 1 converges to T only once this
+        # parameter, its expected deviation, is small
+        params.append(0.517 / (units.inv_mass_coeff * t0 / units.hbar * beta_1**2))
     monotone = devs[0] > devs[1] > devs[2]
     ok = devs[-1] <= RECONSTRUCT_TOL and monotone
     return _record(
@@ -246,12 +239,10 @@ def check_properties(name, profile, catalog, residue_set):
 
 def check_cancellation(name, profile, catalog, residue_set, packet):
     tau_sys = tau_system(profile, catalog)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        residual, scale = asymptotic_cancellation(
-            packet, profile, catalog, residue_set,
-            2.0 * profile.length, 1e3 * tau_sys,
-        )
+    residual, scale = asymptotic_cancellation(
+        packet, profile, catalog, residue_set,
+        2.0 * profile.length, 1e3 * tau_sys,
+    )
     c_mag = abs(coefficient_C(profile, catalog, residue_set))
     ok = residual <= 10.0 * scale and residual <= 1e-2 * c_mag
     return _record(

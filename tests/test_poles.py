@@ -78,6 +78,15 @@ class TestAsymptoticSeed:
     def test_rejects_small_index(self):
         with pytest.raises(IndexTooSmallError):
             asymptotic_seed(1, 8.0)
+        with pytest.raises(IndexTooSmallError):
+            asymptotic_seed(np.array([3, 1, 4]), 8.0)
+
+    def test_array_matches_one_index_at_a_time(self):
+        n = np.arange(2, 200)
+        seeds = asymptotic_seed(n, SB.length)
+        assert seeds.shape == n.shape
+        singles = [complex(asymptotic_seed(int(i), SB.length)) for i in n]
+        assert np.array_equal(seeds, singles)
 
 
 class TestNewton:
