@@ -390,9 +390,7 @@ def fit_loglog_slope(ts, rhos):
                         np.log(np.asarray(rhos, dtype=float)))
 
 
-def longtime_exponent(
-    packet, profile, catalog, residue_set, x_d, t_range, samples=40, n_poles=None
-):
+def longtime_exponent(packet, profile, catalog, residue_set, x_d, t_range, samples=40):
     """Fitted power of the density decay at fixed x_d over a log-uniform grid.
 
     Raises :class:`NonAsymptoticError` when the local slope still varies by
@@ -412,9 +410,7 @@ def longtime_exponent(
             f"t_min = {t_min:.3g} fs is below the asymptotic floor {floor:.3g} fs"
         )
     ts = np.geomspace(t_min, t_max, samples)
-    logs = transmitted_packet_log(
-        packet, profile, catalog, residue_set, x_d, ts, n_poles
-    )
+    logs = transmitted_packet_log(packet, profile, catalog, residue_set, x_d, ts)
     log_rho = np.log(packet.sigma) + 2.0 * np.asarray(logs).real
     half = samples // 2
     lt = np.log(ts)
@@ -428,12 +424,12 @@ def longtime_exponent(
 
 
 def _plain_slope(lx, ly):
-    design = np.stack([lx, np.ones_like(lx)], axis=1)
-    (slope, _), *_ = np.linalg.lstsq(design, ly, rcond=None)
-    return float(slope)
+    # least-squares slope in closed form, about the mean of lx
+    dx = lx - lx.mean()
+    return float(dx @ (ly - ly.mean()) / (dx @ dx))
 
 
-def asymptotic_cancellation(packet, profile, catalog, residue_set, x_d, t, n_poles=None):
+def asymptotic_cancellation(packet, profile, catalog, residue_set, x_d, t):
     """Residual of C against the leading-asymptotic bracket sum.
 
     Evaluates the bracket with the Faddeeva factors replaced by their leading
@@ -443,7 +439,7 @@ def asymptotic_cancellation(packet, profile, catalog, residue_set, x_d, t, n_pol
     long times the leading sum cancels C up to that scale.
     """
     _require_transmitted(packet, profile, x_d, t)
-    ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
+    ev = _BracketEvaluator(packet, profile, catalog, residue_set)
     y = ev._y_args(np.asarray(x_d, float), np.asarray(t, float))
     lead = 1.0 / (math.sqrt(math.pi) * y)
     lhp = y.real < 0.0

@@ -199,6 +199,8 @@ def _panel_nodes(packet, x, ts, tfun, config):
 
 def _momentum_integral(packet, x, t, tfun, config):
     ts = np.asarray(t, dtype=float)
+    if not (math.isfinite(x) and np.all(np.isfinite(ts))):
+        raise ValueError("x and t must be finite")
     if np.any(ts < 0.0):
         raise ValueError("t must be >= 0")
     ks, ws = _panel_nodes(packet, x, ts, tfun, config)

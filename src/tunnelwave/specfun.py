@@ -1,24 +1,24 @@
 """Complex special functions used by the transient-transmission solver.
 
 The central object is the Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``.
-Evaluation is split by region: a Maclaurin series for ``|z| <= 2``,
-Weideman's N = 48 rational approximation (SIAM J. Numer. Anal. 31, 1994;
-coefficients fitted at import time) for ``2 < |z| < 150``, and the Laplace
-continued fraction beyond.  The continued fraction takes only as many levels as
-each argument's own ``|z|`` needs (3 at ``|z| = 150`` down to 1 beyond
-``|z| = 1e4``), the tiered depth of Poppe & Wijers (ACM TOMS 16, 1990) and
-Zaghloul & Ali (ACM TOMS 38, 2011), so a vector call and scalar calls give the
-same values.  The lower half-plane is always reached through a single
-application of the reflection identity ``w(z) = 2 exp(-z^2) - w(-z)``.
+Evaluation is split into two regions: Weideman's N = 48 rational
+approximation (SIAM J. Numer. Anal. 31, 1994; coefficients fitted at import
+time) for ``|z| < 150``, and the Laplace continued fraction beyond.  The
+continued fraction takes only as many levels as each argument's own ``|z|``
+needs (3 at ``|z| = 150`` down to 1 beyond ``|z| = 1e4``), the tiered depth of
+Poppe & Wijers (ACM TOMS 16, 1990) and Zaghloul & Ali (ACM TOMS 38, 2011), so a
+vector call and scalar calls give the same values.  The lower half-plane is
+always reached through a single application of the reflection identity
+``w(z) = 2 exp(-z^2) - w(-z)``.
 
 Dispatch works in place over the argument array plus one work array of its
-size.  Where any argument lies at ``|z| >= 150`` the continued fraction runs
-over the whole array, one masked update per level, and only the arguments
-below 150 are gathered and sent to the series or the rational approximation.
-Where every argument lies in the rational region the approximation runs over
-the whole array, with no gather.  No complex product is written over one of
-its own inputs, since numpy rounds such a product of a one-element array
-differently, and a point must get the same bits alone as in a call.
+size.  Where every argument lies below ``|z| = 150`` the rational
+approximation runs over the whole array, with no gather.  Otherwise the
+continued fraction runs over the whole array, one masked update per level,
+and only the arguments below 150 are gathered and sent to the rational
+approximation.  No complex product is written over one of its own inputs,
+since numpy rounds such a product of a one-element array differently, and a
+point must get the same bits alone as in a call.
 """
 
 from __future__ import annotations
@@ -41,14 +41,10 @@ _EXP_FLOOR = -746.0  # below it exp(x) underflows to exactly 0 in float64
 # region evaluators (upper half-plane only)
 # ---------------------------------------------------------------------------
 
-_N_SERIES = 100
-_INV_GAMMA = np.array([1.0 / math.gamma(0.5 * n + 1.0) for n in range(_N_SERIES)])
-
-# Radii of the three evaluation regions.  The series keeps w(0) exactly 1.
-# Against a 40-digit reference the rational fit is within 1.7e-14 relative
-# just outside |z| = 2 and 4e-16 from |z| = 7 to 150; from _R_CONTFRAC outward
-# the continued fraction needs at most 3 levels.  See tests for the profile.
-_R_SERIES = 2.0
+# Radius between the two evaluation regions.  Against a 40-digit reference
+# the rational fit is within 1.5e-15 relative below |z| = 7 and 4e-16 from
+# |z| = 7 to 150; from _R_CONTFRAC outward the continued fraction needs at
+# most 3 levels.  See tests for the profile.
 _R_CONTFRAC = 150.0
 
 # Continued-fraction depth by radius tier: from |z| = radius outward, `depth`
@@ -60,20 +56,6 @@ _CF_LEVEL_R2 = tuple(
     min((r for r, d in _CF_TIERS if d < m), default=math.inf) ** 2
     for m in range(1, max(d for _, d in _CF_TIERS) + 1)
 )
-
-
-def _w_series(z):
-    """Maclaurin series sum_n (iz)^n / Gamma(n/2 + 1), for |z| <= _R_SERIES."""
-    iz = 1j * z
-    out = np.full(z.shape, _INV_GAMMA[0], dtype=complex)
-    term = np.ones_like(z)
-    for n in range(1, _N_SERIES):
-        term = term * iz
-        contrib = _INV_GAMMA[n] * term
-        out += contrib
-        if n % 10 == 0 and np.max(np.abs(contrib)) < 1e-18:
-            break
-    return out
 
 
 def _weideman_coeffs(n_terms):
@@ -94,7 +76,7 @@ _WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs(_WEIDEMAN_N)
 
 
 def _w_weideman(z, out=None):
-    """Rational approximation for _R_SERIES < |z| < _R_CONTFRAC, Im z >= 0,
+    """Rational approximation for |z| < _R_CONTFRAC, Im z >= 0,
     written into ``out`` (which may be ``z``) when given.  The Horner loop
     writes each product into a second buffer."""
     big_l = _WEIDEMAN_L
@@ -135,14 +117,14 @@ def _w_contfrac(z, levels, g):
 
 
 def _w_upper(z, work=None):
-    """Dispatch over the three regions; assumes Im z >= 0 elementwise.
+    """Dispatch over the two regions; assumes Im z >= 0 elementwise.
 
     Overwrites ``z`` with w(z) and returns it; ``work``, a complex array of
-    ``z``'s shape, serves as scratch when given.  Where every element lies in
-    the rational region, that approximation runs over the whole array.
-    Otherwise the continued fraction runs over the whole array if any element
-    needs it, and the elements with |z| < _R_CONTFRAC are gathered before it
-    and written back after it.
+    ``z``'s shape, serves as scratch when given.  Where every element lies
+    below |z| = _R_CONTFRAC, the rational approximation runs over the whole
+    array.  Otherwise the continued fraction runs over the whole array, and
+    the elements below _R_CONTFRAC are gathered before it and get the
+    rational approximation after it.
     """
     if work is None:
         work = np.empty_like(z)
@@ -151,21 +133,16 @@ def _w_upper(z, work=None):
     np.multiply(z.imag, z.imag, out=im2)
     r2 += im2
     near = np.flatnonzero(r2 < _R_CONTFRAC * _R_CONTFRAC)
-    small = r2[near] <= _R_SERIES * _R_SERIES
-    if len(near) == len(z) and not small.any():
+    if len(near) == len(z):
         return _w_weideman(z, out=z)
     z_near = z[near]
-    if len(near) < len(z):
-        levels = [True if b == math.inf else r2 < b for b in _CF_LEVEL_R2]
-        # the near elements get values here too, overwritten below; parked
-        # at |z| = _R_CONTFRAC they raise no division or overflow warnings
-        z[near] = _R_CONTFRAC
-        _w_contfrac(z, levels, work)
-    if small.any():
-        z[near[small]] = _w_series(z_near[small])
-    mid = ~small
-    if mid.any():
-        z[near[mid]] = _w_weideman(z_near[mid])
+    levels = [True if b == math.inf else r2 < b for b in _CF_LEVEL_R2]
+    # the near elements get values here too, overwritten below; parked at
+    # |z| = _R_CONTFRAC they raise no division or overflow warnings
+    z[near] = _R_CONTFRAC
+    _w_contfrac(z, levels, work)
+    if len(near):
+        z[near] = _w_weideman(z_near)
     return z
 
 

@@ -514,8 +514,9 @@ class TestLongtime:
         ((50.0, 500.0), 3),
     ])
     def test_degenerate_window_rejected(self, sb_data, t_range, samples):
-        # an empty window leaves lstsq singular and fewer than four samples
-        # leave a half's fit with one point; both returned a slope before
+        # an empty window leaves every sample at one time, so the slope fit
+        # divides by zero, and fewer than four samples leave a half's fit
+        # with one point; both returned a slope before
         tau_sys = tau_system(SB, sb_data.catalog)
         lo, hi = (v * tau_sys for v in t_range)
         with pytest.raises(ValueError, match="t_max > t_min and samples >= 4"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -276,6 +277,24 @@ class TestTimeArrays:
             psi_quadrature(pk, SB, 2 * SB.length, np.array([1.0, -1.0, 2.0]))
         with pytest.raises(ValueError):
             psi_free_quadrature(pk, 0.0, np.array([[0.0, 3.0], [-1e-9, 4.0]]))
+
+    @pytest.mark.parametrize("free", [False, True], ids=["transmitted", "free"])
+    @pytest.mark.parametrize(
+        "x_over_l, t",
+        [(math.nan, 1.0), (2.0, math.nan), (2.0, np.array([1.0, math.nan])),
+         (math.inf, 1.0), (2.0, math.inf)],
+        ids=["x-nan", "t-nan", "t-array-nan", "x-inf", "t-inf"],
+    )
+    def test_non_finite_x_or_t_rejected_before_any_warning(self, free, x_over_l, t):
+        pk = make_packet()
+        x = x_over_l * SB.length
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                if free:
+                    psi_free_quadrature(pk, x, t)
+                else:
+                    psi_quadrature(pk, SB, x, t)
 
     def test_budget_from_latest_time_before_any_node(self, monkeypatch):
         def no_nodes(*args, **kwargs):
