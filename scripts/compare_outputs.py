@@ -7,9 +7,11 @@ For every file under either tree it prints one line: ``byte-identical``, or
 for a CSV that differs, the header lines that differ and one line per data
 column with either ``byte-identical`` (every value written the same) or the
 largest relative deviation ``|a - b| / max(|a|, |b|)`` and the row where it
-occurs.  Exits with 0 when every file is byte-identical, 1 when only
-values or header lines differ, and 2 when the trees hold different files or
-a file's columns or row count differ.
+occurs.  Each differing column gets a second line with the largest
+``|a - b|`` relative to the column's peak finite ``|value|`` over both files.
+Exits with 0 when every file is byte-identical, 1 when only values or
+header lines differ, and 2 when the trees hold different files or a file's
+columns or row count differ.
 """
 
 import argparse
@@ -34,14 +36,20 @@ def _split(path):
     return header, columns, rows
 
 
-def _rel_dev(a, b):
+def _devs(a, b):
+    """``|a - b|`` and ``|a - b| / max(|a|, |b|)`` of two written values."""
     x, y = float(a), float(b)
     if x == y or (math.isnan(x) and math.isnan(y)):
-        return 0.0
+        return 0.0, 0.0
     # nan or an infinity against a different value
     if not (math.isfinite(x) and math.isfinite(y)):
-        return math.inf
-    return abs(x - y) / max(abs(x), abs(y))
+        return math.inf, math.inf
+    return abs(x - y), abs(x - y) / max(abs(x), abs(y))
+
+
+def _peak(values):
+    """Largest finite ``|value|`` among written values (0 when there is none)."""
+    return max((abs(v) for v in map(float, values) if math.isfinite(v)), default=0.0)
 
 
 def compare_file(path_a, path_b):
@@ -64,19 +72,26 @@ def compare_file(path_a, path_b):
         return lines, False
     names = cols_a or [f"col{i}" for i in range(len(rows_a[0]) if rows_a else 0)]
     for i, name in enumerate(names):
-        worst, worst_row = 0.0, None
+        worst, worst_row, worst_abs = 0.0, None, 0.0
         same = True
         for row, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
             if ra[i] == rb[i]:
                 continue
             same = False
-            dev = _rel_dev(ra[i], rb[i])
+            diff, dev = _devs(ra[i], rb[i])
             if worst_row is None or dev > worst:
                 worst, worst_row = dev, row
+            worst_abs = max(worst_abs, diff)
         if same:
             lines.append(f"{name}: byte-identical")
         else:
             lines.append(f"{name}: max rel dev {worst:.3e} (row {worst_row})")
+            peak = max(_peak(r[i] for r in rows_a), _peak(r[i] for r in rows_b))
+            if worst_abs == 0.0:
+                of_peak = 0.0
+            else:
+                of_peak = worst_abs / peak if peak > 0.0 else math.inf
+            lines.append(f"{name}: max |a - b| / column peak {of_peak:.3e}")
     return lines, True
 
 

@@ -10,10 +10,24 @@ Each leaf is then cut for the local phase rate ``|x - 2ckt/hbar|`` at its
 ends and the extreme times; no uniform floor sits on top of the two rules.
 The accuracy is therefore uniform in (x, t) until the node budget runs
 out, which is the explicit :class:`NodeBudgetExceededError` boundary.
+
+The refinement has already evaluated ``phi0(k) t(k)`` at each leaf's 16
+nodes and at its two halves' 32.  A leaf is smooth when the degree-15
+interpolant through the 16 values reproduces the 32 within ``_SMOOTH_TOL``
+times the largest ``|phi0 t|`` seen; most of the nodes, in the cutoff tails
+that the phase rule samples for its oscillation, lie on such leaves.  A
+smooth leaf's sub-panel count is rounded up to the least ``m * 2**p`` with
+``m <= 15`` (at most 12.5 % more nodes), and its integrand values come from
+its 16 values by barycentric interpolation at the Legendre points (Berrut
+and Trefethen, SIAM Rev. 46 (2004) 501): a fixed split-into-m matrix, then
+``p`` applications of the fixed halving matrix, each one matmul over all
+leaves of the same ``(m, p)``.  Every other leaf evaluates ``phi0`` and
+``t(k)`` at its own nodes.  The nodes are built in bounded blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,9 +47,11 @@ __all__ = [
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _NODE_BUDGET = 10**8
-_CHUNK_NODES = 2**14  # integrand nodes evaluated at once, bounding the temporaries
+_CHUNK_NODES = 2**14  # integrand nodes built and evaluated at once, bounding the temporaries
 _COARSE_PANELS = 128  # equal panels over the window where refinement starts
 _REFINE_TOL = 1e-14  # halving estimate per panel, relative to the sum of |G16|
+_SMOOTH_TOL = 1e-15  # interpolation residual on a leaf's halves, relative to max |f|
+_MAX_SPLIT = 15  # a smooth leaf gets m * 2**p sub-panels with m <= _MAX_SPLIT
 
 
 class NodeBudgetExceededError(RuntimeError):
@@ -54,6 +70,9 @@ class QuadratureConfig:
     ``h * rate * phase_oversampling / (16 pi)`` for the phase, ``rate`` the
     largest ``|x - 2ckt/hbar|`` at its ends and the earliest and latest
     time: ``phase_oversampling / pi`` nodes per unit of phase rate and k.
+    On a leaf where ``phi0(k) t(k)`` is smooth (see the module docstring)
+    that count is rounded up to ``m * 2**p`` panels with ``m <= 15`` and the
+    integrand is interpolated from the leaf's refinement values.
     Both fields must be finite.
     """
 
@@ -101,11 +120,36 @@ def phi0(packet, k):
     return out
 
 
-def _gl_sums(f, a, b):
-    """16-point Gauss-Legendre sums of ``f`` over the panels ``[a, b]``."""
+def _interp_matrix(points):
+    """Rows that evaluate, at ``points`` in [-1, 1], the degree-15 interpolant
+    through values at the 16 GL nodes (barycentric form, Legendre weights).
+
+    A point on a node gets that node's unit row, so nothing divides by zero.
+    """
+    lam = (-1.0) ** np.arange(_GL_ORDER) * np.sqrt((1.0 - _GL_NODES**2) * _GL_WEIGHTS)
+    diff = points[:, None] - _GL_NODES[None, :]
+    hit = diff == 0.0
+    terms = lam / np.where(hit, 1.0, diff)
+    rows = terms / terms.sum(axis=1, keepdims=True)
+    return np.where(hit.any(axis=1, keepdims=True), hit, rows)
+
+
+@functools.cache
+def _split_t(m):
+    """Maps a panel's 16 values to those at the GL nodes of its ``m`` equal
+    sub-panels, in k order: ``(n, 16) @ _split_t(m) -> (n, 16 m)``."""
+    mids = (2.0 * np.arange(m) + 1.0) / m - 1.0
+    matrix = _interp_matrix((mids[:, None] + _GL_NODES / m).ravel()).T.copy()
+    matrix.flags.writeable = False  # shared by every caller through the cache
+    return matrix
+
+
+def _gl_values(f, a, b):
+    """``f`` at the 16 GL nodes of each panel ``[a, b]``, and the panels' GL sums."""
     half = 0.5 * (b - a)
     k = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES[None, :]
-    return half * (f(k.ravel()).reshape(k.shape) @ _GL_WEIGHTS)
+    vals = f(k.ravel()).reshape(k.shape)
+    return vals, half * (vals @ _GL_WEIGHTS)
 
 
 def _refined_panels(f, edges):
@@ -113,26 +157,38 @@ def _refined_panels(f, edges):
 
     A panel is halved while the GL16 halving estimate
     ``|G(panel) - G(left) - G(right)|`` exceeds ``_REFINE_TOL`` times the sum of
-    ``|G|`` over all current panels.  Returns the leaves' ends in k order.
+    ``|G|`` over all current panels.  Returns, in k order, the leaves' ends,
+    ``f`` at each leaf's 16 GL nodes, and whether each leaf is smooth: whether
+    the degree-15 interpolant through those 16 values reproduces ``f`` at its
+    halves' 32 GL nodes within ``_SMOOTH_TOL`` times the largest ``|f|`` seen.
     """
     a, b = edges[:-1], edges[1:]
-    whole = _gl_sums(f, a, b)
-    leaves_a, leaves_b, leaves_abs = [], [], 0.0
+    vals, whole = _gl_values(f, a, b)
+    f_max = np.abs(vals).max()
+    leaves_a, leaves_b, leaves_vals, leaves_resid, leaves_abs = [], [], [], [], 0.0
     while a.size:
+        n = a.size
         m = 0.5 * (a + b)
-        halves = _gl_sums(f, np.concatenate([a, m]), np.concatenate([m, b]))
-        left, right = halves[: a.size], halves[a.size :]
+        halves_vals, halves = _gl_values(f, np.concatenate([a, m]), np.concatenate([m, b]))
+        f_max = max(f_max, np.abs(halves_vals).max())
+        left, right = halves[:n], halves[n:]
         tol = _REFINE_TOL * (leaves_abs + np.abs(whole).sum())
         split = np.abs(whole - left - right) > tol
-        leaves_a.append(a[~split])
-        leaves_b.append(b[~split])
-        leaves_abs += np.abs(whole[~split]).sum()
+        keep = ~split
+        leaves_a.append(a[keep])
+        leaves_b.append(b[keep])
+        leaves_vals.append(vals[keep])
+        on_halves = np.concatenate([halves_vals[:n][keep], halves_vals[n:][keep]], axis=1)
+        leaves_resid.append(np.abs(vals[keep] @ _split_t(2) - on_halves).max(axis=1, initial=0.0))
+        leaves_abs += np.abs(whole[keep]).sum()
         a = np.concatenate([a[split], m[split]])
         b = np.concatenate([m[split], b[split]])
+        vals = np.concatenate([halves_vals[:n][split], halves_vals[n:][split]])
         whole = np.concatenate([left[split], right[split]])
     a, b = np.concatenate(leaves_a), np.concatenate(leaves_b)
+    smooth = np.concatenate(leaves_resid) <= _SMOOTH_TOL * f_max
     order = np.argsort(a)
-    return a[order], b[order]
+    return a[order], b[order], np.concatenate(leaves_vals)[order], smooth[order]
 
 
 def _abs_rate_integral(x, beta, lo, hi):
@@ -155,13 +211,15 @@ def _check_budget(n_nodes, x, ts):
 
 
 def _panel_nodes(packet, x, ts, tfun, config):
-    """Composite GL nodes/weights over the momentum window, split at k = 0.
+    """Composite GL rule over the momentum window, split at k = 0.
 
     Coarse panels are refined on the t-independent integrand
     ``phi0(k) tfun(k)``; each leaf is then cut into one 16-node panel plus
-    the local phase rule's share (see :class:`QuadratureConfig`).  The
-    budget is checked on a closed-form lower bound before any work and on
-    the exact count before any node is built.
+    the local phase rule's share (see :class:`QuadratureConfig`), rounded up
+    to ``m * 2**p`` sub-panels with ``m <= 15`` on a smooth leaf.  The budget
+    is checked on a closed-form lower bound before any work and on the count
+    of nodes to build before any node is built.  Returns that count and an
+    iterator over blocks ``(k, w phi0(k) tfun(k))`` that builds the nodes.
     """
     sigma = packet.sigma
     k0 = packet.k0
@@ -182,19 +240,74 @@ def _panel_nodes(packet, x, ts, tfun, config):
         edges = np.concatenate(
             [np.linspace(lo, 0.0, frac + 1), np.linspace(0.0, hi, n_coarse - frac + 1)[1:]]
         )
-    a, b = _refined_panels(lambda k: phi0(packet, k) * tfun(k), edges)
+    a, b, vals, smooth = _refined_panels(lambda k: phi0(packet, k) * tfun(k), edges)
     h = b - a
     rate = np.max([np.abs(x - beta * end) for beta in betas for end in (a, b)], axis=0)
     # one panel resolves f on a leaf; the phase's oscillations come on top of it
     n_sub = np.ceil(1.0 + h * rate * density).astype(np.int64)
-    _check_budget(_GL_ORDER * int(n_sub.sum()), x, ts)
-    width = np.repeat(h / n_sub, n_sub)
-    first = np.cumsum(n_sub) - n_sub
-    index = np.arange(width.size) - np.repeat(first, n_sub)
-    mids = np.repeat(a, n_sub) + (index + 0.5) * width
+    # least m * 2**p >= n_sub with m <= _MAX_SPLIT: p is the bit length of (n_sub - 1) // 15
+    p = np.where(smooth, np.frexp((n_sub - 1) // _MAX_SPLIT)[1], 0)
+    n_sub = np.where(smooth, ((n_sub - 1) >> p) + 1 << p, n_sub)
+    n_nodes = _GL_ORDER * int(n_sub.sum())
+    _check_budget(n_nodes, x, ts)
+    return n_nodes, _node_blocks(packet, tfun, a, h / n_sub, n_sub, vals, smooth, p)
+
+
+def _sub_panel_nodes(a, width, first, sub):
+    """GL nodes and weights of the sub-panels ``sub`` of leaves that start at
+    ``a`` and hold equal sub-panels of ``width``, numbered from ``first``."""
+    leaf = np.searchsorted(first, sub, side="right") - 1
+    width = width[leaf]
+    mids = a[leaf] + (sub - first[leaf] + 0.5) * width
     ks = (mids[:, None] + 0.5 * width[:, None] * _GL_NODES[None, :]).ravel()
     ws = (0.5 * width[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return ks, ws
+
+
+def _halvings(vals, p):
+    """Values at the GL nodes of the ``2**p`` equal sub-panels of each panel,
+    from ``vals`` at the panels' own nodes, in k order and in blocks of at
+    most ``_CHUNK_NODES`` nodes."""
+    step = _CHUNK_NODES >> (4 + p)
+    if step == 0:
+        for row in range(vals.shape[0]):
+            yield from _halvings((vals[row : row + 1] @ _split_t(2)).reshape(-1, _GL_ORDER), p - 1)
+        return
+    for lo in range(0, vals.shape[0], step):
+        block = vals[lo : lo + step]
+        for _ in range(p):
+            block = (block @ _split_t(2)).reshape(-1, _GL_ORDER)
+        yield block
+
+
+def _node_blocks(packet, tfun, a, width, n_sub, vals, smooth, p):
+    """Blocks ``(k, w phi0(k) tfun(k))`` over every leaf's sub-panels.
+
+    Other leaves get ``phi0`` and ``tfun`` evaluated at their nodes,
+    ``_CHUNK_NODES`` at a time.  A smooth leaf's values come from its 16
+    refinement values: the fixed split-into-m matrix, then ``p`` halvings,
+    one matmul each over all leaves of the same ``(m, p)``.
+    """
+    direct = ~smooth
+    a_d, width_d, n_d = a[direct], width[direct], n_sub[direct]
+    first, n_direct = np.cumsum(n_d) - n_d, int(n_d.sum())
+    per_chunk = _CHUNK_NODES // _GL_ORDER
+    for lo in range(0, n_direct, per_chunk):
+        sub = np.arange(lo, min(lo + per_chunk, n_direct))
+        k, w = _sub_panel_nodes(a_d, width_d, first, sub)
+        yield k, w * phi0(packet, k) * tfun(k)
+    m = n_sub >> p
+    for m_g, p_g in sorted(set(zip(m[smooth].tolist(), p[smooth].tolist()))):
+        group = smooth & (m == m_g) & (p == p_g)
+        a_g, width_g = a[group], width[group]
+        first = np.arange(a_g.size) * (m_g << p_g)
+        split = (vals[group] @ _split_t(m_g)).reshape(-1, _GL_ORDER)
+        sub0 = 0
+        for block in _halvings(split, p_g):
+            sub = np.arange(sub0, sub0 + block.shape[0])
+            sub0 += block.shape[0]
+            k, w = _sub_panel_nodes(a_g, width_g, first, sub)
+            yield k, w * block.ravel()
 
 
 def _momentum_integral(packet, x, t, tfun, config):
@@ -203,13 +316,12 @@ def _momentum_integral(packet, x, t, tfun, config):
         raise ValueError("x and t must be finite")
     if np.any(ts < 0.0):
         raise ValueError("t must be >= 0")
-    ks, ws = _panel_nodes(packet, x, ts, tfun, config)
+    _, blocks = _panel_nodes(packet, x, ts, tfun, config)
     c = packet.units.inv_mass_coeff
     hbar = packet.units.hbar
     acc = np.zeros(ts.size, dtype=complex)
-    for lo in range(0, ks.size, _CHUNK_NODES):
-        k = ks[lo : lo + _CHUNK_NODES]
-        base = ws[lo : lo + _CHUNK_NODES] * phi0(packet, k) * tfun(k) / math.sqrt(2.0 * math.pi)
+    for k, amps in blocks:
+        base = amps / math.sqrt(2.0 * math.pi)
         kx, ck2 = k * x, c * k * k
         cis = np.empty(k.size, dtype=complex)
         for j, tj in enumerate(ts.flat):

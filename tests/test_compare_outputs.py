@@ -39,3 +39,16 @@ def test_exit_code(tmp_path, capsys, changed, code, line):
     assert "cache/y.csv: byte-identical" in out
     if line is not None:
         assert f"  {line}\n" in out
+
+
+def test_deviation_relative_to_column_peak(tmp_path, capsys):
+    # 0.5 off a value of 4 is 1.1e-1 of the larger value but 5e-2 of the
+    # column's peak |value| 10, which sits in another row
+    csv = "# columns: a,b\n1.0,-10.0\n3.0,4.0\n"
+    a = tree(tmp_path / "a", {"x.csv": csv})
+    b = tree(tmp_path / "b", {"x.csv": csv.replace("4.0", "4.5")})
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "  b: max rel dev 1.111e-01 (row 2)\n  b: max |a - b| / column peak 5.000e-02\n" in out
+    assert "a: byte-identical" in out
+    assert "a: max |a - b|" not in out

@@ -20,6 +20,8 @@ from tunnelwave.validation import ORACLE_WINDOWS
 
 SB = preset_profile("sb")
 FREE = PotentialProfile(((8.0, 0.0),))
+# 9 nm barriers around a 5 nm well: Gamma_1 ~ 1.7e-5 eV, 60 times narrower than db's
+NARROW = PotentialProfile(((9.0, 0.23), (5.0, 0.0), (9.0, 0.23)))
 CONVERGED = QuadratureConfig(phase_oversampling=32)
 
 
@@ -235,9 +237,8 @@ class TestTimeArrays:
             assert abs(psi_quadrature(pk, profile, x, t) - want) <= 1e-10 * peak
 
     def test_one_point_calls_resolve_a_narrower_resonance(self):
-        # 9 nm barriers around the 5 nm well: Gamma_1 ~ 1.7e-5 eV, 60 times
-        # narrower than db's, found by the refinement alone at every time
-        profile = PotentialProfile(((9.0, 0.23), (5.0, 0.0), (9.0, 0.23)))
+        # NARROW's first resonance is found by the refinement alone at every time
+        profile = NARROW
         pk = make_packet(profile.units, energy=0.08)
         x = 2.0 * profile.length
         ts = np.array([0.05, 0.5, 5.0, 50.0])
@@ -254,14 +255,14 @@ class TestTimeArrays:
         config = QuadratureConfig()
         x = 2.0 * profile.length
         t = 0.5 * tau_system(profile, db_data.catalog)
-        ks, _ = oracle._panel_nodes(
+        n_nodes, _ = oracle._panel_nodes(
             pk, x, np.asarray(t), lambda k: 1.0 / t22(profile, k), config
         )
         half = config.window_half_width / pk.sigma
         beta = 2.0 * pk.units.inv_mass_coeff * t / pk.units.hbar
         rate = max(abs(x - beta * k) for k in (pk.k0 - half, pk.k0 + half))
         uniform = math.ceil(2.0 * half * rate * config.phase_oversampling / math.pi)
-        assert ks.size <= 0.6 * uniform
+        assert n_nodes <= 0.6 * uniform
 
     def test_free_engine_matches_free_packet(self):
         pk = make_packet()
@@ -303,3 +304,80 @@ class TestTimeArrays:
         monkeypatch.setattr(oracle.np, "linspace", no_nodes)
         with pytest.raises(NodeBudgetExceededError):
             psi_quadrature(make_packet(), SB, 2e5 * SB.length, np.array([0.0, 1e7]))
+
+
+class TestInterpolatedLeaves:
+    """Smooth leaves take phi0 t(k) from their 16 refinement values."""
+
+    def test_split_matrices_and_halvings_interpolate_in_k_order(self):
+        def f(u):
+            return np.exp(1j * u)  # degree 15 resolves it to rounding on [-1, 1]
+
+        vals = f(oracle._GL_NODES)[None, :]
+        for m in range(1, oracle._MAX_SPLIT + 1):
+            for p in range(4):
+                n = m << p
+                split = (vals @ oracle._split_t(m)).reshape(-1, 16)
+                got = np.concatenate(list(oracle._halvings(split, p))).ravel()
+                mids = (2.0 * np.arange(n) + 1.0) / n - 1.0
+                want = f((mids[:, None] + oracle._GL_NODES / n).ravel())
+                assert np.max(np.abs(got - want)) <= 5e-15
+
+    def test_one_sub_panel_is_the_identity_without_a_division_by_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(oracle._interp_matrix(oracle._GL_NODES), np.eye(16))
+        assert np.array_equal(oracle._split_t(1), np.eye(16))
+
+    def test_halvings_split_a_panel_larger_than_a_chunk(self, monkeypatch):
+        vals = np.random.default_rng(3).normal(size=(3, 16)) + 0j
+        whole = np.concatenate(list(oracle._halvings(vals, 4)))
+        monkeypatch.setattr(oracle, "_CHUNK_NODES", 64)
+        blocks = list(oracle._halvings(vals, 4))
+        assert max(b.size for b in blocks) <= 64
+        assert np.max(np.abs(np.concatenate(blocks) - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+    @staticmethod
+    def _check_against_direct(monkeypatch, pk, profile, x, ts):
+        quad, free = psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)
+        monkeypatch.setattr(oracle, "_SMOOTH_TOL", -1.0)  # no leaf is smooth
+        quad_d, free_d = psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)
+        assert np.max(np.abs(quad - quad_d)) <= 2e-15 * np.max(np.abs(quad_d))
+        # the free engine's grid is itself within only 1.5-2e-14 of the peak of
+        # a converged one at db's latest times, and rounding the sub-panel
+        # counts up moves its value by up to 1.3e-14 there; interpolating on
+        # the rounded grid adds no more than 2.5e-16
+        assert np.max(np.abs(free - free_d)) <= 2e-14 * np.max(np.abs(free_d))
+
+    @pytest.mark.parametrize("name", ["sb", "db", "qb"])
+    def test_criterion_4_windows_match_direct_evaluation(self, request, monkeypatch, name):
+        data = request.getfixturevalue(f"{name}_data")
+        pk, profile = data.packet, data.profile
+        t_end, _ = ORACLE_WINDOWS[name]
+        tau_sys = tau_system(profile, data.catalog)
+        # the window's extreme times, so criterion 4's grid, at fewer points
+        ts = np.linspace(1e-3 * tau_sys, t_end * tau_sys, 9)
+        self._check_against_direct(monkeypatch, pk, profile, 2.0 * profile.length, ts)
+
+    def test_narrow_resonance_matches_direct_evaluation(self, monkeypatch):
+        pk = make_packet(NARROW.units, energy=0.08)
+        ts = np.array([0.05, 0.5, 5.0, 50.0])
+        self._check_against_direct(monkeypatch, pk, NARROW, 2.0 * NARROW.length, ts)
+
+    def test_budget_counts_rounded_nodes_before_building_any(self, monkeypatch):
+        pk = make_packet()
+        x, t = 2 * SB.length, np.asarray(20 * 6.299)
+        args = pk, x, t, lambda k: 1.0 / t22(SB, k), QuadratureConfig()
+        rounded, _ = oracle._panel_nodes(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_SMOOTH_TOL", -1.0)
+            direct, _ = oracle._panel_nodes(*args)
+        assert direct < rounded
+
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("nodes built past the budget")
+
+        monkeypatch.setattr(oracle, "_NODE_BUDGET", direct)
+        monkeypatch.setattr(oracle, "_sub_panel_nodes", no_nodes)
+        with pytest.raises(NodeBudgetExceededError):
+            psi_quadrature(pk, SB, x, t)
