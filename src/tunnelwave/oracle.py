@@ -22,12 +22,32 @@ its 16 values by barycentric interpolation at the Legendre points (Berrut
 and Trefethen, SIAM Rev. 46 (2004) 501): a fixed split-into-m matrix, then
 ``p`` applications of the fixed halving matrix, each one matmul over all
 leaves of the same ``(m, p)``.  Every other leaf evaluates ``phi0`` and
-``t(k)`` at its own nodes.  The nodes are built in bounded blocks.
+``t(k)`` at its own nodes.
+
+The phase factors take no ``cos`` or ``sin`` per node.  A leaf's equal
+sub-panels of width w are cut into segments of up to 32 at the leaf-relative
+offsets 0, 32, 64, ...; row r of a segment holds the nodes ``k0_j + r w``,
+``k0_j`` the 16 nodes of its first sub-panel, so with ``C = c t / hbar``
+
+    exp(i (k x - C k^2)) = exp(i phi(k0_j)) * D_j**r * exp(-i C w^2 r^2),
+    D_j = exp(i w (x - 2 C k0_j)).
+
+Per segment and time only the 16 anchors and the 16 ``D_j`` go through
+``cos`` and ``sin``, and the r^2 factors once per width; ``D_j**r`` comes
+from five doubling multiplies.  Each step is exact up to rounding and adds
+at most a few 1e-14 rad; the anchors' own phase rounding, eps |phi|, is that
+of any direct evaluation.  The GL weights and ``w / 2`` ride on the anchors.
+Segments are gathered into blocks of one padded row count, a power of two,
+with zero amplitudes in the padding rows; a segment's sum is the same in any
+block, and blocks of one row count are summed in segment order, so the
+result does not depend on the block size.  All times of an array call use
+the same blocks.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,11 +67,14 @@ __all__ = [
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _NODE_BUDGET = 10**8
-_CHUNK_NODES = 2**14  # integrand nodes built and evaluated at once, bounding the temporaries
+_CHUNK_NODES = 2**14  # nodes per block of phase sums, bounding the temporaries
+_EVAL_NODES = 2**12  # nodes per phi0 tfun call: t22's temporaries stay in cache
 _COARSE_PANELS = 128  # equal panels over the window where refinement starts
 _REFINE_TOL = 1e-14  # halving estimate per panel, relative to the sum of |G16|
 _SMOOTH_TOL = 1e-15  # interpolation residual on a leaf's halves, relative to max |f|
 _MAX_SPLIT = 15  # a smooth leaf gets m * 2**p sub-panels with m <= _MAX_SPLIT
+_SEGMENT = 32  # sub-panels whose phase factors step from one anchor per GL node
+_AMP_WEIGHTS = _GL_WEIGHTS / (2.0 * math.sqrt(2.0 * math.pi))  # times width: w/2, (2 pi)^(-1/2)
 
 
 class NodeBudgetExceededError(RuntimeError):
@@ -219,7 +242,8 @@ def _panel_nodes(packet, x, ts, tfun, config):
     to ``m * 2**p`` sub-panels with ``m <= 15`` on a smooth leaf.  The budget
     is checked on a closed-form lower bound before any work and on the count
     of nodes to build before any node is built.  Returns that count and an
-    iterator over blocks ``(k, w phi0(k) tfun(k))`` that builds the nodes.
+    iterator over blocks of ``phi0(k) tfun(k)`` at the nodes (see
+    :func:`_node_blocks`) that builds them.
     """
     sigma = packet.sigma
     k0 = packet.k0
@@ -254,82 +278,267 @@ def _panel_nodes(packet, x, ts, tfun, config):
 
 
 def _sub_panel_nodes(a, width, first, sub):
-    """GL nodes and weights of the sub-panels ``sub`` of leaves that start at
-    ``a`` and hold equal sub-panels of ``width``, numbered from ``first``."""
+    """GL nodes ``(len(sub), 16)`` and widths of the sub-panels ``sub`` of leaves
+    that start at ``a`` and hold equal sub-panels of ``width``, numbered from
+    ``first``."""
     leaf = np.searchsorted(first, sub, side="right") - 1
     width = width[leaf]
     mids = a[leaf] + (sub - first[leaf] + 0.5) * width
-    ks = (mids[:, None] + 0.5 * width[:, None] * _GL_NODES[None, :]).ravel()
-    ws = (0.5 * width[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return ks, ws
+    return mids[:, None] + 0.5 * width[:, None] * _GL_NODES, width
 
 
-def _halvings(vals, p):
+def _split(vals, matrix):
+    """``(..., n, 16)`` panel values to ``(..., n m, 16)`` sub-panel values by a
+    ``(16, 16 m)`` matrix of ``_split_t``."""
+    return (vals.reshape(-1, _GL_ORDER) @ matrix).reshape(*vals.shape[:-2], -1, _GL_ORDER)
+
+
+def _halvings(vals, p, max_nodes=None):
     """Values at the GL nodes of the ``2**p`` equal sub-panels of each panel,
-    from ``vals`` at the panels' own nodes, in k order and in blocks of at
-    most ``_CHUNK_NODES`` nodes."""
-    step = _CHUNK_NODES >> (4 + p)
+    from ``vals`` ``(..., n, 16)`` at the panels' own nodes, in k order and in
+    blocks of at most ``max_nodes`` (default ``_CHUNK_NODES``) nodes."""
+    limit = _CHUNK_NODES if max_nodes is None else max_nodes
+    step = limit >> (4 + p)
     if step == 0:
-        for row in range(vals.shape[0]):
-            yield from _halvings((vals[row : row + 1] @ _split_t(2)).reshape(-1, _GL_ORDER), p - 1)
+        for row in range(vals.shape[-2]):
+            yield from _halvings(_split(vals[..., row : row + 1, :], _split_t(2)), p - 1, limit)
         return
-    for lo in range(0, vals.shape[0], step):
-        block = vals[lo : lo + step]
+    for lo in range(0, vals.shape[-2], step):
+        block = vals[..., lo : lo + step, :]
         for _ in range(p):
-            block = (block @ _split_t(2)).reshape(-1, _GL_ORDER)
+            block = _split(block, _split_t(2))
         yield block
 
 
-def _node_blocks(packet, tfun, a, width, n_sub, vals, smooth, p):
-    """Blocks ``(k, w phi0(k) tfun(k))`` over every leaf's sub-panels.
+def _segments(n_sub):
+    """Leaves of ``n_sub`` sub-panels, numbered on from one another: each
+    leaf's first sub-panel and segment count, and each segment's first
+    sub-panel.  A leaf's segments start at its sub-panels 0, 32, 64, ..."""
+    first = np.cumsum(n_sub) - n_sub
+    counts = -(-n_sub // _SEGMENT)
+    seg_first = np.cumsum(counts) - counts
+    starts = np.repeat(first - _SEGMENT * seg_first, counts) + _SEGMENT * np.arange(counts.sum())
+    return first, counts, starts
 
-    Other leaves get ``phi0`` and ``tfun`` evaluated at their nodes,
-    ``_CHUNK_NODES`` at a time.  A smooth leaf's values come from its 16
-    refinement values: the fixed split-into-m matrix, then ``p`` halvings,
-    one matmul each over all leaves of the same ``(m, p)``.
+
+def _direct_pieces(packet, tfun, a, width, n_sub):
+    """Segments of the leaves that evaluate ``phi0 tfun`` at their own nodes.
+
+    Whole segments, at most ``_EVAL_NODES`` nodes of them (at least one
+    segment), are evaluated in one call; a piece holds those of one padded
+    row count (see :func:`_gathered`), the padding rows zero.
     """
-    direct = ~smooth
-    a_d, width_d, n_d = a[direct], width[direct], n_sub[direct]
-    first, n_direct = np.cumsum(n_d) - n_d, int(n_d.sum())
-    per_chunk = _CHUNK_NODES // _GL_ORDER
-    for lo in range(0, n_direct, per_chunk):
-        sub = np.arange(lo, min(lo + per_chunk, n_direct))
-        k, w = _sub_panel_nodes(a_d, width_d, first, sub)
-        yield k, w * phi0(packet, k) * tfun(k)
+    first, counts, start = _segments(n_sub)
+    leaf = np.repeat(np.arange(n_sub.size), counts)
+    end = np.minimum(start + _SEGMENT, (first + n_sub)[leaf])  # sorted, as segments follow on
+    padded = 1 << np.frexp(end - start - 1)[1]
+    lo = 0
+    while lo < leaf.size:
+        s0 = start[lo]
+        hi = max(lo + 1, int(np.searchsorted(end, s0 + _EVAL_NODES // _GL_ORDER, side="right")))
+        k = _sub_panel_nodes(a, width, first, np.arange(s0, end[hi - 1]))[0]
+        f = (phi0(packet, k.ravel()) * tfun(k.ravel())).reshape(k.shape)
+        for rows in sorted(set(padded[lo:hi].tolist()), reverse=True):
+            seg = lo + np.flatnonzero(padded[lo:hi] == rows)
+            sub = start[seg, None] + np.arange(rows)
+            real = sub < end[seg, None]
+            vals = np.zeros((seg.size, rows, _GL_ORDER), dtype=complex)
+            vals[real] = f[sub[real] - s0]
+            parts = vals.view(float).reshape(*vals.shape, 2).transpose(3, 0, 1, 2)
+            yield parts, k[start[seg] - s0], width[leaf[seg]]
+        lo = hi
+
+
+def _smooth_pieces(a, width, n_sub, vals, smooth, p):
+    """Segments of the smooth leaves, interpolated from their 16 refinement values.
+
+    Per ``(m, p)`` group: the fixed split-into-m matrix, then ``p`` halvings,
+    each one matmul over the real and the imaginary parts as separate rows, so
+    every product is a matrix-matrix one and a row's values do not depend on
+    the block it is in.  A piece holds whole leaves, or whole segments of 32
+    sub-panels when the leaves' count is a multiple of 32.
+    """
     m = n_sub >> p
-    for m_g, p_g in sorted(set(zip(m[smooth].tolist(), p[smooth].tolist()))):
-        group = smooth & (m == m_g) & (p == p_g)
-        a_g, width_g = a[group], width[group]
-        first = np.arange(a_g.size) * (m_g << p_g)
-        split = (vals[group] @ _split_t(m_g)).reshape(-1, _GL_ORDER)
-        sub0 = 0
-        for block in _halvings(split, p_g):
-            sub = np.arange(sub0, sub0 + block.shape[0])
-            sub0 += block.shape[0]
-            k, w = _sub_panel_nodes(a_g, width_g, first, sub)
-            yield k, w * block.ravel()
+    leaves = np.flatnonzero(smooth)
+    if not leaves.size:
+        return
+    leaves = leaves[np.lexsort((p[leaves], m[leaves]))]  # by (m, p), in k order within
+    a, width, n_sub, m, p, vals = a[leaves], width[leaves], n_sub[leaves], m[leaves], p[leaves], vals[leaves]
+    first, counts, starts = _segments(n_sub)
+    anchors, widths = _sub_panel_nodes(a, width, first, starts)
+    parts = np.stack((vals.real, vals.imag))
+    bounds = [0, *(np.flatnonzero(np.diff(m) | np.diff(p)) + 1).tolist(), leaves.size]
+    seg_bounds = np.cumsum([0, *counts.tolist()])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        m_g, p_g = int(m[lo]), int(p[lo])
+        n_g = m_g << p_g
+        # sub-panels after which the segment pattern repeats, its full segments and tail
+        span = n_g if n_g % _SEGMENT else _SEGMENT
+        full, tail = divmod(span, _SEGMENT)
+        segs = slice(seg_bounds[lo], seg_bounds[hi])
+        anchors_g = anchors[segs].reshape(-1, full + (tail > 0), _GL_ORDER)
+        widths_g = widths[segs].reshape(-1, full + (tail > 0))
+        nodes = _GL_ORDER * span * max(1, _CHUNK_NODES // (_GL_ORDER * span))
+        i = 0
+        for block in _halvings(_split(parts[:, lo:hi], _split_t(m_g)), p_g, nodes):
+            spans = block.reshape(2, -1, span, _GL_ORDER)
+            j = i + spans.shape[1]
+            if full:
+                rows = spans[:, :, : full * _SEGMENT].reshape(2, -1, _SEGMENT, _GL_ORDER)
+                yield rows, anchors_g[i:j, :full].reshape(-1, _GL_ORDER), widths_g[i:j, :full].ravel()
+            if tail:
+                yield spans[:, :, full * _SEGMENT :], anchors_g[i:j, full], widths_g[i:j, full]
+            i = j
+
+
+def _gathered(pieces):
+    """Blocks ``(amps (R, S, 16), k0 (S, 16), width (S,))`` for the phase sums.
+
+    A piece is ``(parts, k0, width)``: the real and imaginary parts
+    ``(2, S, L, 16)`` of ``phi0 tfun`` at the nodes of S segments of L
+    sub-panels, their anchors (the nodes of each segment's first sub-panel)
+    and their sub-panel widths.  Each segment is copied into a buffer of
+    ``R = 2**ceil(log2 L)`` rows (rows past L are zero), which is yielded when it holds
+    ``_CHUNK_NODES`` nodes (at least one segment) and at the end.  A row
+    count's segments keep their order; the buffers are reused, so each block
+    must be used before the next is asked for.
+    """
+    bufs = {}
+    for parts, k0, width in pieces:
+        n_seg, n_rows = parts.shape[1:3]
+        rows = 1 << (n_rows - 1).bit_length()
+        if rows not in bufs:
+            cap = max(1, _CHUNK_NODES // (_GL_ORDER * rows))
+            bufs[rows] = [
+                np.empty((rows, cap, _GL_ORDER), dtype=complex),
+                np.empty((cap, _GL_ORDER)),
+                np.empty(cap),
+                0,
+            ]
+        buf = bufs[rows]
+        amps, anchors, widths = buf[:3]
+        s = 0
+        while s < n_seg:
+            n = buf[3]
+            take = min(amps.shape[1] - n, n_seg - s)
+            src, dst = slice(s, s + take), slice(n, n + take)
+            amps.real[:n_rows, dst] = parts[0, src].transpose(1, 0, 2)
+            amps.imag[:n_rows, dst] = parts[1, src].transpose(1, 0, 2)
+            amps[n_rows:, dst] = 0.0
+            anchors[dst] = k0[src]
+            widths[dst] = width[src]
+            s += take
+            buf[3] = n + take
+            if buf[3] == amps.shape[1]:
+                yield amps, anchors, widths
+                buf[3] = 0
+    for rows in sorted(bufs):
+        amps, anchors, widths, n = bufs[rows]
+        if n:
+            yield amps[:, :n], anchors[:n], widths[:n]
+
+
+def _node_blocks(packet, tfun, a, width, n_sub, vals, smooth, p):
+    """Blocks ``(amps, k0, width)`` of ``phi0 tfun`` over every leaf's
+    segments (see :func:`_gathered`): other leaves evaluate ``phi0`` and
+    ``tfun`` at their nodes, smooth ones interpolate from their 16
+    refinement values."""
+    direct = ~smooth
+    pieces = itertools.chain(
+        _direct_pieces(packet, tfun, a[direct], width[direct], n_sub[direct]),
+        _smooth_pieces(a, width, n_sub, vals, smooth, p),
+    )
+    return _gathered(pieces)
+
+
+def _segment_sums(amps, k0, width, x, cs):
+    """Per ``C`` in ``cs`` and per segment: the sum over the segment's nodes of
+    ``amps`` times the GL weight, ``width / 2``, ``(2 pi)^(-1/2)`` and
+    ``exp(i phi)``, ``phi(k) = k x - C k**2``.
+
+    Row r of segment s holds the 16 nodes ``k0[s] + r width[s]``, where
+    ``exp(i phi) = E D**r q_r`` with ``E = exp(i phi(k0))``,
+    ``D = exp(i width (x - 2 C k0))`` and ``q_r = exp(-i C width**2 r**2)``.
+    Only the 16 + 16 arguments of E and D per segment and the R of q per run
+    of equal widths go through ``cos`` and ``sin``; the weights ride on E;
+    rows ``[n, 2n)`` are rows ``[0, n)`` times ``D**n``, and ``D**n`` comes by
+    squaring.  Every step is elementwise or a product or sum over one
+    segment's own rows and columns, so a segment's sum does not depend on the
+    block it is in.  Returns ``(len(cs), S)``.
+    """
+    n_rows, n_seg, _ = amps.shape
+    run = np.empty(n_seg, dtype=bool)  # segments of one leaf share a width
+    run[0] = True
+    np.not_equal(width[1:], width[:-1], out=run[1:])
+    leaf = np.cumsum(run) - 1
+    widths = width[run]
+    # phase arguments base + C * slope: E's and D's 16 per segment, then q's
+    n_lin = (2 if n_rows > 1 else 1) * n_seg * _GL_ORDER  # D is used past row 0 only
+    base = np.zeros(n_lin + widths.size * n_rows)
+    slope = np.empty_like(base)
+    lin_base = base[:n_lin].reshape(-1, n_seg, _GL_ORDER)
+    lin_slope = slope[:n_lin].reshape(-1, n_seg, _GL_ORDER)
+    np.multiply(k0, x, out=lin_base[0])
+    np.multiply(k0, -k0, out=lin_slope[0])
+    if n_rows > 1:
+        np.multiply(width[:, None], x, out=lin_base[1])
+        np.multiply(width[:, None], -2.0 * k0, out=lin_slope[1])
+    r2 = np.arange(n_rows) ** 2
+    np.multiply(-(widths * widths)[:, None], r2, out=slope[n_lin:].reshape(widths.size, n_rows))
+    weights = width[:, None] * _AMP_WEIGHTS
+    cis = np.empty(base.shape, dtype=complex)
+    args = cis.real  # each argument is used before its cosine overwrites it
+    lin = cis[:n_lin].reshape(-1, n_seg, _GL_ORDER)
+    anchor, step = lin[0], lin[-1]
+    quad_w = cis[n_lin:].reshape(widths.size, n_rows).T
+    quad = np.empty((n_seg, 1, n_rows), dtype=complex)
+    factors = np.empty(amps.shape, dtype=complex)
+    out = np.empty((cs.size, n_seg), dtype=complex)
+    for i, c in enumerate(cs):
+        np.multiply(slope, c, out=args)
+        args += base
+        np.sin(args, out=cis.imag)
+        np.cos(args, out=cis.real)
+        np.multiply(anchor, weights, out=factors[0])
+        n = 1
+        while n < n_rows:
+            m = min(n, n_rows - n)
+            np.multiply(factors[:m], step, out=factors[n : n + m])
+            n += m
+            if n < n_rows:
+                np.multiply(step, step, out=step)
+        factors *= amps
+        np.take(quad_w.T, leaf, axis=0, out=quad[:, 0])
+        # per segment, q times its rows, one product; then its 16 columns
+        np.sum(np.matmul(quad, factors.transpose(1, 0, 2)), axis=(1, 2), out=out[i])
+    return out
 
 
 def _momentum_integral(packet, x, t, tfun, config):
+    """``(2 pi)^(-1/2)`` times the integral over k of
+    ``phi0(k) tfun(k) exp(i (k x - c k**2 t / hbar))`` on the grid of
+    :func:`_panel_nodes`, at every time of ``t``.
+
+    The segments' sums (see :func:`_segment_sums`) are added in segment
+    order, one running sum per padded row count, and those in row-count
+    order: the result does not depend on ``_CHUNK_NODES``, and each time's
+    value is the one a one-point call on the same grid gives.
+    """
     ts = np.asarray(t, dtype=float)
     if not (math.isfinite(x) and np.all(np.isfinite(ts))):
         raise ValueError("x and t must be finite")
     if np.any(ts < 0.0):
         raise ValueError("t must be >= 0")
     _, blocks = _panel_nodes(packet, x, ts, tfun, config)
-    c = packet.units.inv_mass_coeff
-    hbar = packet.units.hbar
-    acc = np.zeros(ts.size, dtype=complex)
-    for k, amps in blocks:
-        base = amps / math.sqrt(2.0 * math.pi)
-        kx, ck2 = k * x, c * k * k
-        cis = np.empty(k.size, dtype=complex)
-        for j, tj in enumerate(ts.flat):
-            # exp(i phase) from cos and sin of the real phase: half the complex exp's cost
-            phase = kx - ck2 * tj / hbar
-            np.cos(phase, out=cis.real)
-            np.sin(phase, out=cis.imag)
-            acc[j] += np.dot(base, cis)
+    cs = packet.units.inv_mass_coeff * ts.ravel() / packet.units.hbar
+    sums = {}
+    for amps, k0, width in blocks:
+        seg = _segment_sums(amps, k0, width, x, cs)
+        prev = sums.get(amps.shape[0], np.zeros(cs.size, dtype=complex))
+        sums[amps.shape[0]] = np.cumsum(np.column_stack([prev, seg]), axis=1)[:, -1]
+    acc = np.zeros(cs.size, dtype=complex)
+    for rows in sorted(sums):
+        acc += sums[rows]
     return complex(acc[0]) if ts.ndim == 0 else acc.reshape(ts.shape)
 
 

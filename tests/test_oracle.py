@@ -381,3 +381,64 @@ class TestInterpolatedLeaves:
         monkeypatch.setattr(oracle, "_sub_panel_nodes", no_nodes)
         with pytest.raises(NodeBudgetExceededError):
             psi_quadrature(pk, SB, x, t)
+
+
+class TestSteppedPhases:
+    """exp(i phi) at a segment's nodes comes from 16 anchors, 16 steps and the
+    quadratic factors of its width, not from cos and sin at every node."""
+
+    @staticmethod
+    def _block():
+        # two leaves of two consecutive segments each: a leaf boundary inside
+        # the block; the second leaf's phases reach |phi| ~ 1e5 at C = 500
+        mids, widths = [], []
+        for start, width in ((2.0, 1.1e-2), (14.0, 1.0e-3)):
+            for seg in range(2):
+                mids.append(start + (oracle._SEGMENT * seg + 0.5) * width)
+                widths.append(width)
+        mids, widths = np.array(mids), np.array(widths)
+        return mids[:, None] + 0.5 * widths[:, None] * oracle._GL_NODES, widths
+
+    @pytest.mark.parametrize("rows", [1, 2, 15, 30, 32])
+    def test_stepped_factors_within_the_error_bound_of_direct_cos_sin(self, rows):
+        # direct evaluation rounds k x, C k and C k^2 and their difference, so
+        # |fl(phi) - phi| <= u (|k x| + 2 |C k^2| + |phi|); cos, sin and the
+        # weights that ride on the anchors add a few u more
+        x, c, u = 400.0, 500.0, 2.0**-53
+        k0, width = self._block()
+        n_seg = width.size
+        stepped = np.empty((rows, n_seg, oracle._GL_ORDER), dtype=complex)
+        for r in range(rows):
+            for j in range(oracle._GL_ORDER):
+                amps = np.zeros((rows, n_seg, oracle._GL_ORDER), dtype=complex)
+                amps[r, :, j] = 1.0  # one node per segment: the sum is its weighted factor
+                sums = oracle._segment_sums(amps, k0, width, x, np.array([c]))[0]
+                stepped[r, :, j] = sums / (width * oracle._AMP_WEIGHTS[j])
+        worst = phi_max = 0.0
+        with mp.workdps(40):
+            for s in range(n_seg):
+                for r in range(rows):
+                    for j in range(oracle._GL_ORDER):
+                        k = mp.mpf(k0[s, j]) + r * mp.mpf(width[s])
+                        phi = k * x - c * k * k
+                        bound = u * float(abs(k * x) + 2 * abs(c * k * k) + abs(phi)) + 8 * u
+                        worst = max(worst, abs(stepped[r, s, j] - complex(mp.exp(1j * phi))) / bound)
+                        phi_max = max(phi_max, abs(float(phi)))
+        assert phi_max > 9e4
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("name", ["sb", "db"])
+    def test_results_do_not_depend_on_block_size(self, request, monkeypatch, name):
+        data = request.getfixturevalue(f"{name}_data")
+        pk, profile = data.packet, data.profile
+        t_end, n_pts = ORACLE_WINDOWS[name]
+        tau_sys = tau_system(profile, data.catalog)
+        # the window's first, latest and a few early times: criterion 4's grid
+        ts = np.linspace(1e-3 * tau_sys, t_end * tau_sys, n_pts)[[0, 1, 2, n_pts // 2, -1]]
+        x = 2.0 * profile.length
+        runs = []
+        for chunk in (2**8, 2**11):
+            monkeypatch.setattr(oracle, "_CHUNK_NODES", chunk)
+            runs.append((psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
