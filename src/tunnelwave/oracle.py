@@ -378,6 +378,7 @@ def _smooth_pieces(a, width, n_sub, vals, smooth, p):
         segs = slice(seg_bounds[lo], seg_bounds[hi])
         anchors_g = anchors[segs].reshape(-1, full + (tail > 0), _GL_ORDER)
         widths_g = widths[segs].reshape(-1, full + (tail > 0))
+        # halving blocks of whole spans, so that no segment straddles two blocks
         nodes = _GL_ORDER * span * max(1, _CHUNK_NODES // (_GL_ORDER * span))
         i = 0
         for block in _halvings(_split(parts[:, lo:hi], _split_t(m_g)), p_g, nodes):
