@@ -2,12 +2,15 @@
 """Regenerate every reference dataset (pole tables, spectra, transients,
 reconstructions) for the three built-in systems into ./out.
 
-The time-evolution runs cover the short/medium/long detector distances; the
-quadrature-oracle column is added only at 2L where the node budget allows.
-End to end this took 39 s (median of seven runs, 31 to 44 s) on a 2-core
-Xeon host with Python 3.11 and numpy 2.4; the sb, db and qb
-``evolve --oracle`` steps took 2.7, 24 and 7.8 s of it (one oracle call over
-all 400 times each), every other step under 1.5 s.
+The time-evolution runs cover the short/medium/long detector distances.
+The quadrature-oracle column is added at 2L only, by choice, not for want
+of nodes: at their 400 times the sb 20L, db 200L and qb 200L runs would need
+0.34M, 25.8M and 11.4M nodes, all inside the oracle's 1e8-node budget.  The
+test suite compares the closed form with the oracle at 20L and 200L.
+End to end this took 9.6 to 13.6 s (four runs) on a 2-core Xeon host with
+Python 3.11.7 and numpy 2.4.6; the sb, db and qb ``evolve --oracle`` steps
+took 1.2, 7.3 and 3.2 s when run on their own (process wall time, best of
+two; one oracle call over all 400 times each), every other step under 0.7 s.
 Catalogs are swept once per system and cached; every later run, the
 ``evolve`` runs included, reuses them.
 """

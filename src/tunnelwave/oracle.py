@@ -42,6 +42,10 @@ with zero amplitudes in the padding rows; a segment's sum is the same in any
 block, and blocks of one row count are summed in segment order, so the
 result does not depend on the block size.  All times of an array call use
 the same blocks.
+
+The refinement depends on the packet, the integrand and the window, not on x
+or t, so its leaves are built once per process and reused by every later
+call at any x and t (see :func:`_leaves`).
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ _SMOOTH_TOL = 1e-15  # interpolation residual on a leaf's halves, relative to ma
 _MAX_SPLIT = 15  # a smooth leaf gets m * 2**p sub-panels with m <= _MAX_SPLIT
 _SEGMENT = 32  # sub-panels whose phase factors step from one anchor per GL node
 _AMP_WEIGHTS = _GL_WEIGHTS / (2.0 * math.sqrt(2.0 * math.pi))  # times width: w/2, (2 pi)^(-1/2)
+_LEAF_ENTRIES = 8  # refinements kept per process: transmitted and free for a few packets
 
 
 class NodeBudgetExceededError(RuntimeError):
@@ -175,15 +180,15 @@ def _gl_values(f, a, b):
     return vals, half * (vals @ _GL_WEIGHTS)
 
 
-def _refined_panels(f, edges):
+def _refined_panels(f, edges, refine_tol, smooth_tol):
     """Leaves of the halving refinement of the panels between ``edges``.
 
     A panel is halved while the GL16 halving estimate
-    ``|G(panel) - G(left) - G(right)|`` exceeds ``_REFINE_TOL`` times the sum of
+    ``|G(panel) - G(left) - G(right)|`` exceeds ``refine_tol`` times the sum of
     ``|G|`` over all current panels.  Returns, in k order, the leaves' ends,
     ``f`` at each leaf's 16 GL nodes, and whether each leaf is smooth: whether
     the degree-15 interpolant through those 16 values reproduces ``f`` at its
-    halves' 32 GL nodes within ``_SMOOTH_TOL`` times the largest ``|f|`` seen.
+    halves' 32 GL nodes within ``smooth_tol`` times the largest ``|f|`` seen.
     """
     a, b = edges[:-1], edges[1:]
     vals, whole = _gl_values(f, a, b)
@@ -195,7 +200,7 @@ def _refined_panels(f, edges):
         halves_vals, halves = _gl_values(f, np.concatenate([a, m]), np.concatenate([m, b]))
         f_max = max(f_max, np.abs(halves_vals).max())
         left, right = halves[:n], halves[n:]
-        tol = _REFINE_TOL * (leaves_abs + np.abs(whole).sum())
+        tol = refine_tol * (leaves_abs + np.abs(whole).sum())
         split = np.abs(whole - left - right) > tol
         keep = ~split
         leaves_a.append(a[keep])
@@ -209,9 +214,61 @@ def _refined_panels(f, edges):
         vals = np.concatenate([halves_vals[:n][split], halves_vals[n:][split]])
         whole = np.concatenate([left[split], right[split]])
     a, b = np.concatenate(leaves_a), np.concatenate(leaves_b)
-    smooth = np.concatenate(leaves_resid) <= _SMOOTH_TOL * f_max
+    smooth = np.concatenate(leaves_resid) <= smooth_tol * f_max
     order = np.argsort(a)
     return a[order], b[order], np.concatenate(leaves_vals)[order], smooth[order]
+
+
+class _Transmission:
+    """``tfun(k) = 1 / t22(profile, k)``, equal to another exactly when the
+    profiles' fingerprints are: a layer of height -0.0 and one of 0.0 compare
+    equal as profiles, but ``t22`` tells them apart, so each gets its own
+    refinement in :func:`_leaves`."""
+
+    __slots__ = ("profile", "key")
+
+    def __init__(self, profile):
+        self.profile = profile
+        self.key = profile.fingerprint_key()
+
+    def __call__(self, ks):
+        return 1.0 / t22(self.profile, ks)
+
+    def __eq__(self, other):
+        return self.key == other.key if isinstance(other, _Transmission) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+def _free_tfun(ks):
+    return 1.0
+
+
+@functools.lru_cache(maxsize=_LEAF_ENTRIES)
+def _leaves(packet, tfun, half_width, rule):
+    """Leaves ``(a, b, vals, smooth)`` of :func:`_refined_panels` on
+    ``phi0(k) tfun(k)`` over the window ``k0 +- half_width``, split at k = 0.
+
+    ``rule`` is ``(_COARSE_PANELS, _REFINE_TOL, _SMOOTH_TOL)`` at the call, so
+    a patched constant gets leaves of its own.  The leaves do not depend on x
+    or t: the cache hands the same read-only arrays to every later call with
+    an equal packet, integrand (a :class:`_Transmission`'s fingerprint, or the
+    function itself), window and rule.
+    """
+    n_coarse, refine_tol, smooth_tol = rule
+    lo, hi = packet.k0 - half_width, packet.k0 + half_width
+    edges = np.linspace(lo, hi, n_coarse + 1)
+    if lo < 0.0 < hi:
+        frac = math.ceil(n_coarse * -lo / (hi - lo))
+        frac = min(max(frac, 1), n_coarse - 1)
+        edges = np.concatenate(
+            [np.linspace(lo, 0.0, frac + 1), np.linspace(0.0, hi, n_coarse - frac + 1)[1:]]
+        )
+    leaves = _refined_panels(lambda k: phi0(packet, k) * tfun(k), edges, refine_tol, smooth_tol)
+    for arr in leaves:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return leaves
 
 
 def _abs_rate_integral(x, beta, lo, hi):
@@ -256,15 +313,8 @@ def _panel_nodes(packet, x, ts, tfun, config):
     betas = 2.0 * c * np.array([ts.min(), ts.max()]) / hbar
     density = config.phase_oversampling / (_GL_ORDER * math.pi)  # panels per (rate * dk)
     _check_budget(_GL_ORDER * density * _abs_rate_integral(x, betas[1], lo, hi), x, ts)
-    n_coarse = _COARSE_PANELS
-    edges = np.linspace(lo, hi, n_coarse + 1)
-    if lo < 0.0 < hi:
-        frac = math.ceil(n_coarse * -lo / (hi - lo))
-        frac = min(max(frac, 1), n_coarse - 1)
-        edges = np.concatenate(
-            [np.linspace(lo, 0.0, frac + 1), np.linspace(0.0, hi, n_coarse - frac + 1)[1:]]
-        )
-    a, b, vals, smooth = _refined_panels(lambda k: phi0(packet, k) * tfun(k), edges)
+    rule = (_COARSE_PANELS, _REFINE_TOL, _SMOOTH_TOL)
+    a, b, vals, smooth = _leaves(packet, tfun, half, rule)
     h = b - a
     rate = np.max([np.abs(x - beta * end) for beta in betas for end in (a, b)], axis=0)
     # one panel resolves f on a leaf; the phase's oscillations come on top of it
@@ -553,11 +603,9 @@ def psi_quadrature(packet, profile, x, t, config=QuadratureConfig()):
             f"packet mass ratio {packet.units.mass_ratio!r} is not the "
             f"profile's {profile.units.mass_ratio!r}"
         )
-    return _momentum_integral(
-        packet, float(x), t, lambda ks: 1.0 / t22(profile, ks), config
-    )
+    return _momentum_integral(packet, float(x), t, _Transmission(profile), config)
 
 
 def psi_free_quadrature(packet, x, t, config=QuadratureConfig()):
     """Free amplitude by the same quadrature engine (t(k) = 1)."""
-    return _momentum_integral(packet, float(x), t, lambda ks: 1.0, config)
+    return _momentum_integral(packet, float(x), t, _free_tfun, config)

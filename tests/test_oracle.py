@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tunnelwave import oracle
-from tunnelwave.evolution import GaussianPacket, free_packet, tau_system
+from tunnelwave.evolution import GaussianPacket, free_packet, tau_system, transmitted_packet
 from tunnelwave.oracle import (
     NodeBudgetExceededError,
     QuadratureConfig,
@@ -339,8 +339,16 @@ class TestInterpolatedLeaves:
 
     @staticmethod
     def _check_against_direct(monkeypatch, pk, profile, x, ts):
+        def node_counts():
+            return [oracle._panel_nodes(pk, x, ts, tfun, QuadratureConfig())[0]
+                    for tfun in (oracle._Transmission(profile), oracle._free_tfun)]
+
         quad, free = psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)
+        rounded = node_counts()
         monkeypatch.setattr(oracle, "_SMOOTH_TOL", -1.0)  # no leaf is smooth
+        # the patched rule gets leaves of its own, not the memo's: with no
+        # sub-panel count rounded up, both engines need fewer nodes
+        assert all(d < r for d, r in zip(node_counts(), rounded))
         quad_d, free_d = psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)
         assert np.max(np.abs(quad - quad_d)) <= 2e-15 * np.max(np.abs(quad_d))
         # the free engine's grid is itself within only 1.5-2e-14 of the peak of
@@ -372,7 +380,7 @@ class TestInterpolatedLeaves:
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_SMOOTH_TOL", -1.0)
             direct, _ = oracle._panel_nodes(*args)
-        assert direct < rounded
+        assert direct < rounded  # the patched rule's leaves are not the memo's
 
         def no_nodes(*args, **kwargs):
             raise AssertionError("nodes built past the budget")
@@ -442,3 +450,86 @@ class TestSteppedPhases:
             runs.append((psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
+
+
+class TestLeafMemo:
+    """The refinement's leaves are built once per packet, integrand and window."""
+
+    @staticmethod
+    def _calls(pk, profile):
+        xs = (2.0 * profile.length, 5.0 * profile.length)
+        ts = (7.5, np.linspace(0.5, 40.0, 5))
+        return [(engine, x, t) for engine in ("transmitted", "free") for x in xs for t in ts]
+
+    @staticmethod
+    def _run(pk, profile, call):
+        engine, x, t = call
+        if engine == "free":
+            return psi_free_quadrature(pk, x, t)
+        return psi_quadrature(pk, profile, x, t)
+
+    def test_warm_calls_bit_identical_to_cold_ones(self):
+        pk = make_packet()
+        calls = self._calls(pk, SB)
+        oracle._leaves.cache_clear()
+        self._run(pk, SB, ("transmitted", 3.0 * SB.length, 20.0))
+        self._run(pk, SB, ("free", 3.0 * SB.length, 20.0))
+        warm = [self._run(pk, SB, call) for call in calls]
+        assert oracle._leaves.cache_info().hits == len(calls)
+        for call, want in zip(calls, warm):
+            oracle._leaves.cache_clear()
+            assert np.array_equal(self._run(pk, SB, call), want)
+
+    def test_equal_profiles_with_distinct_fingerprints_get_own_leaves(self):
+        plus = PotentialProfile(((4.0, 0.23), (3.0, 0.0), (4.0, 0.23)))
+        minus = PotentialProfile(((4.0, 0.23), (3.0, -0.0), (4.0, 0.23)))
+        assert plus == minus and plus.fingerprint_key() != minus.fingerprint_key()
+        pk = make_packet(plus.units, energy=0.1)
+        x, ts = 2.0 * plus.length, np.linspace(0.5, 30.0, 4)
+        cold = []
+        for profile in (plus, minus):
+            oracle._leaves.cache_clear()
+            cold.append(psi_quadrature(pk, profile, x, ts))
+        oracle._leaves.cache_clear()
+        for profile, want in zip((plus, minus), cold):
+            assert np.array_equal(psi_quadrature(pk, profile, x, ts), want)
+        assert oracle._leaves.cache_info().currsize == 2
+
+    def test_cached_leaves_are_read_only(self):
+        pk = make_packet()
+        half = QuadratureConfig().window_half_width / pk.sigma
+        rule = (oracle._COARSE_PANELS, oracle._REFINE_TOL, oracle._SMOOTH_TOL)
+        psi_quadrature(pk, SB, 2.0 * SB.length, 5.0)
+        hits = oracle._leaves.cache_info().hits
+        leaves = oracle._leaves(pk, oracle._Transmission(SB), half, rule)
+        assert oracle._leaves.cache_info().hits == hits + 1
+        for arr in leaves:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+
+    def test_entries_stay_at_their_bound(self):
+        oracle._leaves.cache_clear()
+        for i in range(oracle._LEAF_ENTRIES + 3):
+            psi_free_quadrature(make_packet(energy=0.05 + 0.01 * i), 0.0, 1.0)
+        info = oracle._leaves.cache_info()
+        assert info.misses == oracle._LEAF_ENTRIES + 3
+        assert info.currsize == info.maxsize == oracle._LEAF_ENTRIES
+
+
+@pytest.mark.parametrize("name, mult", [("sb", 20.0), ("db", 20.0), ("qb", 20.0), ("sb", 200.0)])
+def test_closed_form_matches_oracle_beyond_criterion_4(request, name, mult):
+    # criterion 4 compares at 2L only; the far-field claims (free evolution
+    # times t(k), the t^-3 law) are checked here at 20L and 200L.  The
+    # deviation is the pole truncation's, as at 2L: 1.334e-3 / 1.595e-3 /
+    # 9.595e-4 (sb / db / qb) at 20L and 1.302e-3 (sb) at 200L, so the
+    # 3e-3 bound leaves 1.9 times the worst of them
+    data = request.getfixturevalue(f"{name}_data")
+    pk, profile = data.packet, data.profile
+    x = mult * profile.length
+    t_flight = (x - pk.x_c) / pk.velocity
+    ts = np.linspace(0.5 * t_flight, 2.0 * t_flight, 40)
+    rho_o = pk.sigma * np.abs(psi_quadrature(pk, profile, x, ts)) ** 2
+    psi_a = transmitted_packet(pk, profile, data.catalog, data.residues, x, ts)
+    rho_a = pk.sigma * np.abs(psi_a) ** 2
+    assert np.max(np.abs(rho_a - rho_o)) <= 3e-3 * np.max(rho_o)
