@@ -222,8 +222,8 @@ def _refined_panels(f, edges, refine_tol, smooth_tol):
 class _Transmission:
     """``tfun(k) = 1 / t22(profile, k)``, equal to another exactly when the
     profiles' fingerprints are: a layer of height -0.0 and one of 0.0 compare
-    equal as profiles, but ``t22`` tells them apart, so each gets its own
-    refinement in :func:`_leaves`."""
+    equal as profiles, but ``t22``'s layer plan keeps them apart, so each gets
+    its own refinement in :func:`_leaves`."""
 
     __slots__ = ("profile", "key")
 
@@ -250,11 +250,11 @@ def _leaves(packet, tfun, half_width, rule):
     """Leaves ``(a, b, vals, smooth)`` of :func:`_refined_panels` on
     ``phi0(k) tfun(k)`` over the window ``k0 +- half_width``, split at k = 0.
 
-    ``rule`` is ``(_COARSE_PANELS, _REFINE_TOL, _SMOOTH_TOL)`` at the call, so
-    a patched constant gets leaves of its own.  The leaves do not depend on x
-    or t: the cache hands the same read-only arrays to every later call with
-    an equal packet, integrand (a :class:`_Transmission`'s fingerprint, or the
-    function itself), window and rule.
+    ``rule`` is ``(_COARSE_PANELS, _REFINE_TOL, _SMOOTH_TOL)`` at the call,
+    so leaves built under other constants are never reused.  They do not
+    depend on x or t: the cache hands the same read-only arrays to every
+    later call with an equal packet, integrand (a :class:`_Transmission`'s
+    fingerprint, or the function itself), window and rule.
     """
     n_coarse, refine_tol, smooth_tol = rule
     lo, hi = packet.k0 - half_width, packet.k0 + half_width

@@ -455,30 +455,20 @@ class TestSteppedPhases:
 class TestLeafMemo:
     """The refinement's leaves are built once per packet, integrand and window."""
 
-    @staticmethod
-    def _calls(pk, profile):
-        xs = (2.0 * profile.length, 5.0 * profile.length)
-        ts = (7.5, np.linspace(0.5, 40.0, 5))
-        return [(engine, x, t) for engine in ("transmitted", "free") for x in xs for t in ts]
-
-    @staticmethod
-    def _run(pk, profile, call):
-        engine, x, t = call
-        if engine == "free":
-            return psi_free_quadrature(pk, x, t)
-        return psi_quadrature(pk, profile, x, t)
-
     def test_warm_calls_bit_identical_to_cold_ones(self):
         pk = make_packet()
-        calls = self._calls(pk, SB)
+        engines = (lambda x, t: psi_quadrature(pk, SB, x, t),
+                   lambda x, t: psi_free_quadrature(pk, x, t))
+        calls = [(run, x, t) for run in engines for x in (2.0 * SB.length, 5.0 * SB.length)
+                 for t in (7.5, np.linspace(0.5, 40.0, 5))]
         oracle._leaves.cache_clear()
-        self._run(pk, SB, ("transmitted", 3.0 * SB.length, 20.0))
-        self._run(pk, SB, ("free", 3.0 * SB.length, 20.0))
-        warm = [self._run(pk, SB, call) for call in calls]
+        for run in engines:
+            run(3.0 * SB.length, 20.0)  # builds the entry the calls below reuse
+        warm = [run(x, t) for run, x, t in calls]
         assert oracle._leaves.cache_info().hits == len(calls)
-        for call, want in zip(calls, warm):
+        for (run, x, t), want in zip(calls, warm):
             oracle._leaves.cache_clear()
-            assert np.array_equal(self._run(pk, SB, call), want)
+            assert np.array_equal(run(x, t), want)
 
     def test_equal_profiles_with_distinct_fingerprints_get_own_leaves(self):
         plus = PotentialProfile(((4.0, 0.23), (3.0, 0.0), (4.0, 0.23)))
