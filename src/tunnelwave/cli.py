@@ -65,11 +65,39 @@ class ConfigError(ValueError):
 
 def finite_float(value, what="number"):
     """``float(value)``; a :class:`ConfigError` naming ``what`` unless it is
-    finite.  Also the argparse type of every float option."""
+    finite.  The float options' argparse type :func:`positive` is built on it."""
     val = float(value)
     if not math.isfinite(val):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return val
+
+
+def count(text):
+    """argparse type of a grid size or one pole count: an integer, at least 1."""
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {val}")
+    return val
+
+
+def positive(text):
+    """argparse type of a time or energy ratio: finite and above 0."""
+    val = finite_float(text)
+    if val <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return val
+
+
+def increasing(item):
+    """argparse type of a comma list of ``item`` values, strictly increasing."""
+
+    def comma_list(text):
+        values = [item(s) for s in text.split(",")]
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise argparse.ArgumentTypeError(f"must be strictly increasing, got {text!r}")
+        return values
+
+    return comma_list
 
 
 def parse_profile_file(path):
@@ -112,33 +140,16 @@ def parse_distance(text, length):
 
 
 def _resolve_config(args):
-    if getattr(args, "preset", None) and getattr(args, "config", None):
-        raise ConfigError("give either --preset or --config, not both")
-    if getattr(args, "preset", None):
-        if args.preset not in PRESET_NAMES:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; choose from {PRESET_NAMES}"
-            )
-        profile = preset_profile(args.preset)
-        preset = args.preset
-        extras = {}
-    elif getattr(args, "config", None):
-        profile, extras = parse_profile_file(args.config)
-        preset = None
+    if args.preset:
+        profile, extras = preset_profile(args.preset), {}
     else:
-        raise ConfigError("a system is required: --preset NAME or --config FILE")
-    for name in ("points", "tpoints", "eta_points"):
-        if getattr(args, name, 1) < 1:
-            raise ConfigError(f"--{name.replace('_', '-')} must be at least 1")
-    n_seed = args.nseed if args.nseed else (
-        default_n_seed(preset) if preset else 1000
-    )
-    search = PoleSearchConfig(n_seed=n_seed)
+        profile, extras = parse_profile_file(args.config)
+    n_seed = args.nseed or (default_n_seed(args.preset) if args.preset else 1000)
     return RunConfig(
         profile=profile,
-        preset=preset,
+        preset=args.preset,
         out_dir=Path(args.out),
-        search=search,
+        search=PoleSearchConfig(n_seed=n_seed),
         x_c=extras.get("x_c", -5.0),
         sigma=extras.get("sigma", 0.5),
         energy=extras.get("e0"),
@@ -249,10 +260,9 @@ def cmd_poles(args):
 
 def cmd_spectrum(args):
     cfg = _resolve_config(args)
-    pole_counts = _parse_pole_counts(args.poles)
     catalog, rset = obtain_catalog(cfg)
     profile = cfg.profile
-    n_list = _within_catalog(pole_counts, len(catalog))
+    n_list = _within_catalog(args.poles, len(catalog))
     v_top = profile.barrier_height
     energies = np.linspace(5.0 * v_top / args.points, 5.0 * v_top, args.points)
     k = np.sqrt(energies / profile.units.inv_mass_coeff)
@@ -267,35 +277,13 @@ def cmd_spectrum(args):
         columns += [f"T_expansion_N{n}", f"re_t_N{n}", f"im_t_N{n}"]
         data += [t_n, amp.real, amp.imag]
         devs.append(np.max(np.abs(t_n - t_exact)))
-    out = _write_csv(cfg, "spectrum", columns, zip(*data), {"pole_counts": args.poles})
+    out = _write_csv(cfg, "spectrum", columns, zip(*data), {
+        "pole_counts": ",".join(map(str, args.poles)),
+    })
     for n, dev in zip(n_list, devs):
         print(f"N={n:5d}: max |T_expansion - T_exact| = {dev:.3e}")
     print(f"wrote {out}")
     return 0
-
-
-def _parse_pole_counts(text):
-    """The counts of ``--poles``, each at least 1; [] (every pole) when
-    empty.  The upper bound, the catalog size, is checked by
-    :func:`_within_catalog` after the sweep."""
-    if not text:
-        return []
-    try:
-        counts = [int(item) for item in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--poles needs a comma list of integers, got {text!r}") from None
-    if min(counts) < 1:
-        raise ConfigError(f"pole count {min(counts)} is below 1")
-    return counts
-
-
-def _parse_truncation(text):
-    """The one count of ``--poles`` that evolve and reconstruct take, as a
-    list: [] (every pole) when empty."""
-    counts = _parse_pole_counts(text)
-    if len(counts) > 1:
-        raise ConfigError(f"--poles takes one truncation here, got {text!r}")
-    return counts
 
 
 def _within_catalog(counts, n_max):
@@ -309,14 +297,11 @@ def cmd_evolve(args):
     cfg = _resolve_config(args)
     profile = cfg.profile
     x_d = parse_distance(args.xd, profile.length)
-    if args.tmax <= 0.0:
-        raise ConfigError("--tmax must be positive")
     if x_d < profile.length:
         raise ConfigError("--xd must be at least L (the transmitted region)")
-    pole_counts = _parse_truncation(args.poles)
     catalog, rset, packet = _catalog_and_packet(cfg)
     tau_sys = tau_system(profile, catalog)
-    (n_poles,) = _within_catalog(pole_counts, len(catalog))
+    (n_poles,) = _within_catalog([args.poles] if args.poles else [], len(catalog))
     t_end = args.tmax * tau_sys
     if not math.isfinite(t_end):
         raise ConfigError(f"--tmax {args.tmax!r} times tau_sys {tau_sys!r} fs overflows")
@@ -351,19 +336,16 @@ def cmd_evolve(args):
 
 def cmd_reconstruct(args):
     cfg = _resolve_config(args)
-    scales = [finite_float(s, "--t0-scales") for s in args.t0_scales.split(",")]
-    if min(scales) <= 0.0 or any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ConfigError("--t0-scales must be positive and increasing")
+    scales = args.t0_scales
     profile = cfg.profile
     length = profile.length
     x_d = parse_distance(args.xd, length)
     if x_d <= length:
         raise ConfigError("--xd must lie beyond L")
-    if not 0.0 < args.eta_min <= args.eta_max:
-        raise ConfigError("need 0 < --eta-min <= --eta-max")
-    pole_counts = _parse_truncation(args.poles)
+    if args.eta_min > args.eta_max:
+        raise ConfigError("need --eta-min <= --eta-max")
     catalog, rset, packet = _catalog_and_packet(cfg)
-    (n_poles,) = _within_catalog(pole_counts, len(catalog))
+    (n_poles,) = _within_catalog([args.poles] if args.poles else [], len(catalog))
     t_flight = (x_d - length) / packet.velocity
     etas = np.linspace(args.eta_min, args.eta_max, args.eta_points)
     t0s = [scale * t_flight for scale in scales]
@@ -416,8 +398,9 @@ def cmd_validate(args):
 
 
 def _add_common(sub):
-    sub.add_argument("--preset", help=f"built-in system: {', '.join(PRESET_NAMES)}")
-    sub.add_argument("--config", help="system config file (layer/mass_ratio lines)")
+    system = sub.add_mutually_exclusive_group(required=True)
+    system.add_argument("--preset", choices=PRESET_NAMES, help="built-in system")
+    system.add_argument("--config", help="system config file (layer/mass_ratio lines)")
     sub.add_argument("--out", default="out", help="output directory (default: out)")
     sub.add_argument("--nseed", type=int, default=0,
                      help="anchor index for the pole sweep (default: per preset)")
@@ -438,29 +421,30 @@ def build_parser():
 
     p = subs.add_parser("spectrum", help="transmission spectrum, exact vs expansion")
     _add_common(p)
-    p.add_argument("--poles", default="", help="comma list of expansion sizes")
-    p.add_argument("--points", type=int, default=2000, help="energy grid points")
+    p.add_argument("--poles", type=increasing(count), default=[],
+                   help="increasing comma list of expansion sizes (default: every pole)")
+    p.add_argument("--points", type=count, default=2000, help="energy grid points")
     p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("evolve", help="transmitted density over time at fixed x")
     _add_common(p)
     p.add_argument("--xd", required=True, help="detector position, e.g. '2L' or nm")
-    p.add_argument("--tmax", type=finite_float, default=20.0, help="end time in tau_sys units")
-    p.add_argument("--tpoints", type=int, default=400)
-    p.add_argument("--poles", default="", help="truncation of the pole sum")
+    p.add_argument("--tmax", type=positive, default=20.0, help="end time in tau_sys units")
+    p.add_argument("--tpoints", type=count, default=400)
+    p.add_argument("--poles", type=count, help="truncation of the pole sum")
     p.add_argument("--oracle", action="store_true",
                    help="add the quadrature-oracle column when affordable")
     p.set_defaults(func=cmd_evolve)
 
     p = subs.add_parser("reconstruct", help="spectral reconstruction zeta(eta)")
     _add_common(p)
-    p.add_argument("--poles", default="", help="truncation of the pole sum")
+    p.add_argument("--poles", type=count, help="truncation of the pole sum")
     p.add_argument("--xd", required=True, help="free-flight anchor, e.g. '2e5L'")
-    p.add_argument("--t0-scales", default="0.25,0.5,1.0",
+    p.add_argument("--t0-scales", type=increasing(positive), default="0.25,0.5,1.0",
                    help="increasing fractions of the flight time")
-    p.add_argument("--eta-min", type=finite_float, default=0.2)
-    p.add_argument("--eta-max", type=finite_float, default=3.0)
-    p.add_argument("--eta-points", type=int, default=481)
+    p.add_argument("--eta-min", type=positive, default=0.2)
+    p.add_argument("--eta-max", type=positive, default=3.0)
+    p.add_argument("--eta-points", type=count, default=481)
     p.set_defaults(func=cmd_reconstruct)
 
     p = subs.add_parser("validate", help="run the acceptance checks for a system")

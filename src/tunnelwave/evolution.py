@@ -118,6 +118,14 @@ class GaussianPacket:
                 "the analytic path needs the packet far from the origin"
             )
 
+    def require_units(self, profile):
+        """Raise ``ValueError`` unless the packet's units are ``profile``'s."""
+        if self.units != profile.units:
+            raise ValueError(
+                f"packet mass ratio {self.units.mass_ratio!r} is not the "
+                f"profile's {profile.units.mass_ratio!r}"
+            )
+
     @property
     def energy(self):
         """Nominal incidence energy (eV)."""
@@ -179,11 +187,7 @@ class _BracketEvaluator:
     """Precomputed pole/coefficient arrays for repeated bracket evaluation."""
 
     def __init__(self, packet, profile, catalog, residue_set, n_poles=None):
-        if packet.units != profile.units:
-            raise ValueError(
-                f"packet mass ratio {packet.units.mass_ratio!r} is not the "
-                f"profile's {profile.units.mass_ratio!r}"
-            )
+        packet.require_units(profile)
         packet.require_analytic()
         if packet.validity_ratio < 5.0:
             warnings.warn(
@@ -346,7 +350,7 @@ def transmitted_packet(packet, profile, catalog, residue_set, x, t, n_poles=None
     logs = transmitted_packet_log(packet, profile, catalog, residue_set, x, t, n_poles)
     with np.errstate(under="ignore"):
         out = np.exp(logs)
-    return out
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def zeta(packet, profile, catalog, residue_set, x, t0, n_poles=None):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tunnelwave
@@ -50,3 +51,42 @@ def test_package_reexports_only_names_in_all():
         module = importlib.import_module(f"tunnelwave.{node.module}")
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def _args(d):
+    return d.packet, d.profile, d.catalog, d.residues
+
+
+# each entry point at scalar arguments (x = 2L, t = 10 fs), and the type it returns
+SCALAR_CALLS = {
+    "free_packet": (complex, lambda d, x: tunnelwave.free_packet(d.packet, x, 10.0)),
+    "transmitted_packet": (complex, lambda d, x: tunnelwave.transmitted_packet(*_args(d), x, 10.0)),
+    "psi_quadrature": (complex, lambda d, x: tunnelwave.psi_quadrature(d.packet, d.profile, x, 10.0)),
+    "psi_free_quadrature": (complex, lambda d, x: tunnelwave.psi_free_quadrature(d.packet, x, 10.0)),
+    "expansion_t": (complex, lambda d, x: tunnelwave.expansion_t(d.profile, d.packet.k0, *_args(d)[2:])),
+    "faddeeva": (complex, lambda d, x: tunnelwave.faddeeva(1.0 + 0.5j)),
+    "zeta": (float, lambda d, x: tunnelwave.zeta(*_args(d), 1e5 * x, 4e5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CALLS))
+def test_scalar_arguments_give_a_python_scalar(sb_data, name):
+    kind, call = SCALAR_CALLS[name]
+    assert type(call(sb_data, 2.0 * sb_data.profile.length)) is kind
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["psi_quadrature", "psi_free_quadrature"])
+def test_oracle_rejects_an_array_x_before_any_work(sb_data, free, monkeypatch):
+    from tunnelwave import oracle
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done for an array x")
+
+    monkeypatch.setattr(oracle, "_momentum_integral", no_work)
+    pk, profile = sb_data.packet, sb_data.profile
+    xs = np.array([2.0, 3.0]) * profile.length
+    with pytest.raises(ValueError, match="^x must be a scalar"):
+        if free:
+            tunnelwave.psi_free_quadrature(pk, xs, 10.0)
+        else:
+            tunnelwave.psi_quadrature(pk, profile, xs, 10.0)

@@ -324,12 +324,14 @@ class TestExitCodes:
         ["reconstruct", "--xd", "2e5L", "--poles", "1.5"],
         ["evolve", "--xd", "2L", "--poles", "10,100"],
         ["reconstruct", "--xd", "2e5L", "--poles", "10,100"],
+        ["spectrum", "--poles", "10,10"],
+        ["spectrum", "--poles", "30,10"],
     ])
     def test_bad_times_and_distances_exit_1_before_any_sweep(self, args, tmp_path, capsys):
         out = tmp_path / "bad"
         assert run(args + ["--preset", "sb", "--nseed", "60", "--out", out]) == 1
         assert "error:" in capsys.readouterr().err
-        assert not (out / "cache").exists()
+        assert_nothing_written(out)
 
     @pytest.mark.parametrize("line", [
         "layer = inf 0.23",

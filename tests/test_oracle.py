@@ -29,6 +29,12 @@ def make_packet(units=SB.units, energy=0.115):
     return GaussianPacket(-5.0, 0.5, units.wavenumber_of_energy(energy), units)
 
 
+@pytest.fixture(autouse=True)
+def cold_leaves():
+    # no test depends on which leaves an earlier one memoized
+    oracle._leaves.cache_clear()
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = QuadratureConfig()
@@ -184,6 +190,13 @@ class TestTransmittedQuadrature:
         pk = make_packet()
         with pytest.raises(NodeBudgetExceededError):
             psi_quadrature(pk, SB, 2e5 * SB.length, 1e7)
+        # a leaf's own count past the int64 range, refused before any warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NodeBudgetExceededError):
+                psi_quadrature(pk, SB, 2 * SB.length, 1e300)
+            with pytest.raises(NodeBudgetExceededError):
+                psi_free_quadrature(pk, 2 * SB.length, 1e300)
 
     def test_domain_validation(self):
         pk = make_packet()
@@ -301,7 +314,8 @@ class TestTimeArrays:
         def no_nodes(*args, **kwargs):
             raise AssertionError("nodes built past the budget")
 
-        monkeypatch.setattr(oracle.np, "linspace", no_nodes)
+        oracle._leaves.cache_clear()  # the refinement runs; no sub-panel node is built
+        monkeypatch.setattr(oracle, "_sub_panel_nodes", no_nodes)
         with pytest.raises(NodeBudgetExceededError):
             psi_quadrature(make_packet(), SB, 2e5 * SB.length, np.array([0.0, 1e7]))
 
@@ -443,13 +457,20 @@ class TestSteppedPhases:
         tau_sys = tau_system(profile, data.catalog)
         # the window's first, latest and a few early times: criterion 4's grid
         ts = np.linspace(1e-3 * tau_sys, t_end * tau_sys, n_pts)[[0, 1, 2, n_pts // 2, -1]]
-        x = 2.0 * profile.length
-        runs = []
-        for chunk in (2**8, 2**11):
-            monkeypatch.setattr(oracle, "_CHUNK_NODES", chunk)
-            runs.append((psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)))
-        assert np.array_equal(runs[0][0], runs[1][0])
-        assert np.array_equal(runs[0][1], runs[1][1])
+        far = 5.0 * profile.length
+        cases = [
+            (2.0 * profile.length, ts, (2**8, 2**11)),
+            # the smooth groups' padded tails bring sb's 147 segments of 32
+            # rows in another order at 2**10 than at 2**14 here
+            (far, (far - pk.x_c) / pk.velocity, (2**10, 2**14)),
+        ]
+        for x, t, chunks in cases:
+            runs = []
+            for chunk in chunks:
+                monkeypatch.setattr(oracle, "_CHUNK_NODES", chunk)
+                runs.append((psi_quadrature(pk, profile, x, t), psi_free_quadrature(pk, x, t)))
+            assert np.array_equal(runs[0][0], runs[1][0])
+            assert np.array_equal(runs[0][1], runs[1][1])
 
 
 class TestLeafMemo:
