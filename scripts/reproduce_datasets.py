@@ -5,12 +5,12 @@ reconstructions) for the three built-in systems into ./out.
 The time-evolution runs cover the short/medium/long detector distances.
 The quadrature-oracle column is added at 2L only, by choice, not for want
 of nodes: at their 400 times the sb 20L, db 200L and qb 200L runs would need
-0.34M, 25.8M and 11.4M nodes, all inside the oracle's 1e8-node budget.  The
+0.20M, 15.0M and 6.6M nodes, all inside the oracle's 1e8-node budget.  The
 test suite compares the closed form with the oracle at 20L and 200L.
-End to end this took 9.6 to 13.6 s (four runs) on a 2-core Xeon host with
+End to end this took 7.4 to 7.9 s (two runs) on a 2-core host with
 Python 3.11.7 and numpy 2.4.6; the sb, db and qb ``evolve --oracle`` steps
-took 1.2, 7.3 and 3.2 s when run on their own (process wall time, best of
-two; one oracle call over all 400 times each), every other step under 0.7 s.
+took 0.67, 2.9 and 1.4 s when run on their own (process wall time, best of
+four; one oracle call over all 400 times each).
 Catalogs are swept once per system and cached; every later run, the
 ``evolve`` runs included, reuses them.
 """

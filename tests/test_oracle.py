@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -197,6 +198,13 @@ class TestTransmittedQuadrature:
                 psi_quadrature(pk, SB, 2 * SB.length, 1e300)
             with pytest.raises(NodeBudgetExceededError):
                 psi_free_quadrature(pk, 2 * SB.length, 1e300)
+            # 2ct/hbar times the window's ends overflows at 1e308, and 2ct
+            # itself at 1.7e308: an infinite rate counts as the budget
+            for t in (1e308, 1.7e308):
+                with pytest.raises(NodeBudgetExceededError):
+                    psi_quadrature(pk, SB, 2 * SB.length, t)
+                with pytest.raises(NodeBudgetExceededError):
+                    psi_free_quadrature(pk, 2 * SB.length, t)
 
     def test_domain_validation(self):
         pk = make_packet()
@@ -403,6 +411,93 @@ class TestInterpolatedLeaves:
         monkeypatch.setattr(oracle, "_sub_panel_nodes", no_nodes)
         with pytest.raises(NodeBudgetExceededError):
             psi_quadrature(pk, SB, x, t)
+
+
+class TestCutoffTailLeaves:
+    """Leaves at or below 2**-32 of the largest |phi0 t| get half the phase rate."""
+
+    @pytest.mark.parametrize("mult", [2.0, 20.0], ids=["2L", "20L"])
+    @pytest.mark.parametrize("name", ["sb", "db", "qb"])
+    def test_one_point_calls_stay_within_1e_13_of_converged_grid(self, request, name, mult):
+        # 3.9e-14 (db, 2L) and 4.1e-14 (db, 20L) of the peak at worst with
+        # every leaf at full phase density; the 1e-10 bounds above would
+        # not see a thousandfold loss
+        data = request.getfixturevalue(f"{name}_data")
+        pk, profile = data.packet, data.profile
+        x = mult * profile.length
+        if mult == 2.0:  # criterion 4's window
+            t_end, _ = ORACLE_WINDOWS[name]
+            tau_sys = tau_system(profile, data.catalog)
+            ts = np.linspace(1e-3 * tau_sys, t_end * tau_sys, 11)
+        else:
+            t_flight = (x - pk.x_c) / pk.velocity
+            ts = np.linspace(0.5 * t_flight, 2.0 * t_flight, 8)
+        for run in (functools.partial(psi_quadrature, pk, profile, x),
+                    functools.partial(psi_free_quadrature, pk, x)):
+            fine = run(ts, CONVERGED)
+            got = np.array([run(t) for t in ts])
+            assert np.max(np.abs(got - fine)) <= 1e-13 * np.max(np.abs(fine))
+
+    @staticmethod
+    def _counts(monkeypatch, pk, x, ts, tfun):
+        """Per leaf: the call's sub-panel count, the count of the tail rule and
+        that of full density everywhere (both rounded up on smooth leaves),
+        and whether the leaf is tail."""
+        config = QuadratureConfig()
+        seen = {}
+
+        def capture(packet, tfun, a, width, n_sub, vals, smooth, p):
+            seen["n_sub"] = n_sub
+            return iter(())
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_node_blocks", capture)
+            n_nodes, _ = oracle._panel_nodes(pk, x, np.asarray(ts), tfun, config)
+        rule = (oracle._COARSE_PANELS, oracle._REFINE_TOL, oracle._SMOOTH_TOL)
+        a, b, vals, smooth = oracle._leaves(pk, tfun, config.window_half_width / pk.sigma, rule)[:4]
+        leaf_max = np.abs(vals).max(axis=1)
+        tail = leaf_max <= 2.0**-32 * leaf_max.max()
+        betas = 2.0 * pk.units.inv_mass_coeff * np.array([np.min(ts), np.max(ts)]) / pk.units.hbar
+        rate = np.max([np.abs(x - beta * end) for beta in betas for end in (a, b)], axis=0)
+        density = config.phase_oversampling / (16 * math.pi)
+        full = np.ceil(1.0 + (b - a) * rate * density).astype(np.int64)
+        halved = np.ceil(1.0 + (b - a) * (rate / 2) * density).astype(np.int64)
+
+        def rounded(n):
+            # least m * 2**p >= n with m <= 15 on smooth leaves
+            out = n.copy()
+            for i in np.flatnonzero(smooth):
+                p = 0
+                while 15 << p < n[i]:
+                    p += 1
+                out[i] = -(-n[i] // (1 << p)) << p
+            return out
+
+        assert n_nodes == 16 * seen["n_sub"].sum()
+        return seen["n_sub"], rounded(np.where(tail, halved, full)), rounded(full), tail
+
+    @pytest.mark.parametrize("name", ["sb", "db", "qb"])
+    def test_tail_leaves_and_only_they_get_the_halved_count(self, request, monkeypatch, name):
+        data = request.getfixturevalue(f"{name}_data")
+        pk, profile = data.packet, data.profile
+        x = 2.0 * profile.length
+        t_end, _ = ORACLE_WINDOWS[name]
+        tau_sys = tau_system(profile, data.catalog)
+        for ts in ([1e-3 * tau_sys, t_end * tau_sys], 0.5 * t_end * tau_sys):
+            for tfun in (oracle._Transmission(profile), oracle._free_tfun):
+                got, want, full, tail = self._counts(monkeypatch, pk, x, ts, tfun)
+                assert np.array_equal(got, want)
+                # both kinds of leaf are there, and halving changes some counts
+                assert tail.any() and not tail.all() and not np.array_equal(got, full)
+
+    def test_db_mid_window_needs_at_most_0_65_of_the_full_density_nodes(self, monkeypatch, db_data):
+        pk, profile = db_data.packet, db_data.profile
+        t_end, _ = ORACLE_WINDOWS["db"]
+        t = 0.5 * t_end * tau_system(profile, db_data.catalog)
+        got, _, full, _ = self._counts(
+            monkeypatch, pk, 2.0 * profile.length, t, oracle._Transmission(profile)
+        )
+        assert got.sum() <= 0.65 * full.sum()
 
 
 class TestSteppedPhases:
