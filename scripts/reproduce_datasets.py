@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
 """Regenerate every reference dataset (pole tables, spectra, transients,
-reconstructions) for the three built-in systems into ./out.
+reconstructions) for the three built-in systems into ./out: 18 CSVs, each
+named for its command and system and, for evolve and reconstruct, its
+``--xd``, and the three catalog caches under ./out/cache.
 
 The time-evolution runs cover the short/medium/long detector distances.
-The quadrature-oracle column is added at 2L only, by choice, not for want
-of nodes: at their 400 times the sb 20L, db 200L and qb 200L runs would need
-0.20M, 15.0M and 6.6M nodes, all inside the oracle's 1e8-node budget.  The
-test suite compares the closed form with the oracle at 20L and 200L.
-End to end this took 7.4 to 7.9 s (two runs) on a 2-core host with
-Python 3.11.7 and numpy 2.4.6; the sb, db and qb ``evolve --oracle`` steps
-took 0.67, 2.9 and 1.4 s when run on their own (process wall time, best of
-four; one oracle call over all 400 times each).
-Catalogs are swept once per system and cached; every later run, the
-``evolve`` runs included, reuses them.
+The quadrature-oracle column is added at 2L and at sb 20L; it is left out
+of the db 200L and qb 200L runs by choice, not for want of nodes: at their
+400 times they would need 15.0M and 6.6M nodes, inside the oracle's
+1e8-node budget.  The test suite compares the closed form with the oracle
+at 20L and 200L.
+End to end this took 7.6 to 10.7 s (three runs, against 7.2 to 7.5 s
+before sb 20L gained its oracle column) on a 2-core host with Python 3.11.7
+and numpy 2.4.6; the sb 2L, sb 20L, db 2L and qb 2L ``evolve --oracle``
+steps took 1.0, 1.1, 3.3 and 1.7 s when run on their own (process wall
+time, best of four; one oracle call over all 400 times each).
+Catalogs are swept once per system and cached; every later run reuses them.
 """
 
-import shutil
 import sys
 from pathlib import Path
 
@@ -31,7 +33,7 @@ RUNS = [
     ["spectrum", "--preset", "db", "--poles", "10,100,1000"],
     ["spectrum", "--preset", "qb", "--poles", "10,100,1000,4000"],
     ["evolve", "--preset", "sb", "--xd", "2L", "--tmax", "20", "--oracle"],
-    ["evolve", "--preset", "sb", "--xd", "20L", "--tmax", "40"],
+    ["evolve", "--preset", "sb", "--xd", "20L", "--tmax", "40", "--oracle"],
     ["evolve", "--preset", "sb", "--xd", "2e5L", "--tmax", "4e5"],
     ["evolve", "--preset", "db", "--xd", "2L", "--tmax", "2", "--oracle"],
     ["evolve", "--preset", "db", "--xd", "200L", "--tmax", "30"],
@@ -47,13 +49,7 @@ RUNS = [
 
 def run_all():
     for args in RUNS:
-        # distinct output directories per distance so evolve runs coexist;
-        # each starts from the catalogs already cached under OUT
-        out = OUT
-        if args[0] == "evolve":
-            out = OUT / f"evolve_{args[2]}_{args[4]}"
-            shutil.copytree(OUT / "cache", out / "cache", dirs_exist_ok=True)
-        code = main(args + ["--out", str(out)])
+        code = main(args + ["--out", str(OUT)])
         if code != 0:
             print(f"FAILED ({code}): {' '.join(args)}", file=sys.stderr)
             return code

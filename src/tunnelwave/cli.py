@@ -150,9 +150,7 @@ def _resolve_config(args):
         preset=args.preset,
         out_dir=Path(args.out),
         search=PoleSearchConfig(n_seed=n_seed),
-        x_c=extras.get("x_c", -5.0),
-        sigma=extras.get("sigma", 0.5),
-        energy=extras.get("e0"),
+        **{"energy" if key == "e0" else key: val for key, val in extras.items()},
     )
 
 
@@ -212,10 +210,12 @@ def _catalog_and_packet(cfg, quiet=False):
     return catalog, rset, packet
 
 
-def _write_csv(cfg, stem, columns, rows, extra=None):
-    """Write ``rows`` under the run header to ``<out>/<stem>_<system>.csv``;
+def _write_csv(cfg, stem, columns, rows, extra=None, xd=None):
+    """Write ``rows`` under the run header to ``<out>/<stem>_<system>.csv``,
+    or ``<stem>_<system>_<xd>.csv`` for a run at the ``--xd`` text ``xd``;
     returns the path."""
-    path = cfg.out_dir / f"{stem}_{cfg.preset or 'custom'}.csv"
+    name = f"{stem}_{cfg.preset or 'custom'}" + (f"_{xd.strip()}" if xd else "")
+    path = cfg.out_dir / f"{name}.csv"
     lines = [
         f"# tunnelwave {__version__}",
         f"# fingerprint: {catalog_fingerprint(cfg.profile, cfg.search)}",
@@ -329,7 +329,7 @@ def cmd_evolve(args):
         "x_d_nm": repr(x_d),
         "tau_sys_fs": repr(tau_sys),
         "packet": f"x_c={packet.x_c!r} sigma={packet.sigma!r} k0={packet.k0!r}",
-    })
+    }, xd=args.xd)
     print(f"wrote {out}")
     return 0
 
@@ -367,7 +367,7 @@ def cmd_reconstruct(args):
     out = _write_csv(cfg, "reconstruct", columns, zip(*data), {
         "x_d_nm": repr(x_d),
         "t0_fs": ",".join(repr(s * t_flight) for s in scales),
-    })
+    }, xd=args.xd)
     for scale, col in zip(scales, data[3:]):
         print(f"t0 scale {scale:g}: max |zeta - T| = {np.max(np.abs(col - t_ref)):.4f}")
     print(f"wrote {out}")

@@ -102,11 +102,11 @@ def residual_gate(length, kappa):
 class PoleSearchConfig:
     """Pole-sweep parameters: the anchor index ``n_seed``, which sets how
     many resonances the catalog carries.  ``seed`` selects nothing, since the
-    sweep is deterministic; it stays a field, and in the fingerprint, for
-    callers that still pass it."""
+    sweep is deterministic; it stays a field for callers that still pass it,
+    but no fingerprint, file or comparison reads it."""
 
     n_seed: int = 4000
-    seed: int = 0
+    seed: int = field(default=0, compare=False)
     # the distance below which two poles are one, for callers that read it
     dedup_tol: ClassVar[float] = _DEDUP_TOL
 
@@ -115,7 +115,7 @@ class PoleSearchConfig:
             raise ValueError("n_seed must be >= 2")
 
     def fingerprint_key(self):
-        return f"n_seed={self.n_seed};seed={self.seed}"
+        return f"n_seed={self.n_seed}"
 
 
 # bumped whenever the sweep, its constants or t22 can move the bits of a
@@ -574,9 +574,9 @@ def _parse_config(text):
     """The config whose ``fingerprint_key`` is ``text``; ``ValueError`` when a
     key is unknown or missing, as in a cache written with other options."""
     items = dict(item.split("=", 1) for item in text.split(";"))
-    if items.keys() != {"n_seed", "seed"}:
-        raise ValueError(f"config keys {sorted(items)} are not ['n_seed', 'seed']")
-    return PoleSearchConfig(n_seed=int(items["n_seed"]), seed=int(items["seed"]))
+    if items.keys() != {"n_seed"}:
+        raise ValueError(f"config keys {sorted(items)} are not ['n_seed']")
+    return PoleSearchConfig(n_seed=int(items["n_seed"]))
 
 
 def _read_with_checksum(path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import tempfile
 from pathlib import Path
 
@@ -259,6 +260,10 @@ class TestPolesCommand:
         )
         self.old_cache_rebuilt(tmp_path / "tolerances", capsys, old_key, 3)
 
+    def test_cache_written_with_seed_in_the_config_rebuilt(self, tmp_path, capsys):
+        # revision 3 as it was written while the inert seed keyed the cache
+        self.old_cache_rebuilt(tmp_path / "seed", capsys, "n_seed=60;seed=0", 3)
+
     def test_preset_definitions_match_reference_systems(self):
         from tunnelwave.presets import preset_profile
 
@@ -461,7 +466,7 @@ class TestEvolveCommand:
             "evolve", "--preset", "sb", "--nseed", "120", "--xd", "2L",
             "--tmax", "5", "--tpoints", "40", "--oracle", "--out", sb_run,
         ]) == 0
-        _, cols = read_csv(sb_run / "evolve_sb.csv")
+        _, cols = read_csv(sb_run / "evolve_sb_2L.csv")
         peak = np.max(cols["rho_oracle"])
         assert np.max(np.abs(cols["rho_analytic"] - cols["rho_oracle"])) <= 2e-2 * peak
         assert np.all(np.abs(cols["t_over_tau"] * 6.299 - cols["t_fs"]) < 0.1)
@@ -475,7 +480,7 @@ class TestEvolveCommand:
             "--tmax", "4e5", "--tpoints", "3", "--oracle", "--out", out,
         ]) == 0
         assert "oracle node budget exceeded" in capsys.readouterr().err
-        _, cols = read_csv(out / "evolve_sb.csv")
+        _, cols = read_csv(out / "evolve_sb_2L.csv")
         assert np.all(np.isnan(cols["rho_oracle"]))
         assert np.all(np.isfinite(cols["rho_analytic"]))
 
@@ -486,7 +491,7 @@ class TestReconstructCommand:
             "reconstruct", "--preset", "sb", "--nseed", "120", "--xd", "2e5L",
             "--eta-points", "61", "--t0-scales", "0.05,0.25,1.0", "--out", sb_run,
         ]) == 0
-        _, cols = read_csv(sb_run / "reconstruct_sb.csv")
+        _, cols = read_csv(sb_run / "reconstruct_sb_2e5L.csv")
         assert np.all(np.diff(cols["eta"]) > 0.0)
         final = np.max(np.abs(cols["zeta_t0_1"] - cols["T_exact"]))
         first = np.max(np.abs(cols["zeta_t0_0.05"] - cols["T_exact"]))
@@ -501,6 +506,40 @@ class TestReconstructCommand:
         ]) == 1
         assert "--t0-scales" in capsys.readouterr().err
         assert not list(out.glob("reconstruct_*.csv"))
+
+
+class TestOutputNames:
+    def test_runs_at_two_distances_keep_both_files(self, tmp_path):
+        out = tmp_path / "one"
+        for xd in ("2L", "20L"):
+            assert run([
+                "evolve", "--preset", "sb", "--nseed", "60", "--xd", xd,
+                "--tpoints", "5", "--out", out,
+            ]) == 0
+        for xd in ("2e4L", "2e5L"):
+            assert run([
+                "reconstruct", "--preset", "sb", "--nseed", "60", "--xd", xd,
+                "--eta-points", "11", "--out", out,
+            ]) == 0
+        names = ["evolve_sb_2L", "evolve_sb_20L", "reconstruct_sb_2e4L", "reconstruct_sb_2e5L"]
+        assert sorted(p.stem for p in out.glob("*.csv")) == sorted(names)
+        for name in names:
+            header, _ = read_csv(out / f"{name}.csv")
+            multiple = name.rsplit("_", 1)[1][:-1]
+            assert header["x_d_nm"] == repr(float(multiple) * 8.0)
+
+    def test_reproduce_runs_write_distinct_files(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_datasets.py"
+        spec = importlib.util.spec_from_file_location("reproduce_datasets", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parser = cli.build_parser()
+        names = set()
+        for args in module.RUNS:
+            parsed = parser.parse_args(args)
+            xd = getattr(parsed, "xd", None)
+            names.add((parsed.command, parsed.preset, xd and xd.strip()))
+        assert len(names) == len(module.RUNS)
 
 
 class TestDeterminism:
