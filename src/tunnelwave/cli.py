@@ -72,12 +72,20 @@ def finite_float(value, what="number"):
     return val
 
 
-def count(text):
-    """argparse type of a grid size or one pole count: an integer, at least 1."""
-    val = int(text)
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {val}")
-    return val
+def at_least(low):
+    """argparse type of an integer of at least ``low``: 1 for a grid size or
+    a pole count, 2 for the sweep's anchor index."""
+
+    def integer(text):
+        val = int(text)
+        if val < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {val}")
+        return val
+
+    return integer
+
+
+count = at_least(1)
 
 
 def positive(text):
@@ -262,7 +270,9 @@ def cmd_spectrum(args):
     cfg = _resolve_config(args)
     catalog, rset = obtain_catalog(cfg)
     profile = cfg.profile
-    n_list = _within_catalog(args.poles, len(catalog))
+    if max(args.poles, default=0) > len(catalog):
+        raise ConfigError(f"pole count {max(args.poles)} outside 1..{len(catalog)}")
+    n_list = args.poles or [len(catalog)]
     v_top = profile.barrier_height
     energies = np.linspace(5.0 * v_top / args.points, 5.0 * v_top, args.points)
     k = np.sqrt(energies / profile.units.inv_mass_coeff)
@@ -286,13 +296,6 @@ def cmd_spectrum(args):
     return 0
 
 
-def _within_catalog(counts, n_max):
-    """``counts``, or ``[n_max]`` when empty; each must be at most ``n_max``."""
-    if max(counts, default=0) > n_max:
-        raise ConfigError(f"pole count {max(counts)} outside 1..{n_max}")
-    return counts or [n_max]
-
-
 def cmd_evolve(args):
     cfg = _resolve_config(args)
     profile = cfg.profile
@@ -301,14 +304,11 @@ def cmd_evolve(args):
         raise ConfigError("--xd must be at least L (the transmitted region)")
     catalog, rset, packet = _catalog_and_packet(cfg)
     tau_sys = tau_system(profile, catalog)
-    (n_poles,) = _within_catalog([args.poles] if args.poles else [], len(catalog))
     t_end = args.tmax * tau_sys
     if not math.isfinite(t_end):
         raise ConfigError(f"--tmax {args.tmax!r} times tau_sys {tau_sys!r} fs overflows")
     ts = np.linspace(1e-3 * tau_sys, t_end, args.tpoints)
-    logs = transmitted_packet_log(
-        packet, profile, catalog, rset, x_d, ts, n_poles=n_poles
-    )
+    logs = transmitted_packet_log(packet, profile, catalog, rset, x_d, ts)
     with np.errstate(under="ignore"):
         rho = packet.sigma * np.exp(2.0 * np.asarray(logs).real)
         rho_free = packet.sigma * np.exp(
@@ -345,7 +345,6 @@ def cmd_reconstruct(args):
     if args.eta_min > args.eta_max:
         raise ConfigError("need --eta-min <= --eta-max")
     catalog, rset, packet = _catalog_and_packet(cfg)
-    (n_poles,) = _within_catalog([args.poles] if args.poles else [], len(catalog))
     t_flight = (x_d - length) / packet.velocity
     etas = np.linspace(args.eta_min, args.eta_max, args.eta_points)
     t0s = [scale * t_flight for scale in scales]
@@ -363,7 +362,7 @@ def cmd_reconstruct(args):
     data = [etas, etas * e0, t_ref]
     for scale, t0, xs in zip(scales, t0s, grids):
         columns.append(f"zeta_t0_{scale:g}")
-        data.append(zeta(packet, profile, catalog, rset, xs, t0, n_poles=n_poles))
+        data.append(zeta(packet, profile, catalog, rset, xs, t0))
     out = _write_csv(cfg, "reconstruct", columns, zip(*data), {
         "x_d_nm": repr(x_d),
         "t0_fs": ",".join(repr(s * t_flight) for s in scales),
@@ -379,10 +378,7 @@ def cmd_validate(args):
     if cfg.preset not in REFERENCE_POLES:
         raise ConfigError("validation needs one of the built-in presets")
     catalog, rset, packet = _catalog_and_packet(cfg, quiet=True)
-    records = run_validation(
-        cfg.preset, cfg.profile, catalog, rset, packet,
-        oracle=not args.skip_oracle,
-    )
+    records = run_validation(cfg.preset, cfg.profile, catalog, rset, packet)
     n_fail = 0
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"
@@ -402,8 +398,9 @@ def _add_common(sub):
     system.add_argument("--preset", choices=PRESET_NAMES, help="built-in system")
     system.add_argument("--config", help="system config file (layer/mass_ratio lines)")
     sub.add_argument("--out", default="out", help="output directory (default: out)")
-    sub.add_argument("--nseed", type=int, default=0,
-                     help="anchor index for the pole sweep (default: per preset)")
+    sub.add_argument("--nseed", type=at_least(2),
+                     help="anchor index of the pole sweep, which sets the catalog "
+                     "size (default: per preset, else 1000)")
 
 
 def build_parser():
@@ -431,14 +428,12 @@ def build_parser():
     p.add_argument("--xd", required=True, help="detector position, e.g. '2L' or nm")
     p.add_argument("--tmax", type=positive, default=20.0, help="end time in tau_sys units")
     p.add_argument("--tpoints", type=count, default=400)
-    p.add_argument("--poles", type=count, help="truncation of the pole sum")
     p.add_argument("--oracle", action="store_true",
                    help="add the quadrature-oracle column when affordable")
     p.set_defaults(func=cmd_evolve)
 
     p = subs.add_parser("reconstruct", help="spectral reconstruction zeta(eta)")
     _add_common(p)
-    p.add_argument("--poles", type=count, help="truncation of the pole sum")
     p.add_argument("--xd", required=True, help="free-flight anchor, e.g. '2e5L'")
     p.add_argument("--t0-scales", type=increasing(positive), default="0.25,0.5,1.0",
                    help="increasing fractions of the flight time")
@@ -449,8 +444,6 @@ def build_parser():
 
     p = subs.add_parser("validate", help="run the acceptance checks for a system")
     _add_common(p)
-    p.add_argument("--skip-oracle", action="store_true",
-                   help="skip the slow quadrature-oracle comparison")
     p.set_defaults(func=cmd_validate)
     return parser
 

@@ -186,7 +186,7 @@ def tau_system(profile, catalog):
 class _BracketEvaluator:
     """Precomputed pole/coefficient arrays for repeated bracket evaluation."""
 
-    def __init__(self, packet, profile, catalog, residue_set, n_poles=None):
+    def __init__(self, packet, profile, catalog, residue_set):
         packet.require_units(profile)
         packet.require_analytic()
         if packet.validity_ratio < 5.0:
@@ -196,9 +196,9 @@ class _BracketEvaluator:
                 PacketValidityWarning,
                 stacklevel=3,
             )
-        kap, z = _pair_arrays(profile, catalog, residue_set, n_poles)
+        kap, z = _pair_arrays(profile, catalog, residue_set)
         self.packet = packet
-        self.c_const = coefficient_C(profile, catalog, residue_set, n_poles)
+        self.c_const = coefficient_C(profile, catalog, residue_set)
         # coefficient of w(i y'_n); the mirror partner carries the conjugate
         self.coef = z * kap
         self.coefs = np.concatenate([self.coef, np.conj(self.coef)])
@@ -332,28 +332,28 @@ def _require_transmitted(packet, profile, x, t):
         raise ValueError("transmitted amplitude requires t > 0")
 
 
-def transmitted_packet_log(packet, profile, catalog, residue_set, x, t, n_poles=None):
+def transmitted_packet_log(packet, profile, catalog, residue_set, x, t):
     """Complex log of the transmitted amplitude; never overflows."""
     _require_transmitted(packet, profile, x, t)
-    ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
+    ev = _BracketEvaluator(packet, profile, catalog, residue_set)
     xs, ts = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
     flat_x, flat_t = xs.ravel(), ts.ravel()
     out = ev.log_bracket(flat_x, flat_t) + free_packet_log(packet, flat_x, flat_t)
     return out.reshape(xs.shape) if xs.ndim else complex(out[0])
 
 
-def transmitted_packet(packet, profile, catalog, residue_set, x, t, n_poles=None):
+def transmitted_packet(packet, profile, catalog, residue_set, x, t):
     """Transmitted amplitude psi(x, t) for x >= L, t > 0.
 
     Underflows to 0 where the true amplitude is below the double range.
     """
-    logs = transmitted_packet_log(packet, profile, catalog, residue_set, x, t, n_poles)
+    logs = transmitted_packet_log(packet, profile, catalog, residue_set, x, t)
     with np.errstate(under="ignore"):
         out = np.exp(logs)
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def zeta(packet, profile, catalog, residue_set, x, t0, n_poles=None):
+def zeta(packet, profile, catalog, residue_set, x, t0):
     """Density ratio |psi|^2 / |psi_free|^2 at fixed time t0.
 
     Equals |bracket|^2 identically, so it stays finite deep in the packet
@@ -367,7 +367,7 @@ def zeta(packet, profile, catalog, residue_set, x, t0, n_poles=None):
     free_log = free_packet_log(packet, x, t0)
     if np.any(2.0 * np.asarray(free_log).real < math.log(1e-300)):
         raise FreeDensityUnderflowError("free density below 1e-300")
-    ev = _BracketEvaluator(packet, profile, catalog, residue_set, n_poles)
+    ev = _BracketEvaluator(packet, profile, catalog, residue_set)
     flat = np.asarray(x, dtype=float).ravel()
     out = np.exp(2.0 * ev.log_bracket(flat, np.full(flat.shape, float(t0))).real)
     if np.ndim(x) == 0:

@@ -92,8 +92,8 @@ class UnitSystem:
     hbar: ClassVar[float] = HBAR_EV_FS
 
     def __post_init__(self):
-        if self.mass_ratio <= 0.0:
-            raise ValueError("mass_ratio must be positive")
+        if not 0.0 < self.mass_ratio < math.inf:
+            raise ValueError("mass_ratio must be finite and positive")
 
     @property
     def inv_mass_coeff(self):
@@ -376,12 +376,10 @@ def transmission_amplitude(profile, k):
     ``TestResidues`` in ``tests/test_resonances.py``.
     """
     den = t22(profile, k)
-    if np.ndim(den) == 0:
-        if abs(den) < 1e-13:
-            raise PoleProximityError(f"|t22| = {abs(den):.3e} at k = {k!r}")
-        return 1.0 / den
     if np.any(np.abs(den) < 1e-13):
-        raise PoleProximityError("grid point falls on a transmission pole")
+        raise PoleProximityError(
+            f"|t22| = {np.min(np.abs(den)):.3e}: k falls on a transmission pole"
+        )
     return 1.0 / den
 
 

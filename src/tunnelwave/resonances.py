@@ -172,7 +172,7 @@ def residues(profile, catalog):
     return ResidueSet(residues=u0 * u_l / kappa, u0=u0, u_l=u_l)
 
 
-def _pair_arrays(profile, catalog, residue_set, n_poles):
+def _pair_arrays(profile, catalog, residue_set, n_poles=None):
     """Poles and z_n = r_n exp(-i kappa_n L), ascending |kappa|, first n_poles."""
     n_cat = len(catalog)
     if n_poles is None:

@@ -73,6 +73,15 @@ class TestParsing:
             parse_profile_file(cfg)
         assert run(["poles", "--config", cfg, "--out", tmp_path / "typo"]) == 1
 
+    @pytest.mark.parametrize("layer", ["8.0", "8.0 0.23 1.0"])
+    def test_layer_needs_width_and_height(self, layer, tmp_path, capsys):
+        cfg = tmp_path / "arity.cfg"
+        cfg.write_text(f"mass_ratio = 0.067\nlayer = {layer}\n")
+        out = tmp_path / "arity"
+        assert run(["poles", "--config", cfg, "--nseed", "60", "--out", out]) == 1
+        assert "layer needs 'width height'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPolesCommand:
     def test_reference_first_row(self, sb_run, capsys):
@@ -323,12 +332,12 @@ class TestExitCodes:
         ["reconstruct", "--xd", "2e5L", "--eta-min", "3", "--eta-max", "1"],
         ["reconstruct", "--xd", "2e5L", "--t0-scales", "0,1"],
         ["reconstruct", "--xd", "2e5L", "--t0-scales=-0.5,1"],
-        ["evolve", "--xd", "2L", "--poles", "0"],
-        ["evolve", "--xd", "2L", "--poles", "abc"],
+        ["evolve", "--xd", "abc"],
+        ["evolve", "--xd", "2L", "--tmax", "abc"],
         ["spectrum", "--poles", "10,0"],
-        ["reconstruct", "--xd", "2e5L", "--poles", "1.5"],
-        ["evolve", "--xd", "2L", "--poles", "10,100"],
-        ["reconstruct", "--xd", "2e5L", "--poles", "10,100"],
+        ["reconstruct", "--xd", "2eL"],
+        ["reconstruct", "--xd", "2e5L", "--t0-scales", "1,0.5"],
+        ["reconstruct", "--xd", "2e5L", "--eta-points", "1.5"],
         ["spectrum", "--poles", "10,10"],
         ["spectrum", "--poles", "30,10"],
     ])
@@ -337,6 +346,26 @@ class TestExitCodes:
         assert run(args + ["--preset", "sb", "--nseed", "60", "--out", out]) == 1
         assert "error:" in capsys.readouterr().err
         assert_nothing_written(out)
+
+    @pytest.mark.parametrize("value", ["0", "1", "-3", "abc"])
+    def test_nseed_below_2_exits_1_before_any_sweep(self, value, tmp_path, capsys):
+        out = tmp_path / "nseed"
+        assert run(["poles", "--preset", "sb", "--nseed", value, "--out", out]) == 1
+        assert "argument --nseed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, option", [
+        (["evolve", "--xd", "2L", "--poles", "300"], "--poles"),
+        (["reconstruct", "--xd", "2e5L", "--poles", "300"], "--poles"),
+        (["validate", "--skip-oracle"], "--skip-oracle"),
+    ])
+    def test_removed_options_are_unknown(self, args, option, tmp_path, capsys):
+        # --nseed sets the catalog the closed form sums; validate runs every
+        # criterion
+        out = tmp_path / "removed"
+        assert run(args + ["--preset", "sb", "--nseed", "60", "--out", out]) == 1
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", [
         "layer = inf 0.23",
@@ -415,7 +444,7 @@ class TestExitCodes:
         monkeypatch.setattr(validation, "longtime_exponent", not_asymptotic)
         code = run([
             "validate", "--preset", "sb", "--nseed", "400",
-            "--skip-oracle", "--out", tmp_path / "slope",
+            "--out", tmp_path / "slope",
         ])
         assert code == 2
         assert "local slope still varies" in capsys.readouterr().err
@@ -558,7 +587,7 @@ class TestValidateCommand:
         out = tmp_path / "val"
         code = run([
             "validate", "--preset", "sb", "--nseed", "400",
-            "--skip-oracle", "--out", out,
+            "--out", out,
         ])
         text = capsys.readouterr().out
         assert "1-pole-values-sb" in text
@@ -568,14 +597,14 @@ class TestValidateCommand:
         cfg = tmp_path / "sb.cfg"
         cfg.write_text("mass_ratio = 0.067\nlayer = 8.0 0.23\n")
         out = tmp_path / "valcfg"
-        assert run(["validate", "--config", cfg, "--skip-oracle", "--out", out]) == 1
+        assert run(["validate", "--config", cfg, "--out", out]) == 1
         assert "built-in presets" in capsys.readouterr().err
         assert not out.exists()
 
     def test_second_run_reads_the_cache(self, tmp_path, capsys):
         args = [
             "validate", "--preset", "sb", "--nseed", "400",
-            "--skip-oracle", "--out", tmp_path / "rerun",
+            "--out", tmp_path / "rerun",
         ]
         lines = []
         for _ in range(2):
@@ -585,11 +614,26 @@ class TestValidateCommand:
         assert "sweep not timed" not in lines[0]
         assert lines[1].endswith("catalog from cache (sweep not timed)")
 
+    def test_sweep_seconds_printed_only_over_the_limit(self, sb_data):
+        from tunnelwave.validation import SWEEP_TIME_LIMIT_S, check_pole_values
+
+        def check(seconds):
+            stats = dataclasses.replace(sb_data.catalog.stats, seconds=seconds)
+            catalog = dataclasses.replace(sb_data.catalog, stats=stats)
+            return check_pole_values("sb", sb_data.profile, catalog)
+
+        fast, faster = check(12.3), check(0.1)
+        assert fast.passed and fast.detail.endswith(" sweep<300s")
+        assert faster.detail == fast.detail
+        slow = check(SWEEP_TIME_LIMIT_S + 12.3)
+        assert not slow.passed
+        assert slow.detail.endswith(" sweep 312.3s>=300s")
+
     def test_tampered_catalog_fails_residual_check(self, tmp_path, capsys):
         out = tmp_path / "tamper"
         assert run([
             "validate", "--preset", "sb", "--nseed", "400",
-            "--skip-oracle", "--out", out,
+            "--out", out,
         ]) == 0
         capsys.readouterr()
         cache = next((out / "cache").glob("poles_*.csv"))
@@ -604,7 +648,7 @@ class TestValidateCommand:
         cache.write_text("\n".join(lines) + "\n")
         code = run([
             "validate", "--preset", "sb", "--nseed", "400",
-            "--skip-oracle", "--out", out,
+            "--out", out,
         ])
         text = capsys.readouterr().out
         assert code == 2

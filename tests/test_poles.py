@@ -19,6 +19,7 @@ from tunnelwave.poles import (
     residual_gate,
     save_catalog,
     sweep_poles,
+    write_text_atomic,
 )
 from tunnelwave.poles import _Box, _newton_lockstep, _zero_count
 from tunnelwave.potential import (
@@ -492,6 +493,25 @@ class TestSerialization:
         path.write_text("# not a catalog\n1,2,3\n")
         with pytest.raises(ValueError):
             load_catalog(path)
+
+
+def test_n_seed_below_2_rejected():
+    with pytest.raises(ValueError, match="n_seed must be >= 2"):
+        PoleSearchConfig(n_seed=1)
+
+
+def test_failed_atomic_write_leaves_target_and_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(poles.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_text_atomic(path, "new\n")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_fingerprint_sensitivity():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tunnelwave.potential import (
     NegativeEnergyError,
+    PoleProximityError,
     PotentialProfile,
     UnitSystem,
     ZeroWavenumberError,
@@ -125,6 +126,12 @@ class TestUnits:
     def test_negative_energy_rejected(self):
         with pytest.raises(NegativeEnergyError):
             UnitSystem(mass_ratio=0.067).wavenumber_of_energy(-0.1)
+
+    @pytest.mark.parametrize("mass_ratio", [0.0, -0.067, math.inf, math.nan])
+    def test_mass_ratio_finite_and_positive(self, mass_ratio):
+        # PotentialProfile's rule: inf would give inv_mass_coeff = 0
+        with pytest.raises(ValueError, match="finite and positive"):
+            UnitSystem(mass_ratio=mass_ratio)
 
 
 class TestProfileValidation:
@@ -331,6 +338,20 @@ class TestTransmission:
     def test_nonpositive_energy_rejected(self):
         with pytest.raises(NegativeEnergyError):
             transmission_coefficient(SB, 0.0)
+
+    def test_array_matches_scalars_and_rejects_a_pole(self, sb_data):
+        ks = np.array([0.3, 0.8 - 0.05j, 2.0])
+        amp = transmission_amplitude(SB, ks)
+        single = np.array([transmission_amplitude(SB, k) for k in ks])
+        assert amp.shape == ks.shape
+        assert np.max(np.abs(amp - single) / np.abs(single)) <= 1e-13
+        # one Newton step takes the catalog's first pole below |t22| = 1e-13
+        kappa = complex(sb_data.catalog.poles[0])
+        t, tp = t22_with_prime(SB, kappa)
+        pole = kappa - t / tp
+        for k in (pole, np.append(ks, pole)):
+            with pytest.raises(PoleProximityError, match="transmission pole"):
+                transmission_amplitude(SB, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -281,16 +281,12 @@ class TestExpansion:
             expansion_t(SB, sb_data.catalog.poles[0], sb_data.catalog, sb_data.residues)
 
     def test_oversized_truncation_rejected(self, sb_data):
-        from tunnelwave.evolution import transmitted_packet_log
-
         catalog, rset = sb_data.catalog, sb_data.residues
         for n in (0, len(catalog) + 1):
             with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
                 expansion_t(SB, 0.5, catalog, rset, n)
             with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
                 coefficient_C(SB, catalog, rset, n)
-        with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
-            transmitted_packet_log(sb_data.packet, SB, catalog, rset, 2 * SB.length, 5.0, 0)
 
 
 class TestExpansionKernel:

@@ -129,6 +129,15 @@ def test_overflow_raises_and_points_at_log_scaled():
         faddeeva(z)
 
 
+@pytest.mark.parametrize("func", [faddeeva, faddeeva_log_scaled])
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_non_finite_argument_rejected(func, z):
+    with pytest.raises(ValueError, match="requires finite arguments"):
+        func(z)
+    with pytest.raises(ValueError, match="requires finite arguments"):
+        func(np.array([1.0, z]))
+
+
 def test_vector_and_scalar_paths_agree():
     rng = np.random.default_rng(4)
     z = rng.uniform(-9, 9, 200) + 1j * rng.uniform(-6, 9, 200)
