@@ -30,7 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .potential import t22, t22_with_prime
+from .potential import residual_gate, t22, t22_with_prime
 
 __all__ = [
     "AnchorFailureError",
@@ -60,8 +60,6 @@ class IncompleteCatalogError(RuntimeError):
     """The poles found are not the zeros counted in the sweep box."""
 
 
-_EPS = np.finfo(float).eps
-
 # argument-principle count: starting samples per pole spacing pi/L, the
 # largest phase step allowed between neighbouring samples (sampled, or
 # |dk t22'/t22| at either end) and the most samples refinement may add to a path
@@ -77,25 +75,14 @@ _SCALAR_POINTS = 8
 _VECTOR_POINTS = 4096
 
 
-# Newton's step and residual tolerances, its iteration cap and the distance
-# below which two poles are one: properties of the method, covered by
-# _CATALOG_REVISION rather than by the config
+# Newton's step tolerance, its iteration cap and the distance below which two
+# poles are one: properties of the method, covered by _CATALOG_REVISION rather
+# than by the config, as is the residual gate (``residual_gate`` and its floor
+# ``_RESIDUAL_TOL``, kept in ``potential`` with ``transmission_amplitude``,
+# which refuses by the same gate)
 _NEWTON_TOL = 1e-12
-_RESIDUAL_TOL = 1e-10
 _MAX_NEWTON_ITERS = 100
 _DEDUP_TOL = 1e-6
-
-
-def residual_gate(length, kappa):
-    """Depth-aware acceptance threshold on |t22| at a candidate pole.
-
-    Near a zero at depth beta = -Im(kappa), the evaluated |t22| cannot drop
-    below ~eps * exp(beta L) in double precision (the value is a cancellation
-    of O(1) contributions scaled back by exp(ikL)).  For shallow poles the
-    gate is exactly ``_RESIDUAL_TOL``.  ``kappa`` is an array.
-    """
-    growth = np.exp(np.clip(-kappa.imag * length, 0.0, 690.0))
-    return np.maximum(_RESIDUAL_TOL, 64.0 * _EPS * growth)
 
 
 @dataclass(frozen=True)

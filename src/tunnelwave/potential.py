@@ -69,6 +69,9 @@ HBAR2_OVER_2ME_EV_NM2 = 0.0380998
 _Q_MIN = 1e-7  # nm^-1; smaller layer wavevectors make interface ratios ill-conditioned
 _K_MIN = 1e-12
 _EXP_MAX = 700.0
+_EPS = np.finfo(float).eps
+# the pole sweep's residual gate on |t22| for shallow poles (residual_gate)
+_RESIDUAL_TOL = 1e-10
 
 
 class NegativeEnergyError(ValueError):
@@ -368,17 +371,37 @@ def transfer_matrix(profile, k):
     return TransferMatrix(t11, t12, t21, t22_k)
 
 
+def residual_gate(length, kappa):
+    """Depth-aware acceptance threshold on |t22| at a candidate pole.
+
+    Near a zero at depth beta = -Im(kappa), the evaluated |t22| cannot drop
+    below ~eps * exp(beta L) in double precision (the value is a cancellation
+    of O(1) contributions scaled back by exp(ikL)).  For shallow poles the
+    gate is exactly ``_RESIDUAL_TOL``.  ``kappa`` is an array.
+    """
+    growth = np.exp(np.clip(-kappa.imag * length, 0.0, 690.0))
+    return np.maximum(_RESIDUAL_TOL, 64.0 * _EPS * growth)
+
+
 def transmission_amplitude(profile, k):
     """t(k) = 1/t22(k); scalar or array k away from poles.
+
+    Raises :class:`PoleProximityError` where ``|t22(k)| <=
+    residual_gate(L, k)``: the pole sweep's own acceptance test, so every
+    pole the sweep accepts is refused.  On the real axis ``|t22| >= 1``, far
+    above the gate, so no real k is.  (``expansion_t`` refuses by distance
+    to the catalog instead, which needs no t22.)
 
     Test companion, used by ``TestTransmission`` and
     ``test_time_reversal_property`` in ``tests/test_potential.py`` and by
     ``TestResidues`` in ``tests/test_resonances.py``.
     """
     den = t22(profile, k)
-    if np.any(np.abs(den) < 1e-13):
+    gate = residual_gate(profile.length, np.asarray(k, dtype=complex))
+    if np.any(np.abs(den) <= gate):
         raise PoleProximityError(
-            f"|t22| = {np.min(np.abs(den)):.3e}: k falls on a transmission pole"
+            f"|t22| = {np.min(np.abs(den)):.3e} within the residual gate: "
+            "k falls on a transmission pole"
         )
     return 1.0 / den
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poles import _DEDUP_TOL, residual_gate
-from .potential import _VECTOR, PoleProximityError, _second_column
+from .poles import _DEDUP_TOL
+from .potential import _VECTOR, PoleProximityError, _second_column, residual_gate
 
 __all__ = [
     "NormalizationDegenerateError",

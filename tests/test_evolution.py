@@ -5,8 +5,12 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tunnelwave import evolution, specfun
 from tunnelwave.evolution import (
+    _CHUNK,
     _BracketEvaluator,
     FreeDensityUnderflowError,
     GaussianPacket,
@@ -28,7 +32,7 @@ from tunnelwave.poles import PoleSearchConfig, sweep_poles
 from tunnelwave.potential import UnitSystem, transmission_coefficient
 from tunnelwave.presets import default_packet_energy, preset_profile
 from tunnelwave.resonances import coefficient_C, residues
-from tunnelwave.specfun import faddeeva, faddeeva_log_scaled
+from tunnelwave.specfun import _w_split, faddeeva, faddeeva_log_scaled
 
 SB = preset_profile("sb")
 DB = preset_profile("db")
@@ -251,12 +255,6 @@ def exponent_space_bracket(ev, x, t):
     return scale + np.log(np.sum(mantissas, axis=1))
 
 
-def linear_bracket(ev, x, t):
-    """Log bracket of ``ev`` as one chunk."""
-    bufs = np.empty((2, len(x), len(ev.coefs)), dtype=complex)
-    return ev._chunk(x, t, bufs[0], bufs[1])
-
-
 def mp_log_bracket(ev, x, t, dps=40):
     """Log bracket of ``ev`` at one point: the same double-precision terms,
     with w(z) = exp(-z^2) erfc(-iz) and the sum in ``dps``-digit mpmath."""
@@ -379,12 +377,126 @@ class TestLinearBracket:
             xs = np.full(ts.shape, x_d)
             ev = _BracketEvaluator(pk, profile, data.catalog, data.residues)
             assert not self.scaled(ev, xs, ts).any()
-            lin = linear_bracket(ev, xs, ts)
+            lin = ev.log_bracket(xs, ts)
             log = exponent_space_bracket(ev, xs, ts)
             free = free_packet_log(pk, xs, ts)
             psi_lin, psi_log = np.exp(lin + free), np.exp(log + free)
             peak = np.max(np.abs(psi_log))
             assert np.max(np.abs(psi_lin - psi_log)) <= 1e-13 * peak
+
+
+# x = L (2e5)^fx: fx of the distance 2L
+_FX_2L = math.log(2.0) / math.log(2e5)
+
+
+class TestNearField:
+    """The bracket's arguments below |z| = 150 get the rational approximation
+    in one pass per run of chunks, ahead of the chunks' Faddeeva passes."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, preset_data):
+        # the presets, and sb with a 300-pole catalog, whose every argument
+        # lies below |z| = 150 at 2L early on
+        out = {name: (d.packet, d.profile, d.catalog, d.residues)
+               for name, d in preset_data.items()}
+        small = sweep_poles(SB, PoleSearchConfig(n_seed=300))
+        out["sb300"] = (preset_data["sb"].packet, SB, small, residues(SB, small))
+        return out
+
+    @staticmethod
+    def points(packet, profile, catalog, fracs):
+        """Points x = L (2e5)^fx at t from 1e-3 tau_sys (ft = 0) to 4 flight
+        times (ft = 1), log-uniform in both."""
+        fx, ft = np.array(fracs, dtype=float).reshape(-1, 2).T
+        xs = profile.length * 2e5**fx
+        t_lo = 1e-3 * tau_system(profile, catalog)
+        t_hi = 4.0 * (xs - packet.x_c) / packet.velocity
+        return xs, t_lo * (t_hi / t_lo) ** ft
+
+    @staticmethod
+    def near_pass(ev, xs, ts):
+        """The pass's flat indices in the (points, 2N) argument array, and
+        its values, over every run of chunks, in ascending order."""
+        n_terms = len(ev.kp)
+        rows = max(1, min(len(xs), _CHUNK // n_terms))
+        bufs = np.empty((2, rows, n_terms), dtype=complex)
+        factors = ev._row_factors(xs, ts)
+        candidates, runs = ev._near_runs(factors, bufs)
+        idx, w = [], []
+        for run in runs:
+            i, v = ev._near_values(factors, run, candidates, bufs)
+            # log_bracket splits them among the chunks by point
+            assert np.all(np.diff(i // n_terms) >= 0)
+            idx.append(i + run.start * n_terms)
+            w.append(v)
+        idx, w = np.concatenate(idx), np.concatenate(w)
+        ascending = np.argsort(idx)
+        return idx[ascending], w[ascending]
+
+    @staticmethod
+    def near_full(ev, xs, ts):
+        """The indices below |z| = 150 in the whole argument array, as
+        ``_w_upper`` finds them, and their values there: w of the argument
+        flipped into the upper half-plane."""
+        z = ev._y_args(xs, ts).reshape(-1) * 1j
+        r2 = z.real * z.real + z.imag * z.imag
+        near = np.flatnonzero(r2 < 150.0**2)
+        lower = z.imag < 0.0
+        w, _, _ = _w_split(z.copy())
+        return near, np.where(lower, -w, w)[near]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        system=st.sampled_from(["sb", "db", "qb", "sb300"]),
+        fracs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=32),
+    )
+    # every argument near, over two runs of chunks; none near; and one
+    # candidate, whose aliased one-element product would round differently
+    @example(system="sb300", fracs=[(_FX_2L, 0.0)] * 30)
+    @example(system="sb", fracs=[(1.0, 0.0)])
+    @example(system="sb", fracs=[(0.72, 0.95)])
+    def test_pass_selects_what_the_chunks_find(self, systems, system, fracs):
+        packet, profile, catalog, rset = systems[system]
+        ev = _BracketEvaluator(packet, profile, catalog, rset)
+        xs, ts = self.points(packet, profile, catalog, fracs)
+        idx, w = self.near_pass(ev, xs, ts)
+        want_idx, want_w = self.near_full(ev, xs, ts)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(w.view(np.uint64), want_w.view(np.uint64))
+
+    def test_all_near_and_no_near_rows_exist(self, systems):
+        # the property's two examples cover both ends of the pass
+        for system, fracs, share in (("sb300", (_FX_2L, 0.0), 1.0), ("sb", (1.0, 0.0), 0.0)):
+            packet, profile, catalog, rset = systems[system]
+            ev = _BracketEvaluator(packet, profile, catalog, rset)
+            xs, ts = self.points(packet, profile, catalog, [fracs])
+            idx, _ = self.near_pass(ev, xs, ts)
+            assert len(idx) == share * len(ev.kp)
+
+    def test_one_rational_pass_per_zeta_call(self, qb_data, monkeypatch):
+        # 62 eta on qb's 8000 terms are 31 chunks of two rows: one
+        # rational-approximation call serves them all
+        calls = {"weideman": [], "split": 0}
+        w_rational = specfun._w_weideman
+
+        def weideman(z, out=None, work=None):
+            calls["weideman"].append(len(z))
+            return w_rational(z, out, work)
+
+        def split(z, work=None, near=None):
+            calls["split"] += 1
+            return _w_split(z, work, near)
+
+        monkeypatch.setattr(specfun, "_w_weideman", weideman)
+        monkeypatch.setattr(evolution, "_w_weideman", weideman)
+        monkeypatch.setattr(evolution, "_w_split", split)
+        pk, length = qb_data.packet, QB.length
+        t0 = 0.25 * (2e5 * length - length) / pk.velocity
+        xs = length + np.sqrt(np.linspace(0.2, 3.0, 62)) * pk.velocity * t0
+        zeta(pk, QB, qb_data.catalog, qb_data.residues, xs, t0)
+        assert calls["split"] == 31
+        assert len(calls["weideman"]) == 1 and calls["weideman"][0] > 0
 
 
 class TestZetaEta:

@@ -23,6 +23,7 @@ from tunnelwave.poles import (
 )
 from tunnelwave.poles import _Box, _newton_lockstep, _zero_count
 from tunnelwave.potential import (
+    _RESIDUAL_TOL,
     PotentialProfile,
     t22,
     t22_with_prime,
@@ -153,7 +154,7 @@ class TestSweep:
             shallow = -catalog.poles.imag * catalog.length <= 8.8
             assert np.count_nonzero(shallow) >= 10
             assert np.all(
-                catalog.residuals[shallow] <= poles._RESIDUAL_TOL
+                catalog.residuals[shallow] <= _RESIDUAL_TOL
             )
 
     def test_asymptotic_spacing(self, preset_data):
