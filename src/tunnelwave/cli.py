@@ -288,7 +288,7 @@ def cmd_spectrum(args):
         data += [t_n, amp.real, amp.imag]
         devs.append(np.max(np.abs(t_n - t_exact)))
     out = _write_csv(cfg, "spectrum", columns, zip(*data), {
-        "pole_counts": ",".join(map(str, args.poles)),
+        "pole_counts": ",".join(map(str, n_list)),
     })
     for n, dev in zip(n_list, devs):
         print(f"N={n:5d}: max |T_expansion - T_exact| = {dev:.3e}")

@@ -15,10 +15,9 @@ terms scaled down by ``exp(-shift)`` before the sum and ``shift`` added back
 to its log: in transient regimes the bracket grows exactly where the free
 envelope underflows, and only the product is guaranteed representable.
 
-The sum runs in chunks of points, one continued-fraction pass per chunk.  The
-few arguments below |z| = 150, which need the rational approximation, are
-found ahead of the chunks from the disk in kappa' that they lie in, and get
-one pass per run of chunks, whose values the chunks scatter.
+The sum runs in chunks of points, one Faddeeva pass per chunk: the continued
+fraction over the whole chunk and the rational approximation over the few
+arguments below |z| = 150, whose fixed cost the chunk size amortizes.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _R_CONTFRAC, _w_split, _w_weideman
+from .specfun import _w_split
 from .potential import UnitSystem
 from .resonances import _pair_arrays
 
@@ -54,13 +53,13 @@ __all__ = [
 ]
 
 _QUARTER_LOG_2PI = 0.25 * math.log(2.0 * math.pi)
-# (points x poles) elements per bracket chunk: one continued-fraction pass per
-# chunk in two buffers that every chunk of a call reuses, 512 KB together.
-# Smaller chunks pay the fixed numpy cost of a pass more often: qb's 8000 terms
-# fill only one row of a 2**13 chunk.  The arguments below |z| = 150 of a run
-# of chunks get one rational-approximation pass, on at most as many candidates
-# as a chunk has elements
-_CHUNK = 2**14
+# (points x poles) elements per bracket chunk: one Faddeeva pass per chunk in
+# two buffers that every chunk of a call reuses, 1 MB together.  Smaller chunks
+# pay the fixed numpy cost of a pass, and the rational approximation's 48-step
+# Horner loop, more often: qb's 8000 terms fill four rows of a chunk.  Larger
+# chunks cost memory: 2**16 raised the transient benchmark's peak RSS by about
+# 1 MB and saved it a few per cent of its round time
+_CHUNK = 2**15
 # a point's terms are scaled so that the largest stays below
 # exp(_LINEAR_LOG_MAX): 59 e-folds under exp's overflow at 709.78, room for
 # any catalog's pair count
@@ -216,119 +215,19 @@ class _BracketEvaluator:
         self.hbar = packet.units.hbar
         self.mass = packet.units.mass
 
-    def _row_factors(self, x, t):
-        """``(xp, root, vel)`` at each point: its arguments are
-        ``y' = root (xp - vel kappa')``."""
-        packet = self.packet
-        tp = t - 1j * packet.tau
-        xp = x - packet.x_c - packet.velocity * t
-        rot = cmath.exp(-0.25j * math.pi)
-        root = rot * np.sqrt(self.mass / (2.0 * self.hbar * tp))
-        vel = self.hbar * tp / self.mass
-        return xp, root, vel
-
     def _y_args(self, x, t, out=None):
         """y' of the poles, then of their mirrors: shape ``x.shape + (2N,)``;
         written into ``out`` when given."""
-        return self._y_rows(*self._row_factors(x, t), out)
-
-    def _y_rows(self, xp, root, vel, out=None):
-        """:meth:`_y_args` from the points' :meth:`_row_factors`."""
-        y = np.multiply(vel[..., None], self.kp, out=out)
-        np.subtract(xp[..., None], y, out=y)
+        packet = self.packet
+        tp = t - 1j * packet.tau
+        xp = (x - packet.x_c - packet.velocity * t)[..., None]
+        rot = cmath.exp(-0.25j * math.pi)
+        root = (rot * np.sqrt(self.mass / (2.0 * self.hbar * tp)))[..., None]
+        vel = (self.hbar * tp / self.mass)[..., None]
+        y = np.multiply(vel, self.kp, out=out)
+        np.subtract(xp, y, out=y)
         # root first: complex products are not commutative bit for bit
-        return np.multiply(root[..., None], y, out=y)
-
-    def _near_runs(self, factors, bufs):
-        """Where the arguments ``i y'`` below |z| = _R_CONTFRAC can be, and
-        the runs of whole chunks that share one rational-approximation pass.
-
-        ``factors`` are the points' :meth:`_row_factors` and ``bufs`` the
-        chunk buffers, of shape ``(2, rows, 2N)``.  Returns ``(order, lo,
-        counts)`` and the runs as slices of points: point i's candidates are
-        the ``counts[i]`` entries of ``order`` from ``lo[i]`` on, and a run
-        holds at most as many candidates as a buffer has elements, or one
-        chunk where a single chunk has more.
-
-        The arguments are found without building the rows: |y'| < R is the
-        disk ``|kappa' - xp/vel| < R / (|root| |vel|)``, so each row's
-        candidates are the kappa' whose real part lies in a strip around the
-        centre.  The strip is wider than the disk by 1e-6 of the disk's radius
-        plus the centre's modulus, far more than the rounding of |y'|, so it
-        never drops an argument; a chunk that finds another count raises.
-        """
-        rows = bufs.shape[1]
-        xp, root, vel = factors
-        # read at call time: a caller may replace kp after construction
-        order = np.argsort(self.kp.real)
-        re_sorted = self.kp.real[order]
-        centre = xp / vel
-        radius = _R_CONTFRAC / (np.abs(root) * np.abs(vel))
-        half = radius + 1e-6 * (radius + np.abs(centre))
-        lo = np.searchsorted(re_sorted, centre.real - half, side="left")
-        counts = np.searchsorted(re_sorted, centre.real + half, side="right") - lo
-        starts = np.arange(0, len(xp), rows)
-        per_chunk = np.add.reduceat(counts, starts) if len(xp) else counts
-        bounds, total = [0], 0
-        for i, c in enumerate(per_chunk):
-            if total + c > bufs[0].size and i > bounds[-1]:
-                bounds.append(i)
-                total = 0
-            total += c
-        bounds.append(len(per_chunk))
-        runs = [
-            slice(g0 * rows, min(g1 * rows, len(xp)))
-            for g0, g1 in zip(bounds[:-1], bounds[1:])
-        ]
-        return (order, lo, counts), runs
-
-    def _near_values(self, factors, run, candidates, bufs):
-        """One rational-approximation pass over the points ``run``: returns
-        ``(idx, w)``, the flat indices in the run's ``(points, 2N)`` argument
-        array of its arguments ``i y'`` below |z| = _R_CONTFRAC, ascending
-        by point, and their Faddeeva values after the flip into the upper
-        half-plane.  ``candidates`` are :meth:`_near_runs`'.
-
-        The candidates' arguments are computed in ``bufs`` with
-        :meth:`_y_args`' operations and kept where ``|z|^2 < R^2`` as
-        ``_w_upper`` tests it, so every element gets the bits it gets in its
-        chunk.  Each product goes to a buffer other than its inputs: numpy
-        rounds an aliased complex product of a one-element array differently.
-        ``bufs`` also serve as the pass's scratch, so that it holds about as
-        much memory as one chunk's rational approximation did.
-        """
-        xp, root, vel = (f[run] for f in factors)
-        order, lo, counts = candidates
-        lo, counts = lo[run], counts[run]
-        ends = np.cumsum(counts)
-        # each candidate's place in the sorted kp: its point's lo plus its
-        # place within the point's strip
-        col = np.repeat(lo - (ends - counts), counts)
-        col += np.arange(len(col))
-        col = order[col]
-        y, z = (buf.reshape(-1)[: len(col)] for buf in bufs)
-        np.take(self.kp, col, out=z)
-        np.multiply(np.repeat(vel, counts), z, out=y)
-        np.subtract(np.repeat(xp, counts), y, out=y)
-        np.multiply(np.repeat(root, counts), y, out=z)
-        np.multiply(z, 1j, out=y)
-        r2, im2 = z.view(float).reshape(2, -1)
-        np.multiply(y.real, y.real, out=r2)
-        np.multiply(y.imag, y.imag, out=im2)
-        r2 += im2
-        keep = np.flatnonzero(r2 < _R_CONTFRAC * _R_CONTFRAC)
-        # point * 2N + column
-        idx = np.searchsorted(ends, keep, side="right")
-        idx *= len(self.kp)
-        idx += col[keep]
-        z = y[keep]
-        # free the candidates' indices before the approximation's scratch
-        del col, keep
-        np.negative(z, out=z, where=z.imag < 0.0)
-        # an empty call would still pay the Horner loop's fixed cost
-        if len(z):
-            _w_weideman(z, out=z, work=[buf.reshape(-1)[: len(z)] for buf in bufs])
-        return idx, z
+        return np.multiply(root, y, out=y)
 
     def log_bracket(self, x, t):
         """Complex log of the bracket at the points ``(x[i], t[i])`` of two
@@ -336,10 +235,8 @@ class _BracketEvaluator:
 
         Works in chunks of about ``_CHUNK`` (points x poles) elements with one
         Faddeeva pass per chunk, summed in linear space row by row, so every
-        point gets the bits it gets alone.  The few arguments below
-        |z| = _R_CONTFRAC get their rational approximation ahead of the
-        chunks, in one pass per run of chunks (:meth:`_near_runs`).  Raises
-        ``ValueError`` where the sum is not finite.
+        point gets the bits it gets alone.  Raises ``ValueError`` where the
+        sum is not finite.
         """
         n_terms = len(self.coefs)
         rows = max(1, min(len(x), _CHUNK // n_terms))
@@ -347,23 +244,10 @@ class _BracketEvaluator:
         # its terms), reused by every chunk
         bufs = np.empty((2, rows, n_terms), dtype=complex)
         out = np.empty(len(x), dtype=complex)
-        factors = self._row_factors(x, t)
-        prefac = self._prefactor(t)
-        candidates, runs = self._near_runs(factors, bufs)
-        for run in runs:
-            idx, w_near = self._near_values(factors, run, candidates, bufs)
-            # idx ascends by point, which is all the search needs at the
-            # chunks' point boundaries
-            firsts = np.arange(0, run.stop - run.start + rows, rows) * n_terms
-            ends = np.searchsorted(idx, firsts)
-            for i, s in enumerate(range(run.start, run.stop, rows)):
-                part = slice(s, s + rows)
-                n = min(rows, run.stop - s)
-                within = slice(ends[i], ends[i + 1])
-                near = idx[within] - firsts[i], w_near[within]
-                out[part] = self._chunk(
-                    [f[part] for f in factors], prefac[part], *bufs[:, :n], near
-                )
+        for s in range(0, len(x), rows):
+            part = slice(s, s + rows)
+            n = min(rows, len(x) - s)
+            out[part] = self._chunk(x[part], t[part], *bufs[:, :n])
         # a zero bracket has log -inf; nan or +inf means a non-finite sum
         bad = np.flatnonzero(np.isnan(out) | (out.real == math.inf))
         if len(bad):
@@ -380,11 +264,9 @@ class _BracketEvaluator:
             1.0 + 1j * t / self.packet.tau
         )
 
-    def _chunk(self, factors, prefac, z_buf, work, near):
-        """Log bracket for one chunk of points, from their
-        :meth:`_row_factors` and :meth:`_prefactor`, summed in linear space in
-        the ``(points, 2N)`` buffers ``z_buf`` and ``work``.  ``near`` holds
-        the chunk's flat indices and values from :meth:`_near_values`.
+    def _chunk(self, x, t, z_buf, work):
+        """Log bracket for one chunk of points, summed in linear space in the
+        ``(points, 2N)`` buffers ``z_buf`` and ``work``.
 
         A row whose largest reflection exponent, plus the log of the largest
         coefficient times the prefactor where that exceeds 1, passes
@@ -392,11 +274,12 @@ class _BracketEvaluator:
         terms ``2 exp(a)`` and C scaled by ``exp(-shift)``; ``shift`` is added
         back to its log.  Every other row is summed unscaled.
         """
-        z = self._y_rows(*factors, z_buf)
+        z = self._y_args(x, t, z_buf)
         z *= 1j
         # w overwrites the arguments
-        w, refl, a = _w_split(z.reshape(-1), work.reshape(-1), near)
+        w, refl, a = _w_split(z.reshape(-1), work.reshape(-1))
         w_rows = w.reshape(z.shape)
+        prefac = self._prefactor(t)
         # 2 exp(a) itself must stay below exp(_LINEAR_LOG_MAX) too
         limit = _LINEAR_LOG_MAX - np.maximum(
             0.0, self.max_log_coef + np.log(np.abs(prefac))
@@ -404,11 +287,11 @@ class _BracketEvaluator:
         # refl is sorted, so row i's reflection terms are the run
         # a[ends[i - 1]:ends[i]]; rounding is monotone, so the largest
         # exponent of a run less its row's limit is the largest difference
-        ends = np.searchsorted(refl, np.arange(1, len(prefac) + 1) * z.shape[1])
+        ends = np.searchsorted(refl, np.arange(1, len(x) + 1) * z.shape[1])
         runs = np.diff(ends, prepend=0)
         hit = np.flatnonzero(runs)
         run_max = np.maximum.reduceat(a.real, ends[hit] - runs[hit])
-        shift = np.zeros(len(prefac))
+        shift = np.zeros(len(x))
         shift[hit] = np.maximum(0.0, run_max - limit[hit])
         scale = np.exp(-shift)
         if shift.any():

@@ -16,11 +16,9 @@ size.  Where every argument lies below ``|z| = 150`` the rational
 approximation runs over the whole array, with no gather.  Otherwise the
 continued fraction runs over the whole array, one masked update per level,
 and only the arguments below 150 are gathered and sent to the rational
-approximation.  A caller that has already evaluated those (the bracket does,
-once per run of chunks) hands their values in, and they are scattered
-instead.  No complex product is written over one of its own inputs, since
-numpy rounds such a product of a one-element array differently, and a point
-must get the same bits alone as in a call.
+approximation.  No complex product is written over one of its own inputs,
+since numpy rounds such a product of a one-element array differently, and a
+point must get the same bits alone as in a call.
 """
 
 from __future__ import annotations
@@ -77,19 +75,14 @@ _WEIDEMAN_N = 48
 _WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs(_WEIDEMAN_N)
 
 
-def _w_weideman(z, out=None, work=None):
+def _w_weideman(z, out=None):
     """Rational approximation for |z| < _R_CONTFRAC, Im z >= 0,
-    written into ``out`` (which may be ``z``) when given.  ``work``, two
-    complex arrays of ``z``'s shape, holds the mapped argument and the
-    denominator when given.  The Horner loop writes each product into a
-    second buffer."""
+    written into ``out`` (which may be ``z``) when given.  The Horner loop
+    writes each product into a second buffer."""
     big_l = _WEIDEMAN_L
     if out is None:
         out = np.empty_like(z)
-    if work is None:
-        zm, denom, q = np.empty((3,) + z.shape, dtype=complex)
-    else:
-        (zm, denom), q = work, np.empty_like(z)
+    zm, denom, q = np.empty((3,) + z.shape, dtype=complex)
     np.multiply(1j, z, out=zm)
     np.subtract(big_l, zm, out=denom)
     np.add(big_l, zm, out=zm)
@@ -123,7 +116,7 @@ def _w_contfrac(z, levels, g):
     return np.divide(1j / _SQRT_PI, g, out=z)
 
 
-def _w_upper(z, work=None, near=None):
+def _w_upper(z, work=None):
     """Dispatch over the two regions; assumes Im z >= 0 elementwise.
 
     Overwrites ``z`` with w(z) and returns it; ``work``, a complex array of
@@ -132,13 +125,6 @@ def _w_upper(z, work=None, near=None):
     array.  Otherwise the continued fraction runs over the whole array, and
     the elements below _R_CONTFRAC are gathered before it and get the
     rational approximation after it.
-
-    ``near``, when given, is ``(indices, values)``: elements below
-    _R_CONTFRAC, in any order, and their w values, already evaluated by the
-    rational approximation.  They are scattered in place of it;
-    ``RuntimeError`` is raised unless there are as many as there are
-    elements below _R_CONTFRAC, which makes a caller's subset of those
-    elements all of them.
     """
     if work is None:
         work = np.empty_like(z)
@@ -146,27 +132,17 @@ def _w_upper(z, work=None, near=None):
     np.multiply(z.real, z.real, out=r2)
     np.multiply(z.imag, z.imag, out=im2)
     r2 += im2
-    found = np.flatnonzero(r2 < _R_CONTFRAC * _R_CONTFRAC)
-    near_idx, w_near = (found, None) if near is None else near
-    if len(near_idx) != len(found):
-        raise RuntimeError(
-            f"{len(near_idx)} precomputed values for the {len(found)} "
-            f"arguments below |z| = {_R_CONTFRAC:g}"
-        )
-    if len(found) == len(z):
-        if w_near is None:
-            return _w_weideman(z, out=z)
-        z[near_idx] = w_near
-        return z
-    if w_near is None:
-        z_near = z[found]
+    near = np.flatnonzero(r2 < _R_CONTFRAC * _R_CONTFRAC)
+    if len(near) == len(z):
+        return _w_weideman(z, out=z)
+    z_near = z[near]
     levels = [True if b == math.inf else r2 < b for b in _CF_LEVEL_R2]
     # the near elements get values here too, overwritten below; parked at
     # |z| = _R_CONTFRAC they raise no division or overflow warnings
-    z[found] = _R_CONTFRAC
+    z[near] = _R_CONTFRAC
     _w_contfrac(z, levels, work)
-    if len(found):
-        z[near_idx] = _w_weideman(z_near) if w_near is None else w_near
+    if len(near):
+        z[near] = _w_weideman(z_near)
     return z
 
 
@@ -175,12 +151,10 @@ def _w_upper(z, work=None, near=None):
 # ---------------------------------------------------------------------------
 
 
-def _w_split(z, work=None, near=None):
+def _w_split(z, work=None):
     """w(z) for a 1-d array of finite z from one upper-half-plane evaluation,
     with the reflection term left out.  ``w`` is written over ``z``, and
     ``work``, a complex array of ``z``'s shape, serves as scratch when given.
-    ``near`` passes precomputed values of the flipped arguments below
-    |z| = _R_CONTFRAC to :func:`_w_upper`.
 
     Returns ``(w, refl, a)``.  ``w`` holds w(z) where Im z >= 0 and -w(-z)
     where Im z < 0.  ``refl`` holds the indices of the lower-half-plane
@@ -199,7 +173,7 @@ def _w_split(z, work=None, near=None):
     a = sq[refl]
     np.negative(a, out=a)
     np.negative(z, out=z, where=lower)
-    w = _w_upper(z, work, near)
+    w = _w_upper(z, work)
     np.negative(w, out=w, where=lower)
     return w, refl, a
 

@@ -475,6 +475,17 @@ class TestSpectrumCommand:
         t_abs2 = cols["re_t_exact"] ** 2 + cols["im_t_exact"] ** 2
         assert np.allclose(np.minimum(t_abs2, 1.0), cols["T_exact"], rtol=1e-13, atol=0)
 
+    def test_header_names_the_pole_counts_without_poles_option(self, tmp_path):
+        # without --poles the whole catalog is used, and the header says so
+        out = tmp_path / "sbwhole"
+        assert run([
+            "spectrum", "--preset", "sb", "--nseed", "60", "--points", "10",
+            "--out", out,
+        ]) == 0
+        header, cols = read_csv(out / "spectrum_sb.csv")
+        n = int(header["pole_counts"])
+        assert n > 0 and f"T_expansion_N{n}" in cols
+
     def test_deviation_shrinks_with_pole_count(self, tmp_path):
         out = tmp_path / "qbspec"
         assert run([

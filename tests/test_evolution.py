@@ -8,9 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tunnelwave import evolution, specfun
 from tunnelwave.evolution import (
-    _CHUNK,
     _BracketEvaluator,
     FreeDensityUnderflowError,
     GaussianPacket,
@@ -32,7 +30,7 @@ from tunnelwave.poles import PoleSearchConfig, sweep_poles
 from tunnelwave.potential import UnitSystem, transmission_coefficient
 from tunnelwave.presets import default_packet_energy, preset_profile
 from tunnelwave.resonances import coefficient_C, residues
-from tunnelwave.specfun import _w_split, faddeeva, faddeeva_log_scaled
+from tunnelwave.specfun import faddeeva, faddeeva_log_scaled
 
 SB = preset_profile("sb")
 DB = preset_profile("db")
@@ -175,8 +173,9 @@ class TestTransmittedPacket:
 
     @pytest.mark.parametrize("mult", [2.0, 2e5])
     def test_chunk_size_changes_no_bit(self, preset_data, mult, monkeypatch):
-        # qb's 8000 terms fill one row of a 2**12 or 2**13 chunk and two of a
-        # 2**14 one; sb and db fill several rows of each
+        # qb's 8000 terms fill one row of a 2**12 or 2**13 chunk, two of a
+        # 2**14, four of a 2**15 and eight of a 2**16 one; sb and db fill
+        # several rows of each
         for data in preset_data.values():
             pk, profile = data.packet, data.profile
             tau_sys = tau_system(profile, data.catalog)
@@ -185,13 +184,13 @@ class TestTransmittedPacket:
             if mult != 2.0:
                 ts = (x_d - pk.x_c) / pk.velocity * 4.0 ** np.linspace(-1.0, 1.0, 40)
             got = []
-            for chunk in (2**12, 2**13, 2**14):
+            for chunk in (2**12, 2**13, 2**14, 2**15, 2**16):
                 monkeypatch.setattr("tunnelwave.evolution._CHUNK", chunk)
                 got.append(transmitted_packet_log(
                     pk, profile, data.catalog, data.residues, x_d, ts
                 ))
-            assert np.array_equal(got[0].view(np.uint64), got[1].view(np.uint64))
-            assert np.array_equal(got[0].view(np.uint64), got[2].view(np.uint64))
+            for other in got[1:]:
+                assert np.array_equal(got[0].view(np.uint64), other.view(np.uint64))
 
     def test_early_time_residual_bounded(self, preset_data):
         # t -> 0+ leaves |psi| <= 2|C| |psi_free| (measured factor <= ~0.95)
@@ -356,12 +355,12 @@ class TestLinearBracket:
         scaled = self.scaled(ev, xs, ts)
         assert 0 < np.count_nonzero(scaled) < len(xs)
         got = []
-        for chunk in (2**12, 2**13, 2**14):
+        for chunk in (2**12, 2**13, 2**14, 2**15, 2**16):
             monkeypatch.setattr("tunnelwave.evolution._CHUNK", chunk)
             got.append(transmitted_packet_log(packet, DB, catalog, rset, xs, ts))
         assert np.all(np.isfinite(got[0]))
-        assert np.array_equal(got[0].view(np.uint64), got[1].view(np.uint64))
-        assert np.array_equal(got[0].view(np.uint64), got[2].view(np.uint64))
+        for other in got[1:]:
+            assert np.array_equal(got[0].view(np.uint64), other.view(np.uint64))
 
     @pytest.mark.parametrize("mult", [2.0, 200.0, 2e5])
     def test_linear_and_log_paths_agree_on_presets(self, preset_data, mult):
@@ -391,7 +390,8 @@ _FX_2L = math.log(2.0) / math.log(2e5)
 
 class TestNearField:
     """The bracket's arguments below |z| = 150 get the rational approximation
-    in one pass per run of chunks, ahead of the chunks' Faddeeva passes."""
+    in their chunk's Faddeeva pass: over the whole chunk where every argument
+    lies there, gathered after the continued fraction otherwise."""
 
     @pytest.fixture(scope="class")
     def systems(self, preset_data):
@@ -414,36 +414,11 @@ class TestNearField:
         return xs, t_lo * (t_hi / t_lo) ** ft
 
     @staticmethod
-    def near_pass(ev, xs, ts):
-        """The pass's flat indices in the (points, 2N) argument array, and
-        its values, over every run of chunks, in ascending order."""
-        n_terms = len(ev.kp)
-        rows = max(1, min(len(xs), _CHUNK // n_terms))
-        bufs = np.empty((2, rows, n_terms), dtype=complex)
-        factors = ev._row_factors(xs, ts)
-        candidates, runs = ev._near_runs(factors, bufs)
-        idx, w = [], []
-        for run in runs:
-            i, v = ev._near_values(factors, run, candidates, bufs)
-            # log_bracket splits them among the chunks by point
-            assert np.all(np.diff(i // n_terms) >= 0)
-            idx.append(i + run.start * n_terms)
-            w.append(v)
-        idx, w = np.concatenate(idx), np.concatenate(w)
-        ascending = np.argsort(idx)
-        return idx[ascending], w[ascending]
-
-    @staticmethod
-    def near_full(ev, xs, ts):
-        """The indices below |z| = 150 in the whole argument array, as
-        ``_w_upper`` finds them, and their values there: w of the argument
-        flipped into the upper half-plane."""
-        z = ev._y_args(xs, ts).reshape(-1) * 1j
-        r2 = z.real * z.real + z.imag * z.imag
-        near = np.flatnonzero(r2 < 150.0**2)
-        lower = z.imag < 0.0
-        w, _, _ = _w_split(z.copy())
-        return near, np.where(lower, -w, w)[near]
+    def near_count(ev, xs, ts):
+        """How many arguments ``i y'`` lie below |z| = 150, as ``_w_upper``
+        tests it."""
+        z = ev._y_args(xs, ts) * 1j
+        return np.count_nonzero(z.real * z.real + z.imag * z.imag < 150.0**2)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -451,52 +426,31 @@ class TestNearField:
         fracs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                        min_size=1, max_size=32),
     )
-    # every argument near, over two runs of chunks; none near; and one
-    # candidate, whose aliased one-element product would round differently
+    # every argument near, in one chunk; none near; and one near argument,
+    # whose aliased one-element product would round differently
     @example(system="sb300", fracs=[(_FX_2L, 0.0)] * 30)
     @example(system="sb", fracs=[(1.0, 0.0)])
     @example(system="sb", fracs=[(0.72, 0.95)])
     def test_pass_selects_what_the_chunks_find(self, systems, system, fracs):
+        # a bulk call's Faddeeva passes treat every argument as the point's
+        # own one-point chunk does: all-near chunks, mixed chunks and
+        # no-near chunks give each point the bits it gets alone
         packet, profile, catalog, rset = systems[system]
-        ev = _BracketEvaluator(packet, profile, catalog, rset)
         xs, ts = self.points(packet, profile, catalog, fracs)
-        idx, w = self.near_pass(ev, xs, ts)
-        want_idx, want_w = self.near_full(ev, xs, ts)
-        assert np.array_equal(idx, want_idx)
-        assert np.array_equal(w.view(np.uint64), want_w.view(np.uint64))
+        bulk = transmitted_packet_log(packet, profile, catalog, rset, xs, ts)
+        single = np.array([
+            transmitted_packet_log(packet, profile, catalog, rset, x, t)
+            for x, t in zip(xs, ts)
+        ])
+        assert np.array_equal(bulk.view(np.uint64), single.view(np.uint64))
 
     def test_all_near_and_no_near_rows_exist(self, systems):
-        # the property's two examples cover both ends of the pass
+        # the property's first two examples cover both ends of the dispatch
         for system, fracs, share in (("sb300", (_FX_2L, 0.0), 1.0), ("sb", (1.0, 0.0), 0.0)):
             packet, profile, catalog, rset = systems[system]
             ev = _BracketEvaluator(packet, profile, catalog, rset)
             xs, ts = self.points(packet, profile, catalog, [fracs])
-            idx, _ = self.near_pass(ev, xs, ts)
-            assert len(idx) == share * len(ev.kp)
-
-    def test_one_rational_pass_per_zeta_call(self, qb_data, monkeypatch):
-        # 62 eta on qb's 8000 terms are 31 chunks of two rows: one
-        # rational-approximation call serves them all
-        calls = {"weideman": [], "split": 0}
-        w_rational = specfun._w_weideman
-
-        def weideman(z, out=None, work=None):
-            calls["weideman"].append(len(z))
-            return w_rational(z, out, work)
-
-        def split(z, work=None, near=None):
-            calls["split"] += 1
-            return _w_split(z, work, near)
-
-        monkeypatch.setattr(specfun, "_w_weideman", weideman)
-        monkeypatch.setattr(evolution, "_w_weideman", weideman)
-        monkeypatch.setattr(evolution, "_w_split", split)
-        pk, length = qb_data.packet, QB.length
-        t0 = 0.25 * (2e5 * length - length) / pk.velocity
-        xs = length + np.sqrt(np.linspace(0.2, 3.0, 62)) * pk.velocity * t0
-        zeta(pk, QB, qb_data.catalog, qb_data.residues, xs, t0)
-        assert calls["split"] == 31
-        assert len(calls["weideman"]) == 1 and calls["weideman"][0] > 0
+            assert self.near_count(ev, xs, ts) == share * len(ev.kp)
 
 
 class TestZetaEta:

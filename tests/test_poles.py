@@ -21,7 +21,7 @@ from tunnelwave.poles import (
     sweep_poles,
     write_text_atomic,
 )
-from tunnelwave.poles import _Box, _newton_lockstep, _zero_count
+from tunnelwave.poles import _DEDUP_TOL, _Box, _newton_lockstep, _zero_count
 from tunnelwave.potential import (
     _RESIDUAL_TOL,
     PotentialProfile,
@@ -136,7 +136,7 @@ class TestSweep:
             assert np.all(poles.real > 0.0)
             assert np.all(poles.imag < 0.0)
             assert np.all(np.diff(poles.real) > 0.0)
-            assert np.min(np.abs(np.diff(poles))) >= data.catalog.config.dedup_tol
+            assert np.min(np.abs(np.diff(poles))) >= _DEDUP_TOL
 
     def test_residuals_reverified_against_gate(self, preset_data):
         for data in preset_data.values():

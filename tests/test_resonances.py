@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tunnelwave import resonances
+from tunnelwave.poles import _DEDUP_TOL
 from tunnelwave.potential import (
     PoleProximityError,
     t22_with_prime,
@@ -308,7 +309,7 @@ class TestExpansionKernel:
     @pytest.mark.parametrize("mirror", [False, True])
     def test_pole_proximity_complex_k(self, sb_data, mirror):
         catalog, rs = sb_data.catalog, sb_data.residues
-        tol = catalog.config.dedup_tol
+        tol = _DEDUP_TOL
         step = np.exp(1j * np.pi / 3)
         grid = np.linspace(0.2, 2.0, 7) + 0j
         for kappa in catalog.poles[[0, 5, -1]]:

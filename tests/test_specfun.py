@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunnelwave.specfun import _w_split, _w_weideman, faddeeva, faddeeva_log_scaled
+from tunnelwave.specfun import faddeeva, faddeeva_log_scaled
 
 # e * erfc(1), 50-digit series oracle, frozen
 ERFCX_1 = 0.42758357615580700441075034192166661878239812379280
@@ -215,25 +215,6 @@ def test_bulk_equals_one_element_calls_across_tiers(z):
     fits = z[(-(z * z)).real < 650.0]
     single = np.array([faddeeva(complex(v)) for v in fits], dtype=complex)
     assert np.array_equal(bits(faddeeva(fits)), bits(single))
-
-
-@pytest.mark.parametrize("name", ["all-contfrac", "all-rational", "mostly-contfrac",
-                                  "mostly-rational-len2"])
-def test_precomputed_near_values_give_the_same_bits(name):
-    # the bracket evaluates the arguments below |z| = 150 ahead of a chunk
-    # and hands their values in, in its own order: the chunk must come out
-    # as if it had evaluated them itself, and must refuse another count
-    z = _TIER_ARRAYS[name]
-    up = np.where(z.imag < 0.0, -z, z)
-    near = np.flatnonzero(up.real * up.real + up.imag * up.imag < 150.0**2)[::-1]
-    values = _w_weideman(up[near])
-    got = _w_split(z.copy(), near=(near, values))
-    want = _w_split(z.copy())
-    for g, w in zip(got, want):
-        assert np.array_equal(bits(g), bits(w))
-    wrong = near[1:] if len(near) else np.array([0])
-    with pytest.raises(RuntimeError, match="precomputed"):
-        _w_split(z.copy(), near=(wrong, values[: len(wrong)]))
 
 
 class TestLogScaled:
