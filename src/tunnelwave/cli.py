@@ -177,7 +177,7 @@ def obtain_catalog(cfg, quiet=False):
     path, fp = _catalog_cache_path(cfg)
     try:
         catalog, extras = load_catalog(path)
-    except (ValueError, KeyError, IndexError, OSError):
+    except (ValueError, OSError):
         pass  # missing or unreadable: rebuild below
     else:
         if catalog.profile_fingerprint == fp:

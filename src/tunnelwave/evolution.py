@@ -31,7 +31,7 @@ import numpy as np
 
 from .specfun import _w_split
 from .potential import UnitSystem
-from .resonances import _pair_arrays
+from .resonances import _pole_terms
 
 __all__ = [
     "FreeDensityUnderflowError",
@@ -202,16 +202,12 @@ class _BracketEvaluator:
                 PacketValidityWarning,
                 stacklevel=3,
             )
-        kap, z = _pair_arrays(profile, catalog, residue_set)
         self.packet = packet
-        # C = i sum over +-n of z_n: each pair gives -2 Im z_n (coefficient_C)
-        self.c_const = complex(-2.0 * float(np.sum(z.imag)), 0.0)
-        # coefficient of w(i y'_n); the mirror partner carries the conjugate
-        self.coef = z * kap
-        self.coefs = np.concatenate([self.coef, np.conj(self.coef)])
-        self.max_log_coef = float(np.max(np.log(self.coef).real))
-        # shifted wavenumbers kappa' of the poles, then of their mirrors
-        self.kp = np.concatenate([kap, -np.conj(kap)]) - packet.k0
+        # C, the poles and the coefficients of w(i y'_n), the mirrors' after
+        # the poles'; a mirror's coefficient is the conjugate, of equal modulus
+        self.c_const, poles, self.coefs = _pole_terms(profile, catalog, residue_set)
+        self.max_log_coef = float(np.max(np.log(self.coefs[: len(poles) // 2]).real))
+        self.kp = poles - packet.k0  # shifted wavenumbers kappa'
         self.hbar = packet.units.hbar
         self.mass = packet.units.mass
 
@@ -297,7 +293,9 @@ class _BracketEvaluator:
         if shift.any():
             np.multiply(w_rows, scale[:, None], out=w_rows, where=shift[:, None] > 0.0)
             a -= np.repeat(shift, runs)
-        with np.errstate(under="ignore"):
+        # a non-finite coefficient makes its rows' shifts NaN, and log_bracket
+        # refuses their sums
+        with np.errstate(under="ignore", invalid="ignore"):
             np.exp(a, out=a)
             a *= 2.0
             w[refl] += a

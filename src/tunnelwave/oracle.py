@@ -236,26 +236,16 @@ def _refined_panels(f, edges, refine_tol, smooth_tol):
     return a[order], b[order], np.concatenate(leaves_vals)[order], smooth[order]
 
 
+@dataclass(frozen=True)
 class _Transmission:
-    """``tfun(k) = 1 / t22(profile, k)``, equal to another exactly when the
-    profiles' fingerprints are: a layer of height -0.0 and one of 0.0 compare
-    equal as profiles, but ``t22``'s layer plan keeps them apart, so each gets
-    its own refinement in :func:`_leaves`."""
+    """``tfun(k) = 1 / t22(profile, k)``, equal to another, and hashed, as
+    its profile: equal profiles are one system, with the same layer plan and
+    the same t22 bits, so they share one refinement in :func:`_leaves`."""
 
-    __slots__ = ("profile", "key")
-
-    def __init__(self, profile):
-        self.profile = profile
-        self.key = profile.fingerprint_key()
+    profile: object
 
     def __call__(self, ks):
         return 1.0 / t22(self.profile, ks)
-
-    def __eq__(self, other):
-        return self.key == other.key if isinstance(other, _Transmission) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.key)
 
 
 def _free_tfun(ks):
@@ -272,7 +262,7 @@ def _leaves(packet, tfun, half_width, rule):
     so leaves built under other constants are never reused.  They do not
     depend on x or t: the cache hands the same read-only arrays to every
     later call with an equal packet, integrand (a :class:`_Transmission`'s
-    fingerprint, or the function itself), window and rule.
+    profile, or the function itself), window and rule.
     """
     n_coarse, refine_tol, smooth_tol = rule
     lo, hi = packet.k0 - half_width, packet.k0 + half_width

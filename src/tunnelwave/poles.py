@@ -42,7 +42,6 @@ __all__ = [
     "asymptotic_seed",
     "catalog_fingerprint",
     "load_catalog",
-    "residual_gate",
     "save_catalog",
     "sweep_poles",
 ]
@@ -568,25 +567,23 @@ def _parse_config(text):
     return PoleSearchConfig(n_seed=int(items["n_seed"]))
 
 
-def _read_with_checksum(path):
-    """``(text, checksum)`` of the file as written: no newline translation
-    may hide a changed byte.  The bytes are freed on return."""
-    data = Path(path).read_bytes()
-    return data.decode("utf-8"), _checksum(data)
-
-
 def load_catalog(path):
     """Read a catalog written by :func:`save_catalog`.
 
     Returns ``(catalog, extras)`` where ``extras`` is a dict with
     ``residues``, ``u0`` and ``u_l`` complex arrays.  Raises ``ValueError``
-    when the columns are not the ten :func:`save_catalog` writes, when the
-    ``rows`` header is missing or disagrees with the rows read, as in a file
-    cut at a row boundary, when a row is not one number per column or the
-    file does not end with a newline, as in a file cut inside a row, and
-    when the checksum does not match the other lines, as in a changed digit.
+    naming the file when the ``rows`` header is missing or disagrees with the
+    rows read, as in a file cut at a row boundary, when there is no row, when
+    the columns are not the ten :func:`save_catalog` writes, when another
+    header line is missing, when a row is not one number per column or the
+    file does not end with a newline, as in a file cut inside a row, and when
+    the checksum does not match the other lines, as in a changed digit.  The
+    checksum is of the bytes as read: no newline translation may hide a
+    changed byte.
     """
-    text, digest = _read_with_checksum(path)
+    data = Path(path).read_bytes()
+    digest = _checksum(data)
+    text = data.decode("utf-8")
     lines = text.splitlines()
     if not lines or lines[0].strip() != f"# {_FORMAT_TAG}":
         raise ValueError(f"{path}: not a {_FORMAT_TAG} file")
@@ -598,28 +595,28 @@ def load_catalog(path):
     rows = []
     for line in lines[1:]:
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             key, _, val = line[1:].partition(":")
             header[key.strip()] = val.strip()
-        else:
-            rows.append(line.split(","))
-    if header.get("rows") != str(len(rows)):
-        raise ValueError(
-            f"{path}: {len(rows)} rows read, header says {header.get('rows')}"
-        )
+        elif line:
+            rows.append(line)
+    # np.loadtxt only warns on no rows
+    if header.get("rows") != str(len(rows)) or not rows:
+        raise ValueError(f"{path}: {len(rows)} rows read, header says {header.get('rows')}")
     if tuple(header.get("columns", "").split(",")) != _COLUMNS:
         raise ValueError(f"{path}: columns are not {','.join(_COLUMNS)}")
-    n_cols = len(_COLUMNS)
-    for i, fields in enumerate(rows, start=1):
-        if len(fields) != n_cols:
-            raise ValueError(f"{path}: row {i} has {len(fields)} fields, not {n_cols}")
-    data = np.array(rows, dtype=float).reshape(len(rows), n_cols)
-    poles = data[:, 1] + 1j * data[:, 2]
+    missing = [key for key in ("fingerprint", "length_nm", "config") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: no header line for {', '.join(missing)}")
+    try:
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if table.shape[1] != len(_COLUMNS):
+        raise ValueError(f"{path}: rows have {table.shape[1]} fields, not {len(_COLUMNS)}")
     catalog = PoleCatalog(
-        poles=poles,
-        residuals=data[:, 3],
+        poles=table[:, 1] + 1j * table[:, 2],
+        residuals=table[:, 3],
         profile_fingerprint=header["fingerprint"],
         length=float(header["length_nm"]),
         config=_parse_config(header["config"]),
@@ -627,7 +624,7 @@ def load_catalog(path):
     if header.get("sha256") != digest:
         raise ValueError(f"{path}: checksum does not match its lines")
     return catalog, {
-        "residues": data[:, 4] + 1j * data[:, 5],
-        "u0": data[:, 6] + 1j * data[:, 7],
-        "u_l": data[:, 8] + 1j * data[:, 9],
+        "residues": table[:, 4] + 1j * table[:, 5],
+        "u0": table[:, 6] + 1j * table[:, 7],
+        "u_l": table[:, 8] + 1j * table[:, 9],
     }

@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
 
@@ -129,9 +129,11 @@ class PotentialProfile:
 
     layers: tuple
     mass_ratio: float = 0.067
+    units: UnitSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        layers = tuple((float(w), float(h)) for (w, h) in self.layers)
+        # + 0.0 stores a height of -0.0 as 0.0: equal profiles are one system
+        layers = tuple((float(w), float(h) + 0.0) for (w, h) in self.layers)
         if not layers:
             raise ValueError("profile needs at least one layer")
         for w, h in layers:
@@ -140,12 +142,7 @@ class PotentialProfile:
             if not 0.0 <= h < math.inf:
                 raise ValueError(f"layer height must be finite and >= 0, got {h!r}")
         object.__setattr__(self, "layers", layers)
-        if not 0.0 < self.mass_ratio < math.inf:
-            raise ValueError("mass_ratio must be finite and positive")
-
-    @cached_property
-    def units(self):
-        return UnitSystem(self.mass_ratio)
+        object.__setattr__(self, "units", UnitSystem(self.mass_ratio))
 
     @cached_property
     def length(self):
@@ -156,8 +153,8 @@ class PotentialProfile:
         """Distinct factors of the layer recursion and where each layer takes them.
 
         ``(heights, faces, spans, steps)``.  ``heights`` are the distinct layer
-        heights, one wavevector each, told apart by bit pattern (0.0 and -0.0
-        are two).  With ``qs = [k] + wavevectors``, ``faces`` are the distinct
+        heights, one wavevector each (no height is -0.0, so equal heights have
+        equal bits).  With ``qs = [k] + wavevectors``, ``faces`` are the distinct
         interfaces ``(a, b, (V_a - V_b)/2c, reused)`` from ``qs[a]`` to
         ``qs[b]`` and ``spans`` the distinct layers ``(b, width, reused)``
         propagating with ``qs[b]``; ``reused`` is true when more than one
@@ -165,11 +162,11 @@ class PotentialProfile:
         ``(face, None)`` for the exit interface.
         """
         c = self.units.inv_mass_coeff
-        roots = {}  # bit pattern -> (index into [k] + wavevectors, height)
+        roots = {}  # height -> index into [k] + wavevectors
         for _, h in self.layers:
-            roots.setdefault(h.hex(), (len(roots) + 1, h))
-        sides = [0] + [roots[h.hex()][0] for _, h in self.layers] + [0]
-        heights = [0.0] + [h for _, h in roots.values()]
+            roots.setdefault(h, len(roots) + 1)
+        sides = [0] + [roots[h] for _, h in self.layers] + [0]
+        heights = [0.0, *roots]
         faces, spans, steps = {}, {}, []
         for j, (a, b) in enumerate(zip(sides, sides[1:])):
             face = faces.setdefault((a, b), len(faces))

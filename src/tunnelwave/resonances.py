@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poles import _DEDUP_TOL
-from .potential import _VECTOR, PoleProximityError, _second_column, residual_gate
+from .potential import _EPS, _VECTOR, PoleProximityError, _second_column, residual_gate
 
 __all__ = [
     "NormalizationDegenerateError",
@@ -36,7 +36,6 @@ __all__ = [
 
 _BC_RTOL = 1e-8
 _NORM_MIN = 1e-14
-_EPS = np.finfo(float).eps
 # (points x poles) elements per expansion_t block: two complex buffers of
 # 256 KiB each, which stay in cache between the passes over a block
 _CHUNK = 2**14
@@ -249,10 +248,19 @@ def expansion_t(profile, k, catalog, residue_set, n_poles=None):
     return out.reshape(k_arr.shape)
 
 
-def coefficient_C(profile, catalog, residue_set, n_poles=None):
-    """Potential-only constant C = i sum_n r_n exp(-i kappa_n L) over +-n.
+def _pole_terms(profile, catalog, residue_set, n_poles=None):
+    """``(C, poles, coefs)`` over the first ``n_poles`` (n, -n) pairs in
+    ascending |kappa|: the kappa_n then their mirrors ``-conj(kappa_n)``, and
+    ``z_n kappa_n`` then their conjugates, ``z_n = r_n exp(-i kappa_n L)``.
+    C = i sum over +-n of z_n; each pair gives ``-2 Im z_n`` exactly, so C
+    is real."""
+    kap, z = _pair_arrays(profile, catalog, residue_set, n_poles)
+    coef = z * kap
+    c_const = complex(-2.0 * float(np.sum(z.imag)), 0.0)
+    return c_const, np.concatenate([kap, -np.conj(kap)]), np.concatenate([coef, np.conj(coef)])
 
-    Each (n, -n) pair contributes ``-2 Im z_n`` exactly, so C is real.
-    """
-    _, z = _pair_arrays(profile, catalog, residue_set, n_poles)
-    return complex(-2.0 * float(np.sum(z.imag)), 0.0)
+
+def coefficient_C(profile, catalog, residue_set, n_poles=None):
+    """Potential-only constant C = i sum_n r_n exp(-i kappa_n L) over +-n,
+    which is real (see :func:`_pole_terms`)."""
+    return _pole_terms(profile, catalog, residue_set, n_poles)[0]

@@ -18,8 +18,7 @@ from .evolution import (
     zeta,
 )
 from .oracle import NodeBudgetExceededError, psi_quadrature
-from .poles import residual_gate
-from .potential import t22, transfer_matrix, transmission_coefficient
+from .potential import residual_gate, t22, transfer_matrix, transmission_coefficient
 from .resonances import coefficient_C, expansion_t, resonance_state
 from .specfun import faddeeva
 

@@ -43,6 +43,17 @@ def test_every_name_in_all_is_defined(name):
     assert not missing
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_every_class_and_function_in_all_is_defined_there(name):
+    # one home per public name: a module lists what it defines, not what it imports
+    module = importlib.import_module(f"tunnelwave.{name}")
+    foreign = [
+        n for n in getattr(module, "__all__", [])
+        if callable(obj := getattr(module, n)) and obj.__module__ != module.__name__
+    ]
+    assert not foreign
+
+
 def test_package_reexports_only_names_in_all():
     tree = ast.parse(Path(tunnelwave.__file__).read_text(encoding="utf-8"))
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]

@@ -285,6 +285,12 @@ class TestPolesCommand:
         for name in ("sb", "db", "qb"):
             assert preset_profile(name).mass_ratio == 0.067
 
+    def test_unknown_preset_name_refused(self):
+        from tunnelwave.presets import preset_profile
+
+        with pytest.raises(KeyError, match="unknown preset 'xx'"):
+            preset_profile("xx")
+
     def test_invalid_preset_exits_1_without_files(self, tmp_path):
         out = tmp_path / "never"
         assert run(["poles", "--preset", "zz", "--out", out]) == 1
@@ -639,6 +645,28 @@ class TestValidateCommand:
         slow = check(SWEEP_TIME_LIMIT_S + 12.3)
         assert not slow.passed
         assert slow.detail.endswith(" sweep 312.3s>=300s")
+
+    def test_oracle_over_its_budget_recorded_as_a_failure(self, sb_data, monkeypatch):
+        from tunnelwave import oracle
+        from tunnelwave.validation import check_oracle_equivalence
+
+        monkeypatch.setattr(oracle, "_NODE_BUDGET", 1000)
+        d = sb_data
+        record = check_oracle_equivalence("sb", d.profile, d.catalog, d.residues, d.packet)
+        assert record.name == "4-oracle-equivalence-sb" and not record.passed
+        assert record.detail.startswith("budget: ")
+
+    def test_db_run_includes_the_lifetime(self, db_data):
+        from tunnelwave.validation import run_validation
+
+        d = db_data
+        records = run_validation("db", d.profile, d.catalog, d.residues, d.packet)
+        assert [r.name for r in records] == [
+            f"{c}-db" for c in (
+                "1-pole-values", "2-lifetime", "3-expansion", "4-oracle-equivalence",
+                "5-longtime-slope", "6-reconstruction", "7-properties", "8-cancellation",
+            )
+        ]
 
     def test_tampered_catalog_fails_residual_check(self, tmp_path, capsys):
         out = tmp_path / "tamper"

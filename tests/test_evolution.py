@@ -29,7 +29,7 @@ from tunnelwave.evolution import (
 from tunnelwave.poles import PoleSearchConfig, sweep_poles
 from tunnelwave.potential import UnitSystem, transmission_coefficient
 from tunnelwave.presets import default_packet_energy, preset_profile
-from tunnelwave.resonances import coefficient_C, residues
+from tunnelwave.resonances import ResidueSet, coefficient_C, residues
 from tunnelwave.specfun import faddeeva, faddeeva_log_scaled
 
 SB = preset_profile("sb")
@@ -132,6 +132,16 @@ class TestTransmittedPacket:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
                 call(*args)
+
+    def test_nan_residue_rejected_without_a_warning(self, sb_data):
+        rset = sb_data.residues
+        bad = rset.residues.copy()
+        bad[0] = math.nan
+        args = (sb_data.packet, SB, sb_data.catalog, ResidueSet(bad, rset.u0, rset.u_l))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bracket sum is not finite"):
+                transmitted_packet_log(*args, 2.0 * SB.length, 5.0)
 
     @pytest.mark.parametrize("call", [
         transmitted_packet_log, zeta, longtime_exponent, asymptotic_cancellation,
@@ -314,19 +324,24 @@ class TestLinearBracket:
         ev = _BracketEvaluator(packet, DB, catalog, rset)
         xs, ts = np.array([DB.length]), np.array([1.3 * packet.tau])
         z = 1j * ev._y_args(xs, ts)[0]
-        n = len(ev.coef)
+        n = len(ev.coefs) // 2
         a = np.where(z[:n].imag < 0.0, (-(z[:n] * z[:n])).real, -np.inf)
         p = int(np.argmax(a))
         assert 680.0 < a[p] < 710.0 and z[n + p].imag > 0.0
         ev.kp = ev.kp[[p, n + p]]
         ev.coefs = np.array([ev.coefs[p] * math.exp(-a[p]), ev.coefs[n + p]])
-        ev.coef = ev.coefs[:1]
         ev.max_log_coef = float(np.max(np.log(np.abs(ev.coefs))))
         assert self.scaled(ev, xs, ts).all()
         terms = np.abs(ev.coefs * np.array([2.0 * math.exp(a[p]), faddeeva(z[n + p])]))
         assert 1e-3 < terms[0] / terms[1] < 1e3
         (got,) = ev.log_bracket(xs, ts)
         assert abs(got - mp_log_bracket(ev, xs[0], ts[0])) <= 5e-12
+
+    def test_cancellation_refuses_an_overflowing_branch(self, wide_db):
+        # the leading form's exp(y'^2) at the overflow-range points above
+        packet, catalog, rset = wide_db
+        with pytest.raises(OverflowError, match="exponential branch overflows"):
+            asymptotic_cancellation(packet, DB, catalog, rset, DB.length, 10.0 * packet.tau)
 
     def test_mixed_call_equals_one_point_calls(self, wide_db):
         packet, catalog, rset = wide_db

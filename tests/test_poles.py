@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,6 @@ from tunnelwave.poles import (
     asymptotic_seed,
     catalog_fingerprint,
     load_catalog,
-    residual_gate,
     save_catalog,
     sweep_poles,
     write_text_atomic,
@@ -25,6 +25,7 @@ from tunnelwave.poles import _DEDUP_TOL, _Box, _newton_lockstep, _zero_count
 from tunnelwave.potential import (
     _RESIDUAL_TOL,
     PotentialProfile,
+    residual_gate,
     t22,
     t22_with_prime,
     transmission_coefficient,
@@ -469,7 +470,39 @@ class TestSerialization:
         lines = text.splitlines(keepends=True)
         lines[-2] = lines[-2][: lines[-2].rindex(",")] + "\n"
         path.write_text("".join(lines))
-        with pytest.raises(ValueError, match="fields"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*columns changed"):
+            load_catalog(path)
+
+    def test_rejects_rows_all_short(self, tmp_path, sb_data):
+        # every row one field short, so no row differs from the first
+        path = tmp_path / "cat.csv"
+        _save(sb_data, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(
+            line if line.startswith("#") else line[: line.rindex(",")] + "\n"
+            for line in lines
+        ))
+        with pytest.raises(ValueError, match="rows have 9 fields, not 10"):
+            load_catalog(path)
+
+    def test_rejects_catalog_without_rows(self, tmp_path, sb_data):
+        path = tmp_path / "cat.csv"
+        _save(sb_data, path)
+        head = [l for l in path.read_text().splitlines(keepends=True) if l.startswith("#")]
+        path.write_text("".join(l.replace(f"# rows: {len(sb_data.catalog)}", "# rows: 0")
+                                for l in head))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="0 rows read, header says 0"):
+                load_catalog(path)
+
+    @pytest.mark.parametrize("key", ["fingerprint", "length_nm", "config"])
+    def test_rejects_missing_header_line_naming_the_file(self, tmp_path, sb_data, key):
+        path = tmp_path / "cat.csv"
+        _save(sb_data, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith(f"# {key}:")))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no header line for {key}$"):
             load_catalog(path)
 
     def test_rejects_unknown_or_missing_config_key(self, tmp_path, sb_data):
@@ -515,12 +548,22 @@ def test_failed_atomic_write_leaves_target_and_no_temporary(tmp_path, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
+def test_unresolved_box_count_refused(monkeypatch):
+    monkeypatch.setattr(poles, "_ARG_MAX_POINTS", 1)
+    with pytest.raises(IncompleteCatalogError, match="zero count of the sweep box is not resolved"):
+        sweep_poles(SB, PoleSearchConfig(n_seed=60))
+
+
 def test_fingerprint_sensitivity():
     cfg = PoleSearchConfig(n_seed=100)
     base = catalog_fingerprint(SB, cfg)
     assert catalog_fingerprint(DB, cfg) != base
     assert catalog_fingerprint(SB, PoleSearchConfig(n_seed=101)) != base
     assert catalog_fingerprint(SB, cfg) == base
+    # a height of -0.0 is 0.0: equal profiles share one fingerprint
+    assert catalog_fingerprint(PotentialProfile(((8.0, 0.23), (1.0, -0.0))), cfg) == (
+        catalog_fingerprint(PotentialProfile(((8.0, 0.23), (1.0, 0.0))), cfg)
+    )
     # the sweep is deterministic: the seed is in no fingerprint, file or equality
     for seed in (0, 1, 7):
         seeded = PoleSearchConfig(n_seed=100, seed=seed)

@@ -28,7 +28,8 @@ FREE = PotentialProfile(((8.0, 0.0),))
 _RNG = np.random.default_rng(7)
 RANDOM = PotentialProfile(tuple(zip(_RNG.uniform(0.5, 6.0, 4), _RNG.uniform(0.0, 0.4, 4))))
 # repeats heights at other widths, repeats (height, width) layers apart, and
-# has both signs of a zero height: every kind of factor the kernel shares
+# has both signs of a zero height, which the profile stores as one: every
+# kind of factor the kernel shares
 SHARED = PotentialProfile(
     ((2.0, 0.23), (1.0, 0.0), (3.0, 0.23), (2.5, -0.0))
     + ((2.0, 0.23), (1.0, 0.0), (1.5, 0.1), (1.0, -0.0))
@@ -129,9 +130,12 @@ class TestUnits:
 
     @pytest.mark.parametrize("mass_ratio", [0.0, -0.067, math.inf, math.nan])
     def test_mass_ratio_finite_and_positive(self, mass_ratio):
-        # PotentialProfile's rule: inf would give inv_mass_coeff = 0
-        with pytest.raises(ValueError, match="finite and positive"):
+        # the profile's rule too, as it builds its units: inf would give
+        # inv_mass_coeff = 0
+        with pytest.raises(ValueError, match="mass_ratio must be finite and positive"):
             UnitSystem(mass_ratio=mass_ratio)
+        with pytest.raises(ValueError, match="mass_ratio must be finite and positive"):
+            PotentialProfile(((5.0, 0.23),), mass_ratio)
 
 
 class TestProfileValidation:
@@ -158,6 +162,14 @@ class TestProfileValidation:
         ):
             with pytest.raises(ValueError, match="finite"):
                 PotentialProfile(layers, mass_ratio)
+
+    def test_negative_zero_height_stored_as_zero(self):
+        plus = PotentialProfile(((4.0, 0.23), (3.0, 0.0), (4.0, 0.23)))
+        minus = PotentialProfile(((4.0, 0.23), (3.0, -0.0), (4.0, 0.23)))
+        assert math.copysign(1.0, minus.layers[1][1]) == 1.0
+        assert minus == plus and hash(minus) == hash(plus)
+        assert minus.fingerprint_key() == plus.fingerprint_key()
+        assert minus.layer_plan == plus.layer_plan
 
     def test_length_and_barrier(self):
         assert QB.length == pytest.approx(25.0)
@@ -273,10 +285,16 @@ class TestT22:
         # qb: 2 wavevectors, 4 interfaces and 3 propagation factors for 7 layers
         heights, faces, spans, steps = QB.layer_plan
         assert (len(heights), len(faces), len(spans), len(steps)) == (2, 4, 3, 8)
-        # 0.0 and -0.0 are kept apart, so shared factors cannot change a bit
+        # -0.0 is stored as 0.0, so the two zero heights are one
         heights, faces, spans, _ = SHARED.layer_plan
-        assert [math.copysign(1.0, h) for h in heights if h == 0.0] == [1.0, -1.0]
-        assert (len(heights), len(faces), len(spans)) == (4, 8, 6)
+        assert [math.copysign(1.0, h) for h in heights if h == 0.0] == [1.0]
+        assert (len(heights), len(faces), len(spans)) == (3, 6, 5)
+
+    def test_phase_overflow_refused(self):
+        # each layer's factor stays under the floating range, exp(ikL) does not
+        two = PotentialProfile(((4.0, 0.23), (4.0, 0.0)))
+        with pytest.raises(OverflowError, match=r"exp\(ikL\) exceeds the floating range"):
+            t22(two, 1 - 100j)
 
     def test_branch_point_evaluated_at_moved_k(self):
         # E = V: the layer wavevector is 0 and the point moves to k (1 + 1e-9)

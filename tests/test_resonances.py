@@ -17,8 +17,10 @@ from tunnelwave.potential import (
 )
 from tunnelwave.presets import preset_profile
 from tunnelwave.resonances import (
+    NormalizationDegenerateError,
     NotAPoleError,
     _pair_arrays,
+    _pole_terms,
     coefficient_C,
     expansion_t,
     resonance_state,
@@ -124,6 +126,22 @@ class TestResonanceState:
     def test_not_a_pole_rejected(self):
         with pytest.raises(NotAPoleError):
             resonance_state(SB, 0.5 - 0.05j)
+
+    def test_incoming_right_boundary_rejected(self, monkeypatch):
+        # |t22| and the incoming amplitude at x = L are both m22, up to
+        # exp(ikL), so a point the |t22| gate lets through fails this check
+        # only where u(L) ~ 0, which no state has; with the gate opened, a
+        # point that is no pole reaches it
+        monkeypatch.setattr(
+            resonances, "residual_gate", lambda length, kappa: np.full(kappa.shape, np.inf)
+        )
+        with pytest.raises(NotAPoleError, match="right-boundary incoming amplitude"):
+            resonance_state(SB, 0.5 - 0.05j)
+
+    def test_degenerate_norm_rejected(self, sb_data, monkeypatch):
+        monkeypatch.setattr(resonances, "_NORM_MIN", 1e300)
+        with pytest.raises(NormalizationDegenerateError, match=r"\|norm\| = "):
+            residues(SB, sb_data.catalog)
 
     def test_zero_scale_rejected(self, sb_data):
         with pytest.raises(ValueError):
@@ -371,6 +389,14 @@ class TestCoefficientC:
         catalog = sb_data.catalog
         with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
             coefficient_C(SB, catalog, sb_data.residues, 0)
+
+    def test_pole_terms_list_each_pole_then_its_mirror(self, db_data):
+        kap, z = _pair_arrays(DB, db_data.catalog, db_data.residues, 40)
+        c, poles, coefs = _pole_terms(DB, db_data.catalog, db_data.residues, 40)
+        # C = i sum over +-n of z_n, with z_{-n} = -conj(z_n)
+        assert c.imag == 0.0 and abs(c - 1j * np.sum(np.concatenate([z, -np.conj(z)]))) <= 1e-14
+        assert np.array_equal(poles, np.concatenate([kap, -np.conj(kap)]))
+        assert np.array_equal(coefs, np.concatenate([z * kap, np.conj(z * kap)]))
 
     def test_real_valued(self, preset_data):
         for data in preset_data.values():
