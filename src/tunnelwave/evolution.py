@@ -249,8 +249,8 @@ class _BracketEvaluator:
         if len(bad):
             i = bad[0]
             raise ValueError(
-                f"bracket sum is not finite at x = {x[i]:.6g}, t = {t[i]:.6g}; "
-                "the closed form needs finite x and t with t / tau representable"
+                f"bracket sum is not finite at x = {x[i]:.6g}, t = {t[i]:.6g}: "
+                "the closed form's arguments overflow there"
             )
         return out
 
@@ -293,8 +293,8 @@ class _BracketEvaluator:
         if shift.any():
             np.multiply(w_rows, scale[:, None], out=w_rows, where=shift[:, None] > 0.0)
             a -= np.repeat(shift, runs)
-        # a non-finite coefficient makes its rows' shifts NaN, and log_bracket
-        # refuses their sums
+        # an argument whose square overflows makes its row's exponents
+        # non-finite, and log_bracket refuses the row's sum
         with np.errstate(under="ignore", invalid="ignore"):
             np.exp(a, out=a)
             a *= 2.0

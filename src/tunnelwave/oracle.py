@@ -253,27 +253,24 @@ def _free_tfun(ks):
 
 
 @functools.lru_cache(maxsize=_LEAF_ENTRIES)
-def _leaves(packet, tfun, half_width, rule):
+def _leaves(packet, tfun, half_width):
     """Leaves ``(a, b, vals, smooth)`` of :func:`_refined_panels` on
     ``phi0(k) tfun(k)`` over the window ``k0 +- half_width``, split at k = 0,
     and each leaf's largest ``|vals|``.
 
-    ``rule`` is ``(_COARSE_PANELS, _REFINE_TOL, _SMOOTH_TOL)`` at the call,
-    so leaves built under other constants are never reused.  They do not
-    depend on x or t: the cache hands the same read-only arrays to every
-    later call with an equal packet, integrand (a :class:`_Transmission`'s
-    profile, or the function itself), window and rule.
+    They do not depend on x or t: the cache hands the same read-only arrays
+    to every later call with an equal packet, integrand (a
+    :class:`_Transmission`'s profile, or the function itself) and window.
     """
-    n_coarse, refine_tol, smooth_tol = rule
     lo, hi = packet.k0 - half_width, packet.k0 + half_width
-    edges = np.linspace(lo, hi, n_coarse + 1)
+    edges = np.linspace(lo, hi, _COARSE_PANELS + 1)
     if lo < 0.0 < hi:
-        frac = math.ceil(n_coarse * -lo / (hi - lo))
-        frac = min(max(frac, 1), n_coarse - 1)
+        frac = math.ceil(_COARSE_PANELS * -lo / (hi - lo))
+        frac = min(max(frac, 1), _COARSE_PANELS - 1)
         edges = np.concatenate(
-            [np.linspace(lo, 0.0, frac + 1), np.linspace(0.0, hi, n_coarse - frac + 1)[1:]]
+            [np.linspace(lo, 0.0, frac + 1), np.linspace(0.0, hi, _COARSE_PANELS - frac + 1)[1:]]
         )
-    leaves = _refined_panels(lambda k: phi0(packet, k) * tfun(k), edges, refine_tol, smooth_tol)
+    leaves = _refined_panels(lambda k: phi0(packet, k) * tfun(k), edges, _REFINE_TOL, _SMOOTH_TOL)
     leaves = (*leaves, np.abs(leaves[2]).max(axis=1))
     for arr in leaves:
         arr.flags.writeable = False  # shared by every caller through the cache
@@ -295,8 +292,7 @@ def _panel_nodes(packet, x, ts, tfun, config):
     c = packet.units.inv_mass_coeff
     hbar = packet.units.hbar
     density = config.phase_oversampling / (_GL_ORDER * math.pi)  # panels per (rate * dk)
-    rule = (_COARSE_PANELS, _REFINE_TOL, _SMOOTH_TOL)
-    a, b, vals, smooth, leaf_max = _leaves(packet, tfun, config.window_half_width / packet.sigma, rule)
+    a, b, vals, smooth, leaf_max = _leaves(packet, tfun, config.window_half_width / packet.sigma)
     h = b - a
     # |d phase / dk| = |x - beta k|, beta = 2 c t / hbar, is convex in k and t:
     # its largest value on a panel sits at the panel's ends and the extreme times.
@@ -338,11 +334,10 @@ def _split(vals, matrix):
     return (vals.reshape(-1, _GL_ORDER) @ matrix).reshape(*vals.shape[:-2], -1, _GL_ORDER)
 
 
-def _halvings(vals, p, max_nodes=None):
+def _halvings(vals, p, limit):
     """Values at the GL nodes of the ``2**p`` equal sub-panels of each panel,
     from ``vals`` ``(..., n, 16)`` at the panels' own nodes, in k order and in
-    blocks of at most ``max_nodes`` (default ``_CHUNK_NODES``) nodes."""
-    limit = _CHUNK_NODES if max_nodes is None else max_nodes
+    blocks of at most ``limit`` nodes."""
     step = limit >> (4 + p)
     if step == 0:
         for row in range(vals.shape[-2]):
@@ -606,6 +601,6 @@ def psi_quadrature(packet, profile, x, t, config=QuadratureConfig()):
     return _momentum_integral(packet, x, t, _Transmission(profile), config)
 
 
-def psi_free_quadrature(packet, x, t, config=QuadratureConfig()):
+def psi_free_quadrature(packet, x, t):
     """Free amplitude by the same quadrature engine (t(k) = 1)."""
-    return _momentum_integral(packet, _scalar_x(x), t, _free_tfun, config)
+    return _momentum_integral(packet, _scalar_x(x), t, _free_tfun, QuadratureConfig())

@@ -91,7 +91,7 @@ class PoleSearchConfig:
     sweep is deterministic; it stays a field for callers that still pass it,
     but no fingerprint, file or comparison reads it."""
 
-    n_seed: int = 4000
+    n_seed: int
     seed: int = field(default=0, compare=False)
     # the distance below which two poles are one; only the benchmark's
     # catalog checks read it here (the tests read _DEDUP_TOL), so it goes at
@@ -153,11 +153,28 @@ class SweepStats:
         )
 
 
+def _freeze_columns(obj, dtypes):
+    """Store each field named in ``dtypes`` of the frozen dataclass ``obj`` as
+    a read-only array of its dtype.  Raises ``ValueError`` naming the field
+    when it holds a non-finite value or is not as long as the first field."""
+    kind = type(obj).__name__
+    arrays = {name: np.asarray(getattr(obj, name), dtype=dtype) for name, dtype in dtypes.items()}
+    first, n = next((name, len(arr)) for name, arr in arrays.items())
+    for name, arr in arrays.items():
+        if len(arr) != n:
+            raise ValueError(f"{kind}.{name} has {len(arr)} entries, {first} has {n}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{kind}.{name} holds a non-finite value")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class PoleCatalog:
     """Validated, ordered fourth-quadrant poles with per-pole |t22| residuals.
 
     ``stats`` is set by :func:`sweep_poles` and None for a loaded catalog.
+    Non-finite values and arrays of unequal length are refused.
     """
 
     poles: np.ndarray
@@ -168,12 +185,7 @@ class PoleCatalog:
     stats: SweepStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        poles = np.asarray(self.poles, dtype=complex)
-        residuals = np.asarray(self.residuals, dtype=float)
-        poles.setflags(write=False)
-        residuals.setflags(write=False)
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "residuals", residuals)
+        _freeze_columns(self, {"poles": complex, "residuals": float})
 
     def __len__(self):
         return len(self.poles)
@@ -445,7 +457,7 @@ def _fill(profile, box, count, found, counts):
     return found
 
 
-def sweep_poles(profile, config=PoleSearchConfig()):
+def sweep_poles(profile, config):
     """Lockstep Newton, one zero count of the sweep box and the fill (see the
     module docstring); returns a validated :class:`PoleCatalog` whose
     ``stats`` record what the sweep did.  Raises
@@ -577,9 +589,10 @@ def load_catalog(path):
     the columns are not the ten :func:`save_catalog` writes, when another
     header line is missing, when a row is not one number per column or the
     file does not end with a newline, as in a file cut inside a row, and when
-    the checksum does not match the other lines, as in a changed digit.  The
-    checksum is of the bytes as read: no newline translation may hide a
-    changed byte.
+    the checksum does not match the other lines, as in a changed digit; that
+    is checked before the values are, so a value changed to ``nan`` gets it
+    too.  The checksum is of the bytes as read: no newline translation may
+    hide a changed byte.
     """
     data = Path(path).read_bytes()
     digest = _checksum(data)
@@ -614,15 +627,18 @@ def load_catalog(path):
         raise ValueError(f"{path}: {exc}") from None
     if table.shape[1] != len(_COLUMNS):
         raise ValueError(f"{path}: rows have {table.shape[1]} fields, not {len(_COLUMNS)}")
+    config = _parse_config(header["config"])
+    # before the catalog is built, which would refuse a changed value that is
+    # not finite without naming the file
+    if header.get("sha256") != digest:
+        raise ValueError(f"{path}: checksum does not match its lines")
     catalog = PoleCatalog(
         poles=table[:, 1] + 1j * table[:, 2],
         residuals=table[:, 3],
         profile_fingerprint=header["fingerprint"],
         length=float(header["length_nm"]),
-        config=_parse_config(header["config"]),
+        config=config,
     )
-    if header.get("sha256") != digest:
-        raise ValueError(f"{path}: checksum does not match its lines")
     return catalog, {
         "residues": table[:, 4] + 1j * table[:, 5],
         "u0": table[:, 6] + 1j * table[:, 7],

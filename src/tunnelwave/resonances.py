@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poles import _DEDUP_TOL
+from .poles import _DEDUP_TOL, _freeze_columns
 from .potential import _EPS, _VECTOR, PoleProximityError, _second_column, residual_gate
 
 __all__ = [
@@ -62,7 +62,7 @@ class ResonanceState:
     norm_residual: float
 
 
-def _states(profile, kappa, initial_scale=1.0):
+def _states(profile, kappa):
     """Normalized outgoing states at every pole of the 1-d array ``kappa``.
 
     Returns ``(u0, u_l, coefficients, norm_residual)``: arrays over the poles,
@@ -76,15 +76,14 @@ def _states(profile, kappa, initial_scale=1.0):
     t_abs = np.abs(np.exp(1j * kappa * length) * m22)
     gate = residual_gate(length, kappa)
     # u'(L) - i kappa u(L) = -2 i kappa b, so b is the incoming contamination
-    b_end = initial_scale * m22
-    u_end = initial_scale * m12 + b_end
+    b_end = m22
+    u_end = m12 + b_end
     bc_gate = np.maximum(
         _BC_RTOL, 32.0 * _EPS * np.exp(np.minimum(-kappa.imag * length, 690.0))
     )
     coeffs = []
     norm = 0j
     for (a, b, q, ep), (width, _) in zip(entries, profile.layers):
-        a, b = initial_scale * a, initial_scale * b
         coeffs.append((a, b))
         a_out, b_out = a * ep, b / ep
         norm = norm + (
@@ -92,8 +91,7 @@ def _states(profile, kappa, initial_scale=1.0):
             + 2.0 * a * b * width
             + (b * b - b_out * b_out) / (2j * q)
         )
-    u_start = initial_scale
-    norm = norm + 1j * (u_start * u_start + u_end * u_end) / (2.0 * kappa)
+    norm = norm + 1j * (1.0 + u_end * u_end) / (2.0 * kappa)  # u(0) = 1
 
     bad_gate = t_abs > gate
     bad_bc = 2.0 * np.abs(b_end) > bc_gate * np.abs(u_end)
@@ -115,10 +113,10 @@ def _states(profile, kappa, initial_scale=1.0):
     scale = 1.0 / np.sqrt(norm)
     norm_residual = np.abs(norm * scale * scale - 1.0)
     coeffs = [(a * scale, b * scale) for a, b in coeffs]
-    return u_start * scale, u_end * scale, coeffs, norm_residual
+    return scale, u_end * scale, coeffs, norm_residual
 
 
-def resonance_state(profile, kappa, initial_scale=1.0):
+def resonance_state(profile, kappa):
     """Construct the normalized resonance state at a validated pole.
 
     The state is grown in the local plane-wave basis, ``u = a e^{iq xi} +
@@ -132,11 +130,7 @@ def resonance_state(profile, kappa, initial_scale=1.0):
     :class:`NormalizationDegenerateError` when the norm integral vanishes.
     """
     kap = complex(kappa)
-    if initial_scale == 0:
-        raise ValueError("initial_scale must be nonzero")
-    u0, u_l, coeffs, norm_residual = _states(
-        profile, np.array([kap]), complex(initial_scale)
-    )
+    u0, u_l, coeffs, norm_residual = _states(profile, np.array([kap]))
     return ResonanceState(
         kappa=kap,
         u0=complex(u0[0]),
@@ -148,17 +142,16 @@ def resonance_state(profile, kappa, initial_scale=1.0):
 
 @dataclass(frozen=True)
 class ResidueSet:
-    """Residues r_n = u_n(0) u_n(L) / kappa_n aligned with a PoleCatalog."""
+    """Residues r_n = u_n(0) u_n(L) / kappa_n aligned with a PoleCatalog.
+
+    Non-finite values and arrays of unequal length are refused."""
 
     residues: np.ndarray
     u0: np.ndarray
     u_l: np.ndarray
 
     def __post_init__(self):
-        for name in ("residues", "u0", "u_l"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze_columns(self, dict.fromkeys(("residues", "u0", "u_l"), complex))
 
     def __len__(self):
         return len(self.residues)
@@ -174,6 +167,11 @@ def residues(profile, catalog):
 def _pair_arrays(profile, catalog, residue_set, n_poles=None):
     """Poles and z_n = r_n exp(-i kappa_n L), ascending |kappa|, first n_poles."""
     n_cat = len(catalog)
+    if len(residue_set) != n_cat:
+        raise ValueError(
+            f"residue set has {len(residue_set)} entries, catalog has {n_cat}; "
+            "a residue set must be built from its catalog"
+        )
     if n_poles is None:
         n_poles = n_cat
     if not 1 <= n_poles <= n_cat:
@@ -248,19 +246,19 @@ def expansion_t(profile, k, catalog, residue_set, n_poles=None):
     return out.reshape(k_arr.shape)
 
 
-def _pole_terms(profile, catalog, residue_set, n_poles=None):
-    """``(C, poles, coefs)`` over the first ``n_poles`` (n, -n) pairs in
-    ascending |kappa|: the kappa_n then their mirrors ``-conj(kappa_n)``, and
+def _pole_terms(profile, catalog, residue_set):
+    """``(C, poles, coefs)`` over the catalog's (n, -n) pairs in ascending
+    |kappa|: the kappa_n then their mirrors ``-conj(kappa_n)``, and
     ``z_n kappa_n`` then their conjugates, ``z_n = r_n exp(-i kappa_n L)``.
     C = i sum over +-n of z_n; each pair gives ``-2 Im z_n`` exactly, so C
     is real."""
-    kap, z = _pair_arrays(profile, catalog, residue_set, n_poles)
+    kap, z = _pair_arrays(profile, catalog, residue_set)
     coef = z * kap
     c_const = complex(-2.0 * float(np.sum(z.imag)), 0.0)
     return c_const, np.concatenate([kap, -np.conj(kap)]), np.concatenate([coef, np.conj(coef)])
 
 
-def coefficient_C(profile, catalog, residue_set, n_poles=None):
+def coefficient_C(profile, catalog, residue_set):
     """Potential-only constant C = i sum_n r_n exp(-i kappa_n L) over +-n,
     which is real (see :func:`_pole_terms`)."""
-    return _pole_terms(profile, catalog, residue_set, n_poles)[0]
+    return _pole_terms(profile, catalog, residue_set)[0]

@@ -134,14 +134,26 @@ class TestTransmittedPacket:
                 call(*args)
 
     def test_nan_residue_rejected_without_a_warning(self, sb_data):
+        # refused where it enters, not by the bracket, which would blame x and t
         rset = sb_data.residues
         bad = rset.residues.copy()
         bad[0] = math.nan
-        args = (sb_data.packet, SB, sb_data.catalog, ResidueSet(bad, rset.u0, rset.u_l))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="bracket sum is not finite"):
-                transmitted_packet_log(*args, 2.0 * SB.length, 5.0)
+            with pytest.raises(ValueError, match="ResidueSet.residues holds a non-finite value"):
+                ResidueSet(bad, rset.u0, rset.u_l)
+
+    def test_overflowing_arguments_refused_naming_the_point(self, sb_data):
+        # finite pole data, x and t, but at k0 = 1e-300 and t = 1e306 fs the
+        # squares of the arguments y' overflow: the bracket's own refusal
+        pk = GaussianPacket(-5.0, 0.5, 1e-300, SB.units)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself warns
+            with pytest.raises(ValueError, match=r"^bracket sum is not finite at x = 16, "
+                                                 r"t = 1e\+306: the closed form's arguments "
+                                                 r"overflow there$"):
+                transmitted_packet_log(pk, SB, sb_data.catalog, sb_data.residues,
+                                       2.0 * SB.length, 1e306)
 
     @pytest.mark.parametrize("call", [
         transmitted_packet_log, zeta, longtime_exponent, asymptotic_cancellation,
@@ -446,10 +458,9 @@ class TestNearField:
     @example(system="sb300", fracs=[(_FX_2L, 0.0)] * 30)
     @example(system="sb", fracs=[(1.0, 0.0)])
     @example(system="sb", fracs=[(0.72, 0.95)])
-    def test_pass_selects_what_the_chunks_find(self, systems, system, fracs):
-        # a bulk call's Faddeeva passes treat every argument as the point's
-        # own one-point chunk does: all-near chunks, mixed chunks and
-        # no-near chunks give each point the bits it gets alone
+    def test_bulk_call_equals_one_point_calls_bit_for_bit(self, systems, system, fracs):
+        # all-near chunks, mixed chunks and no-near chunks give each point
+        # the bits its own one-point call gives
         packet, profile, catalog, rset = systems[system]
         xs, ts = self.points(packet, profile, catalog, fracs)
         bulk = transmitted_packet_log(packet, profile, catalog, rset, xs, ts)

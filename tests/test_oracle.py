@@ -340,7 +340,7 @@ class TestInterpolatedLeaves:
             for p in range(4):
                 n = m << p
                 split = (vals @ oracle._split_t(m)).reshape(-1, 16)
-                got = np.concatenate(list(oracle._halvings(split, p))).ravel()
+                got = np.concatenate(list(oracle._halvings(split, p, oracle._CHUNK_NODES))).ravel()
                 mids = (2.0 * np.arange(n) + 1.0) / n - 1.0
                 want = f((mids[:, None] + oracle._GL_NODES / n).ravel())
                 assert np.max(np.abs(got - want)) <= 5e-15
@@ -351,11 +351,10 @@ class TestInterpolatedLeaves:
             assert np.array_equal(oracle._interp_matrix(oracle._GL_NODES), np.eye(16))
         assert np.array_equal(oracle._split_t(1), np.eye(16))
 
-    def test_halvings_split_a_panel_larger_than_a_chunk(self, monkeypatch):
+    def test_halvings_split_a_panel_larger_than_a_chunk(self):
         vals = np.random.default_rng(3).normal(size=(3, 16)) + 0j
-        whole = np.concatenate(list(oracle._halvings(vals, 4)))
-        monkeypatch.setattr(oracle, "_CHUNK_NODES", 64)
-        blocks = list(oracle._halvings(vals, 4))
+        whole = np.concatenate(list(oracle._halvings(vals, 4, oracle._CHUNK_NODES)))
+        blocks = list(oracle._halvings(vals, 4, 64))
         assert max(b.size for b in blocks) <= 64
         assert np.max(np.abs(np.concatenate(blocks) - whole)) <= 1e-15 * np.max(np.abs(whole))
 
@@ -368,8 +367,8 @@ class TestInterpolatedLeaves:
         quad, free = psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)
         rounded = node_counts()
         monkeypatch.setattr(oracle, "_SMOOTH_TOL", -1.0)  # no leaf is smooth
-        # the patched rule gets leaves of its own, not the memo's: with no
-        # sub-panel count rounded up, both engines need fewer nodes
+        oracle._leaves.cache_clear()  # so the patched rule builds its own leaves
+        # with no sub-panel count rounded up, both engines need fewer nodes
         assert all(d < r for d, r in zip(node_counts(), rounded))
         quad_d, free_d = psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)
         assert np.max(np.abs(quad - quad_d)) <= 2e-15 * np.max(np.abs(quad_d))
@@ -401,8 +400,9 @@ class TestInterpolatedLeaves:
         rounded, _ = oracle._panel_nodes(*args)
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_SMOOTH_TOL", -1.0)
+            oracle._leaves.cache_clear()  # so the patched rule builds its own leaves
             direct, _ = oracle._panel_nodes(*args)
-        assert direct < rounded  # the patched rule's leaves are not the memo's
+        assert direct < rounded
 
         def no_nodes(*args, **kwargs):
             raise AssertionError("nodes built past the budget")
@@ -432,9 +432,14 @@ class TestCutoffTailLeaves:
         else:
             t_flight = (x - pk.x_c) / pk.velocity
             ts = np.linspace(0.5 * t_flight, 2.0 * t_flight, 8)
-        for run in (functools.partial(psi_quadrature, pk, profile, x),
-                    functools.partial(psi_free_quadrature, pk, x)):
-            fine = run(ts, CONVERGED)
+        # psi_free_quadrature takes no config: its converged grid comes from
+        # the engine both functions call
+        for run, fine in (
+            (functools.partial(psi_quadrature, pk, profile, x),
+             psi_quadrature(pk, profile, x, ts, CONVERGED)),
+            (functools.partial(psi_free_quadrature, pk, x),
+             oracle._momentum_integral(pk, x, ts, oracle._free_tfun, CONVERGED)),
+        ):
             got = np.array([run(t) for t in ts])
             assert np.max(np.abs(got - fine)) <= 1e-13 * np.max(np.abs(fine))
 
@@ -453,8 +458,7 @@ class TestCutoffTailLeaves:
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_node_blocks", capture)
             n_nodes, _ = oracle._panel_nodes(pk, x, np.asarray(ts), tfun, config)
-        rule = (oracle._COARSE_PANELS, oracle._REFINE_TOL, oracle._SMOOTH_TOL)
-        a, b, vals, smooth = oracle._leaves(pk, tfun, config.window_half_width / pk.sigma, rule)[:4]
+        a, b, vals, smooth = oracle._leaves(pk, tfun, config.window_half_width / pk.sigma)[:4]
         leaf_max = np.abs(vals).max(axis=1)
         tail = leaf_max <= 2.0**-32 * leaf_max.max()
         betas = 2.0 * pk.units.inv_mass_coeff * np.array([np.min(ts), np.max(ts)]) / pk.units.hbar
@@ -605,10 +609,9 @@ class TestLeafMemo:
     def test_cached_leaves_are_read_only(self):
         pk = make_packet()
         half = QuadratureConfig().window_half_width / pk.sigma
-        rule = (oracle._COARSE_PANELS, oracle._REFINE_TOL, oracle._SMOOTH_TOL)
         psi_quadrature(pk, SB, 2.0 * SB.length, 5.0)
         hits = oracle._leaves.cache_info().hits
-        leaves = oracle._leaves(pk, oracle._Transmission(SB), half, rule)
+        leaves = oracle._leaves(pk, oracle._Transmission(SB), half)
         assert oracle._leaves.cache_info().hits == hits + 1
         for arr in leaves:
             assert not arr.flags.writeable

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -426,6 +427,23 @@ def _save(data, path):
     save_catalog(data.catalog, path, residues=rset.residues, u0=rset.u0, u_l=rset.u_l)
 
 
+class TestCatalogData:
+    """A catalog refuses what no sweep writes."""
+
+    @pytest.mark.parametrize("field", ["poles", "residuals"])
+    def test_non_finite_value_rejected(self, sb_data, field):
+        values = np.array(getattr(sb_data.catalog, field))
+        values[3] = math.nan if field == "residuals" else complex(0.5, math.inf)
+        with pytest.raises(ValueError, match=f"PoleCatalog.{field} holds a non-finite value"):
+            dataclasses.replace(sb_data.catalog, **{field: values})
+
+    def test_unequal_lengths_rejected(self, sb_data):
+        catalog = sb_data.catalog
+        with pytest.raises(ValueError, match=rf"residuals has {len(catalog) - 1} entries, "
+                                             rf"poles has {len(catalog)}"):
+            dataclasses.replace(catalog, residuals=catalog.residuals[:-1])
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path, db_data):
         path = tmp_path / "cat.csv"
@@ -521,6 +539,19 @@ class TestSerialization:
             path.write_text(text.replace(config_line, changed))
             with pytest.raises(ValueError, match="config keys"):
                 load_catalog(path)
+
+    @pytest.mark.parametrize("column", [1, 4], ids=["pole", "residue"])
+    def test_nan_value_gets_the_checksum_message(self, tmp_path, sb_data, column):
+        # the checksum is compared before the catalog refuses the value
+        path = tmp_path / "cat.csv"
+        _save(sb_data, path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[-1].split(",")
+        fields[column] = "nan"
+        lines[-1] = ",".join(fields)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checksum does not match"):
+            load_catalog(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"

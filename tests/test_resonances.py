@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from tunnelwave import resonances
-from tunnelwave.poles import _DEDUP_TOL
+from tunnelwave.poles import _DEDUP_TOL, PoleSearchConfig, sweep_poles
 from tunnelwave.potential import (
     PoleProximityError,
+    PotentialProfile,
     t22_with_prime,
     transmission_amplitude,
     transmission_coefficient,
@@ -30,6 +31,8 @@ from tunnelwave.resonances import (
 SB = preset_profile("sb")
 DB = preset_profile("db")
 QB = preset_profile("qb")
+# 1 nm / 0.4 eV, a 3 nm well and 14 nm / 0.4 eV at the default mass ratio 0.067
+THIN_THICK = PotentialProfile(((1.0, 0.4), (3.0, 0.0), (14.0, 0.4)))
 
 _GL_N, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -48,6 +51,11 @@ def quadrature_norm(profile, state):
         u = a * np.exp(1j * q * xi) + b * np.exp(-1j * q * xi)
         total += complex(np.sum(ws * u * u))
     return total + 1j * (state.u0**2 + state.u_l**2) / (2.0 * state.kappa)
+
+
+def truncated_c(profile, catalog, residue_set, n):
+    """C_N over the first ``n`` pole pairs: each pair gives ``-2 Im z_n``."""
+    return -2.0 * float(np.sum(_pair_arrays(profile, catalog, residue_set, n)[1].imag))
 
 
 def mp_expansion(k, kap, z):
@@ -112,40 +120,25 @@ class TestResonanceState:
                 norm = quadrature_norm(data.profile, st)
                 assert abs(norm - 1.0) <= 1e-8
 
-    def test_scale_invariance_up_to_sign(self, sb_data):
-        kappa = sb_data.catalog.poles[0]
-        base = resonance_state(SB, kappa)
-        scaled = resonance_state(SB, kappa, initial_scale=2.7 - 0.4j)
-        ratio = scaled.u0 / base.u0
-        assert abs(abs(ratio) - 1.0) <= 1e-10
-        assert min(abs(ratio - 1.0), abs(ratio + 1.0)) <= 1e-10
-        assert abs(scaled.u0 * scaled.u_l - base.u0 * base.u_l) <= 1e-10 * abs(
-            base.u0 * base.u_l
-        )
-
     def test_not_a_pole_rejected(self):
         with pytest.raises(NotAPoleError):
             resonance_state(SB, 0.5 - 0.05j)
 
-    def test_incoming_right_boundary_rejected(self, monkeypatch):
-        # |t22| and the incoming amplitude at x = L are both m22, up to
-        # exp(ikL), so a point the |t22| gate lets through fails this check
-        # only where u(L) ~ 0, which no state has; with the gate opened, a
-        # point that is no pole reaches it
-        monkeypatch.setattr(
-            resonances, "residual_gate", lambda length, kappa: np.full(kappa.shape, np.inf)
-        )
-        with pytest.raises(NotAPoleError, match="right-boundary incoming amplitude"):
-            resonance_state(SB, 0.5 - 0.05j)
+    def test_incoming_right_boundary_rejected(self):
+        # the sweep certifies all 300 poles of this stack, but the state of
+        # its first resonance, grown from u(0) = 1, ends at |u(L)| = 2.5e-4,
+        # where the incoming amplitude m22 left by the pole's residual is
+        # more than 1e-8 of |u(L)|
+        catalog = sweep_poles(THIN_THICK, PoleSearchConfig(n_seed=300))
+        assert len(catalog) == 300
+        with pytest.raises(NotAPoleError, match=r"right-boundary incoming amplitude "
+                                                r".* vs \|u\(L\)\| 2\.50\de-04 at \(0\.54938428"):
+            residues(THIN_THICK, catalog)
 
     def test_degenerate_norm_rejected(self, sb_data, monkeypatch):
         monkeypatch.setattr(resonances, "_NORM_MIN", 1e300)
         with pytest.raises(NormalizationDegenerateError, match=r"\|norm\| = "):
             residues(SB, sb_data.catalog)
-
-    def test_zero_scale_rejected(self, sb_data):
-        with pytest.raises(ValueError):
-            resonance_state(SB, sb_data.catalog.poles[0], initial_scale=0.0)
 
     def test_parity_of_symmetric_profile(self, db_data):
         # DB is mirror symmetric, so |u(0)| = |u(L)| for every state
@@ -155,15 +148,6 @@ class TestResonanceState:
 
 
 class TestResidues:
-    def test_sign_convention_free(self, sb_data):
-        # r_n depends on u0*uL, so the normalization sign drops out
-        kappa = sb_data.catalog.poles[2]
-        plus = resonance_state(SB, kappa)
-        minus = resonance_state(SB, kappa, initial_scale=-1.0)
-        assert abs(plus.u0 * plus.u_l - minus.u0 * minus.u_l) <= 1e-12 * abs(
-            plus.u0 * plus.u_l
-        )
-
     def test_against_contour_integral(self, preset_data):
         # residue of t(k) e^{ikL} / (ik) at kappa_n equals r_n
         for data in preset_data.values():
@@ -241,6 +225,34 @@ class TestResidues:
         assert np.max(np.abs(t_single - t_exact)) <= 5e-2
 
 
+class TestResidueSetData:
+    def test_non_finite_or_unequal_arrays_rejected(self, sb_data):
+        rset = sb_data.residues
+        for field in ("residues", "u0", "u_l"):
+            bad = dict(residues=rset.residues, u0=rset.u0, u_l=rset.u_l)
+            bad[field] = np.array(bad[field])
+            bad[field][5] = complex(math.nan, 0.0)
+            with pytest.raises(ValueError, match=f"ResidueSet.{field} holds a non-finite value"):
+                resonances.ResidueSet(**bad)
+        with pytest.raises(ValueError, match=rf"u_l has {len(rset) - 1} entries, "
+                                             rf"residues has {len(rset)}"):
+            resonances.ResidueSet(rset.residues, rset.u0, rset.u_l[:-1])
+
+    def test_set_of_another_catalog_rejected(self):
+        # sb's residues at n_seed 80 on its n_seed 60 catalog, and back:
+        # neither is used by its first entries or indexed past its end, in
+        # the expansion or in the closed form's pole terms
+        small = sweep_poles(SB, PoleSearchConfig(n_seed=60))
+        large = sweep_poles(SB, PoleSearchConfig(n_seed=80))
+        for catalog, other in ((small, large), (large, small)):
+            rset = residues(SB, other)
+            match = rf"residue set has {len(other)} entries, catalog has {len(catalog)}"
+            with pytest.raises(ValueError, match=match):
+                expansion_t(SB, 0.5, catalog, rset)
+            with pytest.raises(ValueError, match=match):
+                _pole_terms(SB, catalog, rset)
+
+
 class TestExpansion:
     def test_zero_momentum_limit(self, sb_data):
         val = expansion_t(SB, 1e-12 + 0j, sb_data.catalog, sb_data.residues, 50)
@@ -304,8 +316,6 @@ class TestExpansion:
         for n in (0, len(catalog) + 1):
             with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
                 expansion_t(SB, 0.5, catalog, rset, n)
-            with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
-                coefficient_C(SB, catalog, rset, n)
 
 
 class TestExpansionKernel:
@@ -384,15 +394,9 @@ class TestExpansionKernel:
 
 
 class TestCoefficientC:
-    def test_empty_sum(self, sb_data):
-        # An empty pole sum is no truncation: n_poles must lie in 1..N.
-        catalog = sb_data.catalog
-        with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
-            coefficient_C(SB, catalog, sb_data.residues, 0)
-
     def test_pole_terms_list_each_pole_then_its_mirror(self, db_data):
-        kap, z = _pair_arrays(DB, db_data.catalog, db_data.residues, 40)
-        c, poles, coefs = _pole_terms(DB, db_data.catalog, db_data.residues, 40)
+        kap, z = _pair_arrays(DB, db_data.catalog, db_data.residues)
+        c, poles, coefs = _pole_terms(DB, db_data.catalog, db_data.residues)
         # C = i sum over +-n of z_n, with z_{-n} = -conj(z_n)
         assert c.imag == 0.0 and abs(c - 1j * np.sum(np.concatenate([z, -np.conj(z)]))) <= 1e-14
         assert np.array_equal(poles, np.concatenate([kap, -np.conj(kap)]))
@@ -408,8 +412,7 @@ class TestCoefficientC:
         # expansion's large-k limit cannot be taken term by term.  Verified
         # against the residue/derivative identity and the spectra tests.
         for data in preset_data.values():
-            c300 = coefficient_C(data.profile, data.catalog, data.residues, 300)
-            assert abs(c300.real - 0.5) <= 0.05
+            assert abs(truncated_c(data.profile, data.catalog, data.residues, 300) - 0.5) <= 0.05
             c_full = coefficient_C(data.profile, data.catalog, data.residues)
             assert abs(c_full.real - 0.5) <= 0.01
 
@@ -417,6 +420,6 @@ class TestCoefficientC:
         # algebraic limit of the truncated sum: expansion(k >> all kappa) -> C_N
         k_far = 1e3 * math.pi / SB.length
         for n in (50, 150):
-            c_n = coefficient_C(SB, sb_data.catalog, sb_data.residues, n)
+            c_n = truncated_c(SB, sb_data.catalog, sb_data.residues, n)
             val = expansion_t(SB, k_far, sb_data.catalog, sb_data.residues, n)
             assert abs(val - c_n) <= 0.05
