@@ -240,10 +240,14 @@ class _BracketEvaluator:
         # its terms), reused by every chunk
         bufs = np.empty((2, rows, n_terms), dtype=complex)
         out = np.empty(len(x), dtype=complex)
-        for s in range(0, len(x), rows):
-            part = slice(s, s + rows)
-            n = min(rows, len(x) - s)
-            out[part] = self._chunk(x[part], t[part], *bufs[:, :n])
+        # an argument whose square overflows makes its row's Faddeeva values
+        # and exponents non-finite without a warning, and its sum is refused
+        # below, naming the point
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, len(x), rows):
+                part = slice(s, s + rows)
+                n = min(rows, len(x) - s)
+                out[part] = self._chunk(x[part], t[part], *bufs[:, :n])
         # a zero bracket has log -inf; nan or +inf means a non-finite sum
         bad = np.flatnonzero(np.isnan(out) | (out.real == math.inf))
         if len(bad):
@@ -293,9 +297,7 @@ class _BracketEvaluator:
         if shift.any():
             np.multiply(w_rows, scale[:, None], out=w_rows, where=shift[:, None] > 0.0)
             a -= np.repeat(shift, runs)
-        # an argument whose square overflows makes its row's exponents
-        # non-finite, and log_bracket refuses the row's sum
-        with np.errstate(under="ignore", invalid="ignore"):
+        with np.errstate(under="ignore"):
             np.exp(a, out=a)
             a *= 2.0
             w[refl] += a
@@ -304,7 +306,7 @@ class _BracketEvaluator:
         terms = np.multiply(w_rows, self.coefs, out=work)
         total = self.c_const * scale + prefac * np.sum(terms, axis=1)
         # a zero bracket has log -inf
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore"):
             return np.log(total) + shift
 
 

@@ -106,10 +106,10 @@ class PoleSearchConfig:
         return f"n_seed={self.n_seed}"
 
 
-# bumped whenever the sweep, its constants or t22 can move the bits of a
-# catalog under an unchanged config, so that caches written before are
-# rebuilt, not reused
-_CATALOG_REVISION = 3
+# bumped whenever the sweep, its constants, t22 or the residues can move the
+# bits of a cached catalog or its residue columns under an unchanged config,
+# so that caches written before are rebuilt, not reused
+_CATALOG_REVISION = 4
 
 
 def catalog_fingerprint(profile, config):
@@ -155,10 +155,11 @@ class SweepStats:
 
 def _freeze_columns(obj, dtypes):
     """Store each field named in ``dtypes`` of the frozen dataclass ``obj`` as
-    a read-only array of its dtype.  Raises ``ValueError`` naming the field
-    when it holds a non-finite value or is not as long as the first field."""
+    a read-only copy of its dtype, so the caller's array stays writeable.
+    Raises ``ValueError`` naming the field when it holds a non-finite value
+    or is not as long as the first field."""
     kind = type(obj).__name__
-    arrays = {name: np.asarray(getattr(obj, name), dtype=dtype) for name, dtype in dtypes.items()}
+    arrays = {name: np.array(getattr(obj, name), dtype=dtype) for name, dtype in dtypes.items()}
     first, n = next((name, len(arr)) for name, arr in arrays.items())
     for name, arr in arrays.items():
         if len(arr) != n:

@@ -1,17 +1,16 @@
 """Resonance (outgoing-wave) states, residues, and the pole expansion of t(k).
 
 A state at pole kappa is grown from u(0)=1, u'(0)=-i kappa through the layer
-stack, checked against the outgoing condition at x=L, then rescaled by the
-square root of the non-Hermitian norm
-
-    integral_0^L u^2 dx + i (u(0)^2 + u(L)^2) / (2 kappa) = 1.
+stack and rescaled by the square root of its non-Hermitian norm
+integral_0^L u^2 dx + i (u(0)^2 + u(L)^2) / (2 kappa), which at a zero of
+t22 is N = i u(L) exp(-i kappa L) t22'(kappa) (Garcia-Calderon and Peierls,
+Nucl. Phys. A 265 (1976) 443).  So the residue u(0) u(L)/kappa of
+t(k) exp(ikL)/(ik) is 1/(i kappa exp(-i kappa L) t22'(kappa)).
 
 In the local plane-wave basis that start is ``(a, b) = (0, 1)``, so the
 state's layer amplitudes are the second column of the partial transfer
-matrices: the same kernel that gives t22 grows every state.  One vector pass
-over the layers builds the states at all catalog poles at once, with the
-|t22| gate, the right-boundary check, the closed-form layer integrals of u^2
-and the scaling; :func:`resonance_state` is that pass for one pole.
+matrices: the kernel pass that gives t22 and t22' grows the states at all
+catalog poles at once; :func:`resonance_state` is that pass for one pole.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poles import _DEDUP_TOL, _freeze_columns
-from .potential import _EPS, _VECTOR, PoleProximityError, _second_column, residual_gate
+from .potential import _VECTOR, PoleProximityError, _second_column, residual_gate
 
 __all__ = [
     "NormalizationDegenerateError",
@@ -34,7 +33,6 @@ __all__ = [
     "resonance_state",
 ]
 
-_BC_RTOL = 1e-8
 _NORM_MIN = 1e-14
 # (points x poles) elements per expansion_t block: two complex buffers of
 # 256 KiB each, which stay in cache between the passes over a block
@@ -42,7 +40,7 @@ _CHUNK = 2**14
 
 
 class NotAPoleError(ValueError):
-    """The supplied wavenumber does not satisfy the outgoing conditions."""
+    """The supplied wavenumber is no zero of t22 within the sweep's gate."""
 
 
 class NormalizationDegenerateError(ArithmeticError):
@@ -59,44 +57,29 @@ class ResonanceState:
     # (A_j, B_j) for u = A e^{i q xi} + B e^{-i q xi} per layer, with q the
     # principal root of kappa^2 - V_j/c, negated where Re kappa < 0
     coefficients: tuple
-    norm_residual: float
 
 
 def _states(profile, kappa):
     """Normalized outgoing states at every pole of the 1-d array ``kappa``.
 
-    Returns ``(u0, u_l, coefficients, norm_residual)``: arrays over the poles,
+    Returns ``(u0, u_l, coefficients)``: arrays over the poles,
     ``coefficients`` a list of per-layer ``(A_j, B_j)`` array pairs.  Raises
     for the first pole, in array order, that fails a check, with the error
     of the first check it fails.
     """
     length = profile.length
     entries = []
-    _, m12, m22, _, _ = _second_column(profile, kappa, _VECTOR, entries=entries)
+    _, m12, m22, _, d22 = _second_column(
+        profile, kappa, _VECTOR, with_prime=True, entries=entries
+    )
     t_abs = np.abs(np.exp(1j * kappa * length) * m22)
     gate = residual_gate(length, kappa)
-    # u'(L) - i kappa u(L) = -2 i kappa b, so b is the incoming contamination
-    b_end = m22
-    u_end = m12 + b_end
-    bc_gate = np.maximum(
-        _BC_RTOL, 32.0 * _EPS * np.exp(np.minimum(-kappa.imag * length, 690.0))
-    )
-    coeffs = []
-    norm = 0j
-    for (a, b, q, ep), (width, _) in zip(entries, profile.layers):
-        coeffs.append((a, b))
-        a_out, b_out = a * ep, b / ep
-        norm = norm + (
-            (a_out * a_out - a * a) / (2j * q)
-            + 2.0 * a * b * width
-            + (b * b - b_out * b_out) / (2j * q)
-        )
-    norm = norm + 1j * (1.0 + u_end * u_end) / (2.0 * kappa)  # u(0) = 1
+    u_end = m12 + m22
+    # N = i u(L) exp(-i kappa L) t22'(kappa), with t22 = exp(i kappa L) m22
+    norm = 1j * u_end * (1j * length * m22 + d22)
 
     bad_gate = t_abs > gate
-    bad_bc = 2.0 * np.abs(b_end) > bc_gate * np.abs(u_end)
-    bad_norm = np.abs(norm) < _NORM_MIN
-    bad = bad_gate | bad_bc | bad_norm
+    bad = bad_gate | (np.abs(norm) < _NORM_MIN)
     if np.any(bad):
         i = int(np.argmax(bad))
         kap = complex(kappa[i])
@@ -104,16 +87,10 @@ def _states(profile, kappa):
             raise NotAPoleError(
                 f"|t22| = {t_abs[i]:.3e} exceeds gate {gate[i]:.3e} at {kap!r}"
             )
-        if bad_bc[i]:
-            raise NotAPoleError(
-                f"right-boundary incoming amplitude {abs(b_end[i]):.3e} vs |u(L)| "
-                f"{abs(u_end[i]):.3e} at {kap!r}"
-            )
         raise NormalizationDegenerateError(f"|norm| = {abs(norm[i]):.3e} at {kap!r}")
     scale = 1.0 / np.sqrt(norm)
-    norm_residual = np.abs(norm * scale * scale - 1.0)
-    coeffs = [(a * scale, b * scale) for a, b in coeffs]
-    return scale, u_end * scale, coeffs, norm_residual
+    coeffs = [(a * scale, b * scale) for a, b, _, _ in entries]
+    return scale, u_end * scale, coeffs
 
 
 def resonance_state(profile, kappa):
@@ -122,21 +99,20 @@ def resonance_state(profile, kappa):
     The state is grown in the local plane-wave basis, ``u = a e^{iq xi} +
     b e^{-i q xi}`` per layer, which keeps the growing and decaying
     components separated for arbitrarily deep poles; the (u, u') form loses
-    exp(2 |Im kappa| L) digits there.  Layer integrals of u^2 use only the
-    bounded entry/exit amplitudes.
+    exp(2 |Im kappa| L) digits there.  The norm is the module's
+    ``i u(L) exp(-i kappa L) t22'(kappa)``.
 
     Raises :class:`NotAPoleError` when ``|t22(kappa)|`` exceeds the (depth
-    aware) gate or the right boundary fails the outgoing condition, and
-    :class:`NormalizationDegenerateError` when the norm integral vanishes.
+    aware) gate of the pole sweep, and :class:`NormalizationDegenerateError`
+    when the norm vanishes, where u(L) or t22' does.
     """
     kap = complex(kappa)
-    u0, u_l, coeffs, norm_residual = _states(profile, np.array([kap]))
+    u0, u_l, coeffs = _states(profile, np.array([kap]))
     return ResonanceState(
         kappa=kap,
         u0=complex(u0[0]),
         u_l=complex(u_l[0]),
         coefficients=tuple((complex(a[0]), complex(b[0])) for a, b in coeffs),
-        norm_residual=float(norm_residual[0]),
     )
 
 
@@ -160,7 +136,7 @@ class ResidueSet:
 def residues(profile, catalog):
     """Residue set for every catalog pole, from normalized resonance states."""
     kappa = catalog.poles
-    u0, u_l, _, _ = _states(profile, kappa)
+    u0, u_l, _ = _states(profile, kappa)
     return ResidueSet(residues=u0 * u_l / kappa, u0=u0, u_l=u_l)
 
 

@@ -273,6 +273,10 @@ class TestPolesCommand:
         # revision 3 as it was written while the inert seed keyed the cache
         self.old_cache_rebuilt(tmp_path / "seed", capsys, "n_seed=60;seed=0", 3)
 
+    def test_cache_of_catalog_revision_3_rebuilt(self, tmp_path, capsys):
+        # revision 3's residue columns came from the layer integrals of u^2
+        self.old_cache_rebuilt(tmp_path / "revision3", capsys, "n_seed=60", 3)
+
     def test_preset_definitions_match_reference_systems(self):
         from tunnelwave.presets import preset_profile
 
@@ -310,6 +314,16 @@ class TestPolesCommand:
         assert run(["poles", "--config", cfg, "--nseed", "80", "--out", out]) == 0
         _, cols = read_csv(out / "poles_custom.csv")
         assert cols["position_eV"][0] == pytest.approx(0.2885, abs=1e-3)
+
+    def test_stack_whose_first_state_ends_small(self, tmp_path):
+        # the first resonance's state, grown from u(0) = 1, ends at |u(L)| =
+        # 2.5e-4; every pole the sweep certifies gets its residue
+        cfg = tmp_path / "thin_thick.cfg"
+        cfg.write_text("layer = 1.0 0.4\nlayer = 3.0 0.0\nlayer = 14.0 0.4\nmass_ratio = 0.067\n")
+        out = tmp_path / "out"
+        assert run(["poles", "--config", cfg, "--nseed", "300", "--out", out]) == 0
+        _, cols = read_csv(out / "poles_custom.csv")
+        assert len(cols["position_eV"]) == 300
 
 
 class TestExitCodes:

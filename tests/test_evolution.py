@@ -148,7 +148,7 @@ class TestTransmittedPacket:
         # squares of the arguments y' overflow: the bracket's own refusal
         pk = GaussianPacket(-5.0, 0.5, 1e-300, SB.units)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself warns
+            warnings.simplefilter("error")  # the refusal, not a warning
             with pytest.raises(ValueError, match=r"^bracket sum is not finite at x = 16, "
                                                  r"t = 1e\+306: the closed form's arguments "
                                                  r"overflow there$"):
