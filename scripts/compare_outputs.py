@@ -11,7 +11,8 @@ occurs.  Each differing column gets a second line with the largest
 ``|a - b|`` relative to the column's peak finite ``|value|`` over both files.
 Exits with 0 when every file is byte-identical, 1 when only values or
 header lines differ, and 2 when the trees hold different files or a file's
-columns or row count differ.
+columns or row count differ, and also when a tree is no directory or
+neither holds a file, so that a run that wrote nothing cannot pass.
 """
 
 import argparse
@@ -100,8 +101,15 @@ def main(argv=None):
     parser.add_argument("dir_a", type=Path)
     parser.add_argument("dir_b", type=Path)
     args = parser.parse_args(argv)
+    for root in (args.dir_a, args.dir_b):
+        if not root.is_dir():
+            print(f"{root}: no such directory")
+            return 2
     files_a = {p.relative_to(args.dir_a) for p in args.dir_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(args.dir_b) for p in args.dir_b.rglob("*") if p.is_file()}
+    if not files_a | files_b:
+        print(f"{args.dir_a} and {args.dir_b} hold no file")
+        return 2
     code = 0
     for rel in sorted(files_a | files_b):
         if rel not in files_a or rel not in files_b:

@@ -231,8 +231,8 @@ def _second_column(profile, k, ops, with_prime=False, entries=None):
     ``(d12, d22)`` is carried only with ``with_prime`` and is ``(0j, 0j)``
     otherwise.  The column is the state
     grown from ``(a, b) = (0, 1)``, so when ``entries`` is a list the entry
-    amplitudes, wavevector and propagation factor ``(a, b, q, exp(iqw))`` of
-    every layer are appended to it.
+    amplitudes ``(a, b)`` of every layer are appended to it, the record that
+    ``resonances.resonance_state`` reads.
 
     Each distinct layer height, interface and (height, width) layer of the
     profile's ``layer_plan`` is evaluated once, at its first use, and kept
@@ -301,14 +301,14 @@ def _second_column(profile, k, ops, with_prime=False, entries=None):
             em = 1.0 / ep
             if with_prime:
                 q_p = k / q
-                factors = (q, ep, em, 1j * w * q_p * ep, -1j * w * q_p * em)
+                factors = (ep, em, 1j * w * q_p * ep, -1j * w * q_p * em)
             else:
-                factors = (q, ep, em, None, None)
+                factors = (ep, em, None, None)
             if reused:
                 span_factors[span] = factors
-        q, ep, em, dp, dm = factors
+        ep, em, dp, dm = factors
         if entries is not None:
-            entries.append((m12, m22, q, ep))
+            entries.append((m12, m22))
         if with_prime:
             d12, d22 = dp * m12 + ep * d12, dm * m22 + em * d22
         m12, m22 = ep * m12, em * m22

@@ -7,10 +7,10 @@ t22 is N = i u(L) exp(-i kappa L) t22'(kappa) (Garcia-Calderon and Peierls,
 Nucl. Phys. A 265 (1976) 443).  So the residue u(0) u(L)/kappa of
 t(k) exp(ikL)/(ik) is 1/(i kappa exp(-i kappa L) t22'(kappa)).
 
-In the local plane-wave basis that start is ``(a, b) = (0, 1)``, so the
-state's layer amplitudes are the second column of the partial transfer
-matrices: the kernel pass that gives t22 and t22' grows the states at all
-catalog poles at once; :func:`resonance_state` is that pass for one pole.
+In the local plane-wave basis that start is ``(a, b) = (0, 1)``: one kernel
+pass gives t22, t22' and u(L) = m12 + m22, so the residues, at all catalog
+poles at once; the per-layer amplitudes the kernel records on request are
+read only by :func:`resonance_state`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poles import _DEDUP_TOL, _freeze_columns
-from .potential import _VECTOR, PoleProximityError, _second_column, residual_gate
+from .potential import _VECTOR, PoleProximityError, _phase, _second_column, residual_gate
 
 __all__ = [
     "NormalizationDegenerateError",
@@ -59,20 +59,17 @@ class ResonanceState:
     coefficients: tuple
 
 
-def _states(profile, kappa):
-    """Normalized outgoing states at every pole of the 1-d array ``kappa``.
-
-    Returns ``(u0, u_l, coefficients)``: arrays over the poles,
-    ``coefficients`` a list of per-layer ``(A_j, B_j)`` array pairs.  Raises
-    for the first pole, in array order, that fails a check, with the error
-    of the first check it fails.
+def _boundary_values(profile, kappa, entries=None):
+    """``(u0, u_l)`` of the normalized states at the poles of the 1-d array
+    ``kappa``, appending the kernel's unscaled per-layer ``(a, b)`` to
+    ``entries`` when it is a list.  Raises for the first pole, in array
+    order, that fails a check, with the error of the first check it fails.
     """
     length = profile.length
-    entries = []
     _, m12, m22, _, d22 = _second_column(
         profile, kappa, _VECTOR, with_prime=True, entries=entries
     )
-    t_abs = np.abs(np.exp(1j * kappa * length) * m22)
+    t_abs = np.abs(_phase(profile, kappa, _VECTOR) * m22)
     gate = residual_gate(length, kappa)
     u_end = m12 + m22
     # N = i u(L) exp(-i kappa L) t22'(kappa), with t22 = exp(i kappa L) m22
@@ -89,8 +86,7 @@ def _states(profile, kappa):
             )
         raise NormalizationDegenerateError(f"|norm| = {abs(norm[i]):.3e} at {kap!r}")
     scale = 1.0 / np.sqrt(norm)
-    coeffs = [(a * scale, b * scale) for a, b, _, _ in entries]
-    return scale, u_end * scale, coeffs
+    return scale, u_end * scale
 
 
 def resonance_state(profile, kappa):
@@ -107,7 +103,9 @@ def resonance_state(profile, kappa):
     when the norm vanishes, where u(L) or t22' does.
     """
     kap = complex(kappa)
-    u0, u_l, coeffs = _states(profile, np.array([kap]))
+    entries = []
+    u0, u_l = _boundary_values(profile, np.array([kap]), entries)
+    coeffs = [(a * u0, b * u0) for a, b in entries]
     return ResonanceState(
         kappa=kap,
         u0=complex(u0[0]),
@@ -134,9 +132,9 @@ class ResidueSet:
 
 
 def residues(profile, catalog):
-    """Residue set for every catalog pole, from normalized resonance states."""
+    """Residue set for every catalog pole, from its state's u(0) and u(L)."""
     kappa = catalog.poles
-    u0, u_l, _ = _states(profile, kappa)
+    u0, u_l = _boundary_values(profile, kappa)
     return ResidueSet(residues=u0 * u_l / kappa, u0=u0, u_l=u_l)
 
 

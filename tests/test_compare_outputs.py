@@ -9,36 +9,44 @@ compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
 CSV = "# tunnelwave 0.1\n# columns: a,b\n1.0,2.0\n3.0,4.0\n"
+FILES = {"x.csv": CSV, "cache/y.csv": CSV}
+SAME = "cache/y.csv: byte-identical"
 
 
 def tree(root, files):
-    for rel, text in files.items():
+    """Write ``files`` under ``root``; ``None`` writes no directory at all."""
+    if files is not None:
+        root.mkdir()
+    for rel, text in (files or {}).items():
         path = root / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     return root
 
 
-@pytest.mark.parametrize("changed, code, line", [
-    ({}, 0, None),
-    ({"x.csv": CSV.replace("4.0", "4.5")}, 1, "b: max rel dev 1.111e-01 (row 2)"),
+@pytest.mark.parametrize("files_a, changed, code, lines", [
+    (FILES, {}, 0, [SAME]),
+    (FILES, {"x.csv": CSV.replace("4.0", "4.5")}, 1,
+     [SAME, "  b: max rel dev 1.111e-01 (row 2)"]),
     # an infinity against a number is an infinite deviation, not nan
-    ({"x.csv": CSV.replace("2.0", "inf").replace("4.0", "4.5")}, 1,
-     "b: max rel dev inf (row 1)"),
-    ({"x.csv": CSV.replace("0.1", "0.2")}, 1, None),
-    ({"x.csv": CSV.replace("a,b", "a,c")}, 2, None),
-    ({"x.csv": CSV + "5.0,6.0\n"}, 2, None),
-    ({"cache/extra.csv": CSV}, 2, None),
-], ids=["identical", "value", "inf", "header", "column", "rows", "extra-file"])
-def test_exit_code(tmp_path, capsys, changed, code, line):
-    files = {"x.csv": CSV, "cache/y.csv": CSV}
-    a = tree(tmp_path / "a", files)
-    b = tree(tmp_path / "b", {**files, **changed})
+    (FILES, {"x.csv": CSV.replace("2.0", "inf").replace("4.0", "4.5")}, 1,
+     [SAME, "  b: max rel dev inf (row 1)"]),
+    (FILES, {"x.csv": CSV.replace("0.1", "0.2")}, 1, [SAME]),
+    (FILES, {"x.csv": CSV.replace("a,b", "a,c")}, 2, [SAME]),
+    (FILES, {"x.csv": CSV + "5.0,6.0\n"}, 2, [SAME]),
+    (FILES, {"cache/extra.csv": CSV}, 2, [SAME]),
+    # a run that wrote nothing must not read as byte-identical
+    (FILES, None, 2, ["b: no such directory"]),
+    ({}, {}, 2, ["b hold no file"]),
+], ids=["identical", "value", "inf", "header", "column", "rows", "extra-file",
+        "missing", "empty"])
+def test_exit_code(tmp_path, capsys, files_a, changed, code, lines):
+    a = tree(tmp_path / "a", files_a)
+    b = tree(tmp_path / "b", None if changed is None else {**files_a, **changed})
     assert compare_outputs.main([str(a), str(b)]) == code
     out = capsys.readouterr().out
-    assert "cache/y.csv: byte-identical" in out
-    if line is not None:
-        assert f"  {line}\n" in out
+    for line in lines:
+        assert f"{line}\n" in out
 
 
 def test_deviation_relative_to_column_peak(tmp_path, capsys):

@@ -224,6 +224,27 @@ class TestResidues:
                 r_single = st.u0 * st.u_l / st.kappa
                 assert abs(r_single - rset.residues[i]) <= 1e-12 * abs(r_single)
 
+    def test_only_resonance_state_records_layers(self, preset_data, monkeypatch):
+        # residues reads u(0) and u(L) alone; the kernel's per-layer record,
+        # two arrays per layer, is asked for by resonance_state only
+        records = []
+        kernel = resonances._second_column
+
+        def spy(*args, entries=None, **kwargs):
+            records.append(entries)
+            return kernel(*args, entries=entries, **kwargs)
+
+        monkeypatch.setattr(resonances, "_second_column", spy)
+        for data in preset_data.values():
+            residues(data.profile, data.catalog)
+        assert records == [None] * 3
+        for data in preset_data.values():
+            records.clear()
+            resonance_state(data.profile, data.catalog.poles[0])
+            [record] = records
+            assert len(record) == len(data.profile.layers)
+            assert all(len(entry) == 2 for entry in record)
+
     def test_top_qb_states_against_50_digits(self, qb_data):
         # the interface coefficient must not cancel at high energy.  u(L)
         # carries the phase of about exp(i kappa L) relative to u(0), and
