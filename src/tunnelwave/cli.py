@@ -65,7 +65,7 @@ class ConfigError(ValueError):
 
 def finite_float(value, what="number"):
     """``float(value)``; a :class:`ConfigError` naming ``what`` unless it is
-    finite.  The float options' argparse type :func:`positive` is built on it."""
+    finite.  The float options' argparse type :func:`above` is built on it."""
     val = float(value)
     if not math.isfinite(val):
         raise ConfigError(f"{what} must be finite, got {value!r}")
@@ -88,12 +88,23 @@ def at_least(low):
 count = at_least(1)
 
 
-def positive(text):
-    """argparse type of a time or energy ratio: finite and above 0."""
-    val = finite_float(text)
-    if val <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
-    return val
+T_START = 1e-3  # evolve's first time, in tau_sys: --tmax must lie past it
+
+
+def above(low):
+    """argparse type of a finite float above ``low``: 0 for a time or energy
+    ratio, ``T_START`` for ``evolve --tmax``."""
+
+    def number(text):
+        val = finite_float(text)
+        if not val > low:
+            raise argparse.ArgumentTypeError(f"must be above {low:g}, got {text!r}")
+        return val
+
+    return number
+
+
+positive = above(0.0)
 
 
 def increasing(item):
@@ -307,7 +318,7 @@ def cmd_evolve(args):
     t_end = args.tmax * tau_sys
     if not math.isfinite(t_end):
         raise ConfigError(f"--tmax {args.tmax!r} times tau_sys {tau_sys!r} fs overflows")
-    ts = np.linspace(1e-3 * tau_sys, t_end, args.tpoints)
+    ts = np.linspace(T_START * tau_sys, t_end, args.tpoints)
     logs = transmitted_packet_log(packet, profile, catalog, rset, x_d, ts)
     with np.errstate(under="ignore"):
         rho = packet.sigma * np.exp(2.0 * np.asarray(logs).real)
@@ -426,7 +437,7 @@ def build_parser():
     p = subs.add_parser("evolve", help="transmitted density over time at fixed x")
     _add_common(p)
     p.add_argument("--xd", required=True, help="detector position, e.g. '2L' or nm")
-    p.add_argument("--tmax", type=positive, default=20.0, help="end time in tau_sys units")
+    p.add_argument("--tmax", type=above(T_START), default=20.0, help="end time in tau_sys units")
     p.add_argument("--tpoints", type=count, default=400)
     p.add_argument("--oracle", action="store_true",
                    help="add the quadrature-oracle column when affordable")

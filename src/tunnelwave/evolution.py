@@ -329,6 +329,13 @@ def _require_finite(packet, x, t):
             )
 
 
+def _require_scalar(**args):
+    """Raise ``ValueError`` naming the first of ``args`` that is not one number."""
+    for name, value in args.items():
+        if np.ndim(value) != 0:
+            raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
+
+
 def _require_transmitted(packet, profile, x, t):
     """Raise ``ValueError`` unless every (x, t) is a finite point of the
     closed form's domain x >= L, t > 0 (see :func:`_require_finite`)."""
@@ -364,8 +371,10 @@ def zeta(packet, profile, catalog, residue_set, x, t0):
     """Density ratio |psi|^2 / |psi_free|^2 at fixed time t0.
 
     Equals |bracket|^2 identically, so it stays finite deep in the packet
-    tails; an underflowing free density still raises, per contract.
+    tails; an underflowing free density still raises, per contract.  ``x``
+    may be an array, ``t0`` is one time.
     """
+    _require_scalar(t0=t0)
     _require_finite(packet, x, t0)
     if np.any(np.asarray(x, float) <= profile.length):
         raise ValueError("zeta requires x > L")
@@ -447,8 +456,10 @@ def asymptotic_cancellation(packet, profile, catalog, residue_set, x_d, t):
     large-argument form (the 1/y' term, plus the exponential branch where the
     argument sits in the lower half-plane) and returns ``(residual, scale)``
     where ``scale`` is the magnitude sum of the next-order 1/y'^3 terms.  At
-    long times the leading sum cancels C up to that scale.
+    long times the leading sum cancels C up to that scale, at the one point
+    ``(x_d, t)``.
     """
+    _require_scalar(x_d=x_d, t=t)
     _require_transmitted(packet, profile, x_d, t)
     ev = _BracketEvaluator(packet, profile, catalog, residue_set)
     y = ev._y_args(np.asarray(x_d, float), np.asarray(t, float))

@@ -47,15 +47,15 @@ Per segment and time only the 16 anchors and the 16 ``D_j`` go through
 from five doubling multiplies.  Each step is exact up to rounding and adds
 at most a few 1e-14 rad; the anchors' own phase rounding, eps |phi|, is that
 of any direct evaluation.  The GL weights and ``w / 2`` ride on the anchors.
-Segments are gathered into blocks of one padded row count, a power of two,
-with zero amplitudes in the padding rows; a segment's sum is exact, the same
-bits in any block, and each row count's sums are added in the order the
-blocks bring them.  That is segment order except where a smooth ``(m, p)``
-group's tails pad to the same row count as whole segments: at sb, 5L and
-t = (x - x_c) / v, 147 segments of 32 rows come in another order at 2**10
-nodes per block than at 2**14.  No bit change of the result has been measured
-there, nor in 60 random packets at 2**9, 2**12 and 2**14.  All times of an
-array call use the same blocks.
+Segments are gathered into blocks of at most ``_CHUNK_NODES`` nodes (at
+least one segment) of one padded row count, a power of two, with zero
+amplitudes in the padding rows.  A segment's sum has the same bits in any
+block.  Each row count's sums are added one at a time in the order the
+pieces bring its segments: the direct leaves' in k order, then the smooth
+leaves' by ``(m, p)`` group, each group's halving blocks (sized by
+``_HALVING_NODES``) in turn, a block's whole segments before its tails.  The
+row counts' totals are added in increasing row count, so ``_CHUNK_NODES``
+changes no bit of the result.
 
 The refinement depends on the packet, the integrand and the window, not on x
 or t, so its leaves are built once per process and reused by every later
@@ -86,6 +86,7 @@ _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _NODE_BUDGET = 10**8
 _CHUNK_NODES = 2**14  # nodes per block of phase sums, bounding the temporaries
+_HALVING_NODES = 2**14  # nodes per block of halvings: sets the smooth pieces and their order
 _EVAL_NODES = 2**12  # nodes per phi0 tfun call: t22's temporaries stay in cache
 _COARSE_PANELS = 128  # equal panels over the window where refinement starts
 _REFINE_TOL = 1e-14  # halving estimate per panel, relative to the sum of |G16|
@@ -286,8 +287,8 @@ def _panel_nodes(packet, x, ts, tfun, config):
     to ``m * 2**p`` sub-panels with ``m <= 15`` on a smooth leaf.  The budget
     is checked on that exact count of nodes, after the refinement (which
     :func:`_leaves` keeps for later calls) and before any node is built.
-    Returns the count and an iterator over blocks of ``phi0(k) tfun(k)`` at
-    the nodes (see :func:`_node_blocks`) that builds them.
+    Returns the count and an iterator over pieces of ``phi0(k) tfun(k)`` at
+    the nodes (see :func:`_node_pieces`) that builds them.
     """
     c = packet.units.inv_mass_coeff
     hbar = packet.units.hbar
@@ -315,7 +316,7 @@ def _panel_nodes(packet, x, ts, tfun, config):
             f"{n_nodes:.3g} nodes or more needed at x={x:.3g}, t <= {ts.max():.3g}, "
             f"over the budget of {_NODE_BUDGET:.3g}; only the analytic path is feasible here"
         )
-    return n_nodes, _node_blocks(packet, tfun, a, h / n_sub, n_sub, vals, smooth, p)
+    return n_nodes, _node_pieces(packet, tfun, a, h / n_sub, n_sub, vals, smooth, p)
 
 
 def _sub_panel_nodes(a, width, first, sub):
@@ -366,7 +367,7 @@ def _direct_pieces(packet, tfun, a, width, n_sub):
 
     Whole segments, at most ``_EVAL_NODES`` nodes of them (at least one
     segment), are evaluated in one call; a piece holds those of one padded
-    row count (see :func:`_gathered`), the padding rows zero.
+    row count, a power of two, the padding rows zero.
     """
     first, counts, start = _segments(n_sub)
     leaf = np.repeat(np.arange(n_sub.size), counts)
@@ -419,7 +420,7 @@ def _smooth_pieces(a, width, n_sub, vals, smooth, p):
         anchors_g = anchors[segs].reshape(-1, full + (tail > 0), _GL_ORDER)
         widths_g = widths[segs].reshape(-1, full + (tail > 0))
         # halving blocks of whole spans, so that no segment straddles two blocks
-        nodes = _GL_ORDER * span * max(1, _CHUNK_NODES // (_GL_ORDER * span))
+        nodes = _GL_ORDER * span * max(1, _HALVING_NODES // (_GL_ORDER * span))
         i = 0
         for block in _halvings(_split(parts[:, lo:hi], _split_t(m_g)), p_g, nodes):
             spans = block.reshape(2, -1, span, _GL_ORDER)
@@ -432,64 +433,18 @@ def _smooth_pieces(a, width, n_sub, vals, smooth, p):
             i = j
 
 
-def _gathered(pieces):
-    """Blocks ``(amps (R, S, 16), k0 (S, 16), width (S,))`` for the phase sums.
-
-    A piece is ``(parts, k0, width)``: the real and imaginary parts
-    ``(2, S, L, 16)`` of ``phi0 tfun`` at the nodes of S segments of L
-    sub-panels, their anchors (the nodes of each segment's first sub-panel)
-    and their sub-panel widths.  Each segment is copied into a buffer of
-    ``R = 2**ceil(log2 L)`` rows (rows past L are zero), which is yielded when it holds
-    ``_CHUNK_NODES`` nodes (at least one segment) and at the end.  A row
-    count's segments keep their order; the buffers are reused, so each block
-    must be used before the next is asked for.
-    """
-    bufs = {}
-    for parts, k0, width in pieces:
-        n_seg, n_rows = parts.shape[1:3]
-        rows = 1 << (n_rows - 1).bit_length()
-        if rows not in bufs:
-            cap = max(1, _CHUNK_NODES // (_GL_ORDER * rows))
-            bufs[rows] = [
-                np.empty((rows, cap, _GL_ORDER), dtype=complex),
-                np.empty((cap, _GL_ORDER)),
-                np.empty(cap),
-                0,
-            ]
-        buf = bufs[rows]
-        amps, anchors, widths = buf[:3]
-        s = 0
-        while s < n_seg:
-            n = buf[3]
-            take = min(amps.shape[1] - n, n_seg - s)
-            src, dst = slice(s, s + take), slice(n, n + take)
-            amps.real[:n_rows, dst] = parts[0, src].transpose(1, 0, 2)
-            amps.imag[:n_rows, dst] = parts[1, src].transpose(1, 0, 2)
-            amps[n_rows:, dst] = 0.0
-            anchors[dst] = k0[src]
-            widths[dst] = width[src]
-            s += take
-            buf[3] = n + take
-            if buf[3] == amps.shape[1]:
-                yield amps, anchors, widths
-                buf[3] = 0
-    for rows in sorted(bufs):
-        amps, anchors, widths, n = bufs[rows]
-        if n:
-            yield amps[:, :n], anchors[:n], widths[:n]
-
-
-def _node_blocks(packet, tfun, a, width, n_sub, vals, smooth, p):
-    """Blocks ``(amps, k0, width)`` of ``phi0 tfun`` over every leaf's
-    segments (see :func:`_gathered`): other leaves evaluate ``phi0`` and
-    ``tfun`` at their nodes, smooth ones interpolate from their 16
-    refinement values."""
+def _node_pieces(packet, tfun, a, width, n_sub, vals, smooth, p):
+    """Pieces ``(parts, k0, width)`` of ``phi0 tfun`` over every leaf's
+    segments: the real and imaginary parts ``(2, S, L, 16)`` at the nodes of
+    S segments of L sub-panels, their anchors (the nodes of each segment's
+    first sub-panel) and their sub-panel widths.  Other leaves evaluate
+    ``phi0`` and ``tfun`` at their nodes, smooth ones interpolate from their
+    16 refinement values."""
     direct = ~smooth
-    pieces = itertools.chain(
+    return itertools.chain(
         _direct_pieces(packet, tfun, a[direct], width[direct], n_sub[direct]),
         _smooth_pieces(a, width, n_sub, vals, smooth, p),
     )
-    return _gathered(pieces)
 
 
 def _segment_sums(amps, k0, width, x, cs):
@@ -560,23 +515,52 @@ def _momentum_integral(packet, x, t, tfun, config):
     ``phi0(k) tfun(k) exp(i (k x - c k**2 t / hbar))`` on the grid of
     :func:`_panel_nodes`, at every time of ``t``.
 
-    The segments' sums (see :func:`_segment_sums`) are added in the order
-    the blocks bring them, one running sum per padded row count, and those
-    in row-count order: each time's value is the one a one-point call on the
-    same grid gives (see the module docstring for ``_CHUNK_NODES``).
+    Each piece's segments are copied into the buffer of their padded row
+    count R, whose segments' sums (see :func:`_segment_sums`) are added to
+    R's running sum in their order whenever it fills and at the end; the
+    totals are added in increasing R.  Each time's value is the one a
+    one-point call on the same grid gives, at any ``_CHUNK_NODES``.
     """
     ts = np.asarray(t, dtype=float)
     if not (math.isfinite(x) and np.all(np.isfinite(ts))):
         raise ValueError("x and t must be finite")
     if np.any(ts < 0.0):
         raise ValueError("t must be >= 0")
-    _, blocks = _panel_nodes(packet, x, ts, tfun, config)
+    if ts.size == 0:
+        return np.empty(ts.shape, dtype=complex)
+    _, pieces = _panel_nodes(packet, x, ts, tfun, config)
     cs = packet.units.inv_mass_coeff * ts.ravel() / packet.units.hbar
-    sums = {}
-    for amps, k0, width in blocks:
-        seg = _segment_sums(amps, k0, width, x, cs)
-        prev = sums.get(amps.shape[0], np.zeros(cs.size, dtype=complex))
-        sums[amps.shape[0]] = np.cumsum(np.column_stack([prev, seg]), axis=1)[:, -1]
+    bufs, held, sums = {}, {}, {}  # per padded row count R: buffers, segments held, running sum
+
+    def add(rows):  # the held segments' sums, added to R's running sum in their order
+        amps, k0, width = bufs[rows]
+        n, held[rows] = held[rows], 0
+        seg = _segment_sums(amps[:, :n], k0[:n], width[:n], x, cs)
+        sums[rows] = np.cumsum(np.column_stack([sums[rows], seg]), axis=1)[:, -1]
+
+    for parts, k0, width in pieces:
+        n_seg, n_rows = parts.shape[1:3]
+        rows = 1 << (n_rows - 1).bit_length()
+        if rows not in bufs:
+            cap = max(1, _CHUNK_NODES // (_GL_ORDER * rows))
+            bufs[rows] = np.empty((rows, cap, _GL_ORDER), complex), np.empty((cap, _GL_ORDER)), np.empty(cap)
+            held[rows], sums[rows] = 0, np.zeros(cs.size, dtype=complex)
+        amps, anchors, widths = bufs[rows]
+        s = 0
+        while s < n_seg:
+            n = held[rows]
+            take = min(amps.shape[1] - n, n_seg - s)
+            src, dst = slice(s, s + take), slice(n, n + take)
+            amps.real[:n_rows, dst] = parts[0, src].transpose(1, 0, 2)
+            amps.imag[:n_rows, dst] = parts[1, src].transpose(1, 0, 2)
+            amps[n_rows:, dst] = 0.0
+            anchors[dst], widths[dst] = k0[src], width[src]
+            s, held[rows] = s + take, n + take
+            if held[rows] == amps.shape[1]:
+                add(rows)
+    for rows in sorted(bufs):
+        if held[rows]:
+            add(rows)
     acc = np.zeros(cs.size, dtype=complex)
     for rows in sorted(sums):
         acc += sums[rows]

@@ -360,6 +360,9 @@ class TestExitCodes:
         ["reconstruct", "--xd", "2e5L", "--eta-points", "1.5"],
         ["spectrum", "--poles", "10,10"],
         ["spectrum", "--poles", "30,10"],
+        # the time grid starts at 1e-3 tau_sys
+        ["evolve", "--xd", "2L", "--tmax", "1e-3"],
+        ["evolve", "--xd", "2L", "--tmax", "1e-300"],
     ])
     def test_bad_times_and_distances_exit_1_before_any_sweep(self, args, tmp_path, capsys):
         out = tmp_path / "bad"

@@ -545,6 +545,13 @@ class TestZetaEta:
         with pytest.raises(ValueError):
             zeta(pk, SB, sb_data.catalog, sb_data.residues, 20.0, 0.0)
 
+    @pytest.mark.parametrize("shape", [(2,), (1,)])
+    def test_array_t0_refused_by_name(self, sb_data, shape):
+        # an ambiguous truth value for (2,) and a TypeError for (1,) before
+        pk = sb_data.packet
+        with pytest.raises(ValueError, match=rf"t0 must be a scalar, got shape \({shape[0]},\)"):
+            zeta(pk, SB, sb_data.catalog, sb_data.residues, 2 * SB.length, np.full(shape, 10.0))
+
     def test_free_density_underflow(self, sb_data):
         pk = sb_data.packet
         with pytest.raises(FreeDensityUnderflowError):
@@ -630,6 +637,16 @@ class TestCancellation:
             c_mag = abs(coefficient_C(profile, data.catalog, data.residues))
             assert residual <= 10.0 * scale
             assert residual <= 1e-2 * c_mag
+
+    @pytest.mark.parametrize("name", ["x_d", "t"])
+    def test_array_point_refused_by_name(self, sb_data, name):
+        # an array x_d met a non-broadcastable output operand deep in the sum before
+        point = {"x_d": 2.0 * SB.length, "t": 1e3}
+        point[name] = np.linspace(1.0, 1.5, 120) * point[name]
+        with pytest.raises(ValueError, match=rf"{name} must be a scalar, got shape \(120,\)"):
+            asymptotic_cancellation(
+                sb_data.packet, SB, sb_data.catalog, sb_data.residues, point["x_d"], point["t"]
+            )
 
     @pytest.mark.parametrize("x, t", [
         (0.5, 1e3),

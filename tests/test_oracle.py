@@ -318,6 +318,17 @@ class TestTimeArrays:
                 else:
                     psi_quadrature(pk, SB, x, t)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_times_give_an_empty_array_and_build_no_leaves(self, monkeypatch, shape):
+        def no_leaves(*args, **kwargs):
+            raise AssertionError("leaves built for no time")
+
+        # numpy's reduction over zero times raised here before
+        monkeypatch.setattr(oracle, "_leaves", no_leaves)
+        pk, t = make_packet(), np.empty(shape)
+        for got in (psi_quadrature(pk, SB, 2 * SB.length, t), psi_free_quadrature(pk, 0.0, t)):
+            assert got.shape == shape and got.dtype == complex
+
     def test_budget_from_latest_time_before_any_node(self, monkeypatch):
         def no_nodes(*args, **kwargs):
             raise AssertionError("nodes built past the budget")
@@ -340,7 +351,7 @@ class TestInterpolatedLeaves:
             for p in range(4):
                 n = m << p
                 split = (vals @ oracle._split_t(m)).reshape(-1, 16)
-                got = np.concatenate(list(oracle._halvings(split, p, oracle._CHUNK_NODES))).ravel()
+                got = np.concatenate(list(oracle._halvings(split, p, oracle._HALVING_NODES))).ravel()
                 mids = (2.0 * np.arange(n) + 1.0) / n - 1.0
                 want = f((mids[:, None] + oracle._GL_NODES / n).ravel())
                 assert np.max(np.abs(got - want)) <= 5e-15
@@ -353,7 +364,7 @@ class TestInterpolatedLeaves:
 
     def test_halvings_split_a_panel_larger_than_a_chunk(self):
         vals = np.random.default_rng(3).normal(size=(3, 16)) + 0j
-        whole = np.concatenate(list(oracle._halvings(vals, 4, oracle._CHUNK_NODES)))
+        whole = np.concatenate(list(oracle._halvings(vals, 4, oracle._HALVING_NODES)))
         blocks = list(oracle._halvings(vals, 4, 64))
         assert max(b.size for b in blocks) <= 64
         assert np.max(np.abs(np.concatenate(blocks) - whole)) <= 1e-15 * np.max(np.abs(whole))
@@ -456,7 +467,7 @@ class TestCutoffTailLeaves:
             return iter(())
 
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "_node_blocks", capture)
+            patch.setattr(oracle, "_node_pieces", capture)
             n_nodes, _ = oracle._panel_nodes(pk, x, np.asarray(ts), tfun, config)
         a, b, vals, smooth = oracle._leaves(pk, tfun, config.window_half_width / pk.sigma)[:4]
         leaf_max = np.abs(vals).max(axis=1)
@@ -548,7 +559,7 @@ class TestSteppedPhases:
         assert phi_max > 9e4
         assert worst <= 1.0
 
-    @pytest.mark.parametrize("name", ["sb", "db"])
+    @pytest.mark.parametrize("name", ["sb", "db", "qb"])
     def test_results_do_not_depend_on_block_size(self, request, monkeypatch, name):
         data = request.getfixturevalue(f"{name}_data")
         pk, profile = data.packet, data.profile
@@ -557,19 +568,14 @@ class TestSteppedPhases:
         # the window's first, latest and a few early times: criterion 4's grid
         ts = np.linspace(1e-3 * tau_sys, t_end * tau_sys, n_pts)[[0, 1, 2, n_pts // 2, -1]]
         far = 5.0 * profile.length
-        cases = [
-            (2.0 * profile.length, ts, (2**8, 2**11)),
-            # the smooth groups' padded tails bring sb's 147 segments of 32
-            # rows in another order at 2**10 than at 2**14 here
-            (far, (far - pk.x_c) / pk.velocity, (2**10, 2**14)),
-        ]
-        for x, t, chunks in cases:
+        for x, t in ((2.0 * profile.length, ts), (far, (far - pk.x_c) / pk.velocity)):
             runs = []
-            for chunk in chunks:
+            for chunk in (2**8, 2**10, 2**12, 2**14, 2**15):
                 monkeypatch.setattr(oracle, "_CHUNK_NODES", chunk)
                 runs.append((psi_quadrature(pk, profile, x, t), psi_free_quadrature(pk, x, t)))
-            assert np.array_equal(runs[0][0], runs[1][0])
-            assert np.array_equal(runs[0][1], runs[1][1])
+            for quad, free in runs[1:]:
+                assert np.array_equal(quad, runs[0][0])
+                assert np.array_equal(free, runs[0][1])
 
 
 class TestLeafMemo:
