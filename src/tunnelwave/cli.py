@@ -122,7 +122,7 @@ def increasing(item):
 def parse_profile_file(path):
     """Flat key-value config: repeated ``layer = width height`` lines plus
     ``mass_ratio``; optional ``x_c``, ``sigma``, ``e0`` packet overrides.
-    Every number must be finite."""
+    Every number must be finite, and every key but ``layer`` given once."""
     layers = []
     values = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -138,7 +138,10 @@ def parse_profile_file(path):
                 raise ConfigError(f"{path}: layer needs 'width height', got {val!r}")
             layers.append(tuple(finite_float(v, f"{path}: {key}") for v in parts))
         elif key in ("mass_ratio", "x_c", "sigma", "e0"):
-            values[key] = finite_float(val, f"{path}: {key}")
+            number = finite_float(val, f"{path}: {key}")
+            if key in values:
+                raise ConfigError(f"{path}: {key} given more than once")
+            values[key] = number
         else:
             raise ConfigError(f"{path}: unknown key {key!r}")
     if not layers:
@@ -164,6 +167,8 @@ def _resolve_config(args):
     else:
         profile, extras = parse_profile_file(args.config)
     n_seed = args.nseed or (default_n_seed(args.preset) if args.preset else 1000)
+    if any(p.exists() and not p.is_dir() for p in (Path(args.out), *Path(args.out).parents)):
+        raise ConfigError(f"--out {args.out} is, or lies under, an existing non-directory")
     return RunConfig(
         profile=profile,
         preset=args.preset,

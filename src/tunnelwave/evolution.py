@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -415,13 +416,17 @@ def longtime_exponent(packet, profile, catalog, residue_set, x_d, t_range, sampl
 
     Raises :class:`NonAsymptoticError` when the local slope still varies by
     more than 0.5 across the window, and ``ValueError`` unless
-    ``t_max > t_min`` and ``samples >= 4``, so that each half's fit has two
-    points.
+    ``t_max > t_min`` and ``samples`` is an integer >= 4, so that each half's
+    fit has two points.
     """
     t_min, t_max = t_range
-    if not (t_max > t_min and samples >= 4):
+    try:
+        n = operator.index(samples)
+    except TypeError:
+        n = 0  # not an integer: refused below
+    if not (t_max > t_min and n >= 4):
         raise ValueError(
-            f"the slope fit needs t_max > t_min and samples >= 4, got "
+            f"the slope fit needs t_max > t_min and samples >= 4, an integer, got "
             f"({t_min:.3g}, {t_max:.3g}) fs with {samples} samples"
         )
     floor = 50.0 * tau_system(profile, catalog)
@@ -429,10 +434,10 @@ def longtime_exponent(packet, profile, catalog, residue_set, x_d, t_range, sampl
         raise ValueError(
             f"t_min = {t_min:.3g} fs is below the asymptotic floor {floor:.3g} fs"
         )
-    ts = np.geomspace(t_min, t_max, samples)
+    ts = np.geomspace(t_min, t_max, n)
     logs = transmitted_packet_log(packet, profile, catalog, residue_set, x_d, ts)
     log_rho = np.log(packet.sigma) + 2.0 * np.asarray(logs).real
-    half = samples // 2
+    half = n // 2
     lt = np.log(ts)
     slope_lo = _plain_slope(lt[:half], log_rho[:half])
     slope_hi = _plain_slope(lt[half:], log_rho[half:])
@@ -473,4 +478,4 @@ def asymptotic_cancellation(packet, profile, catalog, residue_set, x_d, t):
     prefac = ev._prefactor(t)
     residual = abs(ev.c_const + prefac * np.sum(ev.coefs * lead))
     scale = np.sum(np.abs(ev.coefs) * 0.5 / (math.sqrt(math.pi) * np.abs(y) ** 3))
-    return residual, float(abs(prefac) * scale)
+    return float(residual), float(abs(prefac) * scale)

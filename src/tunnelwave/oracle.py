@@ -85,6 +85,8 @@ __all__ = [
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 _NODE_BUDGET = 10**8
+_WINDOW_HALF_WIDTH = 12.0  # momentum window k0 +- this / sigma
+_PHASE_OVERSAMPLING = 4.0  # pi times the phase rule's nodes per unit of rate and k
 _CHUNK_NODES = 2**14  # nodes per block of phase sums, bounding the temporaries
 _HALVING_NODES = 2**14  # nodes per block of halvings: sets the smooth pieces and their order
 _EVAL_NODES = 2**12  # nodes per phi0 tfun call: t22's temporaries stay in cache
@@ -102,34 +104,11 @@ class NodeBudgetExceededError(RuntimeError):
     """Phase-resolved node count exceeds the budget; use the analytic path."""
 
 
-@dataclass(frozen=True)
 class QuadratureConfig:
-    """Node rule of the quadrature oracle.
+    """The oracle's window and phase density, read by the benchmark's inputs."""
 
-    ``window_half_width`` bounds the momentum window ``k0 +- w / sigma``.
-    128 equal panels over the window are first halved until the halving
-    estimate of ``phi0(k) t(k)`` on each is below 1e-14 of the sum of
-    ``|G16|``, which resolves t(k) wherever it needs it.  Each leaf then
-    gets one panel for that integrand plus
-    ``h * rate * phase_oversampling / (16 pi)`` for the phase, ``rate`` the
-    largest ``|x - 2ckt/hbar|`` at its ends and the earliest and latest
-    time: ``phase_oversampling / pi`` nodes per unit of phase rate and k.
-    On a leaf of the cutoff tails, whose largest ``|phi0 t|`` is at most
-    2**-32 of the largest over all leaves, ``rate`` is half that.
-    On a leaf where ``phi0(k) t(k)`` is smooth (see the module docstring)
-    that count is rounded up to ``m * 2**p`` panels with ``m <= 15`` and the
-    integrand is interpolated from the leaf's refinement values.
-    Both fields must be finite.
-    """
-
-    window_half_width: float = 12.0  # in units of 1/sigma
-    phase_oversampling: float = 4.0
-
-    def __post_init__(self):
-        if not 8.0 <= self.window_half_width < math.inf:
-            raise ValueError("window_half_width must be finite and >= 8 (units of 1/sigma)")
-        if not 0.0 < self.phase_oversampling < math.inf:
-            raise ValueError("phase_oversampling must be finite and positive")
+    window_half_width = _WINDOW_HALF_WIDTH
+    phase_oversampling = _PHASE_OVERSAMPLING
 
 
 def phi0(packet, k):
@@ -198,15 +177,15 @@ def _gl_values(f, a, b):
     return vals, half * (vals @ _GL_WEIGHTS)
 
 
-def _refined_panels(f, edges, refine_tol, smooth_tol):
+def _refined_panels(f, edges):
     """Leaves of the halving refinement of the panels between ``edges``.
 
     A panel is halved while the GL16 halving estimate
-    ``|G(panel) - G(left) - G(right)|`` exceeds ``refine_tol`` times the sum of
+    ``|G(panel) - G(left) - G(right)|`` exceeds ``_REFINE_TOL`` times the sum of
     ``|G|`` over all current panels.  Returns, in k order, the leaves' ends,
     ``f`` at each leaf's 16 GL nodes, and whether each leaf is smooth: whether
     the degree-15 interpolant through those 16 values reproduces ``f`` at its
-    halves' 32 GL nodes within ``smooth_tol`` times the largest ``|f|`` seen.
+    halves' 32 GL nodes within ``_SMOOTH_TOL`` times the largest ``|f|`` seen.
     """
     a, b = edges[:-1], edges[1:]
     vals, whole = _gl_values(f, a, b)
@@ -218,7 +197,7 @@ def _refined_panels(f, edges, refine_tol, smooth_tol):
         halves_vals, halves = _gl_values(f, np.concatenate([a, m]), np.concatenate([m, b]))
         f_max = max(f_max, np.abs(halves_vals).max())
         left, right = halves[:n], halves[n:]
-        tol = refine_tol * (leaves_abs + np.abs(whole).sum())
+        tol = _REFINE_TOL * (leaves_abs + np.abs(whole).sum())
         split = np.abs(whole - left - right) > tol
         keep = ~split
         leaves_a.append(a[keep])
@@ -232,7 +211,7 @@ def _refined_panels(f, edges, refine_tol, smooth_tol):
         vals = np.concatenate([halves_vals[:n][split], halves_vals[n:][split]])
         whole = np.concatenate([left[split], right[split]])
     a, b = np.concatenate(leaves_a), np.concatenate(leaves_b)
-    smooth = np.concatenate(leaves_resid) <= smooth_tol * f_max
+    smooth = np.concatenate(leaves_resid) <= _SMOOTH_TOL * f_max
     order = np.argsort(a)
     return a[order], b[order], np.concatenate(leaves_vals)[order], smooth[order]
 
@@ -271,29 +250,31 @@ def _leaves(packet, tfun, half_width):
         edges = np.concatenate(
             [np.linspace(lo, 0.0, frac + 1), np.linspace(0.0, hi, _COARSE_PANELS - frac + 1)[1:]]
         )
-    leaves = _refined_panels(lambda k: phi0(packet, k) * tfun(k), edges, _REFINE_TOL, _SMOOTH_TOL)
+    leaves = _refined_panels(lambda k: phi0(packet, k) * tfun(k), edges)
     leaves = (*leaves, np.abs(leaves[2]).max(axis=1))
     for arr in leaves:
         arr.flags.writeable = False  # shared by every caller through the cache
     return leaves
 
 
-def _panel_nodes(packet, x, ts, tfun, config):
-    """Composite GL rule over the momentum window, split at k = 0.
+def _panel_nodes(packet, x, ts, tfun):
+    """Composite GL rule over the window ``k0 +- _WINDOW_HALF_WIDTH / sigma``,
+    split at k = 0.
 
-    Coarse panels are refined on the t-independent integrand
-    ``phi0(k) tfun(k)``; each leaf is then cut into one 16-node panel plus
-    the local phase rule's share (see :class:`QuadratureConfig`), rounded up
-    to ``m * 2**p`` sub-panels with ``m <= 15`` on a smooth leaf.  The budget
-    is checked on that exact count of nodes, after the refinement (which
-    :func:`_leaves` keeps for later calls) and before any node is built.
-    Returns the count and an iterator over pieces of ``phi0(k) tfun(k)`` at
-    the nodes (see :func:`_node_pieces`) that builds them.
+    128 equal panels are halved until the halving estimate of ``phi0 tfun``
+    on each is below 1e-14 of the sum of ``|G16|``.  Each leaf then gets one
+    16-node panel plus ``h * rate * _PHASE_OVERSAMPLING / (16 pi)``, ``rate``
+    the largest ``|x - 2ckt/hbar|`` at its ends and the extreme times, halved
+    on a tail leaf (largest ``|phi0 tfun|`` at most 2**-32 of the largest),
+    and rounded up to ``m * 2**p`` with ``m <= 15`` on a smooth leaf.  The
+    budget is checked on that exact node count, after the refinement (which
+    :func:`_leaves` keeps) and before any node is built.  Returns the count
+    and an iterator that builds the pieces of :func:`_node_pieces`.
     """
     c = packet.units.inv_mass_coeff
     hbar = packet.units.hbar
-    density = config.phase_oversampling / (_GL_ORDER * math.pi)  # panels per (rate * dk)
-    a, b, vals, smooth, leaf_max = _leaves(packet, tfun, config.window_half_width / packet.sigma)
+    density = _PHASE_OVERSAMPLING / (_GL_ORDER * math.pi)  # panels per (rate * dk)
+    a, b, vals, smooth, leaf_max = _leaves(packet, tfun, _WINDOW_HALF_WIDTH / packet.sigma)
     h = b - a
     # |d phase / dk| = |x - beta k|, beta = 2 c t / hbar, is convex in k and t:
     # its largest value on a panel sits at the panel's ends and the extreme times.
@@ -510,7 +491,7 @@ def _segment_sums(amps, k0, width, x, cs):
     return out
 
 
-def _momentum_integral(packet, x, t, tfun, config):
+def _momentum_integral(packet, x, t, tfun):
     """``(2 pi)^(-1/2)`` times the integral over k of
     ``phi0(k) tfun(k) exp(i (k x - c k**2 t / hbar))`` on the grid of
     :func:`_panel_nodes`, at every time of ``t``.
@@ -528,7 +509,7 @@ def _momentum_integral(packet, x, t, tfun, config):
         raise ValueError("t must be >= 0")
     if ts.size == 0:
         return np.empty(ts.shape, dtype=complex)
-    _, pieces = _panel_nodes(packet, x, ts, tfun, config)
+    _, pieces = _panel_nodes(packet, x, ts, tfun)
     cs = packet.units.inv_mass_coeff * ts.ravel() / packet.units.hbar
     bufs, held, sums = {}, {}, {}  # per padded row count R: buffers, segments held, running sum
 
@@ -574,7 +555,7 @@ def _scalar_x(x):
     return float(x)
 
 
-def psi_quadrature(packet, profile, x, t, config=QuadratureConfig()):
+def psi_quadrature(packet, profile, x, t):
     """Transmitted amplitude by direct quadrature with the exact t(k) at one
     ``x``: a complex for a scalar ``t``; for an array, an array of its shape
     on one node grid."""
@@ -582,9 +563,9 @@ def psi_quadrature(packet, profile, x, t, config=QuadratureConfig()):
     if x < profile.length:
         raise ValueError("quadrature oracle evaluates the transmitted region x >= L")
     packet.require_units(profile)
-    return _momentum_integral(packet, x, t, _Transmission(profile), config)
+    return _momentum_integral(packet, x, t, _Transmission(profile))
 
 
 def psi_free_quadrature(packet, x, t):
     """Free amplitude by the same quadrature engine (t(k) = 1)."""
-    return _momentum_integral(packet, _scalar_x(x), t, _free_tfun, QuadratureConfig())
+    return _momentum_integral(packet, _scalar_x(x), t, _free_tfun)

@@ -36,6 +36,10 @@ def assert_nothing_written(out):
     assert not list(out.glob("*.csv"))
 
 
+def no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
 @pytest.fixture(scope="module")
 def sb_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("sbrun")
@@ -407,6 +411,36 @@ class TestExitCodes:
         key = line.split("=")[0].strip()
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("mass_ratio", "0.067", "0.5"),
+        ("x_c", "-5.0", "-6.0"),
+        ("sigma", "0.5", "0.6"),
+        ("e0", "0.1", "0.12"),
+    ])
+    def test_repeated_config_key_exits_1_before_any_sweep(
+        self, key, first, second, tmp_path, monkeypatch, capsys
+    ):
+        # the last value used to win silently
+        monkeypatch.setattr(cli, "sweep_poles", no_sweep)
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"layer = 8.0 0.23\n{key} = {first}\n{key} = {second}\n")
+        out = tmp_path / "twice"
+        assert run(["poles", "--config", cfg, "--nseed", "60", "--out", out]) == 1
+        assert f"{cfg}: {key} given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_out_on_a_file_exits_1_before_any_sweep(self, below, tmp_path, monkeypatch, capsys):
+        # the sweep ran, then the cache's mkdir raised NotADirectoryError
+        monkeypatch.setattr(cli, "sweep_poles", no_sweep)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / below if below else afile
+        assert run(["poles", "--preset", "sb", "--nseed", "60", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is, or lies under, an existing non-directory" in err
+        assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("args, line", [
         (["evolve", "--xd", "2L", "--tmax", "nan"], ""),

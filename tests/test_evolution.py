@@ -604,6 +604,11 @@ class TestLongtime:
             2 * DB.length, (50 * tau_sys, 120 * tau_sys), samples=16,
         )
         assert slope == pytest.approx(-3.0, abs=0.15)
+        # a numpy integer is an integer count of samples
+        assert slope == longtime_exponent(
+            db_data.packet, DB, db_data.catalog, db_data.residues,
+            2 * DB.length, (50 * tau_sys, 120 * tau_sys), samples=np.int64(16),
+        )
 
     @pytest.mark.parametrize("t_range, samples", [
         ((50.0, 50.0), 40),
@@ -611,6 +616,7 @@ class TestLongtime:
         ((50.0, math.nan), 40),
         ((50.0, 500.0), 2),
         ((50.0, 500.0), 3),
+        ((50.0, 500.0), 4.5),  # np.geomspace raised a TypeError of its own
     ])
     def test_degenerate_window_rejected(self, sb_data, t_range, samples):
         # an empty window leaves every sample at one time, so the slope fit
@@ -635,6 +641,7 @@ class TestCancellation:
                 2 * profile.length, 1e3 * tau_sys,
             )
             c_mag = abs(coefficient_C(profile, data.catalog, data.residues))
+            assert type(residual) is float and type(scale) is float
             assert residual <= 10.0 * scale
             assert residual <= 1e-2 * c_mag
 

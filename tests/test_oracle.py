@@ -23,7 +23,16 @@ SB = preset_profile("sb")
 FREE = PotentialProfile(((8.0, 0.0),))
 # 9 nm barriers around a 5 nm well: Gamma_1 ~ 1.7e-5 eV, 60 times narrower than db's
 NARROW = PotentialProfile(((9.0, 0.23), (5.0, 0.0), (9.0, 0.23)))
-CONVERGED = QuadratureConfig(phase_oversampling=32)
+CONVERGED = {"_PHASE_OVERSAMPLING": 32.0}  # eight times the phase density
+
+
+def on_grid(rule, engine, *args):
+    """``engine(*args)`` with the oracle's node-rule constants set as in
+    ``rule``: a denser or wider reference grid than its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in rule.items():
+            patch.setattr(oracle, name, value)
+        return engine(*args)
 
 
 def make_packet(units=SB.units, energy=0.115):
@@ -38,21 +47,12 @@ def cold_leaves():
 
 class TestConfig:
     def test_defaults_valid(self):
+        # the node rule is the module's constants; the class only reads them
         cfg = QuadratureConfig()
-        assert cfg.window_half_width == 12.0
-        assert cfg.phase_oversampling == 4.0
-
-    def test_validation(self):
-        for kwargs in (
-            {"window_half_width": 4.0},
-            {"window_half_width": math.nan},
-            {"window_half_width": math.inf},
-            {"phase_oversampling": 0.0},
-            {"phase_oversampling": math.nan},
-            {"phase_oversampling": math.inf},
-        ):
-            with pytest.raises(ValueError):
-                QuadratureConfig(**kwargs)
+        assert cfg.window_half_width == oracle._WINDOW_HALF_WIDTH == 12.0
+        assert cfg.phase_oversampling == oracle._PHASE_OVERSAMPLING == 4.0
+        with pytest.raises(TypeError):
+            QuadratureConfig(phase_oversampling=8.0)
 
 
 class TestPhi0:
@@ -138,15 +138,15 @@ class TestTransmittedQuadrature:
     def test_self_convergence_under_node_doubling(self):
         pk = make_packet()
         x, t = 2 * SB.length, 5 * 6.299
-        base = psi_quadrature(pk, SB, x, t, QuadratureConfig())
-        fine = psi_quadrature(pk, SB, x, t, QuadratureConfig(phase_oversampling=8.0))
+        base = psi_quadrature(pk, SB, x, t)
+        fine = on_grid({"_PHASE_OVERSAMPLING": 8.0}, psi_quadrature, pk, SB, x, t)
         assert abs(base - fine) <= 1e-9 * abs(fine)
 
     def test_window_sufficiency(self):
         pk = make_packet()
         x, t = 2 * SB.length, 3 * 6.299
-        base = psi_quadrature(pk, SB, x, t, QuadratureConfig())
-        wide = psi_quadrature(pk, SB, x, t, QuadratureConfig(window_half_width=16.0))
+        base = psi_quadrature(pk, SB, x, t)
+        wide = on_grid({"_WINDOW_HALF_WIDTH": 16.0}, psi_quadrature, pk, SB, x, t)
         assert abs(base - wide) <= 1e-9 * abs(base)
 
     def test_zero_potential_reduces_to_free_engine(self):
@@ -184,7 +184,7 @@ class TestTransmittedQuadrature:
         def reflected(ks):
             return np.conj(1.0 / t22(SB, -ks))
 
-        mirrored = _momentum_integral(pk, x, t, reflected, QuadratureConfig())
+        mirrored = _momentum_integral(pk, x, t, reflected)
         assert abs(mirrored - direct) <= 1e-10 * abs(direct)
 
     def test_node_budget_boundary(self):
@@ -238,7 +238,7 @@ class TestTimeArrays:
         x = 2.0 * profile.length
         window = psi_quadrature(pk, profile, x, ts)
         assert ts[1:3] == pytest.approx([10.8, 21.0], abs=0.1)
-        fine = psi_quadrature(pk, profile, x, ts[1:3], CONVERGED)
+        fine = on_grid(CONVERGED, psi_quadrature, pk, profile, x, ts[1:3])
         peak = np.max(np.abs(window))
         assert np.max(np.abs(window[1:3] - fine)) <= 1e-10 * peak
 
@@ -253,7 +253,7 @@ class TestTimeArrays:
         ts = np.linspace(1e-3 * tau_sys, t_end * tau_sys, n_pts)
         x = 2.0 * profile.length
         peak = np.max(np.abs(psi_quadrature(pk, profile, x, ts)))
-        fine = psi_quadrature(pk, profile, x, ts[points], CONVERGED)
+        fine = on_grid(CONVERGED, psi_quadrature, pk, profile, x, ts[points])
         for t, want in zip(ts[points], fine):
             assert abs(psi_quadrature(pk, profile, x, t) - want) <= 1e-10 * peak
 
@@ -263,7 +263,7 @@ class TestTimeArrays:
         pk = make_packet(profile.units, energy=0.08)
         x = 2.0 * profile.length
         ts = np.array([0.05, 0.5, 5.0, 50.0])
-        fine = [psi_quadrature(pk, profile, x, t, CONVERGED) for t in ts]
+        fine = [on_grid(CONVERGED, psi_quadrature, pk, profile, x, t) for t in ts]
         peak = np.max(np.abs(fine))
         for t, want in zip(ts, fine):
             assert abs(psi_quadrature(pk, profile, x, t) - want) <= 1e-10 * peak
@@ -273,16 +273,13 @@ class TestTimeArrays:
         # its own largest rate needs about half the nodes of sizing all of
         # them for the window's largest
         pk, profile = db_data.packet, db_data.profile
-        config = QuadratureConfig()
         x = 2.0 * profile.length
         t = 0.5 * tau_system(profile, db_data.catalog)
-        n_nodes, _ = oracle._panel_nodes(
-            pk, x, np.asarray(t), lambda k: 1.0 / t22(profile, k), config
-        )
-        half = config.window_half_width / pk.sigma
+        n_nodes, _ = oracle._panel_nodes(pk, x, np.asarray(t), lambda k: 1.0 / t22(profile, k))
+        half = oracle._WINDOW_HALF_WIDTH / pk.sigma
         beta = 2.0 * pk.units.inv_mass_coeff * t / pk.units.hbar
         rate = max(abs(x - beta * k) for k in (pk.k0 - half, pk.k0 + half))
-        uniform = math.ceil(2.0 * half * rate * config.phase_oversampling / math.pi)
+        uniform = math.ceil(2.0 * half * rate * oracle._PHASE_OVERSAMPLING / math.pi)
         assert n_nodes <= 0.6 * uniform
 
     def test_free_engine_matches_free_packet(self):
@@ -372,7 +369,7 @@ class TestInterpolatedLeaves:
     @staticmethod
     def _check_against_direct(monkeypatch, pk, profile, x, ts):
         def node_counts():
-            return [oracle._panel_nodes(pk, x, ts, tfun, QuadratureConfig())[0]
+            return [oracle._panel_nodes(pk, x, ts, tfun)[0]
                     for tfun in (oracle._Transmission(profile), oracle._free_tfun)]
 
         quad, free = psi_quadrature(pk, profile, x, ts), psi_free_quadrature(pk, x, ts)
@@ -407,7 +404,7 @@ class TestInterpolatedLeaves:
     def test_budget_counts_rounded_nodes_before_building_any(self, monkeypatch):
         pk = make_packet()
         x, t = 2 * SB.length, np.asarray(20 * 6.299)
-        args = pk, x, t, lambda k: 1.0 / t22(SB, k), QuadratureConfig()
+        args = pk, x, t, lambda k: 1.0 / t22(SB, k)
         rounded, _ = oracle._panel_nodes(*args)
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_SMOOTH_TOL", -1.0)
@@ -443,14 +440,9 @@ class TestCutoffTailLeaves:
         else:
             t_flight = (x - pk.x_c) / pk.velocity
             ts = np.linspace(0.5 * t_flight, 2.0 * t_flight, 8)
-        # psi_free_quadrature takes no config: its converged grid comes from
-        # the engine both functions call
-        for run, fine in (
-            (functools.partial(psi_quadrature, pk, profile, x),
-             psi_quadrature(pk, profile, x, ts, CONVERGED)),
-            (functools.partial(psi_free_quadrature, pk, x),
-             oracle._momentum_integral(pk, x, ts, oracle._free_tfun, CONVERGED)),
-        ):
+        for run in (functools.partial(psi_quadrature, pk, profile, x),
+                    functools.partial(psi_free_quadrature, pk, x)):
+            fine = on_grid(CONVERGED, run, ts)
             got = np.array([run(t) for t in ts])
             assert np.max(np.abs(got - fine)) <= 1e-13 * np.max(np.abs(fine))
 
@@ -459,7 +451,6 @@ class TestCutoffTailLeaves:
         """Per leaf: the call's sub-panel count, the count of the tail rule and
         that of full density everywhere (both rounded up on smooth leaves),
         and whether the leaf is tail."""
-        config = QuadratureConfig()
         seen = {}
 
         def capture(packet, tfun, a, width, n_sub, vals, smooth, p):
@@ -468,13 +459,13 @@ class TestCutoffTailLeaves:
 
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_node_pieces", capture)
-            n_nodes, _ = oracle._panel_nodes(pk, x, np.asarray(ts), tfun, config)
-        a, b, vals, smooth = oracle._leaves(pk, tfun, config.window_half_width / pk.sigma)[:4]
+            n_nodes, _ = oracle._panel_nodes(pk, x, np.asarray(ts), tfun)
+        a, b, vals, smooth = oracle._leaves(pk, tfun, oracle._WINDOW_HALF_WIDTH / pk.sigma)[:4]
         leaf_max = np.abs(vals).max(axis=1)
         tail = leaf_max <= 2.0**-32 * leaf_max.max()
         betas = 2.0 * pk.units.inv_mass_coeff * np.array([np.min(ts), np.max(ts)]) / pk.units.hbar
         rate = np.max([np.abs(x - beta * end) for beta in betas for end in (a, b)], axis=0)
-        density = config.phase_oversampling / (16 * math.pi)
+        density = oracle._PHASE_OVERSAMPLING / (16 * math.pi)
         full = np.ceil(1.0 + (b - a) * rate * density).astype(np.int64)
         halved = np.ceil(1.0 + (b - a) * (rate / 2) * density).astype(np.int64)
 
@@ -614,7 +605,7 @@ class TestLeafMemo:
 
     def test_cached_leaves_are_read_only(self):
         pk = make_packet()
-        half = QuadratureConfig().window_half_width / pk.sigma
+        half = oracle._WINDOW_HALF_WIDTH / pk.sigma
         psi_quadrature(pk, SB, 2.0 * SB.length, 5.0)
         hits = oracle._leaves.cache_info().hits
         leaves = oracle._leaves(pk, oracle._Transmission(SB), half)
