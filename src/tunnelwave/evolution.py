@@ -217,7 +217,9 @@ class _BracketEvaluator:
         written into ``out`` when given."""
         packet = self.packet
         tp = t - 1j * packet.tau
-        xp = (x - packet.x_c - packet.velocity * t)[..., None]
+        # complex already: a float column would be cast to complex, through
+        # numpy's buffered cast, for every (point x pole) element it meets
+        xp = (x - packet.x_c - packet.velocity * t).astype(complex)[..., None]
         rot = cmath.exp(-0.25j * math.pi)
         root = (rot * np.sqrt(self.mass / (2.0 * self.hbar * tp)))[..., None]
         vel = (self.hbar * tp / self.mass)[..., None]

@@ -8,8 +8,13 @@ continued fraction takes only as many levels as each argument's own ``|z|``
 needs (3 at ``|z| = 150`` down to 1 beyond ``|z| = 1e4``), the tiered depth of
 Poppe & Wijers (ACM TOMS 16, 1990) and Zaghloul & Ali (ACM TOMS 38, 2011), so a
 vector call and scalar calls give the same values.  The lower half-plane is
-always reached through a single application of the reflection identity
-``w(z) = 2 exp(-z^2) - w(-z)``.
+reached through the reflection identity ``w(z) = 2 exp(-z^2) - w(-z)``
+(Abramowitz & Stegun 7.1.11), as ``-w(-z)`` plus the reflection term.  The
+continued fraction is odd bit for bit, so it gives ``-w(-z)`` at z itself
+and no argument is negated for it.  Only the arguments the rational fit
+takes are negated, since the fit holds in the upper half-plane alone, and
+those with a zero real part: there ``(-0) - (-0) = +0`` in the continued
+fraction breaks the symmetry in the sign of a zero.
 
 Dispatch works in place over the argument array plus one work array of its
 size.  Where every argument lies below ``|z| = 150`` the rational
@@ -38,7 +43,7 @@ _EXP_FLOOR = -746.0  # below it exp(x) underflows to exactly 0 in float64
 
 
 # ---------------------------------------------------------------------------
-# region evaluators (upper half-plane only)
+# region evaluators
 # ---------------------------------------------------------------------------
 
 # Radius between the two evaluation regions.  Against a 40-digit reference
@@ -116,15 +121,30 @@ def _w_contfrac(z, levels, g):
     return np.divide(1j / _SQRT_PI, g, out=z)
 
 
-def _w_upper(z, work=None):
-    """Dispatch over the two regions; assumes Im z >= 0 elementwise.
+def _w_near(z):
+    """The rational fit written over ``z``: w(z) where Im z >= 0 and -w(-z)
+    where Im z < 0, since the fit holds in the upper half-plane alone."""
+    lower = z.imag < 0.0
+    # phi0's arguments all lie in the upper half-plane: no masked pass
+    if not lower.any():
+        return _w_weideman(z, out=z)
+    np.negative(z, out=z, where=lower)
+    _w_weideman(z, out=z)
+    return np.negative(z, out=z, where=lower)
 
-    Overwrites ``z`` with w(z) and returns it; ``work``, a complex array of
-    ``z``'s shape, serves as scratch when given.  Where every element lies
-    below |z| = _R_CONTFRAC, the rational approximation runs over the whole
-    array.  Otherwise the continued fraction runs over the whole array, and
-    the elements below _R_CONTFRAC are gathered before it and get the
-    rational approximation after it.
+
+def _w_upper(z, work=None):
+    """Dispatch over the two regions: w(z) where Im z >= 0 and -w(-z) where
+    Im z < 0.
+
+    Overwrites ``z`` with the values and returns it; ``work``, a complex
+    array of ``z``'s shape, serves as scratch when given.  Where every
+    element lies below |z| = _R_CONTFRAC, the rational approximation runs
+    over the whole array.  Otherwise the continued fraction runs over the
+    whole array at z itself, and the elements below _R_CONTFRAC are
+    gathered before it and get the rational approximation after it.  The
+    continued fraction is odd bit for bit except where Re z is zero: there
+    a zero in the value may have the other sign than in -w(-z).
     """
     if work is None:
         work = np.empty_like(z)
@@ -134,7 +154,7 @@ def _w_upper(z, work=None):
     r2 += im2
     near = np.flatnonzero(r2 < _R_CONTFRAC * _R_CONTFRAC)
     if len(near) == len(z):
-        return _w_weideman(z, out=z)
+        return _w_near(z)
     z_near = z[near]
     levels = [True if b == math.inf else r2 < b for b in _CF_LEVEL_R2]
     # the near elements get values here too, overwritten below; parked at
@@ -142,7 +162,7 @@ def _w_upper(z, work=None):
     z[near] = _R_CONTFRAC
     _w_contfrac(z, levels, work)
     if len(near):
-        z[near] = _w_weideman(z_near)
+        z[near] = _w_near(z_near)
     return z
 
 
@@ -152,29 +172,35 @@ def _w_upper(z, work=None):
 
 
 def _w_split(z, work=None):
-    """w(z) for a 1-d array of finite z from one upper-half-plane evaluation,
-    with the reflection term left out.  ``w`` is written over ``z``, and
-    ``work``, a complex array of ``z``'s shape, serves as scratch when given.
+    """w(z) for a 1-d array of finite z, with the reflection term left out.
+    ``w`` is written over ``z``, and ``work``, a complex array of ``z``'s
+    shape, serves as scratch when given.
 
     Returns ``(w, refl, a)``.  ``w`` holds w(z) where Im z >= 0 and -w(-z)
     where Im z < 0.  ``refl`` holds the indices of the lower-half-plane
     elements whose reflection term ``2 exp(a)``, ``a = -z^2``, is not exactly
     zero, and ``a`` their exponents.  Adding ``2 exp(a)`` at ``refl`` gives
     w(z) everywhere.
+
+    ``_w_upper`` gives -w(-z) at z itself, save the sign of a zero where
+    Re z is zero.  Those lower-half-plane elements are all in ``refl``, with
+    ``a.imag == 0``, so they are found without a pass over ``z``; the
+    elements so found are evaluated again at -z and negated.
     """
     if work is None:
         work = np.empty_like(z)
-    lower = z.imag < 0.0
     # (-z)^2 is z^2 bit for bit.  Where Re(-z^2) < _EXP_FLOOR, 2 exp(-z^2) is
     # exactly zero, so skipping it changes no bit and takes no cos/sin of a
     # huge Im(z^2)
     sq = np.multiply(z, z, out=work)
-    refl = np.flatnonzero(lower & (sq.real <= -_EXP_FLOOR))
+    refl = np.flatnonzero((z.imag < 0.0) & (sq.real <= -_EXP_FLOOR))
     a = sq[refl]
     np.negative(a, out=a)
-    np.negative(z, out=z, where=lower)
+    axis = refl[a.imag == 0.0]
+    z_axis = np.negative(z[axis])
     w = _w_upper(z, work)
-    np.negative(w, out=w, where=lower)
+    if len(axis):
+        w[axis] = np.negative(_w_upper(z_axis))
     return w, refl, a
 
 

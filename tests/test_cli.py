@@ -430,6 +430,17 @@ class TestExitCodes:
         assert f"{cfg}: {key} given more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_directory_as_config_exits_1_before_any_sweep(self, tmp_path, monkeypatch, capsys):
+        # an IsADirectoryError used to escape as a traceback
+        monkeypatch.setattr(cli, "sweep_poles", no_sweep)
+        cfg = tmp_path / "cfgdir"
+        cfg.mkdir()
+        out = tmp_path / "dirconfig"
+        assert run(["poles", "--config", cfg, "--nseed", "60", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
     def test_out_on_a_file_exits_1_before_any_sweep(self, below, tmp_path, monkeypatch, capsys):
         # the sweep ran, then the cache's mkdir raised NotADirectoryError

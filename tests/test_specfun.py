@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tunnelwave import specfun
 from tunnelwave.specfun import faddeeva, faddeeva_log_scaled
 
 # e * erfc(1), 50-digit series oracle, frozen
@@ -215,6 +216,77 @@ def test_bulk_equals_one_element_calls_across_tiers(z):
     fits = z[(-(z * z)).real < 650.0]
     single = np.array([faddeeva(complex(v)) for v in fits], dtype=complex)
     assert np.array_equal(bits(faddeeva(fits)), bits(single))
+
+
+# the continued fraction's radius tiers: 3, 2 and 1 levels
+_CF_TIER_RADII = {"3-level": (150.0, 1e3), "2-level": (1e3, 1e4), "1-level": (1e4, 1e6)}
+
+
+@pytest.mark.parametrize("radii", _CF_TIER_RADII.values(), ids=_CF_TIER_RADII.keys())
+def test_continued_fraction_is_odd_bit_for_bit(radii):
+    # the lower half-plane's far arguments are evaluated at z itself, not
+    # at -z, on this property
+    rng = np.random.default_rng(41)
+    n = 4096
+    radius = np.exp(rng.uniform(math.log(radii[0]), math.log(radii[1]), n))
+    quadrant = np.arange(n) % 4
+    z = radius * np.exp(1j * (0.5 * math.pi) * (quadrant + rng.uniform(0.0, 1.0, n)))
+    r2 = z.real * z.real + z.imag * z.imag
+    levels = [True if b == math.inf else r2 < b for b in specfun._CF_LEVEL_R2]
+    work = np.empty_like(z)
+    at_z = specfun._w_contfrac(z.copy(), levels, work)
+    at_minus_z = specfun._w_contfrac(-z, levels, work)
+    assert np.array_equal(bits(at_minus_z), bits(-at_z))
+
+
+def _split_through_minus_z(z, work=None):
+    """``_w_split`` by the full reflection route: every lower-half-plane
+    argument is negated, evaluated in the upper half-plane and negated back."""
+    z = z.copy()
+    lower = z.imag < 0.0
+    sq = z * z
+    refl = np.flatnonzero(lower & (sq.real <= 746.0))
+    a = -sq[refl]
+    np.negative(z, out=z, where=lower)
+    w = specfun._w_upper(z)
+    np.negative(w, out=w, where=lower)
+    return w, refl, a
+
+
+def _reflection_arrays():
+    rng = np.random.default_rng(42)
+    ys = [0.5, 3.0, 149.99, 150.0, 151.0, 999.0, 1e3, 1e4, 1e6, 1e150]
+    # +-0 +- iy and +-y +- 0i
+    signed_zeros = np.array([
+        v for y in ys for s in (1.0, -1.0) for zero in (0.0, -0.0)
+        for v in (complex(zero, s * y), complex(s * y, zero))
+    ])
+    near, far = _ring(rng, 500, 0.01, 150.0), _ring(rng, 500, 150.0, 1e6)
+    return {
+        "all-near": near,
+        "all-far": far,
+        "mixed": rng.permutation(np.concatenate([near, far, signed_zeros])),
+        "signed-zeros": signed_zeros,
+        "one-near": near[:1],
+        "one-far": far[:1],
+        **{f"one-signed-zero-{i}": signed_zeros[i : i + 1] for i in range(len(signed_zeros))},
+    }
+
+
+_REFLECTION_ARRAYS = _reflection_arrays()
+
+
+@pytest.mark.parametrize("z", _REFLECTION_ARRAYS.values(), ids=_REFLECTION_ARRAYS.keys())
+def test_reflection_only_where_needed_matches_full_reflection(z, monkeypatch):
+    # only the rational fit's arguments and those with a zero real part are
+    # reflected; every bit, signed zeros included, must be as when every
+    # lower-half-plane argument is
+    fits = z[(-(z * z)).real < 650.0]
+    got = [*specfun._w_split(z.copy()), faddeeva(fits), *faddeeva_log_scaled(z)]
+    monkeypatch.setattr(specfun, "_w_split", _split_through_minus_z)
+    want = [*_split_through_minus_z(z), faddeeva(fits), *faddeeva_log_scaled(z)]
+    for g, w in zip(got, want):
+        assert np.array_equal(bits(g), bits(w))
 
 
 class TestLogScaled:
