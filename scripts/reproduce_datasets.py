@@ -10,11 +10,11 @@ of the db 200L and qb 200L runs by choice, not for want of nodes: at their
 400 times they would need 15.0M and 6.6M nodes, inside the oracle's
 1e8-node budget.  The test suite compares the closed form with the oracle
 at 20L and 200L.
-End to end this took 7.6 to 10.7 s (three runs, against 7.2 to 7.5 s
-before sb 20L gained its oracle column) on a 2-core host with Python 3.11.7
-and numpy 2.4.6; the sb 2L, sb 20L, db 2L and qb 2L ``evolve --oracle``
-steps took 1.0, 1.1, 3.3 and 1.7 s when run on their own (process wall
-time, best of four; one oracle call over all 400 times each).
+End to end this took 5.6 to 6.7 s (eight runs under ``python -W error``)
+on a 2-core Intel Xeon host with Python 3.11.7 and numpy 2.4.6; the sb 2L,
+sb 20L, db 2L and qb 2L ``evolve --oracle`` steps took 0.61, 0.82, 2.78 and
+1.32 s when run on their own (process wall time, best of four; one oracle
+call over all 400 times each).
 Catalogs are swept once per system and cached; every later run reuses them.
 """
 

@@ -17,7 +17,14 @@ envelope underflows, and only the product is guaranteed representable.
 
 The sum runs in chunks of points, one Faddeeva pass per chunk: the continued
 fraction over the whole chunk and the rational approximation over the few
-arguments below |z| = 150, whose fixed cost the chunk size amortizes.
+arguments below |z| = 150, whose fixed cost the chunk size amortizes.  The
+set-up is paid once per system and once per call, not once per chunk: the
+pole terms come from ``resonances._pole_record``, built on a system's first
+call and kept, read-only and without the packet, for the eight latest
+systems, keyed by the profile's value and the identity of the catalog and
+residue set, which the memo holds; each call builds its points' factors of
+y' once and slices them per chunk; and a chunk with no reflection term skips
+the scaling's run bookkeeping.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from .specfun import _w_split
 from .potential import UnitSystem
-from .resonances import _pole_terms
+from .resonances import _pole_record
 
 __all__ = [
     "FreeDensityUnderflowError",
@@ -205,16 +212,18 @@ class _BracketEvaluator:
             )
         self.packet = packet
         # C, the poles and the coefficients of w(i y'_n), the mirrors' after
-        # the poles'; a mirror's coefficient is the conjugate, of equal modulus
-        self.c_const, poles, self.coefs = _pole_terms(profile, catalog, residue_set)
-        self.max_log_coef = float(np.max(np.log(self.coefs[: len(poles) // 2]).real))
-        self.kp = poles - packet.k0  # shifted wavenumbers kappa'
+        # the poles', built once per system (a mirror's coefficient is the
+        # conjugate, of equal modulus)
+        record = _pole_record(profile, catalog, residue_set)
+        self.c_const, self.coefs = record.c_const, record.coefs
+        self.max_log_coef = record.max_log_coef
+        self.kp = record.poles - packet.k0  # shifted wavenumbers kappa'
         self.hbar = packet.units.hbar
         self.mass = packet.units.mass
 
-    def _y_args(self, x, t, out=None):
-        """y' of the poles, then of their mirrors: shape ``x.shape + (2N,)``;
-        written into ``out`` when given."""
+    def _row_factors(self, x, t):
+        """The per-point factors of y' as columns of shape ``x.shape + (1,)``:
+        the offset ``x - x_c - v t``, the root and the velocity of t'."""
         packet = self.packet
         tp = t - 1j * packet.tau
         # complex already: a float column would be cast to complex, through
@@ -223,6 +232,15 @@ class _BracketEvaluator:
         rot = cmath.exp(-0.25j * math.pi)
         root = (rot * np.sqrt(self.mass / (2.0 * self.hbar * tp)))[..., None]
         vel = (self.hbar * tp / self.mass)[..., None]
+        return xp, root, vel
+
+    def _y_args(self, x, t):
+        """y' of the poles, then of their mirrors: shape ``x.shape + (2N,)``."""
+        return self._y_from(self._row_factors(x, t))
+
+    def _y_from(self, factors, out=None):
+        """y' from the points' :meth:`_row_factors`; written into ``out`` when given."""
+        xp, root, vel = factors
         y = np.multiply(vel, self.kp, out=out)
         np.subtract(xp, y, out=y)
         # root first: complex products are not commutative bit for bit
@@ -234,8 +252,9 @@ class _BracketEvaluator:
 
         Works in chunks of about ``_CHUNK`` (points x poles) elements with one
         Faddeeva pass per chunk, summed in linear space row by row, so every
-        point gets the bits it gets alone.  Raises ``ValueError`` where the
-        sum is not finite.
+        point gets the bits it gets alone.  The per-point factors are built
+        once for the call and sliced for each chunk.  Raises ``ValueError``
+        where the sum is not finite.
         """
         n_terms = len(self.coefs)
         rows = max(1, min(len(x), _CHUNK // n_terms))
@@ -247,10 +266,18 @@ class _BracketEvaluator:
         # and exponents non-finite without a warning, and its sum is refused
         # below, naming the point
         with np.errstate(over="ignore", invalid="ignore"):
+            factors = self._row_factors(x, t)
+            prefac = self._prefactor(t)
+            # 2 exp(a) itself must stay below exp(_LINEAR_LOG_MAX) too
+            limit = _LINEAR_LOG_MAX - np.maximum(
+                0.0, self.max_log_coef + np.log(np.abs(prefac))
+            )
             for s in range(0, len(x), rows):
                 part = slice(s, s + rows)
                 n = min(rows, len(x) - s)
-                out[part] = self._chunk(x[part], t[part], *bufs[:, :n])
+                out[part] = self._chunk(
+                    [f[part] for f in factors], prefac[part], limit[part], *bufs[:, :n]
+                )
         # a zero bracket has log -inf; nan or +inf means a non-finite sum
         bad = np.flatnonzero(np.isnan(out) | (out.real == math.inf))
         if len(bad):
@@ -267,47 +294,47 @@ class _BracketEvaluator:
             1.0 + 1j * t / self.packet.tau
         )
 
-    def _chunk(self, x, t, z_buf, work):
-        """Log bracket for one chunk of points, summed in linear space in the
+    def _chunk(self, factors, prefac, limit, z_buf, work):
+        """Log bracket for one chunk of points, given their :meth:`_row_factors`,
+        prefactors and overflow limits, summed in linear space in the
         ``(points, 2N)`` buffers ``z_buf`` and ``work``.
 
-        A row whose largest reflection exponent, plus the log of the largest
-        coefficient times the prefactor where that exceeds 1, passes
-        ``_LINEAR_LOG_MAX`` by ``shift`` has its ``w`` values, its reflection
-        terms ``2 exp(a)`` and C scaled by ``exp(-shift)``; ``shift`` is added
-        back to its log.  Every other row is summed unscaled.
+        A row whose largest reflection exponent passes its ``limit`` by
+        ``shift`` has its ``w`` values, its reflection terms ``2 exp(a)`` and
+        C scaled by ``exp(-shift)``; ``shift`` is added back to its log.  The
+        limit is ``_LINEAR_LOG_MAX`` less the log of the largest coefficient
+        times the prefactor, where that exceeds 1.  Every other row is summed
+        unscaled, and a chunk with no reflection term skips the bookkeeping.
         """
-        z = self._y_args(x, t, z_buf)
+        z = self._y_from(factors, z_buf)
         z *= 1j
         # w overwrites the arguments
         w, refl, a = _w_split(z.reshape(-1), work.reshape(-1))
         w_rows = w.reshape(z.shape)
-        prefac = self._prefactor(t)
-        # 2 exp(a) itself must stay below exp(_LINEAR_LOG_MAX) too
-        limit = _LINEAR_LOG_MAX - np.maximum(
-            0.0, self.max_log_coef + np.log(np.abs(prefac))
-        )
-        # refl is sorted, so row i's reflection terms are the run
-        # a[ends[i - 1]:ends[i]]; rounding is monotone, so the largest
-        # exponent of a run less its row's limit is the largest difference
-        ends = np.searchsorted(refl, np.arange(1, len(x) + 1) * z.shape[1])
-        runs = np.diff(ends, prepend=0)
-        hit = np.flatnonzero(runs)
-        run_max = np.maximum.reduceat(a.real, ends[hit] - runs[hit])
-        shift = np.zeros(len(x))
-        shift[hit] = np.maximum(0.0, run_max - limit[hit])
-        scale = np.exp(-shift)
-        if shift.any():
-            np.multiply(w_rows, scale[:, None], out=w_rows, where=shift[:, None] > 0.0)
-            a -= np.repeat(shift, runs)
-        with np.errstate(under="ignore"):
-            np.exp(a, out=a)
-            a *= 2.0
-            w[refl] += a
+        shift = np.zeros(len(z))
+        c_const = self.c_const
+        if len(refl):
+            # refl is sorted, so row i's reflection terms are the run
+            # a[ends[i - 1]:ends[i]]; rounding is monotone, so the largest
+            # exponent of a run less its row's limit is the largest difference
+            ends = np.searchsorted(refl, np.arange(1, len(z) + 1) * z.shape[1])
+            runs = np.diff(ends, prepend=0)
+            hit = np.flatnonzero(runs)
+            run_max = np.maximum.reduceat(a.real, ends[hit] - runs[hit])
+            shift[hit] = np.maximum(0.0, run_max - limit[hit])
+            scale = np.exp(-shift)
+            c_const = c_const * scale
+            if shift.any():
+                np.multiply(w_rows, scale[:, None], out=w_rows, where=shift[:, None] > 0.0)
+                a -= np.repeat(shift, runs)
+            with np.errstate(under="ignore"):
+                np.exp(a, out=a)
+                a *= 2.0
+                w[refl] += a
         # pairwise row sums: one row's bits do not depend on the chunk, and
         # where the sum cancels they keep 20x less error than einsum's
         terms = np.multiply(w_rows, self.coefs, out=work)
-        total = self.c_const * scale + prefac * np.sum(terms, axis=1)
+        total = c_const + prefac * np.sum(terms, axis=1)
         # a zero bracket has log -inf
         with np.errstate(divide="ignore"):
             return np.log(total) + shift

@@ -406,6 +406,8 @@ def transmission_amplitude(profile, k):
 def transmission_coefficient(profile, energy):
     """T(E) = |t(k(E))|^2 for real E > 0; clipped into [0, 1]."""
     e_arr = np.asarray(energy, dtype=float)
+    if not np.all(np.isfinite(e_arr)):
+        raise ValueError("transmission coefficient requires a finite energy")
     if np.any(e_arr <= 0.0):
         raise NegativeEnergyError("transmission coefficient requires E > 0")
     k = np.sqrt(e_arr / profile.units.inv_mass_coeff)

@@ -15,7 +15,9 @@ read only by :func:`resonance_state`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,16 +140,25 @@ def residues(profile, catalog):
     return ResidueSet(residues=u0 * u_l / kappa, u0=u0, u_l=u_l)
 
 
-def _pair_arrays(profile, catalog, residue_set, n_poles=None):
-    """Poles and z_n = r_n exp(-i kappa_n L), ascending |kappa|, first n_poles."""
-    n_cat = len(catalog)
-    if len(residue_set) != n_cat:
+def _require_aligned(catalog, residue_set):
+    """Raise ``ValueError`` unless ``residue_set`` has one entry per pole."""
+    if len(residue_set) != len(catalog):
         raise ValueError(
-            f"residue set has {len(residue_set)} entries, catalog has {n_cat}; "
+            f"residue set has {len(residue_set)} entries, catalog has {len(catalog)}; "
             "a residue set must be built from its catalog"
         )
+
+
+def _pair_arrays(profile, catalog, residue_set, n_poles=None):
+    """Poles and z_n = r_n exp(-i kappa_n L), ascending |kappa|, first n_poles."""
+    _require_aligned(catalog, residue_set)
+    n_cat = len(catalog)
     if n_poles is None:
         n_poles = n_cat
+    try:
+        n_poles = operator.index(n_poles)
+    except TypeError:
+        raise ValueError(f"n_poles must be an integer in 1..{n_cat}, got {n_poles!r}") from None
     if not 1 <= n_poles <= n_cat:
         raise ValueError(f"n_poles must lie in 1..{n_cat}")
     order = np.argsort(np.abs(catalog.poles))[:n_poles]
@@ -193,9 +204,14 @@ def expansion_t(profile, k, catalog, residue_set, n_poles=None):
     that product, which does not cancel as ``k^2 - 2ik Im kappa - |kappa|^2``
     can.  The (points x poles) block is evaluated ``_CHUNK`` elements at a
     time in two reused buffers.
+
+    Raises ``ValueError`` for a non-finite ``k`` and for an ``n_poles`` that
+    is not an integer in 1..N.
     """
-    kap, z = _pair_arrays(profile, catalog, residue_set, n_poles)
     k_arr = np.asarray(k, dtype=complex)
+    if not np.all(np.isfinite(k_arr)):
+        raise ValueError("expansion_t requires a finite k")
+    kap, z = _pair_arrays(profile, catalog, residue_set, n_poles)
     flat = np.atleast_1d(k_arr).ravel()
     _check_pole_proximity(flat, kap, _DEDUP_TOL)
     kap_bar = np.conj(kap)
@@ -220,19 +236,62 @@ def expansion_t(profile, k, catalog, residue_set, n_poles=None):
     return out.reshape(k_arr.shape)
 
 
+class _PoleRecord(NamedTuple):
+    """One system's pole terms, as :func:`_pole_terms` describes them, and
+    the largest log-modulus of the poles' coefficients (a mirror's is equal)."""
+
+    c_const: complex
+    poles: np.ndarray
+    coefs: np.ndarray
+    max_log_coef: float
+
+
+# pole records kept per process, like the oracle's refinements
+_RECORD_ENTRIES = 8
+# (profile, id(catalog), id(residue_set)) -> (catalog, residue_set, record),
+# oldest use first; the entry holds its catalog and residue set, so neither
+# id is reused while it lives
+_records = {}
+
+
+def _pole_record(profile, catalog, residue_set):
+    """The :class:`_PoleRecord` of a system, built on its first use and
+    returned, with read-only arrays, to every later call with an equal
+    profile and the same catalog and residue set objects; the eight latest
+    are kept.  The residue set's length is checked on every call."""
+    _require_aligned(catalog, residue_set)
+    key = (profile, id(catalog), id(residue_set))
+    entry = _records.pop(key, None)
+    if entry is None:
+        kap, z = _pair_arrays(profile, catalog, residue_set)
+        coef = z * kap
+        poles = np.concatenate([kap, -np.conj(kap)])
+        coefs = np.concatenate([coef, np.conj(coef)])
+        for arr in (poles, coefs):
+            arr.flags.writeable = False  # shared by every caller through the memo
+        record = _PoleRecord(
+            complex(-2.0 * float(np.sum(z.imag)), 0.0),
+            poles,
+            coefs,
+            float(np.max(np.log(coef).real)),
+        )
+        entry = (catalog, residue_set, record)
+        if len(_records) >= _RECORD_ENTRIES:
+            del _records[next(iter(_records))]
+    _records[key] = entry
+    return entry[2]
+
+
 def _pole_terms(profile, catalog, residue_set):
     """``(C, poles, coefs)`` over the catalog's (n, -n) pairs in ascending
     |kappa|: the kappa_n then their mirrors ``-conj(kappa_n)``, and
     ``z_n kappa_n`` then their conjugates, ``z_n = r_n exp(-i kappa_n L)``.
     C = i sum over +-n of z_n; each pair gives ``-2 Im z_n`` exactly, so C
     is real."""
-    kap, z = _pair_arrays(profile, catalog, residue_set)
-    coef = z * kap
-    c_const = complex(-2.0 * float(np.sum(z.imag)), 0.0)
-    return c_const, np.concatenate([kap, -np.conj(kap)]), np.concatenate([coef, np.conj(coef)])
+    return _pole_record(profile, catalog, residue_set)[:3]
 
 
 def coefficient_C(profile, catalog, residue_set):
     """Potential-only constant C = i sum_n r_n exp(-i kappa_n L) over +-n,
     which is real (see :func:`_pole_terms`)."""
-    return _pole_terms(profile, catalog, residue_set)[0]
+    return _pole_record(profile, catalog, residue_set).c_const

@@ -78,6 +78,11 @@ def _weideman_coeffs(n_terms):
 
 _WEIDEMAN_N = 48
 _WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs(_WEIDEMAN_N)
+# as 0-d complex arrays, each Horner step adds its coefficient without first
+# converting a scalar to a complex array, as it does for a float or a Python
+# complex: the same bits, since a float is added as c + 0j either way, at a
+# fixed cost per step that a pass over a few dozen arguments feels
+_WEIDEMAN_A = tuple(np.array(c, dtype=complex) for c in _WEIDEMAN_A)
 
 
 def _w_weideman(z, out=None):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tunnelwave import resonances
 from tunnelwave.evolution import (
     _BracketEvaluator,
     FreeDensityUnderflowError,
@@ -370,6 +371,21 @@ class TestLinearBracket:
         assert np.array_equal(bulk, single)
         assert np.all(np.isfinite(bulk[[1, 4]]))
 
+    def test_rows_without_reflection_terms_equal_mixed_chunks(self, sb_data):
+        # sb at 2L: the two earliest times have no reflection term, so their
+        # one-point calls skip the run bookkeeping; the bulk call sums them
+        # in one chunk with rows that have reflection terms
+        pk, catalog, rset = sb_data.packet, sb_data.catalog, sb_data.residues
+        ts = np.geomspace(1e-2, 30.0, 8) * tau_system(SB, catalog)
+        xs = np.full(ts.shape, 2.0 * SB.length)
+        ev = _BracketEvaluator(pk, SB, catalog, rset)
+        assert has_reflection_terms(ev, xs, ts).tolist() == [False] * 2 + [True] * 6
+        bulk = transmitted_packet_log(pk, SB, catalog, rset, xs, ts)
+        single = np.array([
+            transmitted_packet_log(pk, SB, catalog, rset, x, t) for x, t in zip(xs, ts)
+        ])
+        assert np.array_equal(bulk.view(np.uint64), single.view(np.uint64))
+
     def test_chunk_size_changes_no_bit(self, wide_db, monkeypatch):
         # shifted and unshifted rows side by side: each row's shift is the
         # largest exponent of its own run of reflection terms, wherever the
@@ -409,6 +425,101 @@ class TestLinearBracket:
             psi_lin, psi_log = np.exp(lin + free), np.exp(log + free)
             peak = np.max(np.abs(psi_log))
             assert np.max(np.abs(psi_lin - psi_log)) <= 1e-13 * peak
+
+
+def has_reflection_terms(ev, xs, ts):
+    """Whether each point's row has a reflection term ``2 exp(-z^2)`` that
+    ``_w_split`` does not drop as exactly zero."""
+    z = 1j * ev._y_args(xs, ts)
+    return ((z.imag < 0.0) & ((z * z).real <= 746.0)).any(axis=1)
+
+
+def closed_form_calls(data, catalog=None, rset=None):
+    """Every closed-form entry point on one preset, as a list of results;
+    on ``catalog`` and ``rset`` in place of the preset's when given."""
+    pk, profile = data.packet, data.profile
+    catalog = data.catalog if catalog is None else catalog
+    rset = data.residues if rset is None else rset
+    tau_sys = tau_system(profile, catalog)
+    x_far = 2e5 * profile.length
+    t_flight = (x_far - pk.x_c) / pk.velocity
+    ts = np.geomspace(1e-2 * tau_sys, 30.0 * tau_sys, 8)
+    return [
+        transmitted_packet_log(pk, profile, catalog, rset, 2.0 * profile.length, ts),
+        zeta(pk, profile, catalog, rset, x_far * np.linspace(0.9, 1.1, 5), t_flight),
+        longtime_exponent(pk, profile, catalog, rset, 2.0 * profile.length,
+                          (100.0 * tau_sys, 1e3 * tau_sys)),
+        asymptotic_cancellation(pk, profile, catalog, rset, 2.0 * profile.length,
+                                1e3 * tau_sys),
+        coefficient_C(profile, catalog, rset),
+    ]
+
+
+def same_bits(got, want):
+    return all(
+        np.array_equal(np.atleast_1d(g).view(np.uint8), np.atleast_1d(w).view(np.uint8))
+        for g, w in zip(got, want, strict=True)
+    )
+
+
+class TestPoleRecordMemo:
+    """A system's pole terms are built on its first closed-form call and
+    reused, read-only, by later calls with an equal profile and the same
+    catalog and residue set objects."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(resonances, "_records", {})
+
+    def test_warm_calls_equal_cold_calls(self, preset_data):
+        for data in preset_data.values():
+            resonances._records.clear()
+            cold = closed_form_calls(data)
+            assert len(resonances._records) == 1
+            warm = closed_form_calls(data)
+            assert same_bits(warm, cold)
+            resonances._records.clear()
+            assert same_bits(closed_form_calls(data), warm)
+
+    def test_two_catalogs_of_one_profile_keep_their_own_terms(self, sb_data):
+        small = sweep_poles(SB, PoleSearchConfig(n_seed=60))
+        other = (small, residues(SB, small))
+        cold_small = closed_form_calls(sb_data, *other)
+        resonances._records.clear()
+        cold_full = closed_form_calls(sb_data)
+        assert not same_bits(closed_form_calls(sb_data, *other), cold_full)
+        assert same_bits(closed_form_calls(sb_data, *other), cold_small)
+        assert same_bits(closed_form_calls(sb_data), cold_full)
+        assert len(resonances._records) == 2
+
+    def test_residue_set_of_another_catalog_refused_every_call(self, sb_data):
+        small = sweep_poles(SB, PoleSearchConfig(n_seed=60))
+        rset = residues(SB, small)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="residue set has"):
+                transmitted_packet_log(sb_data.packet, SB, sb_data.catalog, rset,
+                                       2.0 * SB.length, 5.0)
+            with pytest.raises(ValueError, match="residue set has"):
+                coefficient_C(SB, sb_data.catalog, rset)
+        assert resonances._records == {}
+
+    def test_validity_warning_on_every_call(self, sb_data):
+        mid = GaussianPacket(-3.5, 0.5, 0.45, SB.units)
+        for _ in range(2):
+            with pytest.warns(PacketValidityWarning):
+                transmitted_packet(mid, SB, sb_data.catalog, sb_data.residues, 20.0, 5.0)
+
+    def test_bounded_and_read_only(self, sb_data):
+        # one catalog with bound + 1 residue set objects: bound + 1 systems
+        bound = resonances._RECORD_ENTRIES
+        sets = [residues(SB, sb_data.catalog) for _ in range(bound + 1)]
+        for rset in sets:
+            c, poles, coefs = resonances._pole_terms(SB, sb_data.catalog, rset)
+            assert len(resonances._records) <= bound
+            assert not poles.flags.writeable and not coefs.flags.writeable
+        # the oldest entry went first; it holds its catalog and residue set
+        held = [entry[1] for entry in resonances._records.values()]
+        assert len(held) == bound and all(a is b for a, b in zip(held, sets[1:]))
 
 
 # x = L (2e5)^fx: fx of the distance 2L

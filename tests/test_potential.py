@@ -357,6 +357,12 @@ class TestTransmission:
         with pytest.raises(NegativeEnergyError):
             transmission_coefficient(SB, 0.0)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, [0.1, math.nan]])
+    def test_non_finite_energy_refused_by_name(self, energy):
+        # nan passed the E > 0 test and came back as nan, as did inf
+        with pytest.raises(ValueError, match="finite energy"):
+            transmission_coefficient(SB, energy)
+
     def test_array_matches_scalars_and_rejects_a_pole(self, sb_data):
         ks = np.array([0.3, 0.8 - 0.05j, 2.0])
         amp = transmission_amplitude(SB, ks)

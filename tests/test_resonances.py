@@ -380,6 +380,23 @@ class TestExpansion:
             with pytest.raises(ValueError, match=rf"1\.\.{len(catalog)}"):
                 expansion_t(SB, 0.5, catalog, rset, n)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, complex(0.5, math.nan),
+                                   np.array([0.3, math.nan, 0.9])])
+    def test_non_finite_k_refused_by_name(self, sb_data, k):
+        # nan stopped on numpy's invalid-value warning in the division, or
+        # came back as nan without it
+        with pytest.raises(ValueError, match="finite k"):
+            expansion_t(SB, k, sb_data.catalog, sb_data.residues)
+
+    def test_non_integer_truncation_refused_by_name(self, sb_data):
+        # 2.5 failed inside slicing with a TypeError; a numpy integer is one
+        catalog, rset = sb_data.catalog, sb_data.residues
+        with pytest.raises(ValueError, match="n_poles must be an integer"):
+            expansion_t(SB, 0.5, catalog, rset, 2.5)
+        assert expansion_t(SB, 0.5, catalog, rset, np.int64(3)) == expansion_t(
+            SB, 0.5, catalog, rset, 3
+        )
+
 
 class TestExpansionKernel:
     @pytest.mark.parametrize("name,n", [("sb", 300), ("db", 1000), ("qb", 4000)])

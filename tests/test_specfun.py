@@ -289,6 +289,36 @@ def test_reflection_only_where_needed_matches_full_reflection(z, monkeypatch):
         assert np.array_equal(bits(g), bits(w))
 
 
+def _w_near_float_coefficients(z):
+    """``_w_near`` with the Horner loop over the fit's float coefficients,
+    as fitted: each step adds a float scalar, converted to complex."""
+    big_l, coeffs = specfun._weideman_coeffs(specfun._WEIDEMAN_N)
+    lower = z.imag < 0.0
+    z = np.where(lower, -z, z)
+    zm = 1j * z
+    denom = big_l - zm
+    zm = (big_l + zm) / denom
+    p = np.zeros_like(z)
+    for c in coeffs:
+        p = p * zm + c
+    w = 2.0 * p / (denom * denom) + (1.0 / math.sqrt(math.pi)) / denom
+    return np.where(lower, -w, w)
+
+
+def test_rational_fit_complex_coefficients_change_no_bit():
+    # the coefficients are stored as 0-d complex arrays; adding c + 0j must
+    # give the bits that adding the float c gives
+    rng = np.random.default_rng(43)
+    n = 4096
+    radius = np.exp(rng.uniform(math.log(1e-3), math.log(150.0), n))
+    quadrant = np.arange(n) % 4
+    z = radius * np.exp(1j * (0.5 * math.pi) * (quadrant + rng.uniform(0.0, 1.0, n)))
+    z = np.concatenate([z, _REFLECTION_ARRAYS["signed-zeros"], _SIGNED_ZEROS])
+    z = z[np.abs(z) < specfun._R_CONTFRAC]
+    assert all(isinstance(c, np.ndarray) and c.dtype == complex for c in specfun._WEIDEMAN_A)
+    assert np.array_equal(bits(specfun._w_near(z.copy())), bits(_w_near_float_coefficients(z)))
+
+
 class TestLogScaled:
     def test_zero(self):
         mag, phase = faddeeva_log_scaled(0.0)
