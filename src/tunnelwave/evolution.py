@@ -19,12 +19,13 @@ The sum runs in chunks of points, one Faddeeva pass per chunk: the continued
 fraction over the whole chunk and the rational approximation over the few
 arguments below |z| = 150, whose fixed cost the chunk size amortizes.  The
 set-up is paid once per system and once per call, not once per chunk: the
-pole terms come from ``resonances._pole_record``, built on a system's first
-call and kept, read-only and without the packet, for the eight latest
-systems, keyed by the profile's value and the identity of the catalog and
-residue set, which the memo holds; each call builds its points' factors of
-y' once and slices them per chunk; and a chunk with no reflection term skips
-the scaling's run bookkeeping.
+pole terms come from ``resonances._pole_record``, which ``expansion_t``
+shares, built on a system's first call and cached with
+``functools.lru_cache``, read-only and without the packet, for the eight
+latest systems, keyed by the profile's value and the identity of the catalog
+and residue set; each call builds its points' factors of y' once and slices
+them per chunk; and a chunk with no reflection term skips the scaling's run
+bookkeeping.
 """
 
 from __future__ import annotations

@@ -170,20 +170,20 @@ def _freeze_columns(obj, dtypes):
         object.__setattr__(obj, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoleCatalog:
     """Validated, ordered fourth-quadrant poles with per-pole |t22| residuals.
 
     ``stats`` is set by :func:`sweep_poles` and None for a loaded catalog.
-    Non-finite values and arrays of unequal length are refused.
-    """
+    Non-finite values and arrays of unequal length are refused.  A catalog
+    equals and hashes as itself only (``eq=False``), so it can key a cache."""
 
     poles: np.ndarray
     residuals: np.ndarray
     profile_fingerprint: str
     length: float
     config: PoleSearchConfig
-    stats: SweepStats | None = field(default=None, compare=False)
+    stats: SweepStats | None = None
 
     def __post_init__(self):
         _freeze_columns(self, {"poles": complex, "residuals": float})

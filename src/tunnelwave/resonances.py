@@ -11,17 +11,21 @@ In the local plane-wave basis that start is ``(a, b) = (0, 1)``: one kernel
 pass gives t22, t22' and u(L) = m12 + m22, so the residues, at all catalog
 poles at once; the per-layer amplitudes the kernel records on request are
 read only by :func:`resonance_state`.
+
+A system's pole terms are built in one place, :func:`_pole_record`, and
+cached: :func:`expansion_t`, :func:`coefficient_C` and ``evolution`` read them.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .poles import _DEDUP_TOL, _freeze_columns
+from .poles import _DEDUP_TOL, _freeze_columns, catalog_fingerprint
 from .potential import _VECTOR, PoleProximityError, _phase, _second_column, residual_gate
 
 __all__ = [
@@ -116,11 +120,12 @@ def resonance_state(profile, kappa):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueSet:
     """Residues r_n = u_n(0) u_n(L) / kappa_n aligned with a PoleCatalog.
 
-    Non-finite values and arrays of unequal length are refused."""
+    Non-finite values and arrays of unequal length are refused; a set
+    equals and hashes as itself only (``eq=False``), so it can key a cache."""
 
     residues: np.ndarray
     u0: np.ndarray
@@ -140,36 +145,10 @@ def residues(profile, catalog):
     return ResidueSet(residues=u0 * u_l / kappa, u0=u0, u_l=u_l)
 
 
-def _require_aligned(catalog, residue_set):
-    """Raise ``ValueError`` unless ``residue_set`` has one entry per pole."""
-    if len(residue_set) != len(catalog):
-        raise ValueError(
-            f"residue set has {len(residue_set)} entries, catalog has {len(catalog)}; "
-            "a residue set must be built from its catalog"
-        )
-
-
-def _pair_arrays(profile, catalog, residue_set, n_poles=None):
-    """Poles and z_n = r_n exp(-i kappa_n L), ascending |kappa|, first n_poles."""
-    _require_aligned(catalog, residue_set)
-    n_cat = len(catalog)
-    if n_poles is None:
-        n_poles = n_cat
-    try:
-        n_poles = operator.index(n_poles)
-    except TypeError:
-        raise ValueError(f"n_poles must be an integer in 1..{n_cat}, got {n_poles!r}") from None
-    if not 1 <= n_poles <= n_cat:
-        raise ValueError(f"n_poles must lie in 1..{n_cat}")
-    order = np.argsort(np.abs(catalog.poles))[:n_poles]
-    kap = catalog.poles[order]
-    z = residue_set.residues[order] * np.exp(-1j * kap * profile.length)
-    return kap, z
-
-
 def _check_pole_proximity(k, kap, tol):
-    """Raise :class:`PoleProximityError` when any ``k`` lies within ``tol``
-    of a pole or of its mirror ``-conj(kappa)``.
+    """Raise :class:`PoleProximityError`, naming the first such ``k`` and
+    its pole, when any ``k`` lies within ``tol`` of a pole or of its mirror
+    ``-conj(kappa)``.
 
     Only poles whose real part is near ``Re k`` can be that close, so the
     2N poles are sorted by real part and each k tests just the candidates in
@@ -186,8 +165,17 @@ def _check_pole_proximity(k, kap, tol):
     which_k = np.repeat(np.arange(len(k)), counts)
     # position of each candidate within its own k's window
     offset = np.arange(len(which_k)) - np.repeat(np.cumsum(counts) - counts, counts)
-    if np.any(np.abs(k[which_k] - poles[lo[which_k] + offset]) < tol):
-        raise PoleProximityError("k is within dedup_tol of a pole")
+    near = poles[lo[which_k] + offset]
+    hit = np.abs(k[which_k] - near) < tol
+    if hit.any():
+        # which_k ascends, so the first hit is the first offending k; the
+        # poles lie in the fourth quadrant, their mirrors in the third
+        i = int(np.argmax(hit))
+        kind = "mirror pole" if near[i].real < 0.0 else "pole"
+        raise PoleProximityError(
+            f"k = {complex(k[which_k[i]])!r} is within {tol:.3g} of the {kind} "
+            f"{complex(near[i])!r}"
+        )
 
 
 def expansion_t(profile, k, catalog, residue_set, n_poles=None):
@@ -205,13 +193,22 @@ def expansion_t(profile, k, catalog, residue_set, n_poles=None):
     can.  The (points x poles) block is evaluated ``_CHUNK`` elements at a
     time in two reused buffers.
 
-    Raises ``ValueError`` for a non-finite ``k`` and for an ``n_poles`` that
-    is not an integer in 1..N.
+    The poles and z_n are the first ``n_poles`` of the system's cached
+    :func:`_pole_record`.  Raises ``ValueError`` for a non-finite ``k``, for
+    an ``n_poles`` that is not an integer in 1..N and where the record does.
     """
     k_arr = np.asarray(k, dtype=complex)
     if not np.all(np.isfinite(k_arr)):
         raise ValueError("expansion_t requires a finite k")
-    kap, z = _pair_arrays(profile, catalog, residue_set, n_poles)
+    record = _pole_record(profile, catalog, residue_set)
+    n_cat = len(catalog)
+    try:
+        n = n_cat if n_poles is None else operator.index(n_poles)
+    except TypeError:
+        n = 0  # not an integer: refused below
+    if not 1 <= n <= n_cat:
+        raise ValueError(f"n_poles must be an integer in 1..{n_cat}, got {n_poles!r}")
+    kap, z = record.poles[:n], record.z[:n]
     flat = np.atleast_1d(k_arr).ravel()
     _check_pole_proximity(flat, kap, _DEDUP_TOL)
     kap_bar = np.conj(kap)
@@ -237,61 +234,54 @@ def expansion_t(profile, k, catalog, residue_set, n_poles=None):
 
 
 class _PoleRecord(NamedTuple):
-    """One system's pole terms, as :func:`_pole_terms` describes them, and
-    the largest log-modulus of the poles' coefficients (a mirror's is equal)."""
+    """One system's pole terms in ascending |kappa|: the kappa_n then their
+    mirrors ``-conj(kappa_n)``, ``z_n = r_n exp(-i kappa_n L)``, ``z_n
+    kappa_n`` then their conjugates, and the largest log-modulus of those
+    coefficients.  C = i sum over +-n of z_n; each pair gives ``-2 Im z_n``
+    exactly, so C is real."""
 
     c_const: complex
     poles: np.ndarray
     coefs: np.ndarray
+    z: np.ndarray
     max_log_coef: float
 
 
 # pole records kept per process, like the oracle's refinements
 _RECORD_ENTRIES = 8
-# (profile, id(catalog), id(residue_set)) -> (catalog, residue_set, record),
-# oldest use first; the entry holds its catalog and residue set, so neither
-# id is reused while it lives
-_records = {}
 
 
+@functools.lru_cache(maxsize=_RECORD_ENTRIES)
 def _pole_record(profile, catalog, residue_set):
     """The :class:`_PoleRecord` of a system, built on its first use and
     returned, with read-only arrays, to every later call with an equal
-    profile and the same catalog and residue set objects; the eight latest
-    are kept.  The residue set's length is checked on every call."""
-    _require_aligned(catalog, residue_set)
-    key = (profile, id(catalog), id(residue_set))
-    entry = _records.pop(key, None)
-    if entry is None:
-        kap, z = _pair_arrays(profile, catalog, residue_set)
-        coef = z * kap
-        poles = np.concatenate([kap, -np.conj(kap)])
-        coefs = np.concatenate([coef, np.conj(coef)])
-        for arr in (poles, coefs):
-            arr.flags.writeable = False  # shared by every caller through the memo
-        record = _PoleRecord(
-            complex(-2.0 * float(np.sum(z.imag)), 0.0),
-            poles,
-            coefs,
-            float(np.max(np.log(coef).real)),
+    profile and the same catalog and residue set objects, which hash by
+    identity.  Raises ``ValueError``, and caches nothing, unless the residue
+    set has one entry per pole and the catalog was swept for ``profile``."""
+    if len(residue_set) != len(catalog):
+        raise ValueError(
+            f"residue set has {len(residue_set)} entries, catalog has {len(catalog)}; "
+            "a residue set must be built from its catalog"
         )
-        entry = (catalog, residue_set, record)
-        if len(_records) >= _RECORD_ENTRIES:
-            del _records[next(iter(_records))]
-    _records[key] = entry
-    return entry[2]
-
-
-def _pole_terms(profile, catalog, residue_set):
-    """``(C, poles, coefs)`` over the catalog's (n, -n) pairs in ascending
-    |kappa|: the kappa_n then their mirrors ``-conj(kappa_n)``, and
-    ``z_n kappa_n`` then their conjugates, ``z_n = r_n exp(-i kappa_n L)``.
-    C = i sum over +-n of z_n; each pair gives ``-2 Im z_n`` exactly, so C
-    is real."""
-    return _pole_record(profile, catalog, residue_set)[:3]
+    expected = catalog_fingerprint(profile, catalog.config)
+    if catalog.profile_fingerprint != expected:
+        raise ValueError(
+            f"catalog fingerprint {catalog.profile_fingerprint} is not the profile's "
+            f"{expected}; a catalog must be swept for its profile"
+        )
+    order = np.argsort(np.abs(catalog.poles))
+    kap = catalog.poles[order]
+    z = residue_set.residues[order] * np.exp(-1j * kap * profile.length)
+    coef = z * kap
+    poles = np.concatenate([kap, -np.conj(kap)])
+    coefs = np.concatenate([coef, np.conj(coef)])
+    for arr in (poles, coefs, z):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    c_const = complex(-2.0 * float(np.sum(z.imag)), 0.0)
+    return _PoleRecord(c_const, poles, coefs, z, float(np.max(np.log(coef).real)))
 
 
 def coefficient_C(profile, catalog, residue_set):
     """Potential-only constant C = i sum_n r_n exp(-i kappa_n L) over +-n,
-    which is real (see :func:`_pole_terms`)."""
+    which is real (see :class:`_PoleRecord`)."""
     return _pole_record(profile, catalog, residue_set).c_const

@@ -191,7 +191,7 @@ def check_reconstruction(name, profile, catalog, residue_set, packet):
     )
 
 
-def check_properties(name, profile, catalog, residue_set):
+def check_properties(name, profile, catalog):
     """Criterion-7 spot checks; the full property suites live in the tests."""
     rng = np.random.default_rng(7)
     msgs, ok = [], True
@@ -260,6 +260,6 @@ def run_validation(name, profile, catalog, residue_set, packet):
     records.append(check_oracle_equivalence(name, profile, catalog, residue_set, packet))
     records.append(check_longtime_slope(name, profile, catalog, residue_set, packet))
     records.append(check_reconstruction(name, profile, catalog, residue_set, packet))
-    records.append(check_properties(name, profile, catalog, residue_set))
+    records.append(check_properties(name, profile, catalog))
     records.append(check_cancellation(name, profile, catalog, residue_set, packet))
     return records

@@ -88,7 +88,7 @@ def test_criterion_6_spectral_reconstruction(name, preset_data):
 @pytest.mark.parametrize("name", PRESETS)
 def test_criterion_7_property_suites(name, preset_data):
     data = preset_data[name]
-    report(check_properties(name, data.profile, data.catalog, data.residues))
+    report(check_properties(name, data.profile, data.catalog))
 
 
 @pytest.mark.parametrize("name", PRESETS)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -27,10 +28,10 @@ from tunnelwave.evolution import (
     transmitted_packet_log,
     zeta,
 )
-from tunnelwave.poles import PoleSearchConfig, sweep_poles
+from tunnelwave.poles import PoleSearchConfig, catalog_fingerprint, sweep_poles
 from tunnelwave.potential import UnitSystem, transmission_coefficient
 from tunnelwave.presets import default_packet_energy, preset_profile
-from tunnelwave.resonances import ResidueSet, coefficient_C, residues
+from tunnelwave.resonances import ResidueSet, coefficient_C, expansion_t, residues
 from tunnelwave.specfun import faddeeva, faddeeva_log_scaled
 
 SB = preset_profile("sb")
@@ -434,9 +435,16 @@ def has_reflection_terms(ev, xs, ts):
     return ((z.imag < 0.0) & ((z * z).real <= 746.0)).any(axis=1)
 
 
+def spectrum_k(profile, n):
+    """``n`` real wavenumbers of energies from 0.01 to 5 barrier heights."""
+    energies = np.linspace(0.01, 5.0, n) * profile.barrier_height
+    return np.sqrt(energies / profile.units.inv_mass_coeff)
+
+
 def closed_form_calls(data, catalog=None, rset=None):
-    """Every closed-form entry point on one preset, as a list of results;
-    on ``catalog`` and ``rset`` in place of the preset's when given."""
+    """Every entry point that reads the pole record, the expansion and the
+    closed form, on one preset, as a list of results; on ``catalog`` and
+    ``rset`` in place of the preset's when given."""
     pk, profile = data.packet, data.profile
     catalog = data.catalog if catalog is None else catalog
     rset = data.residues if rset is None else rset
@@ -445,6 +453,7 @@ def closed_form_calls(data, catalog=None, rset=None):
     t_flight = (x_far - pk.x_c) / pk.velocity
     ts = np.geomspace(1e-2 * tau_sys, 30.0 * tau_sys, 8)
     return [
+        expansion_t(profile, spectrum_k(profile, 16), catalog, rset),
         transmitted_packet_log(pk, profile, catalog, rset, 2.0 * profile.length, ts),
         zeta(pk, profile, catalog, rset, x_far * np.linspace(0.9, 1.1, 5), t_flight),
         longtime_exponent(pk, profile, catalog, rset, 2.0 * profile.length,
@@ -462,35 +471,80 @@ def same_bits(got, want):
     )
 
 
+def per_call_expansion(profile, k, catalog, residue_set, n):
+    """``expansion_t`` over the first ``n`` poles with its pair arrays built
+    per call, an argsort of |kappa| and an ``exp``, and the same blocked pair
+    sum: the route the pole record replaced."""
+    order = np.argsort(np.abs(catalog.poles))[:n]
+    kap = catalog.poles[order]
+    z = residue_set.residues[order] * np.exp(-1j * kap * profile.length)
+    flat = np.atleast_1d(np.asarray(k, dtype=complex)).ravel()
+    kap_bar = np.conj(kap)
+    a = 2.0 * (z * kap_bar).real
+    b = 2j * z.imag
+    rows = max(1, resonances._CHUNK // len(kap))
+    den = np.empty((min(rows, len(flat)), len(kap)), dtype=complex)
+    num = np.empty_like(den)
+    out = np.empty_like(flat)
+    for i in range(0, len(flat), rows):
+        kk = flat[i : i + rows, None]
+        d, m = den[: len(kk)], num[: len(kk)]
+        np.subtract(kk, kap, out=d)
+        np.add(kk, kap_bar, out=m)
+        d *= m
+        np.multiply(kk, b, out=m)
+        m += a
+        m /= d
+        out[i : i + rows] = 1j * kk[:, 0] * np.sum(m, axis=1)
+    return out
+
+
 class TestPoleRecordMemo:
-    """A system's pole terms are built on its first closed-form call and
-    reused, read-only, by later calls with an equal profile and the same
-    catalog and residue set objects."""
+    """A system's pole terms are built on its first expansion or closed-form
+    call and reused, read-only, by later calls with an equal profile and the
+    same catalog and residue set objects."""
+
+    memo = staticmethod(resonances._pole_record)
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(resonances, "_records", {})
+    def empty_memo(self):
+        self.memo.cache_clear()
+        yield
+        self.memo.cache_clear()
 
     def test_warm_calls_equal_cold_calls(self, preset_data):
         for data in preset_data.values():
-            resonances._records.clear()
+            self.memo.cache_clear()
             cold = closed_form_calls(data)
-            assert len(resonances._records) == 1
+            info = self.memo.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
             warm = closed_form_calls(data)
             assert same_bits(warm, cold)
-            resonances._records.clear()
+            self.memo.cache_clear()
             assert same_bits(closed_form_calls(data), warm)
+
+    @pytest.mark.parametrize("name", ["sb", "db", "qb"])
+    def test_one_record_serves_every_truncation(self, preset_data, name):
+        data = preset_data[name]
+        profile, catalog, rset = data.profile, data.catalog, data.residues
+        # a complex k as well, where the pair sum's numerators do not cancel
+        k = np.append(spectrum_k(profile, 200), 0.7 - 0.01j)
+        for n in (1, 2, 10, 300, len(catalog)):
+            got = expansion_t(profile, k, catalog, rset, n)
+            assert same_bits([got], [per_call_expansion(profile, k, catalog, rset, n)])
+        info = self.memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
 
     def test_two_catalogs_of_one_profile_keep_their_own_terms(self, sb_data):
         small = sweep_poles(SB, PoleSearchConfig(n_seed=60))
         other = (small, residues(SB, small))
         cold_small = closed_form_calls(sb_data, *other)
-        resonances._records.clear()
+        self.memo.cache_clear()
         cold_full = closed_form_calls(sb_data)
         assert not same_bits(closed_form_calls(sb_data, *other), cold_full)
         assert same_bits(closed_form_calls(sb_data, *other), cold_small)
         assert same_bits(closed_form_calls(sb_data), cold_full)
-        assert len(resonances._records) == 2
+        assert self.memo.cache_info().currsize == 2
 
     def test_residue_set_of_another_catalog_refused_every_call(self, sb_data):
         small = sweep_poles(SB, PoleSearchConfig(n_seed=60))
@@ -501,7 +555,34 @@ class TestPoleRecordMemo:
                                        2.0 * SB.length, 5.0)
             with pytest.raises(ValueError, match="residue set has"):
                 coefficient_C(SB, sb_data.catalog, rset)
-        assert resonances._records == {}
+            with pytest.raises(ValueError, match="residue set has"):
+                expansion_t(SB, 0.5, sb_data.catalog, rset)
+        assert self.memo.cache_info().currsize == 0
+
+    def test_catalog_of_another_profile_refused_by_every_entry_point(self, db_data):
+        # an sb catalog with its own residues, on the db profile and packet:
+        # both fingerprints are named
+        catalog = sweep_poles(SB, PoleSearchConfig(n_seed=60))
+        rset = residues(SB, catalog)
+        match = (f"catalog fingerprint {catalog.profile_fingerprint} is not the "
+                 f"profile's {catalog_fingerprint(DB, catalog.config)}")
+        pk, x = db_data.packet, 2.0 * DB.length
+        tau_sys = tau_system(DB, db_data.catalog)
+        calls = [
+            lambda: expansion_t(DB, 0.5, catalog, rset),
+            lambda: coefficient_C(DB, catalog, rset),
+            lambda: transmitted_packet_log(pk, DB, catalog, rset, x, 5.0),
+            lambda: transmitted_packet(pk, DB, catalog, rset, x, 5.0),
+            lambda: zeta(pk, DB, catalog, rset, 1e3 * DB.length, 1e3),
+            lambda: longtime_exponent(pk, DB, catalog, rset, x,
+                                      (100.0 * tau_sys, 1e3 * tau_sys)),
+            lambda: asymptotic_cancellation(pk, DB, catalog, rset, x, 1e3 * tau_sys),
+        ]
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(ValueError, match=match):
+                    call()
+        assert self.memo.cache_info().currsize == 0
 
     def test_validity_warning_on_every_call(self, sb_data):
         mid = GaussianPacket(-3.5, 0.5, 0.45, SB.units)
@@ -512,14 +593,25 @@ class TestPoleRecordMemo:
     def test_bounded_and_read_only(self, sb_data):
         # one catalog with bound + 1 residue set objects: bound + 1 systems
         bound = resonances._RECORD_ENTRIES
-        sets = [residues(SB, sb_data.catalog) for _ in range(bound + 1)]
+        catalog = sb_data.catalog
+        sets = [residues(SB, catalog) for _ in range(bound + 1)]
         for rset in sets:
-            c, poles, coefs = resonances._pole_terms(SB, sb_data.catalog, rset)
-            assert len(resonances._records) <= bound
-            assert not poles.flags.writeable and not coefs.flags.writeable
-        # the oldest entry went first; it holds its catalog and residue set
-        held = [entry[1] for entry in resonances._records.values()]
-        assert len(held) == bound and all(a is b for a, b in zip(held, sets[1:]))
+            record = self.memo(SB, catalog, rset)
+            assert self.memo.cache_info().currsize <= bound
+            assert not any(a.flags.writeable for a in (record.poles, record.coefs, record.z))
+        # the oldest entry went first: the later sets are hits, the first a miss
+        misses = self.memo.cache_info().misses
+        for rset in sets[1:]:
+            self.memo(SB, catalog, rset)
+        assert self.memo.cache_info().misses == misses
+        self.memo(SB, catalog, sets[0])
+        assert self.memo.cache_info().misses == misses + 1
+        # an entry holds its residue set, so no identity is reused while it lives
+        held = weakref.ref(sets[0])
+        del sets, rset
+        assert held() is not None
+        self.memo.cache_clear()
+        assert held() is None
 
 
 # x = L (2e5)^fx: fx of the distance 2L

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -20,8 +21,7 @@ from tunnelwave.presets import preset_profile
 from tunnelwave.resonances import (
     NormalizationDegenerateError,
     NotAPoleError,
-    _pair_arrays,
-    _pole_terms,
+    _pole_record,
     coefficient_C,
     expansion_t,
     resonance_state,
@@ -61,7 +61,7 @@ def quadrature_norm(profile, state):
 
 def truncated_c(profile, catalog, residue_set, n):
     """C_N over the first ``n`` pole pairs: each pair gives ``-2 Im z_n``."""
-    return -2.0 * float(np.sum(_pair_arrays(profile, catalog, residue_set, n)[1].imag))
+    return -2.0 * float(np.sum(_pole_record(profile, catalog, residue_set).z[:n].imag))
 
 
 def mp_expansion(k, kap, z):
@@ -313,7 +313,7 @@ class TestResidueSetData:
             with pytest.raises(ValueError, match=match):
                 expansion_t(SB, 0.5, catalog, rset)
             with pytest.raises(ValueError, match=match):
-                _pole_terms(SB, catalog, rset)
+                coefficient_C(SB, catalog, rset)
 
 
 class TestExpansion:
@@ -403,7 +403,8 @@ class TestExpansionKernel:
     def test_against_50_digit_pair_sum(self, preset_data, name, n):
         data = preset_data[name]
         profile = data.profile
-        kap, z = _pair_arrays(profile, data.catalog, data.residues, n)
+        record = _pole_record(profile, data.catalog, data.residues)
+        kap, z = record.poles[:n], record.z[:n]
         rng = np.random.default_rng(11)
         energies = rng.uniform(0.005, 5.0, 8) * profile.barrier_height
         k = np.concatenate([
@@ -420,12 +421,15 @@ class TestExpansionKernel:
         tol = _DEDUP_TOL
         step = np.exp(1j * np.pi / 3)
         grid = np.linspace(0.2, 2.0, 7) + 0j
+        kind = "mirror pole" if mirror else "pole"
         for kappa in catalog.poles[[0, 5, -1]]:
             pole = -kappa.conjugate() if mirror else kappa
+            k = pole + 0.5 * tol * step
+            match = re.escape(f"k = {complex(k)!r} is within 1e-06 of the {kind} {complex(pole)!r}")
+            with pytest.raises(PoleProximityError, match=match):
+                expansion_t(SB, k, catalog, rs)
             with pytest.raises(PoleProximityError):
-                expansion_t(SB, pole + 0.5 * tol * step, catalog, rs)
-            with pytest.raises(PoleProximityError):
-                expansion_t(SB, np.append(grid, pole + 0.5 * tol * step), catalog, rs)
+                expansion_t(SB, np.append(grid, k), catalog, rs)
             far = expansion_t(SB, np.append(grid, pole + 2.0 * tol * step), catalog, rs)
             assert np.all(np.isfinite(far))
 
@@ -475,12 +479,17 @@ class TestExpansionKernel:
 
 class TestCoefficientC:
     def test_pole_terms_list_each_pole_then_its_mirror(self, db_data):
-        kap, z = _pair_arrays(DB, db_data.catalog, db_data.residues)
-        c, poles, coefs = _pole_terms(DB, db_data.catalog, db_data.residues)
+        catalog, rset = db_data.catalog, db_data.residues
+        order = np.argsort(np.abs(catalog.poles))
+        kap = catalog.poles[order]
+        z = rset.residues[order] * np.exp(-1j * kap * DB.length)
+        record = _pole_record(DB, catalog, rset)
         # C = i sum over +-n of z_n, with z_{-n} = -conj(z_n)
+        c = record.c_const
         assert c.imag == 0.0 and abs(c - 1j * np.sum(np.concatenate([z, -np.conj(z)]))) <= 1e-14
-        assert np.array_equal(poles, np.concatenate([kap, -np.conj(kap)]))
-        assert np.array_equal(coefs, np.concatenate([z * kap, np.conj(z * kap)]))
+        assert np.array_equal(record.z, z)
+        assert np.array_equal(record.poles, np.concatenate([kap, -np.conj(kap)]))
+        assert np.array_equal(record.coefs, np.concatenate([z * kap, np.conj(z * kap)]))
 
     def test_real_valued(self, preset_data):
         for data in preset_data.values():
