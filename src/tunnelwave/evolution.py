@@ -20,12 +20,11 @@ fraction over the whole chunk and the rational approximation over the few
 arguments below |z| = 150, whose fixed cost the chunk size amortizes.  The
 set-up is paid once per system and once per call, not once per chunk: the
 pole terms come from ``resonances._pole_record``, which ``expansion_t``
-shares, built on a system's first call and cached with
-``functools.lru_cache``, read-only and without the packet, for the eight
-latest systems, keyed by the profile's value and the identity of the catalog
-and residue set; each call builds its points' factors of y' once and slices
-them per chunk; and a chunk with no reflection term skips the scaling's run
-bookkeeping.
+shares, built on a system's first call and kept, read-only and without the
+packet, for as long as its residue set lives, reused for an equal profile
+and the same catalog; each call builds its points' factors of y' once and
+slices them per chunk; and a chunk with no reflection term skips the
+scaling's run bookkeeping.
 """
 
 from __future__ import annotations
@@ -184,7 +183,9 @@ def tau_system(profile, catalog):
     """Longest lifetime hbar / Gamma_min over poles below the barrier top.
 
     Falls back to the first (lowest) pole when no pole sits below the top.
+    Raises ``ValueError`` unless the catalog was swept for ``profile``.
     """
+    catalog.require_profile(profile)
     units = profile.units
     widths = catalog.widths(units)
     positions = catalog.positions(units)

@@ -59,7 +59,8 @@ changes no bit of the result.
 
 The refinement depends on the packet, the integrand and the window, not on x
 or t, so its leaves are built once per process and reused by every later
-call at any x and t (see :func:`_leaves`).
+call at any x and t (see :func:`_leaves`).  The rule's 16 nodes and weights
+are a literal table, so no quadrature rule is computed at import.
 """
 
 from __future__ import annotations
@@ -83,7 +84,21 @@ __all__ = [
 ]
 
 _GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# the 16-point Gauss-Legendre nodes on [-1, 1], ascending, and their weights:
+# numpy.polynomial.legendre.leggauss(16), written with repr so every bit is
+# kept (the tests check them against it bit for bit)
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
 _NODE_BUDGET = 10**8
 _WINDOW_HALF_WIDTH = 12.0  # momentum window k0 +- this / sigma
 _PHASE_OVERSAMPLING = 4.0  # pi times the phase rule's nodes per unit of rate and k

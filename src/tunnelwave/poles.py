@@ -203,6 +203,16 @@ class PoleCatalog:
         """Resonance positions Re E_n (eV)."""
         return np.real(self.energies(units))
 
+    def require_profile(self, profile):
+        """Raise ``ValueError``, naming both fingerprints, unless the catalog
+        was swept for ``profile``."""
+        expected = catalog_fingerprint(profile, self.config)
+        if self.profile_fingerprint != expected:
+            raise ValueError(
+                f"catalog fingerprint {self.profile_fingerprint} is not the profile's "
+                f"{expected}; a catalog must be swept for its profile"
+            )
+
 
 def asymptotic_seed(n, length):
     """High-index pole estimates n pi/L - i (2/L) ln n for an index or an

@@ -13,19 +13,20 @@ poles at once; the per-layer amplitudes the kernel records on request are
 read only by :func:`resonance_state`.
 
 A system's pole terms are built in one place, :func:`_pole_record`, and
-cached: :func:`expansion_t`, :func:`coefficient_C` and ``evolution`` read them.
+kept for as long as its residue set lives: :func:`expansion_t`,
+:func:`coefficient_C` and ``evolution`` read them.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .poles import _DEDUP_TOL, _freeze_columns, catalog_fingerprint
+from .poles import _DEDUP_TOL, _freeze_columns
 from .potential import _VECTOR, PoleProximityError, _phase, _second_column, residual_gate
 
 __all__ = [
@@ -247,28 +248,27 @@ class _PoleRecord(NamedTuple):
     max_log_coef: float
 
 
-# pole records kept per process, like the oracle's refinements
-_RECORD_ENTRIES = 8
+# per residue set, the profile and catalog its record was built for, and the
+# record; an entry goes when its residue set does
+_records = weakref.WeakKeyDictionary()
 
 
-@functools.lru_cache(maxsize=_RECORD_ENTRIES)
 def _pole_record(profile, catalog, residue_set):
     """The :class:`_PoleRecord` of a system, built on its first use and
-    returned, with read-only arrays, to every later call with an equal
-    profile and the same catalog and residue set objects, which hash by
-    identity.  Raises ``ValueError``, and caches nothing, unless the residue
-    set has one entry per pole and the catalog was swept for ``profile``."""
+    returned, with read-only arrays, to every later call with the same
+    residue set object, an equal profile and the same catalog object.  The
+    entry lives as long as its residue set, which it does not hold.  Raises
+    ``ValueError``, and keeps nothing, unless the residue set has one entry
+    per pole and the catalog was swept for ``profile``."""
+    entry = _records.get(residue_set)
+    if entry is not None and entry[1] is catalog and entry[0] == profile:
+        return entry[2]
     if len(residue_set) != len(catalog):
         raise ValueError(
             f"residue set has {len(residue_set)} entries, catalog has {len(catalog)}; "
             "a residue set must be built from its catalog"
         )
-    expected = catalog_fingerprint(profile, catalog.config)
-    if catalog.profile_fingerprint != expected:
-        raise ValueError(
-            f"catalog fingerprint {catalog.profile_fingerprint} is not the profile's "
-            f"{expected}; a catalog must be swept for its profile"
-        )
+    catalog.require_profile(profile)
     order = np.argsort(np.abs(catalog.poles))
     kap = catalog.poles[order]
     z = residue_set.residues[order] * np.exp(-1j * kap * profile.length)
@@ -276,9 +276,11 @@ def _pole_record(profile, catalog, residue_set):
     poles = np.concatenate([kap, -np.conj(kap)])
     coefs = np.concatenate([coef, np.conj(coef)])
     for arr in (poles, coefs, z):
-        arr.flags.writeable = False  # shared by every caller through the cache
+        arr.flags.writeable = False  # shared by every caller through the memo
     c_const = complex(-2.0 * float(np.sum(z.imag)), 0.0)
-    return _PoleRecord(c_const, poles, coefs, z, float(np.max(np.log(coef).real)))
+    record = _PoleRecord(c_const, poles, coefs, z, float(np.max(np.log(coef).real)))
+    _records[residue_set] = (profile, catalog, record)
+    return record
 
 
 def coefficient_C(profile, catalog, residue_set):

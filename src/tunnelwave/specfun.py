@@ -2,9 +2,9 @@
 
 The central object is the Faddeeva function ``w(z) = exp(-z^2) erfc(-iz)``.
 Evaluation is split into two regions: Weideman's N = 48 rational
-approximation (SIAM J. Numer. Anal. 31, 1994; coefficients fitted at import
-time) for ``|z| < 150``, and the Laplace continued fraction beyond.  The
-continued fraction takes only as many levels as each argument's own ``|z|``
+approximation (SIAM J. Numer. Anal. 31, 1994; its fitted coefficients are a
+literal table) for ``|z| < 150``, and the Laplace continued fraction beyond.
+The continued fraction takes only as many levels as each argument's own ``|z|``
 needs (3 at ``|z| = 150`` down to 1 beyond ``|z| = 1e4``), the tiered depth of
 Poppe & Wijers (ACM TOMS 16, 1990) and Zaghloul & Ali (ACM TOMS 38, 2011), so a
 vector call and scalar calls give the same values.  The lower half-plane is
@@ -63,26 +63,35 @@ _CF_LEVEL_R2 = tuple(
 )
 
 
-def _weideman_coeffs(n_terms):
-    # Rational fit on the real line mapped to the unit disk; the FFT recovers
-    # the expansion coefficients (Weideman's construction).
-    big_l = math.sqrt(n_terms / math.sqrt(2.0))
-    m = 2 * n_terms
-    theta = np.arange(-m + 1, m) * math.pi / m
-    t = big_l * np.tan(0.5 * theta)
-    f = np.exp(-t * t) * (big_l * big_l + t * t)
-    f = np.concatenate(([0.0], f))
-    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2.0 * m)
-    return big_l, a[1 : n_terms + 1][::-1]
-
-
+# Weideman's N = 48 fit: L = sqrt(N / sqrt(2)) and the expansion
+# coefficients, highest degree first as the Horner loop takes them.  They are
+# the values of his construction (the real line mapped to the unit disk, the
+# coefficients recovered by an FFT), written with repr so every bit is kept;
+# the tests rebuild them and check them bit for bit
 _WEIDEMAN_N = 48
-_WEIDEMAN_L, _WEIDEMAN_A = _weideman_coeffs(_WEIDEMAN_N)
+_WEIDEMAN_L = 5.825901260487881
 # as 0-d complex arrays, each Horner step adds its coefficient without first
 # converting a scalar to a complex array, as it does for a float or a Python
 # complex: the same bits, since a float is added as c + 0j either way, at a
 # fixed cost per step that a pass over a few dozen arguments feels
-_WEIDEMAN_A = tuple(np.array(c, dtype=complex) for c in _WEIDEMAN_A)
+_WEIDEMAN_A = tuple(np.array(c, dtype=complex) for c in (
+    -3.700743415417188e-17, 3.908097080905041e-17, 8.913045359641251e-17,
+    4.336469876763116e-17, 2.10357809007448e-17, 7.068313479639792e-20,
+    3.859105048166247e-16, 7.253797548522926e-16, -1.8792328220691556e-15,
+    -5.239158595095343e-15, 9.527536360754516e-15, 4.2342555584235587e-14,
+    -3.1933415962846563e-14, -3.227757310972546e-13, -9.65501738984251e-14,
+    2.2154187772000165e-12, 3.4253340904418414e-12, -1.1935451266839411e-11,
+    -4.386586767527037e-11, 2.162200234796574e-11, 3.8794220773032034e-10,
+    5.775289855479109e-10, -2.015659927316155e-09, -9.596254713078844e-09,
+    -6.3868099289015055e-09, 6.927000636026076e-08, 2.654949200687094e-07,
+    1.949433746724146e-07, -1.9445657790098968e-06, -9.475638240450828e-06,
+    -1.905446161911202e-05, 1.7506316371117585e-05, 0.0003078691364088904,
+    0.0014864991251956183, 0.005125813548225686, 0.014546837792237402,
+    0.03586136998337668, 0.07895589553470005, 0.1578633044338047,
+    0.2897998907960481, 0.49225702391399057, 0.7780624191484228,
+    1.149220464539778, 1.5913084691178003, 2.0707599716742915,
+    2.5370484874446904, 2.9304498956237564, 3.194064589395071,
+))
 
 
 def _w_weideman(z, out=None):

@@ -36,6 +36,25 @@ def test_benchmark_modules_import():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_fft_or_polynomial_module():
+    # the Gauss-Legendre and rational-fit tables are literals, so importing
+    # the package and its CLI in a fresh process loads neither numpy module
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    code = (
+        "import sys, tunnelwave, tunnelwave.cli; "
+        "print(sorted(m for m in ('numpy.fft', 'numpy.polynomial') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_name_in_all_is_defined(name):
     module = importlib.import_module(f"tunnelwave.{name}")

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import gc
 import math
 import warnings
 import weakref
@@ -501,50 +503,67 @@ def per_call_expansion(profile, k, catalog, residue_set, n):
 
 class TestPoleRecordMemo:
     """A system's pole terms are built on its first expansion or closed-form
-    call and reused, read-only, by later calls with an equal profile and the
-    same catalog and residue set objects."""
+    call and reused, read-only, by later calls with the same residue set
+    object, an equal profile and the same catalog object, for as long as the
+    residue set lives.  Each test builds its own residue sets, so its first
+    call is a cold one."""
 
-    memo = staticmethod(resonances._pole_record)
+    memo = resonances._records
 
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        self.memo.cache_clear()
-        yield
-        self.memo.cache_clear()
+    def record_of(self, rset):
+        """The record the memo holds for ``rset``."""
+        return self.memo[rset][2]
 
     def test_warm_calls_equal_cold_calls(self, preset_data):
         for data in preset_data.values():
-            self.memo.cache_clear()
-            cold = closed_form_calls(data)
-            info = self.memo.cache_info()
-            assert (info.misses, info.currsize) == (1, 1)
-            warm = closed_form_calls(data)
+            rset = residues(data.profile, data.catalog)
+            assert rset not in self.memo
+            cold = closed_form_calls(data, data.catalog, rset)
+            record = self.record_of(rset)
+            warm = closed_form_calls(data, data.catalog, rset)
+            assert self.record_of(rset) is record  # no entry was rebuilt
             assert same_bits(warm, cold)
-            self.memo.cache_clear()
-            assert same_bits(closed_form_calls(data), warm)
+            # a new residue set of the same system is a cold call again
+            assert same_bits(closed_form_calls(data, data.catalog,
+                                               residues(data.profile, data.catalog)), warm)
 
     @pytest.mark.parametrize("name", ["sb", "db", "qb"])
     def test_one_record_serves_every_truncation(self, preset_data, name):
         data = preset_data[name]
-        profile, catalog, rset = data.profile, data.catalog, data.residues
+        profile, catalog = data.profile, data.catalog
+        rset = residues(profile, catalog)
         # a complex k as well, where the pair sum's numerators do not cancel
         k = np.append(spectrum_k(profile, 200), 0.7 - 0.01j)
+        records = []
         for n in (1, 2, 10, 300, len(catalog)):
             got = expansion_t(profile, k, catalog, rset, n)
             assert same_bits([got], [per_call_expansion(profile, k, catalog, rset, n)])
-        info = self.memo.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+            records.append(self.record_of(rset))
+        assert all(record is records[0] for record in records)
 
     def test_two_catalogs_of_one_profile_keep_their_own_terms(self, sb_data):
         small = sweep_poles(SB, PoleSearchConfig(n_seed=60))
         other = (small, residues(SB, small))
+        full = (sb_data.catalog, residues(SB, sb_data.catalog))
         cold_small = closed_form_calls(sb_data, *other)
-        self.memo.cache_clear()
-        cold_full = closed_form_calls(sb_data)
+        cold_full = closed_form_calls(sb_data, *full)
         assert not same_bits(closed_form_calls(sb_data, *other), cold_full)
         assert same_bits(closed_form_calls(sb_data, *other), cold_small)
-        assert same_bits(closed_form_calls(sb_data), cold_full)
-        assert self.memo.cache_info().currsize == 2
+        assert same_bits(closed_form_calls(sb_data, *full), cold_full)
+        assert self.memo[other[1]][1] is small
+        assert self.memo[full[1]][1] is sb_data.catalog
+
+    def test_entry_reused_only_for_its_own_catalog(self, sb_data):
+        # an equal copy of the catalog is another object: its call rebuilds
+        # the entry, with the same bits
+        catalog = sb_data.catalog
+        rset = residues(SB, catalog)
+        cold = closed_form_calls(sb_data, catalog, rset)
+        record = self.record_of(rset)
+        copy = dataclasses.replace(catalog)
+        assert same_bits(closed_form_calls(sb_data, copy, rset), cold)
+        assert self.memo[rset][1] is copy
+        assert self.record_of(rset) is not record
 
     def test_residue_set_of_another_catalog_refused_every_call(self, sb_data):
         small = sweep_poles(SB, PoleSearchConfig(n_seed=60))
@@ -557,7 +576,7 @@ class TestPoleRecordMemo:
                 coefficient_C(SB, sb_data.catalog, rset)
             with pytest.raises(ValueError, match="residue set has"):
                 expansion_t(SB, 0.5, sb_data.catalog, rset)
-        assert self.memo.cache_info().currsize == 0
+        assert rset not in self.memo
 
     def test_catalog_of_another_profile_refused_by_every_entry_point(self, db_data):
         # an sb catalog with its own residues, on the db profile and packet:
@@ -576,13 +595,16 @@ class TestPoleRecordMemo:
             lambda: zeta(pk, DB, catalog, rset, 1e3 * DB.length, 1e3),
             lambda: longtime_exponent(pk, DB, catalog, rset, x,
                                       (100.0 * tau_sys, 1e3 * tau_sys)),
+            # below the floor the foreign catalog's lifetime would set
+            lambda: longtime_exponent(pk, DB, catalog, rset, x, (1.0, 10.0)),
             lambda: asymptotic_cancellation(pk, DB, catalog, rset, x, 1e3 * tau_sys),
+            lambda: tau_system(DB, catalog),
         ]
         for _ in range(2):
             for call in calls:
                 with pytest.raises(ValueError, match=match):
                     call()
-        assert self.memo.cache_info().currsize == 0
+        assert rset not in self.memo
 
     def test_validity_warning_on_every_call(self, sb_data):
         mid = GaussianPacket(-3.5, 0.5, 0.45, SB.units)
@@ -590,28 +612,25 @@ class TestPoleRecordMemo:
             with pytest.warns(PacketValidityWarning):
                 transmitted_packet(mid, SB, sb_data.catalog, sb_data.residues, 20.0, 5.0)
 
-    def test_bounded_and_read_only(self, sb_data):
-        # one catalog with bound + 1 residue set objects: bound + 1 systems
-        bound = resonances._RECORD_ENTRIES
-        catalog = sb_data.catalog
-        sets = [residues(SB, catalog) for _ in range(bound + 1)]
-        for rset in sets:
-            record = self.memo(SB, catalog, rset)
-            assert self.memo.cache_info().currsize <= bound
-            assert not any(a.flags.writeable for a in (record.poles, record.coefs, record.z))
-        # the oldest entry went first: the later sets are hits, the first a miss
-        misses = self.memo.cache_info().misses
-        for rset in sets[1:]:
-            self.memo(SB, catalog, rset)
-        assert self.memo.cache_info().misses == misses
-        self.memo(SB, catalog, sets[0])
-        assert self.memo.cache_info().misses == misses + 1
-        # an entry holds its residue set, so no identity is reused while it lives
-        held = weakref.ref(sets[0])
-        del sets, rset
-        assert held() is not None
-        self.memo.cache_clear()
-        assert held() is None
+    def test_entry_lives_as_long_as_its_residue_set(self):
+        catalog = sweep_poles(SB, PoleSearchConfig(n_seed=60))
+        rset = residues(SB, catalog)
+        record = resonances._pole_record(SB, catalog, rset)
+        assert not any(a.flags.writeable for a in (record.poles, record.coefs, record.z))
+        assert self.record_of(rset) is record
+        entries = len(self.memo)
+        # sets built and dropped leave no entry behind
+        for _ in range(3):
+            resonances._pole_record(SB, catalog, residues(SB, catalog))
+        gc.collect()
+        assert len(self.memo) == entries
+        # the entry holds neither its residue set nor, once the set is gone,
+        # its catalog: both die with no cache clear, and the entry goes
+        held_set, held_catalog = weakref.ref(rset), weakref.ref(catalog)
+        del rset, catalog
+        gc.collect()
+        assert held_set() is None and held_catalog() is None
+        assert len(self.memo) == entries - 1
 
 
 # x = L (2e5)^fx: fx of the distance 2L

@@ -336,6 +336,13 @@ class TestTimeArrays:
             psi_quadrature(make_packet(), SB, 2e5 * SB.length, np.array([0.0, 1e7]))
 
 
+def test_gauss_legendre_table_is_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(oracle._GL_ORDER)
+    for table, want in ((oracle._GL_NODES, nodes), (oracle._GL_WEIGHTS, weights)):
+        assert table.dtype == np.float64
+        assert np.array_equal(table.view(np.uint64), want.view(np.uint64))
+
+
 class TestInterpolatedLeaves:
     """Smooth leaves take phi0 t(k) from their 16 refinement values."""
 

@@ -289,10 +289,31 @@ def test_reflection_only_where_needed_matches_full_reflection(z, monkeypatch):
         assert np.array_equal(bits(g), bits(w))
 
 
+def _weideman_coeffs(n_terms):
+    """Weideman's construction of the N-term fit: ``L = sqrt(N / sqrt(2))``
+    and the coefficients, highest degree first, recovered by an FFT of the
+    fitted function on the real line mapped to the unit disk."""
+    big_l = math.sqrt(n_terms / math.sqrt(2.0))
+    m = 2 * n_terms
+    theta = np.arange(-m + 1, m) * math.pi / m
+    t = big_l * np.tan(0.5 * theta)
+    f = np.exp(-t * t) * (big_l * big_l + t * t)
+    f = np.concatenate(([0.0], f))
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2.0 * m)
+    return big_l, a[1 : n_terms + 1][::-1]
+
+
+def test_rational_fit_table_is_the_fit_bit_for_bit():
+    big_l, coeffs = _weideman_coeffs(specfun._WEIDEMAN_N)
+    assert np.array_equal(bits(specfun._WEIDEMAN_L), bits(big_l))
+    table = np.array([complex(c) for c in specfun._WEIDEMAN_A])
+    assert np.array_equal(bits(table), bits(coeffs.astype(complex)))
+
+
 def _w_near_float_coefficients(z):
     """``_w_near`` with the Horner loop over the fit's float coefficients,
     as fitted: each step adds a float scalar, converted to complex."""
-    big_l, coeffs = specfun._weideman_coeffs(specfun._WEIDEMAN_N)
+    big_l, coeffs = _weideman_coeffs(specfun._WEIDEMAN_N)
     lower = z.imag < 0.0
     z = np.where(lower, -z, z)
     zm = 1j * z
