@@ -12,9 +12,20 @@ exact 2L dRe k back.  Where a cell's count exceeds the poles found in it, the
 cell is halved, at the vertical cuts on which the bottom and top phases are
 kept while it is at least pi/L wide and along its longer side after that,
 and Newton starts from its centre once it is narrower than pi/L (Delves &
-Lyness, Math. Comp. 21 (1967) 543; Kravanja & Van Barel, LNM 1727).  The
-sweep raises :class:`IncompleteCatalogError` unless the poles found are
-exactly the count; nothing is drawn at random.
+Lyness, Math. Comp. 21 (1967) 543; Kravanja & Van Barel, LNM 1727).
+
+Before that fill, the kept phases estimate the zeros missing left of each
+cut at no kernel cost: the bottom-minus-top phase over 2 pi less the index
+of the poles found, interpolated linearly between them at the cut (a count
+of the poles below it would alternate between neighbouring cuts).  Where
+the estimate rises by more than ``_RIM_RISE`` across two pole spacings,
+Newton runs in lockstep from one seed per half spacing, at the depth
+interpolated between the poles found on either side.  Only if the count
+still exceeds the poles found does the fill run, from the flagged slabs and
+those between them.  Every pole the lockstep batch did not find then takes
+``_POLISH_STEPS`` more Newton steps, so that it does not depend on the seed
+that reached it.  The sweep raises :class:`IncompleteCatalogError` unless the
+poles found are exactly the count; nothing is drawn at random.
 """
 
 from __future__ import annotations
@@ -72,6 +83,13 @@ _BISECT_DEPTH = 12
 # above this many the kernel's temporaries would raise the peak memory
 _SCALAR_POINTS = 8
 _VECTOR_POINTS = 4096
+# a slab two pole spacings wide across which the rim phases count more than
+# this many zeros over the poles found gets Newton seeds before any fill; a
+# missed pole reads about 1 there, a slab with none up to 0.7 on the presets
+_RIM_RISE = 0.75
+# Newton steps over every pole the lockstep batch did not find, which leave
+# it at the rounding level of the zero whatever seed reached it
+_POLISH_STEPS = 2
 
 
 # Newton's step tolerance, its iteration cap and the distance below which two
@@ -109,7 +127,7 @@ class PoleSearchConfig:
 # bumped whenever the sweep, its constants, t22 or the residues can move the
 # bits of a cached catalog or its residue columns under an unchanged config,
 # so that caches written before are rebuilt, not reused
-_CATALOG_REVISION = 4
+_CATALOG_REVISION = 5
 
 
 def catalog_fingerprint(profile, config):
@@ -128,10 +146,11 @@ class SweepStats:
 
     ``box`` is ``(Re lo, Re hi, Im lo, Im hi)`` of the rectangle in which the
     argument principle counted ``count`` zeros of t22.  ``lockstep`` poles
-    came from the lockstep batch, the anchor's seed included, and ``fill``
-    poles from Newton runs started in cells whose count exceeded the poles
-    found in them.  A catalog is returned, and so cached, only when their
-    sum is ``count``.
+    came from the lockstep batch, the anchor's seed included, ``targeted``
+    poles from the seeds where the rim phases count zeros the batch missed,
+    and ``fill`` poles from Newton runs started in cells whose count
+    exceeded the poles found in them.  A catalog is returned, and so cached,
+    only when their sum is ``count``.
     ``newton_iterations`` counts the Newton steps of the whole sweep, one
     ``t22_with_prime`` evaluation each.
     """
@@ -139,6 +158,7 @@ class SweepStats:
     box: tuple
     count: int
     lockstep: int
+    targeted: int
     fill: int
     newton_iterations: int
     seconds: float
@@ -147,8 +167,8 @@ class SweepStats:
         re_lo, re_hi, im_lo, im_hi = self.box
         return (
             f"sweep: {self.count} zeros in box: {self.lockstep} lockstep + "
-            f"{self.fill} fill; box Re [{re_lo:.6g}, {re_hi:.6g}] x "
-            f"Im [{im_lo:.6g}, {im_hi:.6g}] nm^-1, "
+            f"{self.targeted} targeted + {self.fill} fill; "
+            f"box Re [{re_lo:.6g}, {re_hi:.6g}] x Im [{im_lo:.6g}, {im_hi:.6g}] nm^-1, "
             f"{self.newton_iterations} Newton iterations, {self.seconds:.2f} s"
         )
 
@@ -421,19 +441,55 @@ class _Box:
         return out
 
 
-def _fill(profile, box, count, found, counts):
+def _rim_slabs(box, found):
+    """Spans ``(i, j)`` of cuts two pole spacings wide, merged where they
+    meet, across which the rim phases of ``box`` count more than
+    ``_RIM_RISE`` zeros over the poles ``found``, ordered by real part."""
+    index = np.interp(box.cuts, found.real, np.arange(found.size))
+    deficit = (box.rim - box.rim[0]) / (2.0 * math.pi) - index
+    width = 2 * _ARG_PER_SPACING
+    spans = []
+    for i in np.flatnonzero(deficit[width:] - deficit[:-width] > _RIM_RISE).tolist():
+        if spans and i <= spans[-1][1]:
+            spans[-1] = (spans[-1][0], i + width)
+        else:
+            spans.append((i, i + width))
+    return spans
+
+
+def _rim_seeds(box, spans, found):
+    """Newton seeds in ``spans``: one between each two neighbouring cuts, at
+    the depth interpolated between the poles ``found``, ordered by real part,
+    on either side."""
+    mids = [(box.cuts[i] + box.cuts[i + 1]) / 2 for a, b in spans for i in range(a, b)]
+    return np.array(mids) + 1j * np.interp(mids, found.real, found.imag)
+
+
+def _keep_new(found, ks, rect):
+    """``found`` with each finite ``k`` of ``ks`` inside ``rect`` and more than
+    ``_DEDUP_TOL`` from every pole found."""
+    re_lo, re_hi, im_lo, _ = rect
+    for k in ks:
+        if (np.isfinite(k) and re_lo <= k.real <= re_hi and k.imag >= im_lo
+                and np.min(np.abs(found - k)) >= _DEDUP_TOL):
+            found = np.append(found, k)
+    return found
+
+
+def _fill(profile, box, spans, found, counts):
     """``found`` completed where the zero count exceeds the poles in it.
 
-    The box is the first cell.  A cell short of poles, or whose count is not
-    resolved, is halved at its middle cut while it is at least pi/L wide,
-    then along its longer side, ``_BISECT_DEPTH`` times.  Once it is
+    The first cells are the slabs ``spans`` and the slabs between them (the
+    whole box when there are none), counted in one call.  A cell short of
+    poles, or whose count is not resolved, is halved at its middle cut while
+    it is at least pi/L wide, then along its longer side, ``_BISECT_DEPTH``
+    times.  Once it is
     narrower than pi/L, Newton first starts from its centre, in lockstep
     with the other such cells, and it is halved only if still short.  A pole
     is kept when it lies in the box and more than ``_DEDUP_TOL`` from every
     pole found; Newton iterations are added to ``counts["newton"]``.
     """
     spacing = math.pi / profile.length
-    re_lo, re_hi, im_lo, _ = box.rect
 
     def short(cell):
         (x0, x1, y0, y1), n, _, _ = cell
@@ -441,15 +497,16 @@ def _fill(profile, box, count, found, counts):
         inside &= (found.imag >= y0) & (found.imag <= y1)
         return n is None or n > np.count_nonzero(inside)
 
-    cells = [(box.rect, count, (0, len(box.cuts) - 1), _BISECT_DEPTH)]
-    while cells:
+    edges = sorted({0, len(box.cuts) - 1}.union(*spans))
+    halves = [((box.cuts[i], box.cuts[j], box.im_lo, box.im_hi), (i, j), _BISECT_DEPTH)
+              for i, j in zip(edges, edges[1:])]
+    while halves:
+        counted = box.counts([(rect, span) for rect, span, _ in halves])
+        cells = [(r, n, s, depth) for (r, s, depth), n in zip(halves, counted)]
         cells = list(filter(short, cells))
         seeds = [complex(x0 + x1, y0 + y1) / 2 for (x0, x1, y0, y1), *_ in cells
                  if x1 - x0 < spacing]
-        for k in _newton_lockstep(seeds, profile, counts):
-            if (np.isfinite(k) and re_lo <= k.real <= re_hi and k.imag >= im_lo
-                    and np.min(np.abs(found - k)) >= _DEDUP_TOL):
-                found = np.append(found, k)
+        found = _keep_new(found, _newton_lockstep(seeds, profile, counts), box.rect)
         halves = []
         for (x0, x1, y0, y1), _, span, depth in filter(short, cells):
             if span is not None and x1 - x0 >= spacing:
@@ -463,15 +520,25 @@ def _fill(profile, box, count, found, counts):
             elif depth:
                 halves.append(((x0, x1, (y0 + y1) / 2, y1), None, depth - 1))
                 halves.append(((x0, x1, y0, (y0 + y1) / 2), None, depth - 1))
-        counted = box.counts([(rect, span) for rect, span, _ in halves])
-        cells = [(r, n, s, depth) for (r, s, depth), n in zip(halves, counted)]
     return found
 
 
+def _polish(k, profile, counts):
+    """``_POLISH_STEPS`` Newton steps from every ``k`` at once; a step that
+    cannot be taken leaves its pole where it is."""
+    for _ in range(_POLISH_STEPS):
+        counts["newton"] += k.size
+        val, der = _t22_or_nan(profile, k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = val / der
+        k = np.where(np.isfinite(step), k - step, k)
+    return k
+
+
 def sweep_poles(profile, config):
-    """Lockstep Newton, one zero count of the sweep box and the fill (see the
-    module docstring); returns a validated :class:`PoleCatalog` whose
-    ``stats`` record what the sweep did.  Raises
+    """Lockstep Newton, one zero count of the sweep box, the rim seeds and
+    the fill (see the module docstring); returns a validated
+    :class:`PoleCatalog` whose ``stats`` record what the sweep did.  Raises
     :class:`IncompleteCatalogError` unless it holds exactly the count."""
     if not profile.has_barrier:
         raise ValueError("profile has no barrier; t22 has no zeros")
@@ -494,13 +561,20 @@ def sweep_poles(profile, config):
     found = np.sort_complex(poles)
     found = found[np.append(True, np.abs(np.diff(found)) >= _DEDUP_TOL)]
     lockstep = found.size
-    found = _fill(profile, counter, count, found, iterations)
+    spans = _rim_slabs(counter, found) if lockstep < count else []
+    if spans:
+        seeds = _rim_seeds(counter, spans, found)
+        found = _keep_new(found, _newton_lockstep(seeds, profile, iterations), box)
+    targeted = found.size - lockstep
+    if found.size < count:
+        found = _fill(profile, counter, spans, found, iterations)
+    found[lockstep:] = _polish(found[lockstep:], profile, iterations)
 
     # the distinct poles found, ordered by real part, each within its gate
     found = np.sort_complex(found)
     residuals = np.abs(t22(profile, found))
     kept = residuals <= residual_gate(length, found)
-    stats = SweepStats(box, count, lockstep, found.size - lockstep,
+    stats = SweepStats(box, count, lockstep, targeted, found.size - lockstep - targeted,
                        iterations["newton"], time.perf_counter() - started)
     if np.count_nonzero(kept) != count:
         raise IncompleteCatalogError(

@@ -55,8 +55,8 @@ def lattice_8x3():
 
 def drop_from_lockstep(monkeypatch, index, n_seed, fill_finds=True):
     """Make the lockstep batch of an ``n_seed`` sweep lose the pole of seed
-    ``index + 2``, and with ``fill_finds`` false every Newton run of the fill
-    find nothing."""
+    ``index + 2``, and with ``fill_finds`` false every later Newton run, of
+    the targeted stage and of the fill, find nothing."""
     lockstep = poles._newton_lockstep
 
     def dropping(seeds, profile, counts):
@@ -68,6 +68,12 @@ def drop_from_lockstep(monkeypatch, index, n_seed, fill_finds=True):
         return found
 
     monkeypatch.setattr(poles, "_newton_lockstep", dropping)
+
+
+def without_targeted(monkeypatch):
+    """Give the targeted stage no seeds, so the fill finds every pole the
+    lockstep batch misses."""
+    monkeypatch.setattr(poles, "_rim_seeds", lambda box, spans, found: np.empty(0, complex))
 
 
 class TestAsymptoticSeed:
@@ -271,21 +277,50 @@ class TestZeroCountCertificate:
         catalog = sweep_poles(SB, PoleSearchConfig(n_seed=40000))
         assert len(catalog) == catalog.stats.count == 40000
 
-    def test_fill_restores_a_pole_the_lockstep_dropped(self, monkeypatch):
+    def test_targeted_seeds_restore_a_pole_the_lockstep_dropped(self, monkeypatch):
         config = PoleSearchConfig(n_seed=200)
         full = sweep_poles(SB, config)
         kappa = full.poles[99]
         drop_from_lockstep(monkeypatch, 98, config.n_seed)
         catalog = sweep_poles(SB, config)
-        assert catalog.stats.fill == full.stats.fill + 1
+        assert catalog.stats.targeted == full.stats.targeted + 1
+        assert catalog.stats.lockstep == full.stats.lockstep - 1
+        assert catalog.stats.fill == full.stats.fill == 0
+        assert np.min(np.abs(catalog.poles - kappa)) <= 1e-12 * abs(kappa)
+        assert len(catalog) == len(full) == catalog.stats.count
+
+    def test_fill_restores_a_pole_the_lockstep_dropped(self, monkeypatch):
+        config = PoleSearchConfig(n_seed=200)
+        full = sweep_poles(SB, config)
+        kappa = full.poles[99]
+        drop_from_lockstep(monkeypatch, 98, config.n_seed)
+        without_targeted(monkeypatch)
+        catalog = sweep_poles(SB, config)
+        assert catalog.stats.targeted == 0
+        assert catalog.stats.fill == full.stats.targeted + full.stats.fill + 1
         assert catalog.stats.lockstep == full.stats.lockstep - 1
         assert np.min(np.abs(catalog.poles - kappa)) <= 1e-12 * abs(kappa)
         assert len(catalog) == len(full) == catalog.stats.count
 
+    def test_catalogs_independent_of_the_targeted_stage(self, preset_data, monkeypatch):
+        # every pole the lockstep batch misses is polished, so the fill's
+        # Newton runs from cell centres reach the targeted stage's poles
+        without_targeted(monkeypatch)
+        for data in preset_data.values():
+            default = data.catalog
+            catalog = sweep_poles(data.profile, default.config)
+            assert catalog.stats.targeted == 0
+            assert catalog.stats.fill == default.stats.targeted + default.stats.fill > 0
+            assert len(catalog) == len(default)
+            rel = np.abs(catalog.poles - default.poles) / np.abs(default.poles)
+            assert np.max(rel) <= 1e-15
+
     def test_count_above_the_poles_found_raises(self, monkeypatch, tmp_path, capsys):
         drop_from_lockstep(monkeypatch, 98, 200, fill_finds=False)
         # the lockstep batch already misses the two lowest sb poles
-        message = "197 poles found; sweep: 200 zeros in box: 197 lockstep + 0 fill"
+        message = (
+            "197 poles found; sweep: 200 zeros in box: 197 lockstep + 0 targeted + 0 fill"
+        )
         with pytest.raises(IncompleteCatalogError, match=re.escape(message)):
             sweep_poles(SB, PoleSearchConfig(n_seed=200))
         out = tmp_path / "incomplete"
@@ -295,20 +330,24 @@ class TestZeroCountCertificate:
         assert not (out / "cache").exists()
 
     def test_default_sweep_newton_iterations(self, preset_data):
+        # the rim phases flag every pole the lockstep batch misses, so none
+        # is left to the fill
         for name, count, lockstep in (
             ("sb", 1000, 998), ("db", 1000, 996), ("qb", 4000, 3991),
         ):
             stats = preset_data[name].catalog.stats
-            fill = count - lockstep
-            assert (stats.count, stats.lockstep, stats.fill) == (count, lockstep, fill)
+            targeted = count - lockstep
+            split = (stats.count, stats.lockstep, stats.targeted, stats.fill)
+            assert split == (count, lockstep, targeted, 0)
             assert stats.newton_iterations > 0
             summary = stats.summary()
-            assert f"{count} zeros in box: {lockstep} lockstep + {fill} fill" in summary
+            assert (f"{count} zeros in box: {lockstep} lockstep + {targeted} targeted + 0 fill"
+                    in summary)
             assert f"{stats.newton_iterations} Newton iterations" in summary
 
     def test_superlattice_catalog_independent_of_seed(self, lattice_10x3):
-        # the lockstep batch misses 44 poles, the fill finds each the same way
-        # every time
+        # the lockstep batch misses 44 poles, the targeted stage and the fill
+        # find each the same way every time
         for catalog in [lattice_10x3] + [
             sweep_poles(LATTICE_10X3, PoleSearchConfig(n_seed=1000, seed=seed))
             for seed in (1, 7)
