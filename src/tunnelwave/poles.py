@@ -17,15 +17,15 @@ Lyness, Math. Comp. 21 (1967) 543; Kravanja & Van Barel, LNM 1727).
 Before that fill, the kept phases estimate the zeros missing left of each
 cut at no kernel cost: the bottom-minus-top phase over 2 pi less the index
 of the poles found, interpolated linearly between them at the cut (a count
-of the poles below it would alternate between neighbouring cuts).  Where
-the estimate rises by more than ``_RIM_RISE`` across two pole spacings,
-Newton runs in lockstep from one seed per half spacing, at the depth
-interpolated between the poles found on either side.  Only if the count
-still exceeds the poles found does the fill run, from the flagged slabs and
-those between them.  Every pole the lockstep batch did not find then takes
-``_POLISH_STEPS`` more Newton steps, so that it does not depend on the seed
-that reached it.  The sweep raises :class:`IncompleteCatalogError` unless the
-poles found are exactly the count; nothing is drawn at random.
+of the poles below it would alternate between neighbouring cuts).  Where the
+estimate rises by more than ``_RIM_RISE`` across two pole spacings, Newton
+runs in lockstep from one seed per half spacing, at the depth interpolated
+between the poles found on either side.  Only if the count still exceeds the
+poles found does the fill run.  Every pole the lockstep batch did not find
+then takes ``_POLISH_STEPS`` more Newton steps, so that it does not depend
+on the seed that reached it, unless they would move it out of the box or
+onto another pole.  The sweep raises :class:`IncompleteCatalogError` unless
+the poles found are exactly the count; nothing is drawn at random.
 """
 
 from __future__ import annotations
@@ -465,25 +465,28 @@ def _rim_seeds(box, spans, found):
     return np.array(mids) + 1j * np.interp(mids, found.real, found.imag)
 
 
-def _keep_new(found, ks, rect):
-    """``found`` with each finite ``k`` of ``ks`` inside ``rect`` and more than
-    ``_DEDUP_TOL`` from every pole found."""
+def _is_new(found, k, rect):
+    """Whether ``k`` is finite, inside ``rect`` and more than ``_DEDUP_TOL``
+    from every pole ``found``."""
     re_lo, re_hi, im_lo, _ = rect
+    return bool(np.isfinite(k) and re_lo <= k.real <= re_hi and k.imag >= im_lo
+                and np.all(np.abs(found - k) >= _DEDUP_TOL))
+
+
+def _keep_new(found, ks, rect):
+    """``found`` with each ``k`` of ``ks`` that :func:`_is_new` keeps."""
     for k in ks:
-        if (np.isfinite(k) and re_lo <= k.real <= re_hi and k.imag >= im_lo
-                and np.min(np.abs(found - k)) >= _DEDUP_TOL):
+        if _is_new(found, k, rect):
             found = np.append(found, k)
     return found
 
 
-def _fill(profile, box, spans, found, counts):
+def _fill(profile, box, count, found, counts):
     """``found`` completed where the zero count exceeds the poles in it.
 
-    The first cells are the slabs ``spans`` and the slabs between them (the
-    whole box when there are none), counted in one call.  A cell short of
-    poles, or whose count is not resolved, is halved at its middle cut while
-    it is at least pi/L wide, then along its longer side, ``_BISECT_DEPTH``
-    times.  Once it is
+    The box is the first cell.  A cell short of poles, or whose count is not
+    resolved, is halved at its middle cut while it is at least pi/L wide,
+    then along its longer side, ``_BISECT_DEPTH`` times.  Once it is
     narrower than pi/L, Newton first starts from its centre, in lockstep
     with the other such cells, and it is halved only if still short.  A pole
     is kept when it lies in the box and more than ``_DEDUP_TOL`` from every
@@ -497,12 +500,8 @@ def _fill(profile, box, spans, found, counts):
         inside &= (found.imag >= y0) & (found.imag <= y1)
         return n is None or n > np.count_nonzero(inside)
 
-    edges = sorted({0, len(box.cuts) - 1}.union(*spans))
-    halves = [((box.cuts[i], box.cuts[j], box.im_lo, box.im_hi), (i, j), _BISECT_DEPTH)
-              for i, j in zip(edges, edges[1:])]
-    while halves:
-        counted = box.counts([(rect, span) for rect, span, _ in halves])
-        cells = [(r, n, s, depth) for (r, s, depth), n in zip(halves, counted)]
+    cells = [(box.rect, count, (0, len(box.cuts) - 1), _BISECT_DEPTH)]
+    while cells:
         cells = list(filter(short, cells))
         seeds = [complex(x0 + x1, y0 + y1) / 2 for (x0, x1, y0, y1), *_ in cells
                  if x1 - x0 < spacing]
@@ -520,19 +519,28 @@ def _fill(profile, box, spans, found, counts):
             elif depth:
                 halves.append(((x0, x1, (y0 + y1) / 2, y1), None, depth - 1))
                 halves.append(((x0, x1, y0, (y0 + y1) / 2), None, depth - 1))
+        counted = box.counts([(rect, span) for rect, span, _ in halves])
+        cells = [(r, n, s, depth) for (r, s, depth), n in zip(halves, counted)]
     return found
 
 
-def _polish(k, profile, counts):
-    """``_POLISH_STEPS`` Newton steps from every ``k`` at once; a step that
-    cannot be taken leaves its pole where it is."""
+def _polish(found, start, profile, counts, rect):
+    """``found`` with ``_POLISH_STEPS`` Newton steps, taken at once, from
+    every pole at ``start`` on.  A pole stays where it is if a step cannot be
+    taken, or if the steps would leave it outside ``rect`` or within
+    ``_DEDUP_TOL`` of another pole."""
+    k = found[start:]
     for _ in range(_POLISH_STEPS):
         counts["newton"] += k.size
         val, der = _t22_or_nan(profile, k)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = val / der
         k = np.where(np.isfinite(step), k - step, k)
-    return k
+    found = found.copy()
+    for i, polished in enumerate(k, start):
+        if _is_new(np.delete(found, i), polished, rect):
+            found[i] = polished
+    return found
 
 
 def sweep_poles(profile, config):
@@ -567,8 +575,8 @@ def sweep_poles(profile, config):
         found = _keep_new(found, _newton_lockstep(seeds, profile, iterations), box)
     targeted = found.size - lockstep
     if found.size < count:
-        found = _fill(profile, counter, spans, found, iterations)
-    found[lockstep:] = _polish(found[lockstep:], profile, iterations)
+        found = _fill(profile, counter, count, found, iterations)
+    found = _polish(found, lockstep, profile, iterations, box)
 
     # the distinct poles found, ordered by real part, each within its gate
     found = np.sort_complex(found)

@@ -71,9 +71,9 @@ def drop_from_lockstep(monkeypatch, index, n_seed, fill_finds=True):
 
 
 def without_targeted(monkeypatch):
-    """Give the targeted stage no seeds, so the fill finds every pole the
-    lockstep batch misses."""
-    monkeypatch.setattr(poles, "_rim_seeds", lambda box, spans, found: np.empty(0, complex))
+    """Let the rim phases flag no slab, so the targeted stage runs no Newton
+    and the fill finds every pole the lockstep batch misses."""
+    monkeypatch.setattr(poles, "_rim_slabs", lambda box, found: [])
 
 
 class TestAsymptoticSeed:
@@ -314,6 +314,20 @@ class TestZeroCountCertificate:
             assert len(catalog) == len(default)
             rel = np.abs(catalog.poles - default.poles) / np.abs(default.poles)
             assert np.max(rel) <= 1e-15
+
+    def test_polish_leaves_a_pole_it_would_move_onto_another_or_out_of_the_box(self):
+        catalog = sweep_poles(SB, PoleSearchConfig(n_seed=200))
+        kappa, box = catalog.poles[5], catalog.stats.box
+        near = kappa - 2e-3 * (1 + 1j)
+        counts = Counter()
+        # alone in the box, the two steps take it onto the pole
+        (polished,) = poles._polish(np.array([near]), 0, SB, counts, box)
+        assert abs(polished - kappa) < _DEDUP_TOL
+        assert counts["newton"] == 2
+        # next to the pole, or in a box that ends short of it, it stays put
+        assert list(poles._polish(np.array([kappa, near]), 1, SB, counts, box)) == [kappa, near]
+        short = (box[0], (near.real + kappa.real) / 2, box[2], box[3])
+        assert poles._polish(np.array([near]), 0, SB, counts, short)[0] == near
 
     def test_count_above_the_poles_found_raises(self, monkeypatch, tmp_path, capsys):
         drop_from_lockstep(monkeypatch, 98, 200, fill_finds=False)
