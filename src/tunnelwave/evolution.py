@@ -39,7 +39,7 @@ import numpy as np
 
 from .specfun import _w_split
 from .potential import UnitSystem
-from .resonances import _pole_record
+from .resonances import _pole_record, expansion_t
 
 __all__ = [
     "FreeDensityUnderflowError",
@@ -50,7 +50,6 @@ __all__ = [
     "UnreliableRegimeError",
     "asymptotic_cancellation",
     "eta",
-    "fit_loglog_slope",
     "free_packet",
     "free_packet_log",
     "longtime_exponent",
@@ -433,15 +432,6 @@ def eta(x, x0, length):
     return ((x - length) / (x0 - length)) ** 2
 
 
-def fit_loglog_slope(ts, rhos):
-    """Least-squares slope of log(rho) against log(t).
-
-    Test companion, used by ``TestLongtime`` in ``tests/test_evolution.py``.
-    """
-    return _plain_slope(np.log(np.asarray(ts, dtype=float)),
-                        np.log(np.asarray(rhos, dtype=float)))
-
-
 def longtime_exponent(packet, profile, catalog, residue_set, x_d, t_range, samples=40):
     """Fitted power of the density decay at fixed x_d over a log-uniform grid.
 
@@ -488,25 +478,34 @@ def _plain_slope(lx, ly):
 def asymptotic_cancellation(packet, profile, catalog, residue_set, x_d, t):
     """Residual of C against the leading-asymptotic bracket sum.
 
-    Evaluates the bracket with the Faddeeva factors replaced by their leading
-    large-argument form (the 1/y' term, plus the exponential branch where the
-    argument sits in the lower half-plane) and returns ``(residual, scale)``
-    where ``scale`` is the magnitude sum of the next-order 1/y'^3 terms.  At
-    long times the leading sum cancels C up to that scale, at the one point
-    ``(x_d, t)``.
+    The bracket's leading large-argument form replaces each w(i y'_n) by its
+    1/(sqrt(pi) y'_n) term, plus the reflection term 2 exp(y'_n^2) where the
+    argument sits in the lower half-plane.  Since y'_n is proportional to
+    s - kappa_n at the complex momentum
+
+        s = (m / hbar) (x_d - x_c - i v tau) / (t - i tau),
+
+    C plus the 1/y' terms is exactly the pole expansion t_N(s) of
+    :func:`~tunnelwave.resonances.expansion_t`, which raises where s lies
+    within the sweep's deduplication tolerance of a pole.  Returns
+    ``(residual, scale)``: ``residual`` is the modulus of t_N(s) plus the
+    reflection terms and ``scale`` the magnitude sum of the next-order
+    1/y'^3 terms.  At long times the leading sum cancels C up to that
+    scale, at the one point ``(x_d, t)``.
     """
     _require_scalar(x_d=x_d, t=t)
     _require_transmitted(packet, profile, x_d, t)
     ev = _BracketEvaluator(packet, profile, catalog, residue_set)
     y = ev._y_args(np.asarray(x_d, float), np.asarray(t, float))
-    lead = 1.0 / (math.sqrt(math.pi) * y)
     lhp = y.real < 0.0
     args = y[lhp] ** 2
     if not np.all(args.real < 700.0):
         raise OverflowError("exponential branch overflows at this point")
     with np.errstate(under="ignore"):
-        lead[lhp] += 2.0 * np.exp(args)
+        refl = np.sum(ev.coefs[lhp] * 2.0 * np.exp(args))
+    tau = packet.tau
+    s = (ev.mass / ev.hbar) * (x_d - packet.x_c - 1j * packet.velocity * tau) / (t - 1j * tau)
     prefac = ev._prefactor(t)
-    residual = abs(ev.c_const + prefac * np.sum(ev.coefs * lead))
+    residual = abs(expansion_t(profile, s, catalog, residue_set) + prefac * refl)
     scale = np.sum(np.abs(ev.coefs) * 0.5 / (math.sqrt(math.pi) * np.abs(y) ** 3))
     return float(residual), float(abs(prefac) * scale)

@@ -94,28 +94,24 @@ _WEIDEMAN_A = tuple(np.array(c, dtype=complex) for c in (
 ))
 
 
-def _w_weideman(z, out=None):
-    """Rational approximation for |z| < _R_CONTFRAC, Im z >= 0,
-    written into ``out`` (which may be ``z``) when given.  The Horner loop
-    writes each product into a second buffer."""
+def _w_weideman(z):
+    """Rational approximation for |z| < _R_CONTFRAC, Im z >= 0, written over
+    ``z``.  The Horner loop writes each product into a second buffer."""
     big_l = _WEIDEMAN_L
-    if out is None:
-        out = np.empty_like(z)
     zm, denom, q = np.empty((3,) + z.shape, dtype=complex)
     np.multiply(1j, z, out=zm)
     np.subtract(big_l, zm, out=denom)
     np.add(big_l, zm, out=zm)
     np.divide(zm, denom, out=zm)
-    p = out
-    p.fill(0.0)
+    z.fill(0.0)
     for c in _WEIDEMAN_A:
-        np.multiply(p, zm, out=q)
-        np.add(q, c, out=p)
-    np.multiply(2.0, p, out=q)
+        np.multiply(z, zm, out=q)
+        np.add(q, c, out=z)
+    np.multiply(2.0, z, out=q)
     np.multiply(denom, denom, out=zm)
-    np.divide(q, zm, out=p)
+    np.divide(q, zm, out=z)
     np.divide(1.0 / _SQRT_PI, denom, out=q)
-    return np.add(p, q, out=p)
+    return np.add(z, q, out=z)
 
 
 def _w_contfrac(z, levels, g):
@@ -141,9 +137,9 @@ def _w_near(z):
     lower = z.imag < 0.0
     # phi0's arguments all lie in the upper half-plane: no masked pass
     if not lower.any():
-        return _w_weideman(z, out=z)
+        return _w_weideman(z)
     np.negative(z, out=z, where=lower)
-    _w_weideman(z, out=z)
+    _w_weideman(z)
     return np.negative(z, out=z, where=lower)
 
 

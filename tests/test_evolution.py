@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from tunnelwave import resonances
 from tunnelwave.evolution import (
     _BracketEvaluator,
+    _plain_slope,
     FreeDensityUnderflowError,
     GaussianPacket,
     NonAsymptoticError,
@@ -21,7 +22,6 @@ from tunnelwave.evolution import (
     UnreliableRegimeError,
     asymptotic_cancellation,
     eta,
-    fit_loglog_slope,
     free_packet,
     free_packet_log,
     longtime_exponent,
@@ -783,7 +783,7 @@ class TestZetaEta:
 class TestLongtime:
     def test_synthetic_pure_power_law(self):
         ts = np.geomspace(10.0, 1e4, 60)
-        assert fit_loglog_slope(ts, ts**-3.0) == pytest.approx(-3.0, abs=1e-12)
+        assert _plain_slope(np.log(ts), np.log(ts**-3.0)) == pytest.approx(-3.0, abs=1e-12)
 
     def test_minus_three_all_presets(self, preset_data):
         for data in preset_data.values():
@@ -851,6 +851,46 @@ class TestLongtime:
                 sb_data.packet, SB, sb_data.catalog, sb_data.residues,
                 2 * SB.length, (lo, hi), samples=samples,
             )
+
+
+class TestLeadingSumIdentity:
+    def test_leading_bracket_is_expansion_at_s(self, preset_data):
+        # C + P sum_n c_n / (sqrt(pi) y'_n), the bracket with each w(i y'_n)
+        # cut to its leading term, is the pole expansion at the complex
+        # momentum s = (m / hbar)(x - x_c - i v tau) / (t - i tau), and
+        # criterion 8's residual is its modulus once the reflection terms
+        # 2 exp(y'^2) of the lower half-plane are added.  Im s has the sign
+        # of x - x_c - v t: positive at 20L, 2 tau_sys on sb and qb alone,
+        # negative everywhere else
+        signs = set()
+        for data in preset_data.values():
+            profile, pk = data.profile, data.packet
+            length, tau_sys = profile.length, tau_system(profile, data.catalog)
+            ev = _BracketEvaluator(pk, profile, data.catalog, data.residues)
+            for x, t in [
+                (2 * length, 1e3 * tau_sys),
+                (2 * length, 50 * tau_sys),
+                (200 * length, 1e3 * tau_sys),
+                (2 * length, 1.5 * (2 * length - pk.x_c) / pk.velocity),
+                (20 * length, 2 * tau_sys),
+            ]:
+                y = ev._y_args(np.asarray(x), np.asarray(t))
+                prefac = ev._prefactor(t)
+                lead = ev.c_const + prefac * np.sum(ev.coefs / (math.sqrt(math.pi) * y))
+                s = (pk.units.mass / pk.units.hbar) * (
+                    x - pk.x_c - 1j * pk.velocity * pk.tau
+                ) / (t - 1j * pk.tau)
+                signs.add(s.imag > 0.0)
+                t_s = expansion_t(profile, s, data.catalog, data.residues)
+                point = (data.name, x / length, t / tau_sys)
+                assert abs(t_s - lead) <= 1e-14 * abs(ev.c_const), point
+                lhp = y.real < 0.0
+                refl = prefac * np.sum(ev.coefs[lhp] * 2.0 * np.exp(y[lhp] ** 2))
+                residual, _ = asymptotic_cancellation(
+                    pk, profile, data.catalog, data.residues, x, t
+                )
+                assert abs(residual - abs(lead + refl)) <= 1e-14 * abs(ev.c_const), point
+        assert signs == {True, False}
 
 
 class TestCancellation:
